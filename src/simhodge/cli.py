@@ -90,19 +90,20 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _guarded_connection_derivative(c, order):
+def _check_tuple_budget(c, order):
     if order >= 3:
         count = connection_tuple_count(c, order)
         if count > CONNECTION_TUPLE_LIMIT:
             raise ResourceLimitError(
-                f"connection basis of order {order} has {count} tuples, "
+                f"order {order} needs {count} tuples, "
                 f"limit is {CONNECTION_TUPLE_LIMIT}")
-    return connection_derivative(c, order)
 
 
 def _derivative_for(c, order):
-    return exterior_derivative(c) if order == 1 \
-        else _guarded_connection_derivative(c, order)
+    if order == 1:
+        return exterior_derivative(c)
+    _check_tuple_budget(c, order)
+    return connection_derivative(c, order)
 
 
 def _cmd_report(c, args):
@@ -147,14 +148,7 @@ def _cmd_betti(c, args):
 
 
 def _cmd_curvature(c, args):
-    if args.order < 1:
-        raise InvalidInputError("order must be at least 1")
-    if args.order >= 3:
-        count = connection_tuple_count(c, args.order)
-        if count > CONNECTION_TUPLE_LIMIT:
-            raise ResourceLimitError(
-                f"order {args.order} curvature needs {count} tuples, "
-                f"limit is {CONNECTION_TUPLE_LIMIT}")
+    _check_tuple_budget(c, args.order)
     values = multilinear_curvature(c, args.order)
     total = sum(values.values(), Fraction(0))
     target = wu_characteristic(c, args.order)

@@ -39,7 +39,7 @@ class Complex:
     through every operation.
     """
 
-    __slots__ = ("simplices", "base", "labels", "_sorted")
+    __slots__ = ("simplices", "base", "labels", "_sorted", "_meet")
 
     def __init__(self, simplices, labels=None, validate=True):
         canon = frozenset(as_simplex(s) for s in simplices) if validate \
@@ -56,6 +56,7 @@ class Complex:
         self.base = frozenset(v for s in canon for v in s)
         self.labels = dict(labels) if labels else None
         self._sorted = tuple(sorted(canon, key=lambda s: (len(s), s)))
+        self._meet = None
 
     @property
     def dimension(self) -> int:
@@ -262,6 +263,30 @@ def vertex_masks(c: Complex) -> list[int]:
     return [sum(bit[v] for v in s) for s in c]
 
 
+def intersection_masks(c: Complex) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Vertex masks and, per simplex, the bitmask of simplices meeting it.
+
+    Both follow the deterministic order.  Simplex i meets simplex j exactly
+    when they share a vertex, so each meet mask is the union over the
+    vertices of i of the simplices containing that vertex.  Computed once per
+    complex.
+    """
+    if c._meet is None:
+        masks = tuple(vertex_masks(c))
+        star = {v: 0 for v in c.base}
+        for i, s in enumerate(c):
+            for v in s:
+                star[v] |= 1 << i
+        meet = []
+        for s in c:
+            m = 0
+            for v in s:
+                m |= star[v]
+            meet.append(m)
+        c._meet = (masks, tuple(meet))
+    return c._meet
+
+
 def f_matrix(c: Complex) -> np.ndarray:
     """Counts of ordered intersecting simplex pairs by dimension pair.
 
@@ -272,18 +297,12 @@ def f_matrix(c: Complex) -> np.ndarray:
     d = c.dimension
     if d < 0:
         return np.zeros((0, 0), dtype=np.int64)
-    order = list(c)
-    masks = vertex_masks(c)
+    layers = [0] * (d + 1)
+    for i, s in enumerate(c):
+        layers[len(s) - 1] |= 1 << i
     out = np.zeros((d + 1, d + 1), dtype=np.int64)
-    n = len(order)
-    for i in range(n):
-        mi, ki = masks[i], len(order[i]) - 1
-        out[ki, ki] += 1
-        for j in range(i + 1, n):
-            if mi & masks[j]:
-                kj = len(order[j]) - 1
-                out[ki, kj] += 1
-                out[kj, ki] += 1
+    for s, m in zip(c, intersection_masks(c)[1]):
+        out[len(s) - 1] += [(m & layer).bit_count() for layer in layers]
     return out
 
 

@@ -15,11 +15,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from .complexes import (Complex, euler_characteristic, f_matrix, f_vector,
+from .complexes import (Complex, f_matrix, f_vector, intersection_masks,
                         unit_sphere)
 from .errors import InvalidInputError, ResourceLimitError
-from .operators import (connection_derivative, exterior_derivative,
-                        intersection_masks, iter_bits)
+from .operators import (connection_derivative, exterior_derivative, iter_bits,
+                        tuple_fold)
 from .spectral import betti
 
 EXHAUSTIVE_VERTEX_LIMIT = 8
@@ -95,30 +95,12 @@ def wu_characteristic(c: Complex, k: int = 2) -> int:
     Order 1 is the Euler characteristic; order 2 the quadratic intersection
     characteristic.  Ordered tuples, repeats allowed.
     """
-    if k < 1:
-        raise InvalidInputError("order must be at least 1")
-    if k == 1:
-        return euler_characteristic(c)
-    order = list(c)
-    weights = [simplex_weight(s) for s in order]
+    weights = [simplex_weight(s) for s in c]
     _, meet = intersection_masks(c)
     plus = sum(1 << i for i, w in enumerate(weights) if w > 0)
     minus = sum(1 << i for i, w in enumerate(weights) if w < 0)
-
-    def weight_sum(mask):
-        return (mask & plus).bit_count() - (mask & minus).bit_count()
-
-    current: dict[int, int] = {}
-    for i in range(len(order)):
-        current[meet[i]] = current.get(meet[i], 0) + weights[i]
-    for _ in range(k - 2):
-        folded: dict[int, int] = {}
-        for allowed, w in current.items():
-            for i in iter_bits(allowed):
-                key = allowed & meet[i]
-                folded[key] = folded.get(key, 0) + w * weights[i]
-        current = folded
-    return sum(w * weight_sum(allowed) for allowed, w in current.items())
+    return sum(w * ((allowed & plus).bit_count() - (allowed & minus).bit_count())
+               for (allowed, _), w in tuple_fold(meet, k, weights).items())
 
 
 def gauss_bonnet_curvature(c: Complex) -> dict[int, Fraction]:
@@ -151,6 +133,26 @@ def sphere_curvature(c: Complex) -> dict[int, Fraction]:
     return out
 
 
+def _vertex_tallies(c: Complex, k: int, weights) -> list[dict[int, int]]:
+    """Per vertex (sorted order), the summed weight products of the pairwise
+    intersecting k-tuples whose vertex union contains it, keyed by union size."""
+    vmasks, meet = intersection_masks(c)
+    tallies: list[dict[int, int]] = [{} for _ in c.base]
+    for (allowed, prefix), w in tuple_fold(meet, k, weights, 0,
+                                           lambda acc, i: acc | vmasks[i]).items():
+        # group the last slot by final union, per prefix to keep memory flat
+        unions: dict[int, int] = {}
+        for i in iter_bits(allowed):
+            union = prefix | vmasks[i]
+            unions[union] = unions.get(union, 0) + w * weights[i]
+        for union, total in unions.items():
+            size = union.bit_count()
+            for b in iter_bits(union):
+                t = tallies[b]
+                t[size] = t.get(size, 0) + total
+    return tallies
+
+
 def multilinear_curvature(c: Complex, k: int) -> dict[int, Fraction]:
     """Order-k curvature distributing each tuple weight over its vertex union.
 
@@ -159,32 +161,9 @@ def multilinear_curvature(c: Complex, k: int) -> dict[int, Fraction]:
     its members, so the total over vertices is the order-k characteristic.
     Order 1 reduces to gauss_bonnet_curvature.
     """
-    if k < 1:
-        raise InvalidInputError("order must be at least 1")
-    if k == 1:
-        return gauss_bonnet_curvature(c)
-    order = list(c)
-    vmasks, meet = intersection_masks(c)
-    weights = [simplex_weight(s) for s in order]
-    vertices = sorted(c.base)
-    # per vertex, tally integer weight sums keyed by union size
-    tallies: list[dict[int, int]] = [{} for _ in vertices]
-    full = (1 << len(order)) - 1
-
-    def extend(slots_left, allowed, weight, union_mask):
-        if slots_left == 0:
-            size = union_mask.bit_count()
-            for b in iter_bits(union_mask):
-                t = tallies[b]
-                t[size] = t.get(size, 0) + weight
-            return
-        for i in iter_bits(allowed):
-            extend(slots_left - 1, allowed & meet[i],
-                   weight * weights[i], union_mask | vmasks[i])
-
-    extend(k, full, 1, 0)
+    tallies = _vertex_tallies(c, k, [simplex_weight(s) for s in c])
     return {v: sum(Fraction(w, size) for size, w in t.items())
-            for v, t in zip(vertices, tallies)}
+            for v, t in zip(sorted(c.base), tallies)}
 
 
 def mean_tuple_curvature(c: Complex, k: int) -> dict[int, Fraction]:
@@ -192,29 +171,11 @@ def mean_tuple_curvature(c: Complex, k: int) -> dict[int, Fraction]:
 
     The plain mean over all pairwise intersecting k-tuples whose vertex union
     contains v.  Unlike multilinear_curvature it carries no sum identity."""
-    if k < 1:
-        raise InvalidInputError("order must be at least 1")
-    order = list(c)
-    vmasks, meet = intersection_masks(c)
-    weights = [simplex_weight(s) for s in order]
-    vertices = sorted(c.base)
-    sums = [0] * len(vertices)
-    counts = [0] * len(vertices)
-    full = (1 << len(order)) - 1
-
-    def extend(slots_left, allowed, weight, union_mask):
-        if slots_left == 0:
-            for b in iter_bits(union_mask):
-                sums[b] += weight
-                counts[b] += 1
-            return
-        for i in iter_bits(allowed):
-            extend(slots_left - 1, allowed & meet[i],
-                   weight * weights[i], union_mask | vmasks[i])
-
-    extend(k, full, 1, 0)
-    return {v: Fraction(s, n) if n else Fraction(0)
-            for v, s, n in zip(vertices, sums, counts)}
+    sums = _vertex_tallies(c, k, [simplex_weight(s) for s in c])
+    # never empty: the k-fold repeat of (v,) is a tuple containing v
+    counts = _vertex_tallies(c, k, [1] * len(c))
+    return {v: Fraction(sum(s.values()), sum(n.values()))
+            for v, s, n in zip(sorted(c.base), sums, counts)}
 
 
 def _links_with_weights(c: Complex) -> dict[int, list[tuple]]:
@@ -225,6 +186,16 @@ def _links_with_weights(c: Complex) -> dict[int, list[tuple]]:
             for i in range(len(s)):
                 links[s[i]].append((s[:i] + s[i + 1:], w))
     return links
+
+
+def _index_field(vertices, links, rank: dict) -> dict[int, int]:
+    """i(v) = 1 - chi of the part of the unit sphere of v ranked below v."""
+    out = {}
+    for v in vertices:
+        rv = rank[v]
+        chi_lower = sum(w for y, w in links[v] if all(rank[u] < rv for u in y))
+        out[v] = 1 - chi_lower
+    return out
 
 
 def poincare_hopf(c: Complex, f: dict) -> dict[int, int]:
@@ -239,13 +210,7 @@ def poincare_hopf(c: Complex, f: dict) -> dict[int, int]:
         raise InvalidInputError(f"vertex function misses vertex {missing}") from None
     if len(set(values.values())) != len(values):
         raise InvalidInputError("vertex function must be injective")
-    links = _links_with_weights(c)
-    out = {}
-    for v in sorted(c.base):
-        fv = values[v]
-        chi_lower = sum(w for y, w in links[v] if all(values[u] < fv for u in y))
-        out[v] = 1 - chi_lower
-    return out
+    return _index_field(sorted(c.base), _links_with_weights(c), values)
 
 
 @dataclass
@@ -269,28 +234,17 @@ def index_expectation(c: Complex, mode: str = "exhaustive", samples: int = 10000
     vertices = sorted(c.base)
     n = len(vertices)
     links = _links_with_weights(c)
-
-    def field_for(rank: dict):
-        out = {}
-        for v in vertices:
-            rv = rank[v]
-            chi_lower = sum(w for y, w in links[v]
-                            if all(rank[u] < rv for u in y))
-            out[v] = 1 - chi_lower
-        return out
-
     if mode == "exhaustive":
         if n > EXHAUSTIVE_VERTEX_LIMIT:
             raise ResourceLimitError(
                 f"exhaustive expectation limited to {EXHAUSTIVE_VERTEX_LIMIT} "
                 f"vertices, complex has {n}")
         totals = {v: 0 for v in vertices}
-        count = 0
+        count = math.factorial(n)
         for perm in itertools.permutations(range(n)):
             rank = dict(zip(vertices, perm))
-            for v, i in field_for(rank).items():
+            for v, i in _index_field(vertices, links, rank).items():
                 totals[v] += i
-            count += 1
         values = {v: Fraction(t, count) for v, t in totals.items()}
         return ExpectationResult(values, None, count, True)
     if mode != "sampled":
@@ -301,7 +255,7 @@ def index_expectation(c: Complex, mode: str = "exhaustive", samples: int = 10000
     for _ in range(samples):
         perm = rng.permutation(n)
         rank = {v: int(perm[i]) for i, v in enumerate(vertices)}
-        for v, i in field_for(rank).items():
+        for v, i in _index_field(vertices, links, rank).items():
             totals[v] += i
             squares[v] += i * i
     means = {v: totals[v] / samples for v in vertices}
@@ -342,8 +296,6 @@ def index_theorem_report(c: Complex, k: int = 1) -> IndexTriple:
     Order 1 uses the plain form complex (Euler characteristic); order k >= 2
     the connection complex of that order (order-k characteristic).
     """
-    if k < 1:
-        raise InvalidInputError("order must be at least 1")
     d = exterior_derivative(c) if k == 1 else connection_derivative(c, k)
     analytic = d.basis.alternating_dimension_sum()
     cohomological = cohomological_index(betti(d))

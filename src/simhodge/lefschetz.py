@@ -57,15 +57,15 @@ def check_automorphism(c: Complex, permutation: dict) -> Automorphism:
     return Automorphism(tuple(sorted(mapping.items())))
 
 
-def _permutation_sign(values) -> int:
-    """Parity of the permutation sorting the given distinct values."""
-    values = list(values)
+def _signed_image(mapping: dict, s) -> tuple[tuple, int]:
+    """Sorted image of a simplex and the parity of the permutation sorting it."""
+    image = [mapping[v] for v in s]
     sign = 1
-    for i in range(len(values)):
-        for j in range(i + 1, len(values)):
-            if values[i] > values[j]:
+    for i in range(len(image)):
+        for j in range(i + 1, len(image)):
+            if image[i] > image[j]:
                 sign = -sign
-    return sign
+    return tuple(sorted(image)), sign
 
 
 def induced_map(t: Automorphism, basis: GradedBasis) -> GradedOperator:
@@ -74,14 +74,13 @@ def induced_map(t: Automorphism, basis: GradedBasis) -> GradedOperator:
     n = len(basis)
     rows, cols, vals = [], [], []
     for i, s in enumerate(basis.elements):
-        image = [mapping[v] for v in s]
-        target = tuple(sorted(image))
+        target, sign = _signed_image(mapping, s)
         if target not in basis.index:
             raise InvalidInputError(
                 f"automorphism does not preserve the basis element {s}")
         rows.append(basis.index[target])
         cols.append(i)
-        vals.append(_permutation_sign(image))
+        vals.append(sign)
     m = sparse.coo_array((vals, (rows, cols)), shape=(n, n), dtype=np.int64)
     return GradedOperator(m.tocsr(), basis, shift=0)
 
@@ -159,11 +158,11 @@ def fixed_point_indices(t: Automorphism, c: Complex):
     mapping = t.as_dict()
     fixed = []
     vertex_indices = {v: Fraction(0) for v in c.base}
-    for s in sorted(c.simplices, key=lambda s: (len(s), s)):
-        image = [mapping[v] for v in s]
-        if tuple(sorted(image)) == s:
+    for s in c:
+        image, sign = _signed_image(mapping, s)
+        if image == s:
             weight = -1 if len(s) % 2 == 0 else 1
-            index = weight * _permutation_sign(image)
+            index = weight * sign
             fixed.append((s, index))
             for v in s:
                 vertex_indices[v] += Fraction(index, len(s))

@@ -2,7 +2,10 @@
 
 The de Rham basis of a complex is its simplex list; a connection basis of
 order k consists of the ordered k-tuples of pairwise intersecting simplices,
-graded by total dimension.  Every simplex is oriented by its increasing
+graded by total dimension.  ``tuple_fold`` is the one walk over those
+tuples: connection bases, tuple counts, Wu characteristics and tuple
+curvatures all fold their prefixes with it and finish the last slot
+themselves.  Every simplex is oriented by its increasing
 vertex order (a gauge choice), which fixes all incidence signs.  Operators
 are square sparse integer matrices over a single graded basis, so exterior
 derivative, Dirac and Hodge operators share one representation and exact
@@ -14,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 from scipy import sparse
 
-from .complexes import Complex, vertex_masks
+from .complexes import Complex, intersection_masks
 from .errors import ContractViolationError, InvalidInputError
 
 
@@ -146,12 +149,17 @@ def exterior_derivative(c: Complex) -> GradedOperator:
     return GradedOperator(m.tocsr(), basis, shift=1)
 
 
-def dirac(d: GradedOperator) -> GradedOperator:
-    """Symmetric operator d + d*, after verifying nilpotency of d exactly."""
+def require_nilpotent(d: GradedOperator):
+    """Raise ContractViolationError unless d @ d vanishes exactly."""
     square = d.matrix @ d.matrix
     square.eliminate_zeros()
     if square.count_nonzero():
         raise ContractViolationError("d is not nilpotent: d @ d has non-zero entries")
+
+
+def dirac(d: GradedOperator) -> GradedOperator:
+    """Symmetric operator d + d*, after verifying nilpotency of d exactly."""
+    require_nilpotent(d)
     return GradedOperator(d.matrix + d.matrix.T, d.basis, shift=0)
 
 
@@ -195,21 +203,6 @@ def stokes_check(d: GradedOperator, form: dict, chain: dict):
     return lhs, rhs, lhs == rhs
 
 
-def intersection_masks(c: Complex):
-    """For each simplex (deterministic order), the bitmask of simplices meeting it."""
-    masks = vertex_masks(c)
-    n = len(masks)
-    meet = [0] * n
-    for i in range(n):
-        meet[i] |= 1 << i
-        mi = masks[i]
-        for j in range(i + 1, n):
-            if mi & masks[j]:
-                meet[i] |= 1 << j
-                meet[j] |= 1 << i
-    return masks, meet
-
-
 def iter_bits(mask: int):
     while mask:
         low = mask & -mask
@@ -217,49 +210,49 @@ def iter_bits(mask: int):
         mask ^= low
 
 
+def tuple_fold(meet, k: int, weights, acc0=None, step=None) -> dict:
+    """Fold the first k-1 slots of the pairwise intersecting k-tuples.
+
+    ``meet[i]`` is the bitmask of simplices meeting simplex i.  Starting from
+    the empty prefix, each step appends every simplex allowed by the prefix,
+    narrows the allowed mask by its meet mask, multiplies in its weight and
+    updates the accumulator with ``step(acc, i)`` (kept when step is None).
+    Returns {(allowed, acc): summed weight product} over the (k-1)-prefixes;
+    the k-th slot ranges over the bits of ``allowed``, which callers finish
+    themselves.
+    """
+    if k < 1:
+        raise InvalidInputError("order must be at least 1")
+    prefixes = {((1 << len(meet)) - 1, acc0): 1}
+    for _ in range(k - 1):
+        grown = {}
+        for (allowed, acc), w in prefixes.items():
+            for i in iter_bits(allowed):
+                key = (allowed & meet[i], acc if step is None else step(acc, i))
+                grown[key] = grown.get(key, 0) + w * weights[i]
+        prefixes = grown
+    return prefixes
+
+
 def connection_basis(c: Complex, k: int) -> GradedBasis:
     """Ordered k-tuples of pairwise intersecting simplices, graded by total dimension."""
-    if k < 1:
-        raise InvalidInputError("connection order must be at least 1")
     order = list(c)
     _, meet = intersection_masks(c)
-    full = (1 << len(order)) - 1
+    prefixes = tuple_fold(meet, k, [1] * len(order), (), lambda acc, i: acc + (i,))
     elements, degrees = [], []
-
-    def extend(chosen, allowed, degree):
-        if len(chosen) == k:
-            elements.append(tuple(order[i] for i in chosen))
-            degrees.append(degree)
-            return
+    for allowed, chosen in prefixes:
         for i in iter_bits(allowed):
-            extend(chosen + (i,), allowed & meet[i], degree + len(order[i]) - 1)
-
-    extend((), full, 0)
+            element = tuple(order[j] for j in chosen + (i,))
+            elements.append(element)
+            degrees.append(sum(len(s) for s in element) - k)
     return GradedBasis(elements, degrees)
 
 
 def connection_tuple_count(c: Complex, k: int) -> int:
     """Number of ordered pairwise-intersecting k-tuples, without materializing them."""
-    if k < 1:
-        raise InvalidInputError("connection order must be at least 1")
     _, meet = intersection_masks(c)
-    n = len(meet)
-    if k == 1:
-        return n
-    if k == 2:
-        return sum(m.bit_count() for m in meet)
-    # fold one slot at a time, grouping by the distinct candidate masks
-    current = {}
-    for i in range(n):
-        current[meet[i]] = current.get(meet[i], 0) + 1
-    for _ in range(k - 2):
-        nxt = {}
-        for allowed, mult in current.items():
-            for i in iter_bits(allowed):
-                key = allowed & meet[i]
-                nxt[key] = nxt.get(key, 0) + mult
-        current = nxt
-    return sum(allowed.bit_count() * mult for allowed, mult in current.items())
+    prefixes = tuple_fold(meet, k, [1] * len(meet))
+    return sum(allowed.bit_count() * w for (allowed, _), w in prefixes.items())
 
 
 def connection_derivative(c: Complex, k: int) -> GradedOperator:
@@ -273,7 +266,7 @@ def connection_derivative(c: Complex, k: int) -> GradedOperator:
     order.  Order 1 reproduces the exterior derivative.
     """
     basis = connection_basis(c, k)
-    vmask = {s: m for s, m in zip(list(c), vertex_masks(c))}
+    vmask = dict(zip(c, intersection_masks(c)[0]))
     rows, cols, vals = [], [], []
     for i, element in enumerate(basis.elements):
         prefix = 0

@@ -13,17 +13,10 @@ import numpy as np
 
 from .errors import ContractViolationError, InvalidInputError
 from .intlinalg import exact_rank
-from .operators import GradedOperator, dirac, hodge
+from .operators import GradedOperator, dirac, hodge, require_nilpotent
 
 KERNEL_TOL = 1e-7
 SUSY_TOL = 1e-9
-
-
-def _require_nilpotent(d: GradedOperator):
-    square = d.matrix @ d.matrix
-    square.eliminate_zeros()
-    if square.count_nonzero():
-        raise ContractViolationError("derivative is not nilpotent")
 
 
 def betti(d: GradedOperator) -> tuple[int, ...]:
@@ -32,7 +25,7 @@ def betti(d: GradedOperator) -> tuple[int, ...]:
     b_k = dim_k - rank(d_k) - rank(d_{k-1}), each rank over the rationals by
     fraction-free integer elimination.
     """
-    _require_nilpotent(d)
+    require_nilpotent(d)
     top = d.basis.max_degree
     ranks = [exact_rank(d.block(k + 1, k)) for k in range(top + 1)]
     out = []

@@ -31,6 +31,27 @@ def brute_force_wu(c, k):
     return total
 
 
+def brute_force_curvatures(c, k):
+    """Oracle: per-vertex multilinear and mean tuple curvature by product
+    enumeration, each tuple weight spread over the vertices of its union."""
+    simplices = [frozenset(s) for s in c.simplices]
+    shares = {v: Fraction(0) for v in c.base}
+    sums = {v: 0 for v in c.base}
+    counts = {v: 0 for v in c.base}
+    for combo in itertools.product(simplices, repeat=k):
+        if all(a & b for a, b in itertools.combinations(combo, 2)):
+            w = 1
+            for s in combo:
+                w *= (-1) ** (len(s) - 1)
+            union = frozenset().union(*combo)
+            for v in union:
+                shares[v] += Fraction(w, len(union))
+                sums[v] += w
+                counts[v] += 1
+    means = {v: Fraction(sums[v], counts[v]) for v in c.base}
+    return shares, means
+
+
 class TestAnalyticIndex:
     def test_triangle_split(self):
         assert analytic_index([3, 1], [3]) == 1
@@ -190,6 +211,15 @@ class TestMultilinearCurvature:
             for k in (2, 3):
                 total = sum(multilinear_curvature(c, k).values(), Fraction(0))
                 assert total == wu_characteristic(c, k), (name, k)
+
+    def test_per_vertex_against_brute_force(self, suite):
+        for name, c in suite.items():
+            for k in (1, 2, 3):
+                if k == 3 and len(c) > 26:
+                    continue
+                shares, means = brute_force_curvatures(c, k)
+                assert multilinear_curvature(c, k) == shares, (name, k)
+                assert mean_tuple_curvature(c, k) == means, (name, k)
 
     def test_mean_diagnostic_runs(self, k3):
         means = mean_tuple_curvature(k3, 2)

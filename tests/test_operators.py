@@ -181,6 +181,14 @@ class TestConnectionBasis:
                 assert connection_tuple_count(c, k) == len(brute_force_tuples(c, k)), \
                     (name, k)
 
+    def test_order_three_elements_and_degrees(self):
+        c = downward_closure([(0, 1, 2), (2, 3)])
+        basis = connection_basis(c, 3)
+        tuples = brute_force_tuples(c, 3)
+        assert sorted(basis.elements) == sorted(tuples)
+        for element, degree in zip(basis.elements, basis.degrees):
+            assert degree == sum(len(s) - 1 for s in element), element
+
     def test_tuple_count_order_four(self, suite):
         c = suite["circle3"]
         assert connection_tuple_count(c, 4) == len(brute_force_tuples(c, 4))
