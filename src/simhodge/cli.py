@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -22,12 +23,12 @@ from .complexes import (barycentric_operator, barycentric_refinement,
                         euler_characteristic, f_matrix, f_vector, skeleton)
 from .errors import (ContractViolationError, InvalidInputError,
                      ParseError, ResourceLimitError)
-from .indices import (gauss_bonnet_curvature, index_expectation,
-                      index_theorem_report, multilinear_curvature,
-                      poincare_hopf, wu_characteristic)
+from .indices import (IndexTriple, gauss_bonnet_curvature, index_expectation,
+                      multilinear_curvature, poincare_hopf, wu_characteristic)
 from .io import (field_payload, fraction_payload, operator_to_json,
                  operator_to_triplets, parse_input, parse_permutation,
-                 parse_vertex_function, serialize_facets, sha256_hex)
+                 parse_vertex_function, read_text, serialize_facets,
+                 sha256_hex)
 from .lax import (integrate, spectral_drift, trajectory_to_csv,
                   trajectory_to_json)
 from .lefschetz import check_automorphism, heat_lefschetz, lefschetz_report
@@ -114,8 +115,9 @@ def _cmd_report(c, args):
         "euler_characteristic": euler_characteristic(c),
         "wu": {"2": wu_characteristic(c, 2), "3": wu_characteristic(c, 3)},
     }
-    reports = {}
-    for order in (1, 2):
+    curvatures = {1: gauss_bonnet_curvature(c), 2: multilinear_curvature(c, 2)}
+    reports, triples = {}, {}
+    for order, curvature in curvatures.items():
         d = _derivative_for(c, order)
         sr = spectrum_report(d)
         reports[str(order)] = {
@@ -123,12 +125,11 @@ def _cmd_report(c, args):
             "exact_numeric_agreement": sr.agreement,
             "supersymmetric": sr.supersymmetry.symmetric,
         }
+        triples[str(order)] = IndexTriple.from_invariants(
+            d, sr.betti_numbers, curvature, order).to_payload()
     payload["cohomology"] = reports
-    payload["curvature"] = {
-        "1": field_payload(c, gauss_bonnet_curvature(c)),
-        "2": field_payload(c, multilinear_curvature(c, 2)),
-    }
-    triples = {str(k): index_theorem_report(c, k).to_payload() for k in (1, 2)}
+    payload["curvature"] = {str(k): field_payload(c, v)
+                            for k, v in curvatures.items()}
     payload["index_theorem"] = triples
     payload["invariants"] = {
         "index_theorem_equal": all(t["equal"] for t in triples.values()),
@@ -187,8 +188,7 @@ def _cmd_ph(c, args):
             payload["matches_curvature"] = result.values == curvature
         return payload
     if args.function:
-        with open(args.function, encoding="utf-8") as handle:
-            f = parse_vertex_function(handle.read(), c)
+        f = parse_vertex_function(read_text(args.function), c)
     else:
         rng = np.random.default_rng(args.seed)
         ranks = rng.permutation(len(c.base))
@@ -205,8 +205,7 @@ def _cmd_ph(c, args):
 
 
 def _cmd_lefschetz(c, args):
-    with open(args.perm, encoding="utf-8") as handle:
-        mapping = parse_permutation(handle.read(), c)
+    mapping = parse_permutation(read_text(args.perm), c)
     t = check_automorphism(c, mapping)
     d = exterior_derivative(c)
     big_l = hodge(dirac(d))
@@ -226,8 +225,8 @@ def _parse_times(text: str):
         times = [float(x) for x in text.split(",") if x.strip() != ""]
     except ValueError:
         raise InvalidInputError(f"unreadable time list {text!r}") from None
-    if any(x < 0 for x in times):
-        raise InvalidInputError("heat times must be non-negative")
+    if not all(0 <= x < math.inf for x in times):
+        raise InvalidInputError("heat times must be non-negative and finite")
     return times
 
 
@@ -246,6 +245,8 @@ def _cmd_heat(c, args):
 
 
 def _cmd_lax(c, args):
+    if not 0 < args.dt < math.inf:
+        raise InvalidInputError(f"--dt must be positive and finite, got {args.dt}")
     big_d = dirac(exterior_derivative(c))
     states = integrate(big_d, args.t_end, args.dt,
                        sample_every=max(1, int(round(0.1 / args.dt)) or 1))
@@ -343,7 +344,7 @@ def run(args) -> str:
     """Execute one parsed command and return the serialized report."""
     with open(args.input, "rb") as handle:
         raw = handle.read()
-    c = parse_input(args.input, args.format)
+    c = parse_input(args.input, args.format, raw)
     started = time.monotonic()
     results = _COMMANDS[args.command](c, args)
     elapsed_ms = 1000.0 * (time.monotonic() - started)
@@ -356,7 +357,12 @@ def run(args) -> str:
         "results": results,
         "timing_ms": elapsed_ms,
     }
-    return json.dumps(report, sort_keys=True, indent=2, default=_json_default) + "\n"
+    try:
+        text = json.dumps(report, sort_keys=True, indent=2, allow_nan=False,
+                          default=_json_default)
+    except ValueError as err:  # NaN or an infinity reached the report
+        raise ContractViolationError(f"results are not strict JSON: {err}") from None
+    return text + "\n"
 
 
 def _json_default(value):

@@ -18,8 +18,8 @@ import numpy as np
 from .complexes import (Complex, f_matrix, f_vector, intersection_masks,
                         unit_sphere)
 from .errors import InvalidInputError, ResourceLimitError
-from .operators import (connection_derivative, exterior_derivative, iter_bits,
-                        tuple_fold)
+from .operators import (GradedOperator, connection_derivative,
+                        exterior_derivative, iter_bits, tuple_fold)
 from .spectral import betti
 
 EXHAUSTIVE_VERTEX_LIMIT = 8
@@ -249,6 +249,8 @@ def index_expectation(c: Complex, mode: str = "exhaustive", samples: int = 10000
         return ExpectationResult(values, None, count, True)
     if mode != "sampled":
         raise InvalidInputError("mode must be 'exhaustive' or 'sampled'")
+    if samples < 1:
+        raise InvalidInputError(f"sample count must be positive, got {samples}")
     rng = np.random.default_rng(seed)
     totals = {v: 0.0 for v in vertices}
     squares = {v: 0.0 for v in vertices}
@@ -289,6 +291,15 @@ class IndexTriple:
             "equal": bool(self.equal),
         }
 
+    @classmethod
+    def from_invariants(cls, d: GradedOperator, betti_numbers, curvature: dict,
+                        order: int) -> "IndexTriple":
+        """The triple from an order's derivative, its Betti numbers and its
+        vertex curvature: dimension count, Betti sum and curvature sum."""
+        return cls(d.basis.alternating_dimension_sum(),
+                   cohomological_index(betti_numbers),
+                   sum(curvature.values(), Fraction(0)), order)
+
 
 def index_theorem_report(c: Complex, k: int = 1) -> IndexTriple:
     """Compute the analytic, cohomological and topological indices independently.
@@ -297,7 +308,4 @@ def index_theorem_report(c: Complex, k: int = 1) -> IndexTriple:
     the connection complex of that order (order-k characteristic).
     """
     d = exterior_derivative(c) if k == 1 else connection_derivative(c, k)
-    analytic = d.basis.alternating_dimension_sum()
-    cohomological = cohomological_index(betti(d))
-    topological = sum(multilinear_curvature(c, k).values(), Fraction(0))
-    return IndexTriple(analytic, cohomological, topological, k)
+    return IndexTriple.from_invariants(d, betti(d), multilinear_curvature(c, k), k)

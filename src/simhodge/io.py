@@ -92,11 +92,25 @@ def parse_edges(text: str) -> Complex:
                            labels=to_label)
 
 
-def parse_input(path: str, fmt: str) -> Complex:
+def decode_text(raw: bytes, source: str) -> str:
+    """UTF-8 text of an input file's bytes; ParseError if they are not UTF-8."""
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as err:
+        raise ParseError(f"{source} is not valid UTF-8 "
+                         f"(byte {err.start}: {err.reason})") from None
+
+
+def read_text(path: str) -> str:
+    with open(path, "rb") as handle:
+        return decode_text(handle.read(), path)
+
+
+def parse_input(path: str, fmt: str, raw: bytes | None = None) -> Complex:
+    """Parse the complex in ``path``, or in ``raw`` (its bytes) when given."""
     if fmt not in ("facets", "edges"):
         raise InvalidInputError(f"unknown format {fmt!r} (expected facets or edges)")
-    with open(path, encoding="utf-8") as handle:
-        text = handle.read()
+    text = read_text(path) if raw is None else decode_text(raw, path)
     return parse_facets(text) if fmt == "facets" else parse_edges(text)
 
 

@@ -10,6 +10,7 @@ the spectrum and the nilpotency of the raising part persist.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -93,10 +94,10 @@ def integrate(initial: GradedOperator | FlowState, t_end: float, dt: float,
     Returns sampled states including the initial and final ones; raises with
     the last good state attached if the integration leaves the finite range.
     """
-    if dt <= 0:
-        raise InvalidInputError("dt must be positive")
-    if t_end < 0:
-        raise InvalidInputError("t_end must be non-negative")
+    if not 0 < dt < math.inf:
+        raise InvalidInputError("dt must be positive and finite")
+    if not 0 <= t_end < math.inf:
+        raise InvalidInputError("t_end must be non-negative and finite")
     if isinstance(initial, GradedOperator):
         basis = initial.basis
         m = initial.to_dense()

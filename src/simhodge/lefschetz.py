@@ -9,6 +9,7 @@ fixed-simplex indices; heat deformation interpolates between the two sides.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -175,8 +176,8 @@ def heat_lefschetz(t: Automorphism, L: GradedOperator, time: float) -> float:
     Constant in time: at 0 it counts signed fixed basis elements, in the
     large-time limit it becomes the Lefschetz number.
     """
-    if time < 0:
-        raise InvalidInputError("heat time must be non-negative")
+    if not 0 <= time < math.inf:
+        raise InvalidInputError("heat time must be non-negative and finite")
     u = induced_map(t, L.basis)
     _require_commuting(u, L, "the Hodge operator")
     total = 0.0

@@ -94,11 +94,15 @@ class GradedOperator:
     def transpose(self) -> "GradedOperator":
         return GradedOperator(self.matrix.T, self.basis, -self.shift)
 
-    def block(self, row_degree: int, col_degree: int) -> np.ndarray:
-        """Dense integer block mapping col_degree forms to row_degree forms."""
+    def sparse_block(self, row_degree: int, col_degree: int) -> sparse.csr_array:
+        """Sparse integer block mapping col_degree forms to row_degree forms."""
         rs = self.basis.degree_slice(row_degree)
         cs = self.basis.degree_slice(col_degree)
-        return self.matrix[rs, :][:, cs].toarray()
+        return self.matrix[rs, :][:, cs]
+
+    def block(self, row_degree: int, col_degree: int) -> np.ndarray:
+        """Dense integer block mapping col_degree forms to row_degree forms."""
+        return self.sparse_block(row_degree, col_degree).toarray()
 
     def diag_block(self, k: int) -> np.ndarray:
         return self.block(k, k)

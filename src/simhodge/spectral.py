@@ -7,6 +7,7 @@ detection threshold is 1e-7 relative to the largest eigenvalue of a block.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,11 +24,11 @@ def betti(d: GradedOperator) -> tuple[int, ...]:
     """Exact Betti numbers of a nilpotent derivative.
 
     b_k = dim_k - rank(d_k) - rank(d_{k-1}), each rank over the rationals by
-    fraction-free integer elimination.
+    sparse fraction-free integer elimination.
     """
     require_nilpotent(d)
     top = d.basis.max_degree
-    ranks = [exact_rank(d.block(k + 1, k)) for k in range(top + 1)]
+    ranks = [exact_rank(d.sparse_block(k + 1, k)) for k in range(top + 1)]
     out = []
     for k in range(top + 1):
         below = ranks[k - 1] if k > 0 else 0
@@ -60,8 +61,8 @@ def heat_supertrace(L: GradedOperator, t: float) -> float:
     Constant in t for elliptic complexes; at t = 0 it is the alternating
     dimension sum (the analytic index).
     """
-    if t < 0:
-        raise InvalidInputError("heat time must be non-negative")
+    if not 0 <= t < math.inf:
+        raise InvalidInputError("heat time must be non-negative and finite")
     total = 0.0
     for k in range(L.basis.max_degree + 1):
         term = float(np.sum(np.exp(-t * np.clip(L.eigenvalues(k), 0.0, None))))

@@ -284,6 +284,11 @@ class TestIndexExpectation:
         with pytest.raises(InvalidInputError):
             index_expectation(k3, mode="montecarlo")
 
+    def test_non_positive_sample_count(self, k3):
+        for samples in (0, -5):
+            with pytest.raises(InvalidInputError):
+                index_expectation(k3, mode="sampled", samples=samples)
+
 
 class TestIndexTheoremReport:
     def test_triangle_de_rham(self, k3):

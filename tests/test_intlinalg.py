@@ -3,6 +3,10 @@
 from fractions import Fraction
 
 import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import sparse
 
 from simhodge import exact_nullity, exact_rank
 
@@ -76,3 +80,49 @@ def test_nullity():
     m = np.array([[1, 2, 3], [2, 4, 6]])
     assert exact_rank(m) == 1
     assert exact_nullity(m) == 2
+
+
+def test_sparse_input_sums_repeated_cells():
+    # the two (0, 1) cells cancel, leaving a rank-one matrix
+    m = sparse.coo_array(([2, 5, -5, 4], ([0, 0, 0, 1], [0, 1, 1, 0])),
+                         shape=(2, 3))
+    assert exact_rank(m) == 1
+    assert exact_nullity(m) == 2
+
+
+def test_non_integer_and_non_2d_inputs_rejected():
+    for bad in (np.array([[1.5, 2.0]]), np.array([[np.nan, 1.0]]),
+                np.array([[np.inf]]), np.array([["1", "2"]]),
+                sparse.csr_array(np.array([[0.5, 0.0], [0.0, 1.0]]))):
+        with pytest.raises(ValueError):
+            exact_rank(bad)
+    with pytest.raises(ValueError):
+        exact_rank(np.ones((2, 2, 2), dtype=int))
+    assert exact_rank(np.array([[2.0, 4.0], [1.0, 2.0]])) == 1
+
+
+@st.composite
+def sparse_integer_matrices(draw):
+    """Up to 9x9, few non-zeros up to 1e6, some rows copies of others."""
+    rows, cols = draw(st.integers(0, 9)), draw(st.integers(0, 9))
+    m = np.zeros((rows, cols), dtype=np.int64)
+    if rows and cols:
+        cells = st.tuples(st.integers(0, rows - 1), st.integers(0, cols - 1))
+        entry = st.integers(-10 ** 6, 10 ** 6).filter(bool)
+        for (i, j), v in draw(st.lists(st.tuples(cells, entry),
+                                       max_size=2 * (rows + cols))):
+            m[i, j] = v
+        # scaled copies and sums of rows make rank deficiencies
+        for _ in range(draw(st.integers(0, 3))):
+            target, a, b = (draw(st.integers(0, rows - 1)) for _ in range(3))
+            m[target] = draw(st.integers(-3, 3)) * m[a] + m[b]
+    return m
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_integer_matrices())
+def test_matches_fraction_oracle_on_sparse_and_dense_inputs(m):
+    expected = fraction_rank(m)
+    assert exact_rank(m) == expected
+    assert exact_rank(sparse.csr_array(m)) == expected
+    assert exact_rank(m.astype(object) * 10 ** 20) == expected

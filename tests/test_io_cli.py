@@ -355,3 +355,113 @@ class TestExitCodes:
         code, _, _ = run_cli(["lefschetz", "--input", c4_file,
                               "--format", "edges", "--perm", str(perm)], capsys)
         assert code == 2
+
+
+class TestHostileInputs:
+    @pytest.mark.parametrize("flags", [
+        ["ph", "--mode", "sampled:0"],
+        ["ph", "--mode", "sampled:-5"],
+        ["heat", "--t", "nan,inf"],
+        ["heat", "--t", "0,inf"],
+        ["lax", "--dt", "nan"],
+        ["lax", "--dt", "0"],
+        ["lax", "--dt", "inf"],
+        ["lax", "--t-end", "inf"],
+        ["lax", "--t-end", "nan"],
+    ])
+    def test_out_of_range_flag_is_two(self, k3_file, capsys, flags):
+        code, out, err = run_cli([flags[0], "--input", k3_file,
+                                  "--format", "edges", *flags[1:]], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "Traceback" not in err
+
+    def test_non_finite_lefschetz_time_is_two(self, c4_file, tmp_path, capsys):
+        perm = tmp_path / "perm.txt"
+        perm.write_text("(a b c d)\n")
+        code, _, err = run_cli(["lefschetz", "--input", c4_file,
+                                "--format", "edges", "--perm", str(perm),
+                                "--t", "1,nan"], capsys)
+        assert code == 2
+        assert err.startswith("error: ")
+
+    @pytest.mark.parametrize("command", ["betti", "report"])
+    def test_invalid_utf8_input_is_two(self, tmp_path, capsys, command):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"\xff\xfe1 2\n")
+        code, out, err = run_cli([command, "--input", str(bad)], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "UTF-8" in err
+
+    def test_invalid_utf8_permutation_is_two(self, c4_file, tmp_path, capsys):
+        perm = tmp_path / "perm.txt"
+        perm.write_bytes(b"a->\xff\n")
+        code, _, err = run_cli(["lefschetz", "--input", c4_file,
+                                "--format", "edges", "--perm", str(perm)],
+                               capsys)
+        assert code == 2
+        assert "UTF-8" in err
+
+    def test_non_finite_result_is_three_not_nan(self, k3_file, capsys,
+                                                monkeypatch):
+        from simhodge import cli
+
+        monkeypatch.setitem(cli._COMMANDS, "heat",
+                            lambda c, args: {"value": float("nan")})
+        code, out, err = run_cli(["heat", "--input", k3_file,
+                                  "--format", "edges"], capsys)
+        assert code == 3
+        assert out == "" and "NaN" not in err
+        assert err.startswith("contract violation: ")
+
+    def test_input_read_once_and_hashed(self, k3_file, capsys, monkeypatch):
+        import builtins
+        import hashlib
+
+        opened = []
+        real_open = builtins.open
+
+        def counting_open(path, *args, **kwargs):
+            opened.append(str(path))
+            return real_open(path, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "open", counting_open)
+        code, out, _ = run_cli(["heat", "--input", k3_file,
+                                "--format", "edges"], capsys)
+        assert code == 0
+        assert opened.count(k3_file) == 1
+        digest = hashlib.sha256(K3_EDGES.encode()).hexdigest()
+        assert json.loads(out)["input"]["sha256"] == digest
+
+    def test_report_computes_each_invariant_once(self, k3_file, capsys,
+                                                 monkeypatch):
+        import sys
+
+        from simhodge import indices, operators, spectral
+
+        calls = {}
+
+        def count_everywhere(original):
+            def wrapper(*args, **kwargs):
+                calls[original.__name__] = calls.get(original.__name__, 0) + 1
+                return original(*args, **kwargs)
+
+            # rebind in every module that imported the function by name
+            for name, module in list(sys.modules.items()):
+                if name.startswith("simhodge"):
+                    for attr, value in list(vars(module).items()):
+                        if value is original:
+                            monkeypatch.setattr(module, attr, wrapper)
+
+        for fn in (spectral.betti, indices.multilinear_curvature,
+                   operators.exterior_derivative,
+                   operators.connection_derivative):
+            count_everywhere(fn)
+        code, out, _ = run_cli(["report", "--input", k3_file,
+                                "--format", "edges"], capsys)
+        assert code == 0
+        assert calls == {"betti": 2, "multilinear_curvature": 1,
+                         "exterior_derivative": 1, "connection_derivative": 1}
+        triples = json.loads(out)["results"]["index_theorem"]
+        assert all(t["equal"] for t in triples.values())

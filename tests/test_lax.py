@@ -117,6 +117,13 @@ class TestIntegrate:
         with pytest.raises(InvalidInputError):
             integrate(big_d, -1.0, 0.1)
 
+    def test_non_finite_steps_rejected(self, c4):
+        big_d = initial_dirac(c4)
+        for t_end, dt in ((1.0, float("nan")), (1.0, float("inf")),
+                          (float("inf"), 0.1), (float("nan"), 0.1)):
+            with pytest.raises(InvalidInputError):
+                integrate(big_d, t_end, dt)
+
     def test_divergence_reports_last_state(self, c4):
         big_d = initial_dirac(c4)
         huge = FlowState(big_d.to_dense() * 1e200, 0.0, big_d.basis)

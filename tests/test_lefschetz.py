@@ -167,6 +167,13 @@ class TestHeatLefschetz:
         with pytest.raises(InvalidInputError):
             heat_lefschetz(t, L, -1.0)
 
+    def test_non_finite_time_rejected(self, c4, c4_ops):
+        d, L = c4_ops
+        t = check_automorphism(c4, rotation(4))
+        for time in (float("nan"), float("inf")):
+            with pytest.raises(InvalidInputError):
+                heat_lefschetz(t, L, time)
+
 
 class TestLefschetzReport:
     def test_number_equals_fixed_index_sum(self, suite):

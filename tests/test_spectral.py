@@ -6,7 +6,7 @@ from scipy import sparse
 
 from simhodge import (ContractViolationError, GradedBasis, GradedOperator,
                       InvalidInputError, barycentric_refinement, betti,
-                      connection_derivative, dirac, downward_closure,
+                      cohomological_index, connection_derivative, dirac, downward_closure,
                       euler_characteristic, exterior_derivative, generate,
                       harmonic_projector, heat_supertrace, hodge, skeleton,
                       spectrum, spectrum_report, supersymmetry_check,
@@ -42,6 +42,14 @@ class TestBetti:
             if len(c) <= 30:
                 assert betti(exterior_derivative(barycentric_refinement(c))) == \
                     betti(exterior_derivative(c)), name
+
+    def test_order_two_index_on_a_large_random_complex(self):
+        # blocks up to 2194 wide: cheap only with sparse elimination
+        c = generate("random", 16, seed=1, edge_prob=0.5)
+        d = connection_derivative(c, 2)
+        assert max(d.basis.dims) > 2000
+        assert cohomological_index(betti(d)) == wu_characteristic(c, 2) \
+            == d.basis.alternating_dimension_sum()
 
 
 class TestSpectrum:
@@ -92,6 +100,12 @@ class TestHeatSupertrace:
         _, L = de_rham_hodge(k3)
         with pytest.raises(InvalidInputError):
             heat_supertrace(L, -0.5)
+
+    def test_non_finite_time_rejected(self, k3):
+        _, L = de_rham_hodge(k3)
+        for t in (float("nan"), float("inf")):
+            with pytest.raises(InvalidInputError):
+                heat_supertrace(L, t)
 
 
 class TestSupersymmetry:
