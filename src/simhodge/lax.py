@@ -11,14 +11,20 @@ the spectrum and the nilpotency of the raising part persist.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractViolationError, DivergenceError, InvalidInputError
+from .errors import (ContractViolationError, DivergenceError, InvalidInputError,
+                     ResourceLimitError)
 from .operators import GradedBasis, GradedOperator
 
 SYMMETRY_TOL = 1e-10
+# Budgets checked before the first step: steps times n**3 bounds the work of
+# the dense products, and the sampled states must fit in memory.
+MAX_FLOW_WORK = 10 ** 11
+MAX_TRAJECTORY_BYTES = 2 ** 28
 
 
 def _degree_masks(basis: GradedBasis):
@@ -26,6 +32,26 @@ def _degree_masks(basis: GradedBasis):
     col = degrees[None, :]
     row = degrees[:, None]
     return row > col, row == col, row < col
+
+
+def _sign_matrix(basis: GradedBasis) -> np.ndarray:
+    """+1 on raising entries, -1 on lowering entries, 0 within a degree."""
+    up, _, down = _degree_masks(basis)
+    return up.astype(float) - down
+
+
+def _field(sign: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """[B, X] for symmetric X and B = sign * X, in one product.
+
+    B is antisymmetric, so XB = -(BX)^T and [B, X] = BX + (BX)^T; the sum of
+    a matrix and its transpose is exactly symmetric in floating point.
+    """
+    p = (sign * x) @ x
+    return p + p.T
+
+
+def _max_abs(x: np.ndarray) -> float:
+    return float(np.max(np.abs(x))) if x.size else 0.0
 
 
 @dataclass
@@ -42,11 +68,11 @@ class FlowState:
 
     def raising_norm_squared(self) -> float:
         r, _, _ = self.split()
-        return float(np.max(np.abs(r @ r))) if r.size else 0.0
+        return _max_abs(r @ r)
 
     def preserving_norm(self) -> float:
         _, b, _ = self.split()
-        return float(np.max(np.abs(b))) if b.size else 0.0
+        return _max_abs(b)
 
     def eigenvalues(self) -> np.ndarray:
         return np.linalg.eigvalsh(self.matrix) if self.matrix.size else np.zeros(0)
@@ -70,21 +96,34 @@ def split_by_degree(matrix: np.ndarray, basis: GradedBasis):
 
 def bracket_field(state: FlowState) -> np.ndarray:
     """Commutator field steering the flow; symmetric for symmetric input."""
-    raising, _, lowering = state.split()
-    b = raising - lowering
-    return b @ state.matrix - state.matrix @ b
+    split_by_degree(state.matrix, state.basis)  # validates shape and symmetry
+    return _field(_sign_matrix(state.basis), np.asarray(state.matrix, dtype=float))
 
 
-def _rk4_step(m: np.ndarray, basis: GradedBasis, dt: float) -> np.ndarray:
-    def field(x):
-        return bracket_field(FlowState(x, 0.0, basis))
+def _rk4_step(m: np.ndarray, sign: np.ndarray, dt: float) -> np.ndarray:
+    k1 = _field(sign, m)
+    k2 = _field(sign, m + 0.5 * dt * k1)
+    k3 = _field(sign, m + 0.5 * dt * k2)
+    k4 = _field(sign, m + dt * k3)
+    return m + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
-    k1 = field(m)
-    k2 = field(m + 0.5 * dt * k1)
-    k3 = field(m + 0.5 * dt * k2)
-    k4 = field(m + dt * k3)
-    out = m + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return 0.5 * (out + out.T)  # suppress roundoff drift of the symmetry
+
+def _check_budget(n: int, t_end: float, dt: float, sample_every: int) -> int:
+    """Number of steps, once the work and the sampled states fit the budgets."""
+    ratio = t_end / dt
+    work = ratio * max(n, 1) ** 3
+    if not work <= MAX_FLOW_WORK:
+        raise ResourceLimitError(
+            f"flow needs about {work:.3g} operations (t_end/dt = {ratio:.3g} "
+            f"steps of size {n}), limit is {MAX_FLOW_WORK:.3g}")
+    steps = int(round(ratio))
+    samples = 1 + steps // sample_every + (1 if steps % sample_every else 0)
+    size = samples * n * n * 8
+    if size > MAX_TRAJECTORY_BYTES:
+        raise ResourceLimitError(
+            f"{samples} sampled states of size {n} need {size} bytes, "
+            f"limit is {MAX_TRAJECTORY_BYTES}")
+    return steps
 
 
 def integrate(initial: GradedOperator | FlowState, t_end: float, dt: float,
@@ -93,31 +132,38 @@ def integrate(initial: GradedOperator | FlowState, t_end: float, dt: float,
 
     Returns sampled states including the initial and final ones; raises with
     the last good state attached if the integration leaves the finite range.
+    Every state is exactly symmetric.  Raises ResourceLimitError before the
+    first step when the run would exceed MAX_FLOW_WORK or its sampled states
+    MAX_TRAJECTORY_BYTES.
     """
     if not 0 < dt < math.inf:
         raise InvalidInputError("dt must be positive and finite")
     if not 0 <= t_end < math.inf:
         raise InvalidInputError("t_end must be non-negative and finite")
+    if not (isinstance(sample_every, numbers.Integral) and sample_every >= 1):
+        raise InvalidInputError("sample_every must be a positive integer")
     if isinstance(initial, GradedOperator):
         basis = initial.basis
         m = initial.to_dense()
         t0 = 0.0
     else:
         basis = initial.basis
-        m = np.array(initial.matrix, dtype=float)
+        m = np.asarray(initial.matrix, dtype=float)
         t0 = initial.t
     split_by_degree(m, basis)  # validates shape and symmetry
-    states = [FlowState(m.copy(), t0, basis)]
-    steps = int(round(t_end / dt))
+    steps = _check_budget(len(basis), t_end, dt, sample_every)
+    m = np.triu(m) + np.triu(m, 1).T  # exactly symmetric from here on
+    sign = _sign_matrix(basis)
+    states = [FlowState(m, t0, basis)]
     current = m
     for i in range(1, steps + 1):
-        current = _rk4_step(current, basis, dt)
+        current = _rk4_step(current, sign, dt)
         if not np.all(np.isfinite(current)):
             raise DivergenceError(
                 f"flow diverged at step {i} (t = {t0 + i * dt:.6g})",
                 last_state=states[-1])
         if i % sample_every == 0 or i == steps:
-            states.append(FlowState(current.copy(), t0 + i * dt, basis))
+            states.append(FlowState(current, t0 + i * dt, basis))
     return states
 
 
@@ -126,7 +172,7 @@ def spectral_drift(s0: FlowState, s1: FlowState) -> float:
     e0, e1 = s0.eigenvalues(), s1.eigenvalues()
     if e0.shape != e1.shape:
         raise InvalidInputError("states have different dimensions")
-    return float(np.max(np.abs(e1 - e0))) if e0.size else 0.0
+    return _max_abs(e1 - e0)
 
 
 def deformed_stokes_probe(state: FlowState, form: dict, chain: dict,
@@ -153,24 +199,29 @@ def deformed_stokes_probe(state: FlowState, form: dict, chain: dict,
     return probed, (value(reference) if reference is not None else None)
 
 
+def _diagnostics(states: list[FlowState]) -> list[dict]:
+    """Per sampled state: time, sorted spectrum, middle-part norm, nilpotency
+    defect and spectral drift from the first state; one eigensolve each."""
+    rows = []
+    for s in states:
+        raising, middle, _ = s.split()
+        eigs = s.eigenvalues()
+        base = rows[0]["eigenvalues"] if rows else eigs
+        rows.append({"t": float(s.t), "eigenvalues": eigs,
+                     "b_norm": _max_abs(middle),
+                     "d_squared_norm": _max_abs(raising @ raising),
+                     "drift": _max_abs(eigs - base)})
+    return rows
+
+
 def trajectory_to_json(states: list[FlowState],
                        include_matrices: bool = False) -> dict:
     """Diagnostics per sampled state; full matrices only on request."""
-    if not states:
-        return {"states": []}
-    base = states[0].eigenvalues()
     payload = []
-    for s in states:
-        eigs = s.eigenvalues()
-        entry = {
-            "t": float(s.t),
-            "eigenvalues": [float(x) for x in eigs],
-            "b_norm": s.preserving_norm(),
-            "d_squared_norm": s.raising_norm_squared(),
-            "drift": float(np.max(np.abs(eigs - base))) if len(eigs) else 0.0,
-        }
+    for s, row in zip(states, _diagnostics(states)):
+        entry = dict(row, eigenvalues=[float(x) for x in row["eigenvalues"]])
         if include_matrices:
-            entry["matrix"] = [[float(x) for x in row] for row in s.matrix]
+            entry["matrix"] = [[float(x) for x in r] for r in s.matrix]
         payload.append(entry)
     return {"states": payload}
 
@@ -182,14 +233,9 @@ def trajectory_to_csv(states: list[FlowState]) -> str:
     n = len(states[0].basis)
     header = (["t"] + [f"eig_{i}" for i in range(n)]
               + ["b_norm", "d_squared_norm", "drift"])
-    base = states[0].eigenvalues()
     lines = [",".join(header)]
-    for s in states:
-        eigs = s.eigenvalues()
-        drift = float(np.max(np.abs(eigs - base))) if n else 0.0
-        row = ([f"{s.t:.10g}"] + [f"{x:.12g}" for x in eigs]
-               + [f"{s.preserving_norm():.12g}",
-                  f"{s.raising_norm_squared():.12g}",
-                  f"{drift:.12g}"])
-        lines.append(",".join(row))
+    for row in _diagnostics(states):
+        lines.append(",".join(
+            [f"{row['t']:.10g}"] + [f"{x:.12g}" for x in row["eigenvalues"]]
+            + [f"{row[k]:.12g}" for k in ("b_norm", "d_squared_norm", "drift")]))
     return "\n".join(lines) + "\n"

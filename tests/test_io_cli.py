@@ -6,7 +6,7 @@ import pytest
 
 from simhodge import (ContractViolationError, ParseError, downward_closure,
                       euler_characteristic, exterior_derivative, f_vector,
-                      generate)
+                      generate, trajectory_to_csv)
 from simhodge.cli import main
 from simhodge.io import (operator_to_json, operator_to_triplets, parse_edges,
                          parse_facets, parse_input, parse_permutation,
@@ -284,6 +284,52 @@ class TestCli:
         assert len(states[0]["matrix"]) == 8
         assert states[0]["b_norm"] == 0.0
 
+    @pytest.fixture()
+    def lax_calls(self, monkeypatch):
+        """Count FlowState.eigenvalues calls and keep the integrated states."""
+        from simhodge import cli
+        from simhodge.lax import FlowState
+
+        seen = {"eigenvalues": 0, "states": None}
+        eigenvalues, integrate = FlowState.eigenvalues, cli.integrate
+
+        def counting_eigenvalues(state):
+            seen["eigenvalues"] += 1
+            return eigenvalues(state)
+
+        def keeping_integrate(*args, **kwargs):
+            seen["states"] = integrate(*args, **kwargs)
+            return seen["states"]
+
+        monkeypatch.setattr(FlowState, "eigenvalues", counting_eigenvalues)
+        monkeypatch.setattr(cli, "integrate", keeping_integrate)
+        return seen
+
+    def test_lax_solves_each_state_once(self, c4_file, capsys, lax_calls):
+        code, out, _ = run_cli(["lax", "--input", c4_file, "--format", "edges",
+                                "--t-end", "1", "--dt", "0.05"], capsys)
+        assert code == 0
+        results = json.loads(out)["results"]
+        states = lax_calls["states"]
+        assert lax_calls["eigenvalues"] == len(states) == 11
+        assert "csv" not in results
+        rows = results["trajectory"]["states"]
+        assert results["spectral_drift"] == rows[-1]["drift"]
+        assert results["final_middle_norm"] == rows[-1]["b_norm"]
+        assert results["max_nilpotency_defect"] == max(
+            row["d_squared_norm"] for row in rows)
+
+    def test_lax_csv_is_trajectory_csv(self, c4_file, tmp_path, capsys,
+                                       lax_calls):
+        out_path = tmp_path / "flow.csv"
+        code, out, _ = run_cli(["lax", "--input", c4_file, "--format", "edges",
+                                "--t-end", "1", "--dt", "0.05",
+                                "--out", str(out_path)], capsys)
+        assert code == 0 and out == ""
+        states = lax_calls["states"]
+        assert lax_calls["eigenvalues"] == len(states) == 11
+        assert out_path.read_text() == trajectory_to_csv(states)
+
 
 class TestExitCodes:
     def test_parse_error_is_two(self, tmp_path, capsys):
@@ -375,6 +421,23 @@ class TestHostileInputs:
         assert code == 2
         assert out == ""
         assert err.startswith("error: ") and "Traceback" not in err
+
+    @pytest.mark.parametrize("flags", [
+        ["--t-end", "1e12", "--dt", "1e-3"],
+        ["--dt", "5e-324"],
+    ])
+    def test_unbounded_lax_is_four(self, k3_file, capsys, monkeypatch, flags):
+        from simhodge import lax
+
+        def step(*args):
+            raise AssertionError("a step ran before the budget was checked")
+
+        monkeypatch.setattr(lax, "_rk4_step", step)
+        code, out, err = run_cli(["lax", "--input", k3_file,
+                                  "--format", "edges", *flags], capsys)
+        assert code == 4
+        assert out == ""
+        assert err.startswith("resource limit: ")
 
     def test_non_finite_lefschetz_time_is_two(self, c4_file, tmp_path, capsys):
         perm = tmp_path / "perm.txt"

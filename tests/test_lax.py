@@ -4,10 +4,13 @@ import numpy as np
 import pytest
 
 from simhodge import (ContractViolationError, DivergenceError, FlowState,
-                      InvalidInputError, bracket_field, deformed_stokes_probe,
-                      dirac, downward_closure, exterior_derivative, generate,
-                      graded_basis, integrate, spectral_drift,
-                      split_by_degree, trajectory_to_csv, whitney_complex)
+                      InvalidInputError, ResourceLimitError,
+                      barycentric_refinement, bracket_field,
+                      deformed_stokes_probe, dirac, downward_closure,
+                      exterior_derivative, generate, graded_basis, integrate,
+                      spectral_drift, split_by_degree, trajectory_to_csv,
+                      trajectory_to_json, whitney_complex)
+from simhodge import lax
 
 
 def initial_dirac(c):
@@ -124,6 +127,11 @@ class TestIntegrate:
             with pytest.raises(InvalidInputError):
                 integrate(big_d, t_end, dt)
 
+    @pytest.mark.parametrize("sample_every", [0, -1, -10, 1.5])
+    def test_sample_every_must_be_positive_integer(self, c4, sample_every):
+        with pytest.raises(InvalidInputError):
+            integrate(initial_dirac(c4), 1.0, 0.1, sample_every=sample_every)
+
     def test_divergence_reports_last_state(self, c4):
         big_d = initial_dirac(c4)
         huge = FlowState(big_d.to_dense() * 1e200, 0.0, big_d.basis)
@@ -195,3 +203,149 @@ class TestCsvExport:
         assert lines[0].endswith("b_norm,d_squared_norm,drift")
         assert len(lines) == 1 + len(states)
         assert text.endswith("\n")
+
+
+def two_product_field(x, basis):
+    """The commutator [B, X] as written: B = raising - lowering, BX - XB."""
+    raising, _, lowering = split_by_degree(x, basis)
+    b = raising - lowering
+    return b @ x - x @ b
+
+
+def reference_rk4(m, basis, t_end, dt, sample_every):
+    """Classical RK4 on the two-product field, sampled like integrate."""
+    steps = int(round(t_end / dt))
+    samples = [m]
+    for i in range(1, steps + 1):
+        k1 = two_product_field(m, basis)
+        k2 = two_product_field(m + 0.5 * dt * k1, basis)
+        k3 = two_product_field(m + 0.5 * dt * k2, basis)
+        k4 = two_product_field(m + dt * k3, basis)
+        m = m + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        m = 0.5 * (m + m.T)
+        if i % sample_every == 0 or i == steps:
+            samples.append(m)
+    return samples
+
+
+class TestKernel:
+    def check_against_reference(self, c, t_end, dt, sample_every):
+        big_d = initial_dirac(c)
+        states = integrate(big_d, t_end, dt, sample_every=sample_every)
+        expected = reference_rk4(big_d.to_dense(), big_d.basis, t_end, dt,
+                                 sample_every)
+        assert len(states) == len(expected)
+        for s, m in zip(states, expected):
+            assert np.array_equal(s.matrix, s.matrix.T)
+            if m.size:
+                assert np.max(np.abs(s.matrix - m)) <= 1e-12
+
+    def test_matches_two_product_rk4_on_suite(self, suite):
+        for c in suite.values():
+            self.check_against_reference(c, 1.0, 0.05, 5)
+
+    def test_matches_two_product_rk4_on_refined_octahedron(self):
+        refined = barycentric_refinement(generate("octahedron"))
+        self.check_against_reference(refined, 0.3, 0.01, 10)
+
+    def test_bracket_field_matches_two_products(self, suite):
+        for name in ("wheel6", "octahedron", "refined_simplex2"):
+            big_d = initial_dirac(suite[name])
+            for s in integrate(big_d, 0.5, 0.05, sample_every=5):
+                field = bracket_field(s)
+                assert np.array_equal(field, field.T), name
+                expected = two_product_field(s.matrix, s.basis)
+                assert np.max(np.abs(field - expected)) <= 1e-12, name
+
+
+class TestClosedForm:
+    """Symes: the flow at time t is Q^T D Q where exp(-tD) = QR.
+
+    The two agree up to an orthogonal change of basis within each degree, so
+    compare what that leaves fixed: singular values of each block between
+    adjacent degrees and eigenvalues of each block within a degree."""
+
+    @staticmethod
+    def block_invariants(m, degrees):
+        out = []
+        for p in sorted(set(degrees)):
+            rows = degrees == p
+            out.append(np.linalg.eigvalsh(m[np.ix_(rows, rows)]))
+            cols = degrees == p + 1
+            if cols.any():
+                out.append(np.linalg.svd(m[np.ix_(rows, cols)],
+                                         compute_uv=False))
+        return out
+
+    @pytest.mark.parametrize("name", ["wheel6", "octahedron"])
+    @pytest.mark.parametrize("t", [1.0, 3.0])
+    def test_rk4_matches_qr_closed_form(self, suite, name, t):
+        from scipy.linalg import expm, qr
+
+        big_d = initial_dirac(suite[name])
+        d0 = big_d.to_dense()
+        q, _ = qr(expm(-t * d0))
+        closed = q.T @ d0 @ q
+        flowed = integrate(big_d, t, 0.01, sample_every=10 ** 9)[-1].matrix
+        degrees = np.asarray(big_d.basis.degrees)
+        for a, b in zip(self.block_invariants(flowed, degrees),
+                        self.block_invariants(closed, degrees)):
+            assert np.max(np.abs(a - b), initial=0.0) <= 1e-7, (name, t)
+
+
+class TestBudget:
+    @pytest.fixture()
+    def no_steps(self, monkeypatch):
+        def step(*args):
+            raise AssertionError("a step ran before the budget was checked")
+        monkeypatch.setattr(lax, "_rk4_step", step)
+
+    @pytest.mark.parametrize("t_end, dt", [(1e12, 1e-3), (1e300, 1e-300)])
+    def test_too_many_steps_refused(self, c4, no_steps, t_end, dt):
+        with pytest.raises(ResourceLimitError):
+            integrate(initial_dirac(c4), t_end, dt)
+
+    def test_too_many_sampled_bytes_refused(self, c4, no_steps):
+        # 600,000 steps of an 8 x 8 flow are cheap, but keeping every state
+        # would need about 307 MB
+        with pytest.raises(ResourceLimitError):
+            integrate(initial_dirac(c4), 6000.0, 0.01, sample_every=1)
+
+    def test_refined_octahedron_long_horizon_refused(self, no_steps):
+        refined = barycentric_refinement(generate("octahedron"))
+        with pytest.raises(ResourceLimitError):
+            integrate(initial_dirac(refined), 1000.0, 0.01, sample_every=10)
+
+    def test_benchmark_sized_flow_is_far_inside(self):
+        # lax --t-end 10 --dt 0.01 on the refined octahedron: 1000 steps of
+        # a 146 x 146 flow, 101 sampled states
+        assert 10 * 1000 * 146 ** 3 <= lax.MAX_FLOW_WORK
+        assert 10 * 101 * 146 ** 2 * 8 <= lax.MAX_TRAJECTORY_BYTES
+
+
+class TestDiagnostics:
+    def test_json_and_csv_share_one_eigensolve_per_state(self, c4,
+                                                        monkeypatch):
+        states = integrate(initial_dirac(c4), 0.5, 0.1)
+        calls = []
+        original = FlowState.eigenvalues
+
+        def counting(self):
+            calls.append(self.t)
+            return original(self)
+
+        monkeypatch.setattr(FlowState, "eigenvalues", counting)
+        rows = trajectory_to_json(states)["states"]
+        assert len(calls) == len(states)
+        assert rows[-1]["drift"] == spectral_drift(states[0], states[-1])
+        assert [r["b_norm"] for r in rows] == [s.preserving_norm()
+                                               for s in states]
+        assert [r["d_squared_norm"] for r in rows] == [
+            s.raising_norm_squared() for s in states]
+        calls.clear()
+        trajectory_to_csv(states)
+        assert len(calls) == len(states)
+
+    def test_empty_trajectory(self):
+        assert trajectory_to_json([]) == {"states": []}
+        assert trajectory_to_csv([]) == ""
