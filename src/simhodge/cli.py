@@ -1,9 +1,9 @@
 """Command-line entry point.
 
-One subcommand per pipeline; every run emits a versioned JSON report whose
-``results`` block is byte-deterministic for a fixed input and seed.  Exit
-codes: 0 success, 2 parse or invalid input, 3 contract violation, 4 resource
-limit.
+One subcommand per pipeline; every run emits a versioned JSON report.  For a
+fixed input and seed its exact ``results`` fields are byte-deterministic, and
+its float fields are for a fixed BLAS build and thread count.  Exit codes: 0
+success, 2 parse or invalid input, 3 contract violation, 4 resource limit.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from .io import (field_payload, fraction_payload, operator_to_json,
                  parse_vertex_function, read_text, serialize_facets,
                  sha256_hex)
 from .lax import integrate, trajectory_to_csv, trajectory_to_json
-from .lefschetz import check_automorphism, heat_lefschetz, lefschetz_report
+from .lefschetz import check_automorphism, lefschetz_report
 from .operators import (connection_derivative, connection_tuple_count,
                         dirac, exterior_derivative, hodge)
 from .spectral import heat_supertrace, spectrum_report
@@ -204,36 +204,28 @@ def _cmd_ph(c, args):
 
 
 def _cmd_lefschetz(c, args):
-    mapping = parse_permutation(read_text(args.perm), c)
-    t = check_automorphism(c, mapping)
+    t = check_automorphism(c, parse_permutation(read_text(args.perm), c))
     d = exterior_derivative(c)
-    big_l = hodge(dirac(d))
-    report = lefschetz_report(c, t, d, big_l)
+    report = lefschetz_report(c, t, d, hodge(dirac(d)))
+    heats = {str(x): report.heat_trace(x) for x in _parse_times(args.t)}
     payload = report.to_payload()
-    times = _parse_times(args.t)
-    heats = {str(x): heat_lefschetz(t, big_l, x) for x in times}
-    values = list(heats.values())
     payload["heat_trace"] = heats
     payload["heat_trace_constant"] = bool(
-        max(values) - min(values) < 1e-9) if values else True
+        max(heats.values()) - min(heats.values()) < 1e-9) if heats else True
     return payload
 
 
 def _parse_times(text: str):
     try:
-        times = [float(x) for x in text.split(",") if x.strip() != ""]
+        return [float(x) for x in text.split(",") if x.strip() != ""]
     except ValueError:
         raise InvalidInputError(f"unreadable time list {text!r}") from None
-    if not all(0 <= x < math.inf for x in times):
-        raise InvalidInputError("heat times must be non-negative and finite")
-    return times
 
 
 def _cmd_heat(c, args):
-    times = _parse_times(args.t)
     big_l = hodge(dirac(exterior_derivative(c)))
     chi = euler_characteristic(c)
-    values = {str(x): heat_supertrace(big_l, x) for x in times}
+    values = {str(x): heat_supertrace(big_l, x) for x in _parse_times(args.t)}
     deviation = max((abs(v - chi) for v in values.values()), default=0.0)
     return {
         "euler_characteristic": chi,

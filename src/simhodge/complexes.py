@@ -87,12 +87,10 @@ class Complex:
 
     def facets(self) -> list[Simplex]:
         """Maximal simplices, in deterministic order."""
-        out = []
-        for s in self._sorted:
-            sv = set(s)
-            if not any(sv < set(t) for t in self.simplices if len(t) > len(s)):
-                out.append(s)
-        return out
+        # closed under subsets: a simplex is maximal unless it is a
+        # codimension-one face of another simplex
+        faces = {s[:i] + s[i + 1:] for s in self.simplices for i in range(len(s))}
+        return [s for s in self._sorted if s not in faces]
 
     def union(self, other: "Complex") -> "Complex":
         return Complex(self.simplices | other.simplices,
@@ -379,8 +377,4 @@ def generate(family: str, n: int | None = None, seed: int | None = None,
 def random_subcomplex(c: Complex, rng, keep_prob: float = 0.5) -> Complex:
     """Downward closure of a random subset of simplices; always a subcomplex."""
     chosen = [s for s in c if rng.random() < keep_prob]
-    simplices = set()
-    for f in chosen:
-        for k in range(1, len(f) + 1):
-            simplices.update(itertools.combinations(f, k))
-    return Complex(simplices, labels=c.labels, validate=False)
+    return downward_closure(chosen, labels=c.labels)

@@ -18,6 +18,7 @@ import numpy as np
 from .complexes import (Complex, f_matrix, f_vector, intersection_masks,
                         unit_sphere)
 from .errors import InvalidInputError, ResourceLimitError
+from .io import fraction_payload
 from .operators import (GradedOperator, connection_derivative,
                         exterior_derivative, iter_bits, tuple_fold)
 from .spectral import betti
@@ -285,8 +286,7 @@ class IndexTriple:
         return {
             "analytic": int(self.analytic),
             "cohomological": int(self.cohomological),
-            "topological": {"num": self.topological.numerator,
-                            "den": self.topological.denominator},
+            "topological": fraction_payload(self.topological),
             "order": self.order,
             "equal": bool(self.equal),
         }

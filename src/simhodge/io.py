@@ -150,12 +150,8 @@ def parse_permutation(text: str, c: Complex) -> dict:
             raise ParseError(f"vertex {c.label_of(src)!r} mapped twice", line=number)
         mapping[src] = dst
 
-    for number, raw in enumerate(text.splitlines(), start=1):
-        body = raw.partition("#")[0].strip()
-        if not body:
-            if "#" not in raw:
-                raise ParseError("no tokens on a non-comment line", line=number)
-            continue
+    for number, tokens in _tokenized_lines(text):
+        body = " ".join(tokens)
         if "->" in body:
             parts = [p.strip() for p in body.split("->")]
             if len(parts) != 2 or not all(parts):

@@ -9,8 +9,7 @@ fixed-simplex indices; heat deformation interpolates between the two sides.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -18,8 +17,9 @@ from scipy import sparse
 
 from .complexes import Complex
 from .errors import ContractViolationError, InvalidInputError
+from .io import field_payload
 from .operators import GradedBasis, GradedOperator
-from .spectral import harmonic_projector
+from .spectral import _heat_trace, _super_trace, kernel_threshold
 
 SNAP_TOL = 1e-7
 
@@ -108,6 +108,8 @@ class LefschetzReport:
     degree_traces: dict
     fixed: list          # (simplex, integer index) pairs
     vertex_indices: dict  # vertex -> Fraction
+    complex: Complex = field(repr=False)
+    pairs: list = field(repr=False, compare=False)  # per degree: λ, diag(V^T U V)
 
     @property
     def fixed_index_sum(self) -> int:
@@ -117,18 +119,37 @@ class LefschetzReport:
     def consistent(self) -> bool:
         return self.number == self.fixed_index_sum
 
+    def heat_trace(self, time: float) -> float:
+        """``heat_lefschetz`` at ``time``, evaluated from the kept pairs."""
+        return _heat_trace(self.pairs, time)
+
     def to_payload(self) -> dict:
         return {
             "lefschetz_number": int(self.number),
             "degree_traces": {str(k): float(v)
                               for k, v in sorted(self.degree_traces.items())},
-            "fixed_simplices": [{"simplex": list(s), "index": int(i)}
-                                for s, i in self.fixed],
+            "fixed_simplices": [{"simplex": [self.complex.label_of(v) for v in s],
+                                 "index": int(i)} for s, i in self.fixed],
             "fixed_index_sum": int(self.fixed_index_sum),
-            "vertex_indices": {str(v): {"num": f.numerator, "den": f.denominator}
-                               for v, f in sorted(self.vertex_indices.items())},
+            "vertex_indices": field_payload(self.complex, self.vertex_indices),
             "matches_fixed_points": bool(self.consistent),
         }
+
+
+def _action_pairs(u: GradedOperator, L: GradedOperator) -> list:
+    """Per degree: the eigenvalues of L_k and diag(V_k^T U_k V_k) for the action u."""
+    _require_commuting(u, L, "the Hodge operator")
+    eig = [L.eigensystem(k) for k in range(L.basis.max_degree + 1)]
+    return [(w, np.diag(v.T @ u.diag_block(k) @ v)) for k, (w, v) in enumerate(eig)]
+
+
+def _harmonic_side(t: Automorphism, d: GradedOperator, L: GradedOperator):
+    """Lefschetz number, per-degree harmonic traces and the pairs behind them."""
+    u = induced_map(t, L.basis)
+    _require_commuting(u, d, "the derivative")
+    pairs = _action_pairs(u, L)
+    total, traces = _super_trace(pairs, lambda w: w < kernel_threshold(w))
+    return snap_integer(total), dict(enumerate(traces)), pairs
 
 
 def lefschetz_number(t: Automorphism, d: GradedOperator,
@@ -137,16 +158,7 @@ def lefschetz_number(t: Automorphism, d: GradedOperator,
 
     Returns the number together with the per-degree harmonic traces.
     """
-    u = induced_map(t, L.basis)
-    _require_commuting(u, d, "the derivative")
-    _require_commuting(u, L, "the Hodge operator")
-    traces = {}
-    total = 0.0
-    for k in range(L.basis.max_degree + 1):
-        tr = float(np.trace(harmonic_projector(L, k) @ u.diag_block(k)))
-        traces[k] = tr
-        total += tr if k % 2 == 0 else -tr
-    return snap_integer(total), traces
+    return _harmonic_side(t, d, L)[:2]
 
 
 def fixed_point_indices(t: Automorphism, c: Complex):
@@ -176,25 +188,12 @@ def heat_lefschetz(t: Automorphism, L: GradedOperator, time: float) -> float:
     Constant in time: at 0 it counts signed fixed basis elements, in the
     large-time limit it becomes the Lefschetz number.
     """
-    if not 0 <= time < math.inf:
-        raise InvalidInputError("heat time must be non-negative and finite")
-    u = induced_map(t, L.basis)
-    _require_commuting(u, L, "the Hodge operator")
-    total = 0.0
-    for k in range(L.basis.max_degree + 1):
-        w, vecs = L.eigensystem(k)
-        if len(w) == 0:
-            continue
-        ub = u.diag_block(k)
-        rotated = vecs.T @ ub @ vecs
-        tr = float(np.sum(np.exp(-time * np.clip(w, 0.0, None)) * np.diag(rotated)))
-        total += tr if k % 2 == 0 else -tr
-    return total
+    return _heat_trace(_action_pairs(induced_map(t, L.basis), L), time)
 
 
 def lefschetz_report(c: Complex, t: Automorphism, d: GradedOperator,
                      L: GradedOperator) -> LefschetzReport:
     """Bundle the cohomological and fixed-point sides for one automorphism."""
-    number, traces = lefschetz_number(t, d, L)
+    number, traces, pairs = _harmonic_side(t, d, L)
     fixed, vertex_indices = fixed_point_indices(t, c)
-    return LefschetzReport(number, traces, fixed, vertex_indices)
+    return LefschetzReport(number, traces, fixed, vertex_indices, c, pairs)

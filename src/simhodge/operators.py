@@ -88,12 +88,6 @@ class GradedOperator:
     def shape(self):
         return self.matrix.shape
 
-    def is_zero(self) -> bool:
-        return self.matrix.count_nonzero() == 0
-
-    def transpose(self) -> "GradedOperator":
-        return GradedOperator(self.matrix.T, self.basis, -self.shift)
-
     def sparse_block(self, row_degree: int, col_degree: int) -> sparse.csr_array:
         """Sparse integer block mapping col_degree forms to row_degree forms."""
         rs = self.basis.degree_slice(row_degree)

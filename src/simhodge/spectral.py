@@ -55,19 +55,31 @@ def numeric_kernel_count(L: GradedOperator, k: int) -> int:
     return int(np.count_nonzero(eigs < kernel_threshold(eigs)))
 
 
+def _super_trace(pairs, f) -> tuple[float, list[float]]:
+    """Sum_k (-1)^k sum_i f(λ_i) h_i over per-degree pairs (eigenvalues λ of
+    L_k, weights h), with the per-degree inner sums."""
+    terms = [float(np.sum(f(w) * h)) for w, h in pairs]
+    total = 0.0
+    for k, term in enumerate(terms):
+        total += term if k % 2 == 0 else -term
+    return total, terms
+
+
+def _heat_trace(pairs, t: float) -> float:
+    """Sum_k (-1)^k sum_i exp(-t λ_i) h_i; t must be non-negative and finite."""
+    if not 0 <= t < math.inf:
+        raise InvalidInputError("heat time must be non-negative and finite")
+    return _super_trace(pairs, lambda w: np.exp(-t * np.clip(w, 0.0, None)))[0]
+
+
 def heat_supertrace(L: GradedOperator, t: float) -> float:
     """Alternating sum over degrees of the traces of exp(-t L_k).
 
     Constant in t for elliptic complexes; at t = 0 it is the alternating
     dimension sum (the analytic index).
     """
-    if not 0 <= t < math.inf:
-        raise InvalidInputError("heat time must be non-negative and finite")
-    total = 0.0
-    for k in range(L.basis.max_degree + 1):
-        term = float(np.sum(np.exp(-t * np.clip(L.eigenvalues(k), 0.0, None))))
-        total += term if k % 2 == 0 else -term
-    return total
+    return _heat_trace(((L.eigenvalues(k), 1.0)
+                        for k in range(L.basis.max_degree + 1)), t)
 
 
 @dataclass
@@ -126,10 +138,7 @@ def supersymmetry_check(L: GradedOperator, even_degrees=None,
 
 def harmonic_projector(L: GradedOperator, k: int) -> np.ndarray:
     """Orthogonal projector onto the kernel of the degree-k Hodge block."""
-    block = L.diag_block(k).astype(float)
-    if block.size == 0:
-        return np.zeros(block.shape)
-    eigenvalues, vectors = np.linalg.eigh(block)
+    eigenvalues, vectors = L.eigensystem(k)
     kernel = vectors[:, eigenvalues < kernel_threshold(eigenvalues)]
     return kernel @ kernel.T
 
@@ -159,10 +168,9 @@ class SpectrumReport:
         }
 
 
-def spectrum_report(d: GradedOperator, L: GradedOperator = None) -> SpectrumReport:
+def spectrum_report(d: GradedOperator) -> SpectrumReport:
     """Assemble Betti numbers, spectra and their consistency booleans."""
-    if L is None:
-        L = hodge(dirac(d))
+    L = hodge(dirac(d))
     b = betti(d)
     top = d.basis.max_degree
     eigs = {k: spectrum(L, k) for k in range(top + 1)}

@@ -61,6 +61,13 @@ class TestConstruction:
         assert euler_characteristic(empty) == 0
 
 
+class TestFacets:
+    def test_against_maximal_simplex_oracle(self, suite):
+        for name, c in [*suite.items(), ("empty", Complex(()))]:
+            oracle = [s for s in c if not any(set(s) < set(t) for t in c)]
+            assert c.facets() == oracle, name
+
+
 class TestWhitney:
     def test_triangle(self):
         c = whitney_complex(range(1, 4), [(1, 2), (2, 3), (1, 3)])

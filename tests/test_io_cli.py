@@ -106,6 +106,17 @@ class TestPermutationsAndFunctions:
         with pytest.raises(ParseError):
             parse_permutation("a->b\na->c\n", c)
 
+    def test_errors_name_their_line(self):
+        c = parse_edges(C4_EDGES)
+        cases = [("# swap\n(a b)\n\n", 3, "no tokens"),
+                 ("a->b\n  # note\na b\n", 3, "expected 'a -> b' pairs"),
+                 ("(a b)\n\tb -> c # again\n", 2, "mapped twice"),
+                 ("a -> \n", 1, "exactly 'a -> b'")]
+        for text, line, message in cases:
+            with pytest.raises(ParseError, match=message) as err:
+                parse_permutation(text, c)
+            assert err.value.line == line, text
+
     def test_vertex_function(self):
         c = parse_edges(C4_EDGES)
         f = parse_vertex_function("a 0\nb 1.5\nc 2\nd 3\n", c)
@@ -197,6 +208,86 @@ class TestCli:
         assert results["lefschetz_number"] == 0
         assert results["fixed_simplices"] == []
         assert results["heat_trace_constant"] is True
+
+    def test_lefschetz_uses_vertex_labels(self, tmp_path, capsys):
+        square = tmp_path / "square.txt"
+        square.write_text("a b\nb c\nc d\nd a\n")
+        perm = tmp_path / "flip.txt"
+        perm.write_text("(b d)\n")
+        code, out, _ = run_cli(["lefschetz", "--input", str(square),
+                                "--perm", str(perm)], capsys)
+        assert code == 0
+        results = json.loads(out)["results"]
+        assert results["lefschetz_number"] == 2
+        assert results["fixed_simplices"] == [{"simplex": ["a"], "index": 1},
+                                              {"simplex": ["c"], "index": 1}]
+        one, zero = {"num": 1, "den": 1}, {"num": 0, "den": 1}
+        assert results["vertex_indices"] == {"a": one, "b": zero,
+                                             "c": one, "d": zero}
+        code, out, _ = run_cli(["curvature", "--input", str(square)], capsys)
+        assert json.loads(out)["results"]["values"].keys() == \
+            results["vertex_indices"].keys()
+
+    def test_lefschetz_builds_the_action_once(self, tmp_path, capsys,
+                                              monkeypatch):
+        import numpy as np
+
+        from simhodge import lefschetz
+        from simhodge.operators import GradedOperator
+
+        octahedron = tmp_path / "octahedron.txt"
+        octahedron.write_text(serialize_facets(generate("octahedron")))
+        perm = tmp_path / "swap.txt"
+        perm.write_text("(0 1)(2 3)\n")
+        calls = {"induced_map": 0, "commuting": 0, "eigh": 0,
+                 "eigh_outside_eigensystem": 0, "action_blocks": 0}
+        actions, inside = [], []
+        induced_map, require_commuting = (lefschetz.induced_map,
+                                          lefschetz._require_commuting)
+        eigh, eigensystem, diag_block = (np.linalg.eigh,
+                                         GradedOperator.eigensystem,
+                                         GradedOperator.diag_block)
+
+        def counting_induced_map(*args):
+            calls["induced_map"] += 1
+            actions.append(induced_map(*args))
+            return actions[-1]
+
+        def counting_commuting(*args):
+            calls["commuting"] += 1
+            return require_commuting(*args)
+
+        def counting_eigh(*args):
+            calls["eigh"] += 1
+            calls["eigh_outside_eigensystem"] += not inside
+            return eigh(*args)
+
+        def marking_eigensystem(op, k):
+            inside.append(k)
+            try:
+                return eigensystem(op, k)
+            finally:
+                inside.pop()
+
+        def counting_diag_block(op, k):
+            calls["action_blocks"] += any(op is u for u in actions)
+            return diag_block(op, k)
+
+        monkeypatch.setattr(lefschetz, "induced_map", counting_induced_map)
+        monkeypatch.setattr(lefschetz, "_require_commuting", counting_commuting)
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        monkeypatch.setattr(GradedOperator, "eigensystem", marking_eigensystem)
+        monkeypatch.setattr(GradedOperator, "diag_block", counting_diag_block)
+        code, out, _ = run_cli(["lefschetz", "--input", str(octahedron),
+                                "--perm", str(perm), "--t", "0,0.1,1,10,50"],
+                               capsys)
+        assert code == 0
+        results = json.loads(out)["results"]
+        assert results["lefschetz_number"] == 2
+        assert len(results["heat_trace"]) == 5
+        # three degrees: one solve and one V^T U V product for each
+        assert calls == {"induced_map": 1, "commuting": 2, "eigh": 3,
+                         "eigh_outside_eigensystem": 0, "action_blocks": 3}
 
     def test_deterministic_results(self, k3_file, capsys):
         _, first, _ = run_cli(["ph", "--input", k3_file, "--format", "edges",
@@ -401,6 +492,31 @@ class TestExitCodes:
         code, _, _ = run_cli(["lefschetz", "--input", c4_file,
                               "--format", "edges", "--perm", str(perm)], capsys)
         assert code == 2
+
+
+def test_tracer_bindings_resolve():
+    """Every (module, attribute) the benchmark tracer wraps must exist."""
+    import importlib.util
+    import sys
+    from pathlib import Path
+
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    missing = [(mod, attr) for targets in tracer.SPANS.values()
+               for mod, attr in targets
+               if not callable(getattr(sys.modules[mod], attr, None))]
+    for mod, cls, attr in (*tracer.METHOD_SPANS.values(),
+                           *tracer.COUNTERS.values()):
+        owner = sys.modules[mod]
+        if cls is None:
+            found = callable(getattr(owner, attr, None))
+        else:
+            found = callable(vars(getattr(owner, cls, object)).get(attr))
+        if not found:
+            missing.append((mod, cls, attr))
+    assert missing == []
 
 
 class TestHostileInputs:

@@ -10,6 +10,7 @@ from simhodge import (InvalidInputError, check_automorphism, dirac,
                       exterior_derivative, fixed_point_indices, generate,
                       graded_basis, heat_lefschetz, hodge, induced_map,
                       lefschetz_number, lefschetz_report, whitney_complex)
+from simhodge.spectral import kernel_threshold
 
 
 def de_rham(c):
@@ -192,3 +193,90 @@ class TestLefschetzReport:
         assert payload["lefschetz_number"] == 2
         assert payload["matches_fixed_points"] is True
         assert len(payload["fixed_simplices"]) == 2
+
+
+def lift(c, perm):
+    """The automorphism of the barycentric refinement induced by perm."""
+    order = list(c)
+    index = {s: i for i, s in enumerate(order)}
+    return {i: index[tuple(sorted(perm[v] for v in s))]
+            for i, s in enumerate(order)}
+
+
+def automorphism_cases(suite):
+    """(name, permutation) pairs: the identity on every complex, plus
+    rotations, reflections and swaps, lifted to the refinements."""
+    cases = [(name, {v: v for v in c.base}) for name, c in suite.items()]
+    for n in range(4, 9):
+        cases += [(f"cycle{n}", rotation(n)),
+                  (f"cycle{n}", {i: (-i) % n for i in range(n)})]
+    for n in (4, 5, 6):
+        rim = {0: 0, **{i: i % n + 1 for i in range(1, n + 1)}}
+        flip = {0: 0, **{i: n + 1 - i for i in range(1, n + 1)}}
+        cases += [(f"wheel{n}", rim), (f"wheel{n}", flip)]
+    for perm in ({0: 1, 1: 0, 2: 3, 3: 2, 4: 5, 5: 4},
+                 {0: 1, 1: 0, 2: 2, 3: 3, 4: 4, 5: 5},
+                 {0: 2, 2: 4, 4: 0, 1: 3, 3: 5, 5: 1}):
+        cases.append(("octahedron", perm))
+    for n in (2, 3, 4, 5):
+        cases += [(f"simplex{n}", rotation(n)),
+                  (f"simplex{n}", {0: 1, 1: 0, **{i: i for i in range(2, n)}})]
+    cases += [("star3", {0: 0, 1: 2, 2: 3, 3: 1}),
+              ("path5", {i: 4 - i for i in range(5)}),
+              ("circle3", rotation(3))]
+    for name, perm in list(cases):
+        if f"refined_{name}" in suite and perm != {v: v for v in perm}:
+            cases.append((f"refined_{name}", lift(suite[name], perm)))
+    return cases
+
+
+def direct_degree_traces(u, L):
+    """tr(P_k U_k) with P_k the kernel projector of a fresh eigensolve."""
+    traces = {}
+    for k in range(L.basis.max_degree + 1):
+        w, v = np.linalg.eigh(L.diag_block(k).astype(float))
+        kernel = v[:, w < kernel_threshold(w)]
+        traces[k] = float(np.trace(kernel @ kernel.T @ u.diag_block(k)))
+    return traces
+
+
+def direct_heat(u, L, time):
+    """Alternating sum of tr(exp(-time L_k) U_k), V^T U V formed per time."""
+    total = 0.0
+    for k in range(L.basis.max_degree + 1):
+        w, v = np.linalg.eigh(L.diag_block(k).astype(float))
+        rotated = v.T @ u.diag_block(k) @ v
+        tr = float(np.sum(np.exp(-time * np.clip(w, 0.0, None)) * np.diag(rotated)))
+        total += tr if k % 2 == 0 else -tr
+    return total
+
+
+class TestSharedSuperTrace:
+    def test_against_direct_formulas(self, suite):
+        cases = automorphism_cases(suite)
+        assert len(cases) > len(suite) + 40
+        for name, perm in cases:
+            c = suite[name]
+            d, L = de_rham(c)
+            t = check_automorphism(c, perm)
+            u = induced_map(t, L.basis)
+            number, traces = lefschetz_number(t, d, L)
+            direct = direct_degree_traces(u, L)
+            assert traces.keys() == direct.keys(), name
+            for k in direct:
+                assert abs(traces[k] - direct[k]) <= 1e-12, (name, k)
+            fixed, _ = fixed_point_indices(t, c)
+            assert number == sum(i for _, i in fixed), name
+            report = lefschetz_report(c, t, d, L)
+            assert (report.number, report.degree_traces) == (number, traces)
+            for time in (0.0, 0.1, 1.0, 10.0, 50.0):
+                value = heat_lefschetz(t, L, time)
+                assert abs(value - direct_heat(u, L, time)) <= 1e-12, (name, time)
+                assert report.heat_trace(time) == value, (name, time)
+
+    def test_report_rejects_bad_times(self, c4, c4_ops):
+        d, L = c4_ops
+        report = lefschetz_report(c4, check_automorphism(c4, rotation(4)), d, L)
+        for time in (-1.0, float("nan"), float("inf")):
+            with pytest.raises(InvalidInputError):
+                report.heat_trace(time)

@@ -107,6 +107,20 @@ class TestHeatSupertrace:
             with pytest.raises(InvalidInputError):
                 heat_supertrace(L, t)
 
+    def test_equals_per_degree_loop_exactly(self, suite):
+        def loop(L, t):
+            total = 0.0
+            for k in range(L.basis.max_degree + 1):
+                w = np.clip(L.eigenvalues(k), 0.0, None)
+                term = float(np.sum(np.exp(-t * w)))
+                total += term if k % 2 == 0 else -term
+            return total
+
+        for name, c in suite.items():
+            _, L = de_rham_hodge(c)
+            for t in (0.0, 0.1, 0.5, 1.0, 5.0, 10.0):
+                assert heat_supertrace(L, t) == loop(L, t), (name, t)
+
 
 class TestSupersymmetry:
     def test_wheel_spectra_pair(self, suite):
