@@ -16,7 +16,7 @@ from .indices import (ExpectationResult, IndexTriple, analytic_index,
                       mean_tuple_curvature, multilinear_curvature,
                       poincare_hopf, sphere_curvature, valuation_evaluate,
                       wu_characteristic, wu_intersection)
-from .intlinalg import exact_nullity, exact_rank
+from .intlinalg import IntMatrix, exact_nullity, exact_rank
 from .lax import (FlowState, bracket_field, deformed_stokes_probe, integrate,
                   spectral_drift, split_by_degree, trajectory_to_csv,
                   trajectory_to_json)

@@ -1,4 +1,4 @@
-"""Exact rank of integer matrices by sparse fraction-free elimination.
+"""Integer triplet matrices, and exact rank by sparse fraction-free elimination.
 
 Each non-zero row is a ``{column: int}`` dict of Python integers.  Pivots
 are chosen Markowitz-style: a row with the fewest entries, and in it a +-1
@@ -21,36 +21,113 @@ import heapq
 import math
 
 import numpy as np
-from scipy import sparse
+
+from .errors import InvalidInputError
+
+
+class IntMatrix:
+    """The one sparse form of every operator: int64 ``row``, ``col`` and
+    ``data`` arrays sorted row-major, with repeated cells summed and zeros
+    dropped, so equal matrices have equal triplets."""
+
+    def __init__(self, row, col, data, shape):
+        self.shape = rows, cols = (int(shape[0]), int(shape[1]))
+        row, col, data = (np.asarray(x, dtype=np.int64) for x in (row, col, data))
+        keys, inverse = np.unique(row * cols + col, return_inverse=True)
+        sums = np.zeros(len(keys), dtype=np.int64)
+        np.add.at(sums, inverse, data)
+        keep = sums != 0
+        self.row, self.col = np.divmod(keys[keep], max(cols, 1))
+        self.data = sums[keep]
+        self.nnz = len(self.data)
+
+    @property
+    def T(self) -> IntMatrix:
+        return IntMatrix(self.col, self.row, self.data, self.shape[::-1])
+
+    def tocoo(self) -> IntMatrix:
+        return self
+
+    def toarray(self) -> np.ndarray:
+        out = np.zeros(self.shape, dtype=np.int64)
+        out[self.row, self.col] = self.data
+        return out
+
+    def block(self, rows: slice, cols: slice) -> IntMatrix:
+        """The submatrix on the in-range index slices ``rows`` and ``cols``."""
+        keep = ((self.row >= rows.start) & (self.row < rows.stop)
+                & (self.col >= cols.start) & (self.col < cols.stop))
+        shape = (rows.stop - rows.start, cols.stop - cols.start)
+        return IntMatrix(self.row[keep] - rows.start, self.col[keep] - cols.start,
+                         self.data[keep], shape)
+
+    def __add__(self, other: IntMatrix) -> IntMatrix:
+        return IntMatrix(np.concatenate([self.row, other.row]),
+                         np.concatenate([self.col, other.col]),
+                         np.concatenate([self.data, other.data]), self.shape)
+
+    def __matmul__(self, other: IntMatrix) -> IntMatrix:
+        """Every stored (i, k, a) meets every stored (k, j, b) of ``other``."""
+        if self.shape[1] != other.shape[0]:
+            raise ValueError(f"shapes {self.shape} and {other.shape} do not chain")
+        starts = np.searchsorted(other.row, np.arange(other.shape[0] + 1))
+        counts = starts[self.col + 1] - starts[self.col]
+        left = np.repeat(np.arange(self.nnz), counts)
+        # position of each pair inside its run, plus where that row of other starts
+        right = (np.arange(len(left)) - np.repeat(np.cumsum(counts) - counts, counts)
+                 + starts[self.col][left])
+        return IntMatrix(self.row[left], other.col[right],
+                         self.data[left] * other.data[right],
+                         (self.shape[0], other.shape[1]))
+
+
+def int_matrix(matrix) -> IntMatrix:
+    """An IntMatrix of ``matrix`` (see ``exact_rank``); entries must be integers."""
+    if isinstance(matrix, IntMatrix):
+        return matrix
+    rows, cols, values, shape = _triplets(matrix)
+    return IntMatrix(rows, cols, _integers(values), shape)
+
+
+def as_integer(value) -> int:
+    """``value`` as a Python integer; InvalidInputError if it is not one."""
+    try:
+        if int(value) == value:
+            return int(value)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise InvalidInputError(f"{value!r} is not an integer")
 
 
 def exact_rank(matrix) -> int:
-    """Rank over the rationals of an integer matrix (scipy sparse or array-like)."""
+    """Rank over the rationals of a 2-d integer matrix: an IntMatrix, any
+    sparse array whose ``tocoo()`` has ``row``, ``col`` and ``data``, or an
+    array-like with entries of any size.  ValueError for non-integer entries."""
     return _pivot_count(_row_dicts(matrix))
 
 
 def exact_nullity(matrix) -> int:
     """Dimension of the rational kernel (columns minus rank)."""
-    shape = matrix.shape if sparse.issparse(matrix) else np.shape(matrix)
-    cols = shape[1] if len(shape) == 2 else 0
-    return cols - exact_rank(matrix)
+    return _triplets(matrix)[3][1] - exact_rank(matrix)
+
+
+def _triplets(matrix):
+    """(rows, cols, values, shape) of a 2-d matrix; empty arrays count as 0 x 0."""
+    if hasattr(matrix, "tocoo") and len(matrix.shape) == 2:
+        coo = matrix.tocoo()
+        return coo.row, coo.col, coo.data, coo.shape
+    m = np.asarray(matrix)
+    if m.ndim != 2 and m.size == 0:
+        m = m.reshape(0, 0)
+    if m.ndim != 2:
+        raise InvalidInputError("expected a 2-d matrix")
+    rows, cols = np.nonzero(m)
+    return rows, cols, m[rows, cols], m.shape
 
 
 def _row_dicts(matrix) -> list[dict[int, int]]:
     """The non-zero rows of a 2-d integer matrix as {column: int} dicts."""
-    if sparse.issparse(matrix):
-        if matrix.ndim != 2:
-            raise ValueError("exact_rank expects a 2-d array")
-        coo = sparse.coo_array(matrix)
-        rows, cols, values = coo.row, coo.col, coo.data
-    else:
-        m = np.asarray(matrix)
-        if m.size == 0:
-            return []
-        if m.ndim != 2:
-            raise ValueError("exact_rank expects a 2-d array")
-        rows, cols = np.nonzero(m)
-        values = m[rows, cols]
+    rows, cols, values, _ = _triplets(matrix)
     out: dict[int, dict[int, int]] = {}
     for i, j, v in zip(rows.tolist(), cols.tolist(), _integers(values)):
         row = out.setdefault(i, {})
@@ -60,19 +137,9 @@ def _row_dicts(matrix) -> list[dict[int, int]]:
 
 
 def _integers(values: np.ndarray) -> list[int]:
-    """The entries as Python integers; ValueError if any is not an integer."""
-    if values.dtype.kind in "iu":
-        return values.tolist()
-    out = []
-    for v in values.tolist():
-        try:
-            n = int(v)
-        except (TypeError, ValueError, OverflowError):
-            n = None
-        if n is None or n != v:
-            raise ValueError("exact_rank expects integer entries")
-        out.append(n)
-    return out
+    """The entries as Python integers; InvalidInputError if any is not an integer."""
+    ints = values.dtype.kind in "iu"
+    return values.tolist() if ints else [as_integer(v) for v in values.tolist()]
 
 
 def _pivot_count(rows: list[dict[int, int]]) -> int:

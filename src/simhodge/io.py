@@ -217,19 +217,18 @@ def _element_labels(c: Complex, element):
 
 def operator_to_triplets(op: GradedOperator) -> str:
     """One ``row col value`` line per non-zero entry, in row-major order."""
-    coo = op.matrix.tocoo()
-    order = sorted(zip(coo.row.tolist(), coo.col.tolist(), coo.data.tolist()))
-    return "\n".join(f"{r} {col} {val}" for r, col, val in order) + \
-        ("\n" if order else "")
+    m = op.matrix
+    return "".join(f"{r} {col} {val}\n" for r, col, val in
+                   zip(m.row.tolist(), m.col.tolist(), m.data.tolist()))
 
 
 def operator_to_json(op: GradedOperator, c: Complex) -> dict:
-    coo = op.matrix.tocoo()
-    entries = sorted(zip(coo.row.tolist(), coo.col.tolist(), coo.data.tolist()))
+    m = op.matrix
     return {
-        "shape": [int(op.shape[0]), int(op.shape[1])],
+        "shape": list(m.shape),
         "grading_shift": int(op.shift),
         "basis": [_element_labels(c, e) for e in op.basis.elements],
         "degrees": [int(d) for d in op.basis.degrees],
-        "entries": [[int(r), int(col), int(v)] for r, col, v in entries],
+        "entries": [list(e) for e in zip(m.row.tolist(), m.col.tolist(),
+                                         m.data.tolist())],
     }

@@ -40,14 +40,16 @@ def _sign_matrix(basis: GradedBasis) -> np.ndarray:
     return up.astype(float) - down
 
 
-def _field(sign: np.ndarray, x: np.ndarray) -> np.ndarray:
+def _field(sign: np.ndarray, x: np.ndarray, out, scratch) -> np.ndarray:
     """[B, X] for symmetric X and B = sign * X, in one product.
 
     B is antisymmetric, so XB = -(BX)^T and [B, X] = BX + (BX)^T; the sum of
     a matrix and its transpose is exactly symmetric in floating point.
+    The n x n buffers ``out`` and ``scratch`` (not x) hold result and product.
     """
-    p = (sign * x) @ x
-    return p + p.T
+    b = np.multiply(sign, x, out=out)
+    p = np.matmul(b, x, out=scratch)
+    return np.add(p, p.T, out=b)
 
 
 def _max_abs(x: np.ndarray) -> float:
@@ -97,15 +99,23 @@ def split_by_degree(matrix: np.ndarray, basis: GradedBasis):
 def bracket_field(state: FlowState) -> np.ndarray:
     """Commutator field steering the flow; symmetric for symmetric input."""
     split_by_degree(state.matrix, state.basis)  # validates shape and symmetry
-    return _field(_sign_matrix(state.basis), np.asarray(state.matrix, dtype=float))
+    x = np.asarray(state.matrix, dtype=float)
+    return _field(_sign_matrix(state.basis), x, np.empty_like(x), np.empty_like(x))
 
 
-def _rk4_step(m: np.ndarray, sign: np.ndarray, dt: float) -> np.ndarray:
-    k1 = _field(sign, m)
-    k2 = _field(sign, m + 0.5 * dt * k1)
-    k3 = _field(sign, m + 0.5 * dt * k2)
-    k4 = _field(sign, m + dt * k3)
-    return m + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+def _rk4_step(m: np.ndarray, sign: np.ndarray, dt: float, work) -> np.ndarray:
+    """m + dt/6 (k1 + 2 k2 + 2 k3 + k4), bit for bit in that order, with the
+    stages in the four n x n arrays of ``work`` instead of fresh blocks."""
+    x, k, total, scratch = work
+    _field(sign, m, total, scratch)                          # total = k1
+    np.add(m, np.multiply(0.5 * dt, total, out=x), out=x)
+    for c in (0.5 * dt, dt):
+        _field(sign, x, k, scratch)                          # k2, then k3
+        np.add(m, np.multiply(c, k, out=x), out=x)
+        np.add(total, np.multiply(2.0, k, out=scratch), out=total)
+    _field(sign, x, k, scratch)                              # k4
+    np.add(total, k, out=total)
+    return np.add(m, np.multiply(dt / 6.0, total, out=total))
 
 
 def _check_budget(n: int, t_end: float, dt: float, sample_every: int) -> int:
@@ -142,22 +152,20 @@ def integrate(initial: GradedOperator | FlowState, t_end: float, dt: float,
         raise InvalidInputError("t_end must be non-negative and finite")
     if not (isinstance(sample_every, numbers.Integral) and sample_every >= 1):
         raise InvalidInputError("sample_every must be a positive integer")
+    basis = initial.basis
     if isinstance(initial, GradedOperator):
-        basis = initial.basis
-        m = initial.to_dense()
-        t0 = 0.0
+        m, t0 = initial.to_dense(), 0.0
     else:
-        basis = initial.basis
-        m = np.asarray(initial.matrix, dtype=float)
-        t0 = initial.t
+        m, t0 = np.asarray(initial.matrix, dtype=float), initial.t
     split_by_degree(m, basis)  # validates shape and symmetry
     steps = _check_budget(len(basis), t_end, dt, sample_every)
     m = np.triu(m) + np.triu(m, 1).T  # exactly symmetric from here on
     sign = _sign_matrix(basis)
+    work = np.empty((4,) + m.shape)
     states = [FlowState(m, t0, basis)]
     current = m
     for i in range(1, steps + 1):
-        current = _rk4_step(current, sign, dt)
+        current = _rk4_step(current, sign, dt, work)
         if not np.all(np.isfinite(current)):
             raise DivergenceError(
                 f"flow diverged at step {i} (t = {t0 + i * dt:.6g})",

@@ -13,10 +13,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
-from scipy import sparse
 
 from .complexes import Complex
 from .errors import ContractViolationError, InvalidInputError
+from .intlinalg import IntMatrix, as_integer
 from .io import field_payload
 from .operators import GradedBasis, GradedOperator
 from .spectral import _heat_trace, _super_trace, kernel_threshold
@@ -40,12 +40,12 @@ class Automorphism:
 def check_automorphism(c: Complex, permutation: dict) -> Automorphism:
     """Validate a vertex permutation against a complex.
 
-    The permutation must be a bijection of the base whose image of every
-    simplex is again a simplex; the error message names the first violation.
+    The permutation must be an integer bijection of the base whose image of
+    every simplex is again a simplex; the error message names the first violation.
     """
     base = c.base
     try:
-        mapping = {v: int(permutation[v]) for v in base}
+        mapping = {v: as_integer(permutation[v]) for v in base}
     except KeyError as missing:
         raise InvalidInputError(f"permutation misses vertex {missing}") from None
     if set(mapping.values()) != base:
@@ -82,14 +82,13 @@ def induced_map(t: Automorphism, basis: GradedBasis) -> GradedOperator:
         rows.append(basis.index[target])
         cols.append(i)
         vals.append(sign)
-    m = sparse.coo_array((vals, (rows, cols)), shape=(n, n), dtype=np.int64)
-    return GradedOperator(m.tocsr(), basis, shift=0)
+    return GradedOperator(IntMatrix(rows, cols, vals, (n, n)), basis, shift=0)
 
 
 def _require_commuting(u: GradedOperator, other: GradedOperator, name: str):
-    gap = u.matrix @ other.matrix - other.matrix @ u.matrix
-    gap.eliminate_zeros()
-    if gap.count_nonzero():
+    a, b = (np.stack([m.row, m.col, m.data]) for m in
+            (u.matrix @ other.matrix, other.matrix @ u.matrix))
+    if not np.array_equal(a, b):
         raise ContractViolationError(f"induced map does not commute with {name}")
 
 

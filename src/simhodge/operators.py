@@ -7,18 +7,18 @@ tuples: connection bases, tuple counts, Wu characteristics and tuple
 curvatures all fold their prefixes with it and finish the last slot
 themselves.  Every simplex is oriented by its increasing
 vertex order (a gauge choice), which fixes all incidence signs.  Operators
-are square sparse integer matrices over a single graded basis, so exterior
-derivative, Dirac and Hodge operators share one representation and exact
-integer arithmetic end to end.
+are square ``intlinalg.IntMatrix`` triplets over a single graded basis, so
+exterior derivative, Dirac, Hodge and automorphism actions share one exact
+integer representation; chain actions run on Python integers.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy import sparse
 
 from .complexes import Complex, intersection_masks
 from .errors import ContractViolationError, InvalidInputError
+from .intlinalg import IntMatrix, as_integer, int_matrix
 
 
 class GradedBasis:
@@ -67,7 +67,7 @@ class GradedBasis:
 
 
 class GradedOperator:
-    """A sparse integer matrix over one graded basis, with a grading shift.
+    """An IntMatrix, from any form ``int_matrix`` takes, over one graded basis.
 
     The exterior derivative has shift +1 (degree p maps into degree p+1);
     Dirac, Hodge and induced automorphism actions have shift 0 in the sense
@@ -75,28 +75,18 @@ class GradedOperator:
     """
 
     def __init__(self, matrix, basis: GradedBasis, shift: int = 0):
-        m = sparse.csr_array(matrix)
+        m = int_matrix(matrix)
         if m.shape != (len(basis), len(basis)):
             raise InvalidInputError("operator shape does not match basis size")
-        m.eliminate_zeros()
         self.matrix = m
         self.basis = basis
         self.shift = shift
         self._eigs = {}
 
-    @property
-    def shape(self):
-        return self.matrix.shape
-
-    def sparse_block(self, row_degree: int, col_degree: int) -> sparse.csr_array:
-        """Sparse integer block mapping col_degree forms to row_degree forms."""
-        rs = self.basis.degree_slice(row_degree)
-        cs = self.basis.degree_slice(col_degree)
-        return self.matrix[rs, :][:, cs]
-
     def block(self, row_degree: int, col_degree: int) -> np.ndarray:
         """Dense integer block mapping col_degree forms to row_degree forms."""
-        return self.sparse_block(row_degree, col_degree).toarray()
+        return self.matrix.block(self.basis.degree_slice(row_degree),
+                                 self.basis.degree_slice(col_degree)).toarray()
 
     def diag_block(self, k: int) -> np.ndarray:
         return self.block(k, k)
@@ -143,15 +133,12 @@ def exterior_derivative(c: Complex) -> GradedOperator:
             cols.append(basis.index[face])
             vals.append(1 if j % 2 == 0 else -1)
     n = len(basis)
-    m = sparse.coo_array((vals, (rows, cols)), shape=(n, n), dtype=np.int64)
-    return GradedOperator(m.tocsr(), basis, shift=1)
+    return GradedOperator(IntMatrix(rows, cols, vals, (n, n)), basis, shift=1)
 
 
 def require_nilpotent(d: GradedOperator):
     """Raise ContractViolationError unless d @ d vanishes exactly."""
-    square = d.matrix @ d.matrix
-    square.eliminate_zeros()
-    if square.count_nonzero():
+    if (d.matrix @ d.matrix).nnz:
         raise ContractViolationError("d is not nilpotent: d @ d has non-zero entries")
 
 
@@ -166,27 +153,36 @@ def hodge(dirac_op: GradedOperator) -> GradedOperator:
     return GradedOperator(dirac_op.matrix @ dirac_op.matrix, dirac_op.basis, shift=0)
 
 
-def _chain_vector(basis: GradedBasis, chain: dict) -> np.ndarray:
-    v = np.zeros(len(basis), dtype=np.int64)
+def _chain_vector(basis: GradedBasis, chain: dict) -> dict[int, int]:
+    """{basis index: coefficient}; InvalidInputError for a non-integer one."""
+    v = {}
     for element, coefficient in chain.items():
         key = element
         if key not in basis.index and all(isinstance(x, int) for x in element):
             key = tuple(sorted(element))
         if key not in basis.index:
             raise InvalidInputError(f"chain element {element!r} is not in the basis")
-        v[basis.index[key]] += int(coefficient)
+        v[basis.index[key]] = v.get(basis.index[key], 0) + as_integer(coefficient)
     return v
+
+
+def _act(m: IntMatrix, vector: dict) -> dict:
+    """m applied to a {basis index: int} vector, exactly."""
+    out = {}
+    for i, j, v in zip(m.row.tolist(), m.col.tolist(), m.data.tolist()):
+        if j in vector:
+            out[i] = out.get(i, 0) + v * vector[j]
+    return out
 
 
 def boundary_chain(d: GradedOperator, chain: dict) -> dict:
     """Boundary of an integer chain, the transpose action of d.
 
     Defined so that pairing a form against the boundary equals pairing its
-    derivative against the chain.
+    derivative against the chain.  Exact for coefficients of any size.
     """
-    v = _chain_vector(d.basis, chain)
-    w = d.matrix.T @ v
-    return {d.basis.elements[i]: int(w[i]) for i in np.nonzero(w)[0]}
+    w = _act(d.matrix.T, _chain_vector(d.basis, chain))
+    return {d.basis.elements[i]: w[i] for i in sorted(w) if w[i]}
 
 
 def stokes_check(d: GradedOperator, form: dict, chain: dict):
@@ -196,8 +192,8 @@ def stokes_check(d: GradedOperator, form: dict, chain: dict):
     """
     f = _chain_vector(d.basis, form)
     a = _chain_vector(d.basis, chain)
-    lhs = int(f @ (d.matrix.T @ a))
-    rhs = int((d.matrix @ f) @ a)
+    lhs = sum(v * f.get(i, 0) for i, v in _act(d.matrix.T, a).items())
+    rhs = sum(v * a.get(i, 0) for i, v in _act(d.matrix, f).items())
     return lhs, rhs, lhs == rhs
 
 
@@ -281,5 +277,4 @@ def connection_derivative(c: Complex, k: int) -> GradedOperator:
                         vals.append((-1) ** (prefix + j))
             prefix += len(simplex) - 1
     n = len(basis)
-    m = sparse.coo_array((vals, (rows, cols)), shape=(n, n), dtype=np.int64)
-    return GradedOperator(m.tocsr(), basis, shift=1)
+    return GradedOperator(IntMatrix(rows, cols, vals, (n, n)), basis, shift=1)

@@ -28,7 +28,9 @@ def betti(d: GradedOperator) -> tuple[int, ...]:
     """
     require_nilpotent(d)
     top = d.basis.max_degree
-    ranks = [exact_rank(d.sparse_block(k + 1, k)) for k in range(top + 1)]
+    ranks = [exact_rank(d.matrix.block(d.basis.degree_slice(k + 1),
+                                       d.basis.degree_slice(k)))
+             for k in range(top + 1)]
     out = []
     for k in range(top + 1):
         below = ranks[k - 1] if k > 0 else 0

@@ -1,9 +1,17 @@
 """Shared fixtures: the standard complex zoo used across the test suite."""
 
 import pytest
+from scipy import sparse
 
 from simhodge import (barycentric_refinement, generate, skeleton,
                       whitney_complex)
+
+
+def as_scipy(matrix):
+    """The stored triplets of an IntMatrix as a scipy CSR array, the oracle
+    for operator identities checked with scipy's own arithmetic."""
+    return sparse.csr_array((matrix.data, (matrix.row, matrix.col)),
+                            shape=matrix.shape)
 
 
 def k3_whitney():

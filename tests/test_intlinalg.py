@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 
-from simhodge import exact_nullity, exact_rank
+from simhodge import IntMatrix, exact_nullity, exact_rank
 
 
 def fraction_rank(matrix):
@@ -125,4 +125,53 @@ def test_matches_fraction_oracle_on_sparse_and_dense_inputs(m):
     expected = fraction_rank(m)
     assert exact_rank(m) == expected
     assert exact_rank(sparse.csr_array(m)) == expected
+    assert exact_rank(IntMatrix(*np.nonzero(m), m[np.nonzero(m)], m.shape)) == expected
     assert exact_rank(m.astype(object) * 10 ** 20) == expected
+
+
+@st.composite
+def triplet_matrices(draw, shape):
+    """An IntMatrix and the scipy COO array of the same triplets, which may
+    repeat a cell or cancel one to zero."""
+    rows, cols = shape
+    cells = []
+    if rows and cols:
+        cell = st.tuples(st.integers(0, rows - 1), st.integers(0, cols - 1),
+                         st.integers(-3, 3))
+        cells = draw(st.lists(cell, max_size=12))
+        cells += [(i, j, -v) for i, j, v in cells if draw(st.booleans())]
+    r, c, v = (np.array(x, dtype=np.int64) for x in
+               (zip(*cells) if cells else ([], [], [])))
+    return IntMatrix(r, c, v, shape), sparse.coo_array((v, (r, c)), shape=shape)
+
+
+def assert_same(m, oracle):
+    """Equal shape, dense values and canonical triplets: row-major, one
+    entry per cell, no stored zeros."""
+    canonical = sparse.csr_array(oracle)
+    canonical.sum_duplicates()
+    canonical.eliminate_zeros()
+    coo = canonical.tocoo()
+    assert m.shape == oracle.shape
+    assert m.nnz == coo.nnz
+    for mine, theirs in ((m.row, coo.row), (m.col, coo.col), (m.data, coo.data)):
+        assert mine.dtype == np.int64
+        assert np.array_equal(mine, theirs)
+    assert np.array_equal(m.toarray(), oracle.toarray())
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_int_matrix_matches_scipy(data):
+    r, k, c = (data.draw(st.integers(0, 5)) for _ in range(3))
+    a, sa = data.draw(triplet_matrices((r, k)))
+    b, sb = data.draw(triplet_matrices((k, c)))
+    a2, sa2 = data.draw(triplet_matrices((r, k)))
+    assert_same(a, sa)
+    assert a.tocoo() is a
+    assert_same(a @ b, sa.tocsr() @ sb.tocsr())
+    assert_same(a + a2, sa.tocsr() + sa2.tocsr())
+    assert_same(a.T, sa.T)
+    r0, r1 = sorted(data.draw(st.integers(0, r)) for _ in range(2))
+    c0, c1 = sorted(data.draw(st.integers(0, k)) for _ in range(2))
+    assert_same(a.block(slice(r0, r1), slice(c0, c1)), sa.tocsr()[r0:r1, c0:c1])

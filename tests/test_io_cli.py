@@ -3,6 +3,7 @@
 import json
 
 import pytest
+from conftest import as_scipy
 
 from simhodge import (ContractViolationError, ParseError, downward_closure,
                       euler_characteristic, exterior_derivative, f_vector,
@@ -136,7 +137,7 @@ class TestOperatorExport:
     def test_triplets_shape(self, k3):
         d = exterior_derivative(k3)
         lines = operator_to_triplets(d).strip().splitlines()
-        assert len(lines) == d.matrix.count_nonzero()
+        assert len(lines) == as_scipy(d.matrix).count_nonzero()
         row, col, value = lines[0].split()
         assert int(value) in (-1, 1)
 
@@ -146,7 +147,7 @@ class TestOperatorExport:
         assert payload["shape"] == [7, 7]
         assert payload["grading_shift"] == 1
         assert payload["basis"][0] == ["0"]
-        assert len(payload["entries"]) == d.matrix.count_nonzero()
+        assert len(payload["entries"]) == as_scipy(d.matrix).count_nonzero()
 
     def test_json_tuple_basis_labels(self):
         from simhodge import connection_derivative
@@ -517,6 +518,33 @@ def test_tracer_bindings_resolve():
         if not found:
             missing.append((mod, cls, attr))
     assert missing == []
+
+
+def test_runtime_needs_no_scipy(tmp_path):
+    """Importing the CLI loads no scipy module, and ``report`` exits 0 with
+    scipy made unimportable; checked in a fresh interpreter."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import simhodge
+
+    octahedron = tmp_path / "octahedron.txt"
+    octahedron.write_text(serialize_facets(generate("octahedron")))
+    script = "\n".join([
+        "import sys",
+        "import simhodge.cli",
+        "loaded = [m for m in sys.modules if m.split('.')[0] == 'scipy']",
+        "assert loaded == [], loaded",
+        "sys.modules['scipy'] = None",
+        f"sys.exit(simhodge.cli.main(['report', '--input', {str(octahedron)!r}]))"])
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(simhodge.__file__).resolve().parents[1]))
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout)["results"]["euler_characteristic"] == 2
 
 
 class TestHostileInputs:

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from conftest import as_scipy
 
 from simhodge import (InvalidInputError, check_automorphism, dirac,
                       downward_closure, euler_characteristic,
@@ -48,6 +49,12 @@ class TestCheckAutomorphism:
         with pytest.raises(InvalidInputError):
             check_automorphism(c4, {0: 1, 1: 0})
 
+    def test_non_integer_images_rejected(self):
+        # int() would truncate these to the swap {0: 1, 1: 0}
+        edge = downward_closure([(0, 1)])
+        with pytest.raises(InvalidInputError, match="not an integer"):
+            check_automorphism(edge, {0: 1.9, 1: 0.2})
+
 
 class TestInducedMap:
     def test_identity_gives_identity(self, k3):
@@ -78,7 +85,8 @@ class TestInducedMap:
             t = check_automorphism(c, perm)
             u = induced_map(t, d.basis)
             for op, label in ((d, "d"), (L, "L")):
-                gap = u.matrix @ op.matrix - op.matrix @ u.matrix
+                um, m = as_scipy(u.matrix), as_scipy(op.matrix)
+                gap = um @ m - m @ um
                 gap.eliminate_zeros()
                 assert gap.count_nonzero() == 0, (name, label)
 

@@ -5,6 +5,7 @@ import random
 
 import numpy as np
 import pytest
+from conftest import as_scipy
 from scipy import sparse
 
 from simhodge import (ContractViolationError, GradedBasis, GradedOperator,
@@ -49,12 +50,12 @@ class TestExteriorDerivative:
         d = exterior_derivative(k3)
         i = d.basis.index[(0, 1, 2)]
         entries = {d.basis.elements[j]: int(v)
-                   for j, v in enumerate(d.matrix[[i], :].toarray()[0]) if v}
+                   for j, v in enumerate(as_scipy(d.matrix)[[i], :].toarray()[0]) if v}
         assert entries == {(1, 2): 1, (0, 2): -1, (0, 1): 1}
 
     def test_nilpotent_on_k4(self):
         d = exterior_derivative(generate("simplex", 4))
-        square = d.matrix @ d.matrix
+        square = as_scipy(d.matrix) @ as_scipy(d.matrix)
         square.eliminate_zeros()
         assert square.count_nonzero() == 0
 
@@ -82,7 +83,7 @@ class TestDiracHodge:
 
     def test_dirac_symmetric(self, suite):
         for name in ("wheel4", "random1"):
-            m = dirac(exterior_derivative(suite[name])).matrix
+            m = as_scipy(dirac(exterior_derivative(suite[name])).matrix)
             gap = (m - m.T)
             gap.eliminate_zeros()
             assert gap.count_nonzero() == 0
@@ -147,6 +148,51 @@ class TestChains:
         assert equal
 
 
+class TestExactChainActions:
+    """Chain coefficients are integers of any size, never truncated or wrapped."""
+
+    @pytest.fixture
+    def path_d(self):
+        return exterior_derivative(generate("path", 3))
+
+    def test_fractional_chain_coefficient_rejected(self, path_d):
+        with pytest.raises(InvalidInputError):
+            boundary_chain(path_d, {(0, 1): 1.5})
+
+    def test_fractional_form_value_rejected(self, path_d):
+        with pytest.raises(InvalidInputError):
+            stokes_check(path_d, {(0,): 0.9}, {(0, 1): 1})
+
+    def test_boundary_past_int64_is_exact(self, path_d):
+        chain = {(0, 1): 2 ** 62, (1, 2): -2 ** 62}
+        assert boundary_chain(path_d, chain) == {
+            (0,): -2 ** 62, (1,): 2 ** 63, (2,): -2 ** 62}
+
+    def test_coefficient_beyond_64_bits_is_exact(self, path_d):
+        assert boundary_chain(path_d, {(0, 1): 2 ** 70}) == {
+            (0,): -2 ** 70, (1,): 2 ** 70}
+        assert stokes_check(path_d, {(1,): 2 ** 70}, {(0, 1): 3}) == (
+            3 * 2 ** 70, 3 * 2 ** 70, True)
+
+    def test_nan_coefficient_rejected(self, path_d):
+        with pytest.raises(InvalidInputError):
+            boundary_chain(path_d, {(0, 1): float("nan")})
+
+
+class TestIntegerOperatorEntries:
+    def test_fractional_entry_rejected(self):
+        basis = GradedBasis([("a",), ("b",)], [0, 1])
+        with pytest.raises(InvalidInputError):
+            GradedOperator(np.array([[0.0, 0.0], [0.5, 0.0]]), basis, shift=1)
+
+    def test_integral_floats_and_scipy_input_accepted(self):
+        basis = GradedBasis([("a",), ("b",)], [0, 1])
+        dense = GradedOperator(np.array([[0.0, 0.0], [-2.0, 0.0]]), basis)
+        coo = GradedOperator(sparse.coo_array(([-3, 1], ([1, 1], [0, 0])),
+                                              shape=(2, 2)), basis)
+        assert dense.block(1, 0).tolist() == coo.block(1, 0).tolist() == [[-2]]
+
+
 def brute_force_tuples(c, k):
     """Oracle: enumerate ordered k-tuples and keep the pairwise intersecting."""
     simplices = sorted(c.simplices, key=lambda s: (len(s), s))
@@ -199,21 +245,21 @@ class TestConnectionDerivative:
     def test_order_one_is_exterior_derivative(self, suite):
         for name in ("wheel4", "circle3", "random2"):
             c = suite[name]
-            gap = (connection_derivative(c, 1).matrix
-                   - exterior_derivative(c).matrix)
+            gap = (as_scipy(connection_derivative(c, 1).matrix)
+                   - as_scipy(exterior_derivative(c).matrix))
             gap.eliminate_zeros()
             assert gap.count_nonzero() == 0, name
 
     def test_nilpotent_order_two(self, k3):
         d = connection_derivative(k3, 2)
-        square = d.matrix @ d.matrix
+        square = as_scipy(d.matrix) @ as_scipy(d.matrix)
         square.eliminate_zeros()
         assert square.count_nonzero() == 0
 
     def test_nilpotent_order_three_small(self):
         edge = downward_closure([(0, 1), (1, 2)])
         d = connection_derivative(edge, 3)
-        square = d.matrix @ d.matrix
+        square = as_scipy(d.matrix) @ as_scipy(d.matrix)
         square.eliminate_zeros()
         assert square.count_nonzero() == 0
 
