@@ -250,19 +250,19 @@ def f_vector(c: Complex) -> tuple[int, ...]:
     return tuple(counts)
 
 
+def simplex_weight(s) -> int:
+    """(-1)^dim for a simplex given as a vertex tuple."""
+    return -1 if len(s) % 2 == 0 else 1
+
+
 def euler_characteristic(c: Complex) -> int:
     """Alternating count sum((-1)^dim(x)) over all simplices, an exact integer."""
-    return sum(-1 if len(s) % 2 == 0 else 1 for s in c.simplices)
-
-
-def vertex_masks(c: Complex) -> list[int]:
-    """Vertex-set bitmask per simplex, aligned with the deterministic order."""
-    bit = {v: 1 << i for i, v in enumerate(sorted(c.base))}
-    return [sum(bit[v] for v in s) for s in c]
+    return sum(simplex_weight(s) for s in c.simplices)
 
 
 def intersection_masks(c: Complex) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Vertex masks and, per simplex, the bitmask of simplices meeting it.
+    """Per simplex, its vertex-set bitmask (bit i for the i-th sorted vertex)
+    and the bitmask of simplices meeting it.
 
     Both follow the deterministic order.  Simplex i meets simplex j exactly
     when they share a vertex, so each meet mask is the union over the
@@ -270,7 +270,8 @@ def intersection_masks(c: Complex) -> tuple[tuple[int, ...], tuple[int, ...]]:
     complex.
     """
     if c._meet is None:
-        masks = tuple(vertex_masks(c))
+        bit = {v: 1 << i for i, v in enumerate(sorted(c.base))}
+        masks = tuple(sum(bit[v] for v in s) for s in c)
         star = {v: 0 for v in c.base}
         for i, s in enumerate(c):
             for v in s:

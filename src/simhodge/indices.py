@@ -16,14 +16,16 @@ from fractions import Fraction
 import numpy as np
 
 from .complexes import (Complex, f_matrix, f_vector, intersection_masks,
-                        unit_sphere)
+                        simplex_weight, unit_sphere)
 from .errors import InvalidInputError, ResourceLimitError
 from .io import fraction_payload
-from .operators import (GradedOperator, connection_derivative,
-                        exterior_derivative, iter_bits, tuple_fold)
+from .operators import (GradedOperator, alternating_sum, connection_derivative,
+                        exterior_derivative, iter_bits, tuple_fold,
+                        tuple_weight_sum)
 from .spectral import betti
 
 EXHAUSTIVE_VERTEX_LIMIT = 8
+SAMPLED_WORK_LIMIT = 10 ** 8  # draws times (vertices + link entries)
 
 
 def analytic_index(e_dims, f_dims) -> int:
@@ -36,12 +38,7 @@ def analytic_index(e_dims, f_dims) -> int:
 
 def cohomological_index(betti_numbers) -> int:
     """Alternating sum of Betti numbers."""
-    return sum(b if k % 2 == 0 else -b for k, b in enumerate(betti_numbers))
-
-
-def _padded(values, size):
-    out = list(values) + [0] * size
-    return out[:size]
+    return alternating_sum(betti_numbers)
 
 
 def valuation_evaluate(coefficients, c: Complex, sub: Complex = None):
@@ -54,30 +51,18 @@ def valuation_evaluate(coefficients, c: Complex, sub: Complex = None):
     if sub is not None and not sub.simplices <= c.simplices:
         raise InvalidInputError("sub is not a subcomplex of c")
     x = np.asarray(coefficients, dtype=object)
+    if x.ndim not in (1, 2):
+        raise InvalidInputError("coefficients must be a vector or a square matrix")
     size = c.dimension + 1
-    if x.ndim == 1:
-        if len(x) != size:
-            raise InvalidInputError(f"expected {size} coefficients, got {len(x)}")
-        counts = _padded(f_vector(target), size)
-        return sum(xi * vi for xi, vi in zip(x, counts))
-    if x.ndim == 2:
-        if x.shape != (size, size):
-            raise InvalidInputError(f"expected a {size}x{size} matrix, got {x.shape}")
-        if not np.array_equal(x, x.T):
-            raise InvalidInputError("bilinear valuation matrix must be symmetric")
-        pairs = f_matrix(target)
-        total = 0
-        for i in range(size):
-            for j in range(size):
-                vij = int(pairs[i, j]) if i < pairs.shape[0] and j < pairs.shape[1] else 0
-                total += x[i, j] * vij
-        return total
-    raise InvalidInputError("coefficients must be a vector or a square matrix")
-
-
-def simplex_weight(s) -> int:
-    """(-1)^dim for a simplex given as a vertex tuple."""
-    return -1 if len(s) % 2 == 0 else 1
+    if x.shape != (size,) * x.ndim:
+        raise InvalidInputError(
+            f"expected shape {(size,) * x.ndim} for the coefficients, got {x.shape}")
+    if not np.array_equal(x, x.T):
+        raise InvalidInputError("bilinear valuation matrix must be symmetric")
+    counts = np.asarray(f_vector(target) if x.ndim == 1 else f_matrix(target))
+    padded = np.zeros(x.shape, dtype=object)  # a subcomplex may have lower dimension
+    padded[tuple(slice(n) for n in counts.shape)] = counts
+    return sum((x * padded).ravel())
 
 
 def wu_intersection(a: Complex, b: Complex) -> int:
@@ -96,12 +81,8 @@ def wu_characteristic(c: Complex, k: int = 2) -> int:
     Order 1 is the Euler characteristic; order 2 the quadratic intersection
     characteristic.  Ordered tuples, repeats allowed.
     """
-    weights = [simplex_weight(s) for s in c]
     _, meet = intersection_masks(c)
-    plus = sum(1 << i for i, w in enumerate(weights) if w > 0)
-    minus = sum(1 << i for i, w in enumerate(weights) if w < 0)
-    return sum(w * ((allowed & plus).bit_count() - (allowed & minus).bit_count())
-               for (allowed, _), w in tuple_fold(meet, k, weights).items())
+    return tuple_weight_sum(meet, k, [simplex_weight(s) for s in c])
 
 
 def gauss_bonnet_curvature(c: Complex) -> dict[int, Fraction]:
@@ -126,11 +107,8 @@ def sphere_curvature(c: Complex) -> dict[int, Fraction]:
     """
     out = {}
     for v in sorted(c.base):
-        counts = f_vector(unit_sphere(c, v))
-        k = Fraction(1)
-        for i, n in enumerate(counts):
-            k += Fraction((-1) ** (i + 1) * n, i + 2)
-        out[v] = k
+        counts = (1,) + f_vector(unit_sphere(c, v))  # 1, V_0, V_1, ...
+        out[v] = alternating_sum(Fraction(n, i + 1) for i, n in enumerate(counts))
     return out
 
 
@@ -209,9 +187,18 @@ def poincare_hopf(c: Complex, f: dict) -> dict[int, int]:
         values = {v: f[v] for v in c.base}
     except KeyError as missing:
         raise InvalidInputError(f"vertex function misses vertex {missing}") from None
+    if any(x != x for x in values.values()):  # NaN is unequal to itself
+        raise InvalidInputError("vertex function values must not be NaN")
     if len(set(values.values())) != len(values):
         raise InvalidInputError("vertex function must be injective")
     return _index_field(sorted(c.base), _links_with_weights(c), values)
+
+
+def seeded_rng(seed: int | None) -> np.random.Generator:
+    """numpy generator for a non-negative integer seed, or fresh entropy for None."""
+    if seed is not None and seed < 0:
+        raise InvalidInputError(f"seed must be non-negative, got {seed}")
+    return np.random.default_rng(seed)
 
 
 @dataclass
@@ -252,12 +239,16 @@ def index_expectation(c: Complex, mode: str = "exhaustive", samples: int = 10000
         raise InvalidInputError("mode must be 'exhaustive' or 'sampled'")
     if samples < 1:
         raise InvalidInputError(f"sample count must be positive, got {samples}")
-    rng = np.random.default_rng(seed)
+    per_draw = max(n + sum(map(len, links.values())), 1)
+    if samples * per_draw > SAMPLED_WORK_LIMIT:
+        raise ResourceLimitError(
+            f"sampled expectation on this complex is limited to "
+            f"{SAMPLED_WORK_LIMIT // per_draw} samples")
+    rng = seeded_rng(seed)
     totals = {v: 0.0 for v in vertices}
     squares = {v: 0.0 for v in vertices}
     for _ in range(samples):
-        perm = rng.permutation(n)
-        rank = {v: int(perm[i]) for i, v in enumerate(vertices)}
+        rank = dict(zip(vertices, rng.permutation(n).tolist()))
         for v, i in _index_field(vertices, links, rank).items():
             totals[v] += i
             squares[v] += i * i

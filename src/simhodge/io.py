@@ -11,6 +11,7 @@ ignored; a non-comment line without tokens is a parse error.
 from __future__ import annotations
 
 import hashlib
+import math
 from fractions import Fraction
 
 from .complexes import Complex, downward_closure, whitney_complex
@@ -175,7 +176,7 @@ def parse_permutation(text: str, c: Complex) -> dict:
 
 
 def parse_vertex_function(text: str, c: Complex) -> dict:
-    """Vertex function from ``label value`` lines."""
+    """Vertex function from ``label value`` lines; every value must be finite."""
     out = {}
     for number, tokens in _tokenized_lines(text):
         if len(tokens) != 2:
@@ -187,6 +188,8 @@ def parse_vertex_function(text: str, c: Complex) -> dict:
             out[v] = float(tokens[1])
         except ValueError:
             raise ParseError(f"unreadable value {tokens[1]!r}", line=number) from None
+        if not math.isfinite(out[v]):
+            raise ParseError(f"value {tokens[1]!r} is not finite", line=number)
     return out
 
 

@@ -27,17 +27,10 @@ MAX_FLOW_WORK = 10 ** 11
 MAX_TRAJECTORY_BYTES = 2 ** 28
 
 
-def _degree_masks(basis: GradedBasis):
-    degrees = np.asarray(basis.degrees)
-    col = degrees[None, :]
-    row = degrees[:, None]
-    return row > col, row == col, row < col
-
-
 def _sign_matrix(basis: GradedBasis) -> np.ndarray:
     """+1 on raising entries, -1 on lowering entries, 0 within a degree."""
-    up, _, down = _degree_masks(basis)
-    return up.astype(float) - down
+    degrees = np.asarray(basis.degrees, dtype=float)
+    return np.sign(degrees[:, None] - degrees[None, :])
 
 
 def _field(sign: np.ndarray, x: np.ndarray, out, scratch) -> np.ndarray:
@@ -92,8 +85,8 @@ def split_by_degree(matrix: np.ndarray, basis: GradedBasis):
         raise InvalidInputError("matrix shape does not match basis size")
     if m.size and float(np.max(np.abs(m - m.T))) >= SYMMETRY_TOL:
         raise ContractViolationError("matrix is not symmetric")
-    up, diag, down = _degree_masks(basis)
-    return m * up, m * diag, m * down
+    sign = _sign_matrix(basis)
+    return m * (sign > 0), m * (sign == 0), m * (sign < 0)
 
 
 def bracket_field(state: FlowState) -> np.ndarray:
@@ -227,9 +220,9 @@ def trajectory_to_json(states: list[FlowState],
     """Diagnostics per sampled state; full matrices only on request."""
     payload = []
     for s, row in zip(states, _diagnostics(states)):
-        entry = dict(row, eigenvalues=[float(x) for x in row["eigenvalues"]])
+        entry = dict(row, eigenvalues=row["eigenvalues"].tolist())
         if include_matrices:
-            entry["matrix"] = [[float(x) for x in r] for r in s.matrix]
+            entry["matrix"] = np.asarray(s.matrix, dtype=float).tolist()
         payload.append(entry)
     return {"states": payload}
 

@@ -14,12 +14,12 @@ from fractions import Fraction
 
 import numpy as np
 
-from .complexes import Complex
+from .complexes import Complex, simplex_weight
 from .errors import ContractViolationError, InvalidInputError
 from .intlinalg import IntMatrix, as_integer
 from .io import field_payload
 from .operators import GradedBasis, GradedOperator
-from .spectral import _heat_trace, _super_trace, kernel_threshold
+from .spectral import _heat_trace, _super_trace, kernel_mask
 
 SNAP_TOL = 1e-7
 
@@ -29,9 +29,6 @@ class Automorphism:
     """A verified simplex-preserving vertex bijection."""
 
     mapping: tuple  # pairs (v, image), sorted by v
-
-    def __getitem__(self, v: int) -> int:
-        return dict(self.mapping)[v]
 
     def as_dict(self) -> dict:
         return dict(self.mapping)
@@ -50,7 +47,7 @@ def check_automorphism(c: Complex, permutation: dict) -> Automorphism:
         raise InvalidInputError(f"permutation misses vertex {missing}") from None
     if set(mapping.values()) != base:
         raise InvalidInputError("permutation is not a bijection of the base")
-    for s in sorted(c.simplices, key=lambda s: (len(s), s)):
+    for s in c:
         image = tuple(sorted(mapping[v] for v in s))
         if image not in c.simplices:
             raise InvalidInputError(
@@ -147,7 +144,7 @@ def _harmonic_side(t: Automorphism, d: GradedOperator, L: GradedOperator):
     u = induced_map(t, L.basis)
     _require_commuting(u, d, "the derivative")
     pairs = _action_pairs(u, L)
-    total, traces = _super_trace(pairs, lambda w: w < kernel_threshold(w))
+    total, traces = _super_trace(pairs, kernel_mask)
     return snap_integer(total), dict(enumerate(traces)), pairs
 
 
@@ -173,8 +170,7 @@ def fixed_point_indices(t: Automorphism, c: Complex):
     for s in c:
         image, sign = _signed_image(mapping, s)
         if image == s:
-            weight = -1 if len(s) % 2 == 0 else 1
-            index = weight * sign
+            index = simplex_weight(s) * sign
             fixed.append((s, index))
             for v in s:
                 vertex_indices[v] += Fraction(index, len(s))

@@ -5,7 +5,8 @@ order k consists of the ordered k-tuples of pairwise intersecting simplices,
 graded by total dimension.  ``tuple_fold`` is the one walk over those
 tuples: connection bases, tuple counts, Wu characteristics and tuple
 curvatures all fold their prefixes with it and finish the last slot
-themselves.  Every simplex is oriented by its increasing
+themselves (tuple counts and Wu characteristics through one signed sum,
+``tuple_weight_sum``).  Every simplex is oriented by its increasing
 vertex order (a gauge choice), which fixes all incidence signs.  Operators
 are square ``intlinalg.IntMatrix`` triplets over a single graded basis, so
 exterior derivative, Dirac, Hodge and automorphism actions share one exact
@@ -63,7 +64,12 @@ class GradedBasis:
         return self.dims[k] if 0 <= k <= self.max_degree else 0
 
     def alternating_dimension_sum(self) -> int:
-        return sum(d if k % 2 == 0 else -d for k, d in enumerate(self.dims))
+        return alternating_sum(self.dims)
+
+
+def alternating_sum(values):
+    """values[0] - values[1] + values[2] - ..."""
+    return sum(-v if k % 2 else v for k, v in enumerate(values))
 
 
 class GradedOperator:
@@ -82,6 +88,7 @@ class GradedOperator:
         self.basis = basis
         self.shift = shift
         self._eigs = {}
+        self._nilpotent = False
 
     def block(self, row_degree: int, col_degree: int) -> np.ndarray:
         """Dense integer block mapping col_degree forms to row_degree forms."""
@@ -137,9 +144,10 @@ def exterior_derivative(c: Complex) -> GradedOperator:
 
 
 def require_nilpotent(d: GradedOperator):
-    """Raise ContractViolationError unless d @ d vanishes exactly."""
-    if (d.matrix @ d.matrix).nnz:
+    """Raise ContractViolationError unless d @ d vanishes exactly; once per d."""
+    if not d._nilpotent and (d.matrix @ d.matrix).nnz:
         raise ContractViolationError("d is not nilpotent: d @ d has non-zero entries")
+    d._nilpotent = True
 
 
 def dirac(d: GradedOperator) -> GradedOperator:
@@ -242,11 +250,19 @@ def connection_basis(c: Complex, k: int) -> GradedBasis:
     return GradedBasis(elements, degrees)
 
 
+def tuple_weight_sum(meet, k: int, weights) -> int:
+    """Sum over the pairwise intersecting k-tuples of their weight products,
+    for weights of +1 or -1; the last slot is two popcounts per prefix."""
+    plus = sum(1 << i for i, w in enumerate(weights) if w > 0)
+    minus = sum(1 << i for i, w in enumerate(weights) if w < 0)
+    return sum(w * ((allowed & plus).bit_count() - (allowed & minus).bit_count())
+               for (allowed, _), w in tuple_fold(meet, k, weights).items())
+
+
 def connection_tuple_count(c: Complex, k: int) -> int:
     """Number of ordered pairwise-intersecting k-tuples, without materializing them."""
     _, meet = intersection_masks(c)
-    prefixes = tuple_fold(meet, k, [1] * len(meet))
-    return sum(allowed.bit_count() * w for (allowed, _), w in prefixes.items())
+    return tuple_weight_sum(meet, k, [1] * len(meet))
 
 
 def connection_derivative(c: Complex, k: int) -> GradedOperator:

@@ -14,7 +14,8 @@ import numpy as np
 
 from .errors import ContractViolationError, InvalidInputError
 from .intlinalg import exact_rank
-from .operators import GradedOperator, dirac, hodge, require_nilpotent
+from .operators import (GradedOperator, alternating_sum, dirac, hodge,
+                        require_nilpotent)
 
 KERNEL_TOL = 1e-7
 SUSY_TOL = 1e-9
@@ -43,6 +44,11 @@ def kernel_threshold(eigenvalues: np.ndarray) -> float:
     return KERNEL_TOL * max(top, 1.0)
 
 
+def kernel_mask(eigenvalues: np.ndarray) -> np.ndarray:
+    """True for the ascending eigenvalues that count as zero."""
+    return eigenvalues < kernel_threshold(eigenvalues)
+
+
 def spectrum(L: GradedOperator, k: int) -> np.ndarray:
     """Ascending eigenvalues of the degree-k Hodge block."""
     eigs = L.eigenvalues(k)
@@ -53,18 +59,14 @@ def spectrum(L: GradedOperator, k: int) -> np.ndarray:
 
 
 def numeric_kernel_count(L: GradedOperator, k: int) -> int:
-    eigs = L.eigenvalues(k)
-    return int(np.count_nonzero(eigs < kernel_threshold(eigs)))
+    return int(np.count_nonzero(kernel_mask(L.eigenvalues(k))))
 
 
 def _super_trace(pairs, f) -> tuple[float, list[float]]:
     """Sum_k (-1)^k sum_i f(λ_i) h_i over per-degree pairs (eigenvalues λ of
     L_k, weights h), with the per-degree inner sums."""
     terms = [float(np.sum(f(w) * h)) for w, h in pairs]
-    total = 0.0
-    for k, term in enumerate(terms):
-        total += term if k % 2 == 0 else -term
-    return total, terms
+    return float(alternating_sum(terms)), terms
 
 
 def _heat_trace(pairs, t: float) -> float:
@@ -125,7 +127,7 @@ def supersymmetry_check(L: GradedOperator, even_degrees=None,
         parts = []
         for k in degrees:
             eigs = L.eigenvalues(k)
-            parts.append(eigs[eigs >= kernel_threshold(eigs)])
+            parts.append(eigs[~kernel_mask(eigs)])
         return np.sort(np.concatenate(parts)) if parts else np.zeros(0)
 
     even = nonzero(even_degrees)
@@ -141,7 +143,7 @@ def supersymmetry_check(L: GradedOperator, even_degrees=None,
 def harmonic_projector(L: GradedOperator, k: int) -> np.ndarray:
     """Orthogonal projector onto the kernel of the degree-k Hodge block."""
     eigenvalues, vectors = L.eigensystem(k)
-    kernel = vectors[:, eigenvalues < kernel_threshold(eigenvalues)]
+    kernel = vectors[:, kernel_mask(eigenvalues)]
     return kernel @ kernel.T
 
 
@@ -162,7 +164,7 @@ class SpectrumReport:
         return {
             "betti": [int(b) for b in self.betti_numbers],
             "kernel_counts": [int(n) for n in self.kernel_counts],
-            "eigenvalues": {str(k): [float(x) for x in v]
+            "eigenvalues": {str(k): v.tolist()
                             for k, v in sorted(self.eigenvalues.items())},
             "exact_numeric_agreement": bool(self.agreement),
             "supersymmetry": self.supersymmetry.to_payload()

@@ -244,6 +244,11 @@ class TestPoincareHopf:
         with pytest.raises(InvalidInputError):
             poincare_hopf(k3, {0: 1, 1: 1, 2: 2})
 
+    def test_nan_value_rejected(self, k3):
+        # NaN != NaN, so NaN values pass a set-based injectivity test
+        with pytest.raises(InvalidInputError, match="NaN"):
+            poincare_hopf(k3, {0: float("nan"), 1: float("nan"), 2: 2})
+
     def test_sums_to_chi_random_functions(self, suite):
         rng = random.Random(31)
         for name in ("wheel6", "octahedron", "random11"):
@@ -288,6 +293,27 @@ class TestIndexExpectation:
         for samples in (0, -5):
             with pytest.raises(InvalidInputError):
                 index_expectation(k3, mode="sampled", samples=samples)
+
+    def test_negative_seed_rejected(self, k3):
+        with pytest.raises(InvalidInputError, match="seed"):
+            index_expectation(k3, mode="sampled", samples=10, seed=-1)
+
+    def test_sample_budget_checked_before_drawing(self, k3, monkeypatch):
+        from simhodge import indices
+
+        # a draw on k3 costs 3 vertices plus 9 link entries
+        monkeypatch.setattr(indices, "SAMPLED_WORK_LIMIT", 5 * 12)
+        assert index_expectation(k3, mode="sampled", samples=5, seed=1).samples == 5
+
+        def draw(*args):
+            raise AssertionError("a draw ran before the budget was checked")
+
+        monkeypatch.setattr(indices, "_index_field", draw)
+        for samples in (6, 10 ** 23):
+            with pytest.raises(ResourceLimitError):
+                index_expectation(k3, mode="sampled", samples=samples)
+        with pytest.raises(ResourceLimitError):  # no links: one unit per draw
+            index_expectation(downward_closure([]), mode="sampled", samples=61)
 
 
 class TestIndexTheoremReport:

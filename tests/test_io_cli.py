@@ -672,3 +672,58 @@ class TestHostileInputs:
                          "exterior_derivative": 1, "connection_derivative": 1}
         triples = json.loads(out)["results"]["index_theorem"]
         assert all(t["equal"] for t in triples.values())
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400"])
+    def test_non_finite_vertex_function_is_two(self, k3_file, tmp_path, capsys,
+                                               value):
+        function = tmp_path / "f.txt"
+        function.write_text(f"1 0\n2 {value}\n3 2\n")
+        code, out, err = run_cli(["ph", "--input", k3_file, "--format", "edges",
+                                  "--function", str(function)], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: line 2: ") and "Traceback" not in err
+
+    @pytest.mark.parametrize("mode", [[], ["--mode", "sampled:10"]])
+    def test_negative_seed_is_two(self, k3_file, capsys, mode):
+        code, out, err = run_cli(["ph", "--input", k3_file, "--format", "edges",
+                                  "--seed", "-1", *mode], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "Traceback" not in err
+
+    def test_huge_sample_count_is_four(self, k3_file, capsys):
+        import time
+
+        started = time.perf_counter()
+        code, out, err = run_cli(["ph", "--input", k3_file, "--format", "edges",
+                                  "--mode", "sampled:99999999999999999999999"],
+                                 capsys)
+        assert time.perf_counter() - started < 1.0
+        assert code == 4
+        assert out == ""
+        assert err.startswith("resource limit: ")
+
+    def test_report_checks_each_derivative_nilpotent_once(self, k3_file, capsys,
+                                                          monkeypatch):
+        from simhodge import cli
+        from simhodge.intlinalg import IntMatrix
+
+        derivatives, left = [], []
+        derivative_for, matmul = cli._derivative_for, IntMatrix.__matmul__
+
+        def recording_derivative_for(*args):
+            derivatives.append(derivative_for(*args))
+            return derivatives[-1]
+
+        def recording_matmul(self, other):
+            left.append(self)
+            return matmul(self, other)
+
+        monkeypatch.setattr(cli, "_derivative_for", recording_derivative_for)
+        monkeypatch.setattr(IntMatrix, "__matmul__", recording_matmul)
+        code, _, _ = run_cli(["report", "--input", k3_file, "--format", "edges"],
+                             capsys)
+        assert code == 0
+        assert len(derivatives) == 2
+        assert sum(any(m is d.matrix for d in derivatives) for m in left) == 2

@@ -229,3 +229,20 @@ class TestSpectrumReport:
         assert payload["betti"] == [1, 0, 0]
         assert payload["exact_numeric_agreement"] is True
         assert set(payload["eigenvalues"]) == {"0", "1", "2"}
+
+    def test_nilpotency_checked_once_per_derivative(self, suite, monkeypatch):
+        from simhodge.intlinalg import IntMatrix
+
+        left = []
+        matmul = IntMatrix.__matmul__
+
+        def recording_matmul(self, other):
+            left.append(self)
+            return matmul(self, other)
+
+        monkeypatch.setattr(IntMatrix, "__matmul__", recording_matmul)
+        for d in (exterior_derivative(suite["wheel4"]),
+                  connection_derivative(suite["wheel4"], 2)):
+            left.clear()
+            spectrum_report(d)
+            assert sum(m is d.matrix for m in left) == 1
