@@ -24,9 +24,10 @@ from .lefschetz import (Automorphism, LefschetzReport, check_automorphism,
                         fixed_point_indices, heat_lefschetz, induced_map,
                         lefschetz_number, lefschetz_report)
 from .operators import (GradedBasis, GradedOperator, boundary_chain,
-                        connection_basis, connection_derivative,
-                        connection_tuple_count, dirac, exterior_derivative,
-                        graded_basis, hodge, stokes_check)
+                        connection_basis, connection_degree_counts,
+                        connection_derivative, connection_tuple_count, dirac,
+                        exterior_derivative, graded_basis, hodge,
+                        stokes_check)
 from .spectral import (SpectrumReport, SupersymmetryReport, betti,
                        harmonic_projector, heat_supertrace, spectrum,
                        spectrum_report, supersymmetry_check)

@@ -32,16 +32,14 @@ from .io import (field_payload, fraction_payload, operator_to_json,
                  sha256_hex)
 from .lax import integrate, trajectory_to_csv, trajectory_to_json
 from .lefschetz import check_automorphism, lefschetz_report
-from .operators import (connection_derivative, connection_tuple_count,
-                        dirac, exterior_derivative, hodge)
+from .operators import (connection_derivative, dirac, exterior_derivative,
+                        hodge, require_connection_budget)
 from .spectral import heat_supertrace, spectrum_report
 
 EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_CONTRACT = 3
 EXIT_RESOURCE = 4
-
-CONNECTION_TUPLE_LIMIT = 2000  # for orders three and up
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -91,23 +89,19 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _check_tuple_budget(c, order):
-    if order >= 3:
-        count = connection_tuple_count(c, order)
-        if count > CONNECTION_TUPLE_LIMIT:
-            raise ResourceLimitError(
-                f"order {order} needs {count} tuples, "
-                f"limit is {CONNECTION_TUPLE_LIMIT}")
-
-
-def _derivative_for(c, order):
+def _derivative_for(c, order, eigensolve=False):
+    """The order's derivative, refused first when it is over budget; with
+    ``eigensolve`` also when one of its Hodge blocks is too wide to solve."""
+    require_connection_budget(c, order, eigensolve)
     if order == 1:
         return exterior_derivative(c)
-    _check_tuple_budget(c, order)
     return connection_derivative(c, order)
 
 
 def _cmd_report(c, args):
+    # both orders pass their budgets before any other work
+    derivatives = {order: _derivative_for(c, order, True)
+                   for order in (1, 2)}
     payload = {
         "f_vector": list(f_vector(c)),
         "f_matrix": f_matrix(c).tolist(),
@@ -117,7 +111,7 @@ def _cmd_report(c, args):
     curvatures = {1: gauss_bonnet_curvature(c), 2: multilinear_curvature(c, 2)}
     reports, triples = {}, {}
     for order, curvature in curvatures.items():
-        d = _derivative_for(c, order)
+        d = derivatives[order]
         sr = spectrum_report(d)
         reports[str(order)] = {
             "betti": list(sr.betti_numbers),
@@ -140,7 +134,7 @@ def _cmd_report(c, args):
 
 
 def _cmd_betti(c, args):
-    d = _derivative_for(c, args.order)
+    d = _derivative_for(c, args.order, True)
     sr = spectrum_report(d)
     payload = sr.to_payload()
     payload["order"] = args.order
@@ -148,7 +142,7 @@ def _cmd_betti(c, args):
 
 
 def _cmd_curvature(c, args):
-    _check_tuple_budget(c, args.order)
+    require_connection_budget(c, args.order)
     values = multilinear_curvature(c, args.order)
     total = sum(values.values(), Fraction(0))
     target = wu_characteristic(c, args.order)

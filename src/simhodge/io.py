@@ -20,8 +20,9 @@ from .operators import GradedOperator
 
 
 def _label_sort_key(label: str):
+    """Integers by value first, ties ("1", "01") and other labels by text."""
     try:
-        return (0, int(label), "")
+        return (0, int(label), label)
     except ValueError:
         return (1, 0, label)
 

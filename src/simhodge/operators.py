@@ -5,9 +5,10 @@ order k consists of the ordered k-tuples of pairwise intersecting simplices,
 graded by total dimension.  ``tuple_fold`` is the one walk over those
 tuples: connection bases, tuple counts, Wu characteristics and tuple
 curvatures all fold their prefixes with it and finish the last slot
-themselves (tuple counts and Wu characteristics through one signed sum,
-``tuple_weight_sum``).  Every simplex is oriented by its increasing
-vertex order (a gauge choice), which fixes all incidence signs.  Operators
+themselves (tuple counts through a degree accumulator, Wu characteristics
+through one signed sum, ``tuple_weight_sum``).  Every simplex is oriented
+by its increasing vertex order (a gauge choice), which fixes all incidence
+signs.  Operators
 are square ``intlinalg.IntMatrix`` triplets over a single graded basis, so
 exterior derivative, Dirac, Hodge and automorphism actions share one exact
 integer representation; chain actions run on Python integers.
@@ -18,8 +19,15 @@ from __future__ import annotations
 import numpy as np
 
 from .complexes import Complex, intersection_masks
-from .errors import ContractViolationError, InvalidInputError
+from .errors import ContractViolationError, InvalidInputError, ResourceLimitError
 from .intlinalg import IntMatrix, as_integer, int_matrix
+
+# Budgets checked before allocation, like lax.MAX_FLOW_WORK: a connection
+# basis of order three and up holds at most CONNECTION_TUPLE_LIMIT tuples,
+# and a Hodge block solved densely is at most DENSE_BLOCK_LIMIT wide (each
+# dense copy of a block that wide, int64 or float, takes 128 MiB).
+CONNECTION_TUPLE_LIMIT = 2000
+DENSE_BLOCK_LIMIT = 4096
 
 
 class GradedBasis:
@@ -101,20 +109,35 @@ class GradedOperator:
     def to_dense(self) -> np.ndarray:
         return self.matrix.toarray().astype(float)
 
-    def eigensystem(self, k: int):
-        """Eigenvalues and eigenvectors of the symmetric degree-k block (cached)."""
-        if k not in self._eigs:
+    def eigensystem(self, k: int, vectors: bool = True):
+        """Ascending eigenvalues of the symmetric degree-k block, with its
+        eigenvectors, or None in their place when ``vectors`` is false.
+
+        One cached solve per degree: values alone come from ``eigvalsh`` and
+        answer later value requests; a later request for vectors solves
+        again with ``eigh``, whose result then answers both.
+        """
+        cached = self._eigs.get(k)
+        if cached is None or (vectors and cached[1] is None):
+            require_dense_block(k, self.basis.dimension_of(k))
             block = self.diag_block(k)
-            if block.size and not np.array_equal(block, block.T):
+            if not np.array_equal(block, block.T):
                 raise ContractViolationError(f"degree-{k} block is not symmetric")
-            if block.size:
-                self._eigs[k] = np.linalg.eigh(block.astype(float))
-            else:
-                self._eigs[k] = (np.zeros(0), np.zeros(block.shape))
-        return self._eigs[k]
+            block = block.astype(float)
+            cached = self._eigs[k] = (np.linalg.eigh(block) if vectors else
+                                      (np.linalg.eigvalsh(block), None))
+        return cached if vectors else (cached[0], None)
 
     def eigenvalues(self, k: int) -> np.ndarray:
-        return self.eigensystem(k)[0]
+        return self.eigensystem(k, vectors=False)[0]
+
+
+def require_dense_block(k: int, width: int):
+    """ResourceLimitError when a degree-k block this wide is too big to solve."""
+    if width > DENSE_BLOCK_LIMIT:
+        raise ResourceLimitError(
+            f"degree-{k} block is {width} wide, dense eigensolve limit is "
+            f"{DENSE_BLOCK_LIMIT}")
 
 
 def graded_basis(c: Complex) -> GradedBasis:
@@ -259,10 +282,40 @@ def tuple_weight_sum(meet, k: int, weights) -> int:
                for (allowed, _), w in tuple_fold(meet, k, weights).items())
 
 
+def connection_degree_counts(c: Complex, k: int) -> tuple[int, ...]:
+    """Per total degree, the number of ordered pairwise-intersecting k-tuples:
+    one fold with a degree accumulator, without materializing the tuples."""
+    _, meet = intersection_masks(c)
+    dims = [len(s) - 1 for s in c]
+    top = max(dims, default=-1)
+    masks = [0] * (top + 1)
+    for i, dim in enumerate(dims):
+        masks[dim] |= 1 << i
+    counts = [0] * (k * top + 1)  # a top simplex k times has the top degree
+    for (allowed, degree), w in tuple_fold(meet, k, [1] * len(dims), 0,
+                                           lambda acc, i: acc + dims[i]).items():
+        for dim, mask in enumerate(masks):
+            counts[degree + dim] += w * (allowed & mask).bit_count()
+    return tuple(counts)
+
+
 def connection_tuple_count(c: Complex, k: int) -> int:
     """Number of ordered pairwise-intersecting k-tuples, without materializing them."""
-    _, meet = intersection_masks(c)
-    return tuple_weight_sum(meet, k, [1] * len(meet))
+    return sum(connection_degree_counts(c, k))
+
+
+def require_connection_budget(c: Complex, k: int, eigensolve: bool = False):
+    """ResourceLimitError before the order-k basis is built: an order of three
+    or more over CONNECTION_TUPLE_LIMIT tuples, or, when its Hodge blocks are
+    to be solved, a degree over DENSE_BLOCK_LIMIT tuples."""
+    if k >= 3:
+        count = connection_tuple_count(c, k)
+        if count > CONNECTION_TUPLE_LIMIT:
+            raise ResourceLimitError(
+                f"order {k} needs {count} tuples, limit is {CONNECTION_TUPLE_LIMIT}")
+    if eigensolve:
+        for degree, width in enumerate(connection_degree_counts(c, k)):
+            require_dense_block(degree, width)
 
 
 def connection_derivative(c: Complex, k: int) -> GradedOperator:

@@ -1,10 +1,17 @@
 """Shared fixtures: the standard complex zoo used across the test suite."""
 
+import numpy as np
 import pytest
+from hypothesis import settings
 from scipy import sparse
 
 from simhodge import (barycentric_refinement, generate, skeleton,
                       whitney_complex)
+
+# Property tests draw the same examples on every run and have no per-example
+# deadline, so a slow example on a busy host is not a failure.
+settings.register_profile("simhodge", derandomize=True, deadline=None)
+settings.load_profile("simhodge")
 
 
 def as_scipy(matrix):
@@ -53,3 +60,17 @@ def k3():
 @pytest.fixture(scope="session")
 def c4():
     return generate("cycle", 4)
+
+
+@pytest.fixture()
+def solver_calls(monkeypatch):
+    """Counts of the np.linalg.eigh and eigvalsh calls made in the test."""
+    calls = {"eigh": 0, "eigvalsh": 0}
+    for name in calls:
+        solver = getattr(np.linalg, name)
+
+        def counted(*args, name=name, solver=solver):
+            calls[name] += 1
+            return solver(*args)
+        monkeypatch.setattr(np.linalg, name, counted)
+    return calls

@@ -727,3 +727,104 @@ class TestHostileInputs:
         assert code == 0
         assert len(derivatives) == 2
         assert sum(any(m is d.matrix for d in derivatives) for m in left) == 2
+
+
+def _run_child(argv, tmp_path, hash_seed="0", address_space=None, timeout=120):
+    """``simhodge`` in a fresh interpreter with a fixed hash seed, one BLAS
+    thread and optionally an address-space limit in bytes (so an allocation
+    past it fails in the child instead of exhausting the machine)."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import simhodge
+
+    def limit():
+        import resource
+        resource.setrlimit(resource.RLIMIT_AS, (address_space, address_space))
+
+    env = dict(os.environ, PYTHONHASHSEED=hash_seed, OPENBLAS_NUM_THREADS="1",
+               OMP_NUM_THREADS="1",
+               PYTHONPATH=str(Path(simhodge.__file__).resolve().parents[1]))
+    return subprocess.run([sys.executable, "-m", "simhodge.cli", *argv],
+                          env=env, cwd=tmp_path, capture_output=True, text=True,
+                          timeout=timeout,
+                          preexec_fn=limit if address_space else None)
+
+
+def test_numerically_equal_labels_ignore_hash_seed(tmp_path):
+    """Labels "1" and "01" have the same integer value; their ids, and so
+    the ``ph`` indices, must not depend on set iteration order."""
+    facets = tmp_path / "ties.txt"
+    facets.write_text("01 2\n1 3\n")
+    runs = [_run_child(["ph", "--input", str(facets), "--seed", "0"], tmp_path,
+                       hash_seed=seed) for seed in ("0", "1")]
+    assert [run.returncode for run in runs] == [0, 0]
+    first, second = (json.loads(run.stdout)["results"] for run in runs)
+    assert first == second
+    assert parse_facets("01 2\n1 3\n").labels == {0: "01", 1: "1", 2: "2", 3: "3"}
+
+
+class TestEigensolves:
+    @pytest.mark.parametrize("command, extra, solves", [
+        ("report", [], {"eigh": 0, "eigvalsh": 8}),  # 3 order-1, 5 order-2 blocks
+        ("betti", [], {"eigh": 0, "eigvalsh": 3}),
+        ("betti", ["--order", "2"], {"eigh": 0, "eigvalsh": 5}),
+        ("heat", [], {"eigh": 0, "eigvalsh": 3}),
+        ("lefschetz", ["--perm", "swap.txt"], {"eigh": 3, "eigvalsh": 0}),
+    ])
+    def test_vectors_only_where_read(self, tmp_path, capsys, monkeypatch,
+                                     solver_calls, command, extra, solves):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "octahedron.txt").write_text(
+            serialize_facets(generate("octahedron")))
+        (tmp_path / "swap.txt").write_text("(0 1)(2 3)\n")
+        code, _, err = run_cli([command, "--input", "octahedron.txt", *extra],
+                               capsys)
+        assert code == 0, err
+        assert solver_calls == solves
+
+    @pytest.mark.parametrize("argv", [
+        ["report"], ["betti", "--order", "2"]])
+    def test_dense_block_budget_is_four(self, tmp_path, capsys, monkeypatch, argv):
+        from simhodge import operators
+
+        def never(*args):
+            raise AssertionError("a basis was built before the budget was checked")
+
+        monkeypatch.setattr(operators, "DENSE_BLOCK_LIMIT", 100)  # order 2 needs 132
+        monkeypatch.setattr(operators, "connection_basis", never)
+        octahedron = tmp_path / "octahedron.txt"
+        octahedron.write_text(serialize_facets(generate("octahedron")))
+        code, out, err = run_cli([*argv, "--input", str(octahedron)], capsys)
+        assert code == 4
+        assert out == ""
+        assert err.startswith("resource limit: degree-2 block is 132 wide")
+
+    def test_order_three_curvature_still_four(self, tmp_path, capsys):
+        octahedron = tmp_path / "octahedron.txt"
+        octahedron.write_text(serialize_facets(generate("octahedron")))
+        code, _, err = run_cli(["curvature", "--input", str(octahedron),
+                                "--order", "3"], capsys)
+        assert code == 4
+        assert err.startswith("resource limit: order 3 needs 4442 tuples")
+
+    @pytest.mark.parametrize("argv", [
+        ["report"], ["betti", "--order", "2"]])
+    def test_wide_order_two_blocks_refused_in_a_bounded_child(self, tmp_path, argv):
+        """random(40, 0.3) has an order-2 block 30732 wide (7 GiB as dense
+        int64); refused before any basis, well inside a 2 GiB address space."""
+        import time
+
+        big = tmp_path / "random40.txt"
+        big.write_text(serialize_facets(generate("random", 40, seed=1,
+                                                 edge_prob=0.3)))
+        started = time.monotonic()
+        done = _run_child([*argv, "--input", str(big)], tmp_path,
+                          address_space=2 << 30, timeout=60)
+        elapsed = time.monotonic() - started
+        assert done.returncode == 4, done.stderr[-2000:]
+        assert done.stderr.startswith(
+            "resource limit: degree-2 block is 7463 wide")
+        assert elapsed < 10

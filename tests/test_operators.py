@@ -10,10 +10,10 @@ from scipy import sparse
 
 from simhodge import (ContractViolationError, GradedBasis, GradedOperator,
                       InvalidInputError, boundary_chain, connection_basis,
-                      connection_derivative, connection_tuple_count, dirac,
-                      downward_closure, exterior_derivative, f_matrix,
-                      generate, graded_basis, hodge, stokes_check,
-                      whitney_complex)
+                      connection_degree_counts, connection_derivative,
+                      connection_tuple_count, dirac, downward_closure,
+                      exterior_derivative, f_matrix, generate, graded_basis,
+                      hodge, stokes_check, whitney_complex)
 
 
 class TestGradedBasis:
@@ -239,6 +239,13 @@ class TestConnectionBasis:
         c = suite["circle3"]
         assert connection_tuple_count(c, 4) == len(brute_force_tuples(c, 4))
         assert connection_tuple_count(c, 4) == len(connection_basis(c, 4))
+
+    def test_degree_counts_match_basis_dims(self, suite):
+        for name in ("circle3", "star3", "wheel4", "octahedron", "random3"):
+            for k in (1, 2, 3):
+                assert connection_degree_counts(suite[name], k) \
+                    == connection_basis(suite[name], k).dims, (name, k)
+        assert connection_degree_counts(downward_closure([]), 2) == ()
 
 
 class TestConnectionDerivative:

@@ -5,7 +5,8 @@ import pytest
 from scipy import sparse
 
 from simhodge import (ContractViolationError, GradedBasis, GradedOperator,
-                      InvalidInputError, barycentric_refinement, betti,
+                      InvalidInputError, ResourceLimitError,
+                      barycentric_refinement, betti,
                       cohomological_index, connection_derivative, dirac, downward_closure,
                       euler_characteristic, exterior_derivative, generate,
                       harmonic_projector, heat_supertrace, hodge, skeleton,
@@ -72,6 +73,8 @@ class TestSpectrum:
         m = sparse.csr_array(np.array([[0, 1], [0, 0]]))
         with pytest.raises(ContractViolationError):
             spectrum(GradedOperator(m, basis), 0)
+        with pytest.raises(ContractViolationError):  # the path with vectors
+            harmonic_projector(GradedOperator(m, basis), 0)
 
     def test_nonzero_even_odd_spectra_match(self, k3):
         _, L = de_rham_hodge(k3)
@@ -246,3 +249,46 @@ class TestSpectrumReport:
             left.clear()
             spectrum_report(d)
             assert sum(m is d.matrix for m in left) == 1
+
+
+class TestEigenvalueOnlySolves:
+    def test_values_match_eigh(self, suite):
+        for name, c in suite.items():
+            _, L = de_rham_hodge(c)
+            for k in range(L.basis.max_degree + 1):
+                expected = np.linalg.eigh(L.diag_block(k).astype(float))[0]
+                assert np.max(np.abs(L.eigenvalues(k) - expected),
+                              initial=0.0) < 1e-10, (name, k)
+
+    def test_values_then_vectors_solves_once_more(self, solver_calls):
+        _, L = de_rham_hodge(generate("octahedron"))
+        values = L.eigenvalues(1)
+        assert L.eigensystem(1, vectors=False)[1] is None
+        assert solver_calls == {"eigh": 0, "eigvalsh": 1}
+        w, v = L.eigensystem(1)
+        assert solver_calls == {"eigh": 1, "eigvalsh": 1}
+        assert np.max(np.abs(w - values)) < 1e-10
+        assert L.eigenvalues(1) is w and L.eigensystem(1)[1] is v
+        assert solver_calls == {"eigh": 1, "eigvalsh": 1}
+
+    def test_vectors_then_values_solves_once(self, solver_calls):
+        _, L = de_rham_hodge(generate("octahedron"))
+        w, _ = L.eigensystem(1)
+        assert L.eigenvalues(1) is w
+        assert harmonic_projector(L, 1).shape == (12, 12)
+        assert solver_calls == {"eigh": 1, "eigvalsh": 0}
+
+    def test_block_width_checked_before_the_block_is_built(self, monkeypatch):
+        from simhodge import operators
+
+        _, L = de_rham_hodge(generate("octahedron"))  # widths 6, 12, 8
+
+        def never(*args):
+            raise AssertionError("a block was built before the budget was checked")
+
+        monkeypatch.setattr(operators, "DENSE_BLOCK_LIMIT", 8)
+        monkeypatch.setattr(GradedOperator, "diag_block", never)
+        for vectors in (False, True):
+            with pytest.raises(ResourceLimitError, match="degree-1 block is 12 wide"):
+                L.eigensystem(1, vectors=vectors)
+        assert L._eigs == {}
