@@ -3,7 +3,7 @@
 One subcommand per pipeline; every run emits a versioned JSON report.  For a
 fixed input and seed its exact ``results`` fields are byte-deterministic, and
 its float fields are for a fixed BLAS build and thread count.  Exit codes: 0
-success, 2 parse or invalid input, 3 contract violation, 4 resource limit.
+success, 2 invalid input or --out write error, 3 contract violation, 4 resource limit.
 """
 
 from __future__ import annotations
@@ -108,7 +108,7 @@ def _cmd_report(c, args):
         "euler_characteristic": euler_characteristic(c),
         "wu": {"2": wu_characteristic(c, 2), "3": wu_characteristic(c, 3)},
     }
-    curvatures = {1: gauss_bonnet_curvature(c), 2: multilinear_curvature(c, 2)}
+    curvatures = {k: multilinear_curvature(c, k) for k in (1, 2)}
     reports, triples = {}, {}
     for order, curvature in curvatures.items():
         d = derivatives[order]
@@ -198,7 +198,7 @@ def _cmd_ph(c, args):
 
 def _cmd_lefschetz(c, args):
     t = check_automorphism(c, parse_permutation(read_text(args.perm), c))
-    d = exterior_derivative(c)
+    d = _derivative_for(c, 1, True)
     report = lefschetz_report(c, t, d, hodge(dirac(d)))
     heats = {str(x): report.heat_trace(x) for x in _parse_times(args.t)}
     payload = report.to_payload()
@@ -216,7 +216,7 @@ def _parse_times(text: str):
 
 
 def _cmd_heat(c, args):
-    big_l = hodge(dirac(exterior_derivative(c)))
+    big_l = hodge(dirac(_derivative_for(c, 1, True)))
     chi = euler_characteristic(c)
     values = {str(x): heat_supertrace(big_l, x) for x in _parse_times(args.t)}
     deviation = max((abs(v - chi) for v in values.values()), default=0.0)
@@ -321,9 +321,14 @@ def _write_output(text: str, out_path):
     if base_dir and not os.path.isabs(out_path):
         out_path = os.path.join(base_dir, out_path)
     tmp = f"{out_path}.tmp"
-    with open(tmp, "w", encoding="utf-8") as handle:
-        handle.write(text)
-    os.replace(tmp, out_path)
+    handle = open(tmp, "w", encoding="utf-8")  # from here on tmp is ours
+    try:
+        with handle:
+            handle.write(text)
+        os.replace(tmp, out_path)
+    except OSError:
+        os.remove(tmp)
+        raise
 
 
 def run(args) -> str:
@@ -370,7 +375,7 @@ def _json_default(value):
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        text = run(args)
+        _write_output(run(args), args.out)
     except (InvalidInputError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_PARSE
@@ -380,7 +385,6 @@ def main(argv=None) -> int:
     except ContractViolationError as err:
         print(f"contract violation: {err}", file=sys.stderr)
         return EXIT_CONTRACT
-    _write_output(text, args.out)
     return EXIT_OK
 
 

@@ -4,7 +4,8 @@ A complex is a finite set of non-empty vertex sets closed under taking
 non-empty subsets.  Vertices are non-negative integer ids; text labels, when
 they exist, ride along in a side table and never affect the mathematics.
 All constructors return immutable, hashable ``Complex`` values, so every
-operation in this package is a pure function.
+operation in this package is a pure function.  ``tuple_fold``, the only
+code that builds meet masks, walks every pairwise intersecting tuple.
 """
 
 from __future__ import annotations
@@ -21,6 +22,9 @@ Simplex = tuple[int, ...]
 # Simplices a complex may hold, checked before they are enumerated; at the
 # limit a complex takes about 100 MB, and building a refinement about 210 MB.
 SIMPLEX_LIMIT = 2 ** 18
+# Simplices the tuple fold builds |c|-bit meet masks for: at the limit they
+# take 128 MiB, as one dense float block DENSE_BLOCK_LIMIT wide does.
+MEET_MASK_LIMIT = 2 ** 15
 
 
 def as_simplex(vertices) -> Simplex:
@@ -273,18 +277,15 @@ def euler_characteristic(c: Complex) -> int:
     return sum(simplex_weight(s) for s in c.simplices)
 
 
-def intersection_masks(c: Complex) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Per simplex, its vertex-set bitmask (bit i for the i-th sorted vertex)
-    and the bitmask of simplices meeting it.
-
-    Both follow the deterministic order.  Simplex i meets simplex j exactly
-    when they share a vertex, so each meet mask is the union over the
-    vertices of i of the simplices containing that vertex.  Computed once per
-    complex.
+def intersection_masks(c: Complex) -> tuple[int, ...]:
+    """Per simplex, in the deterministic order, the bitmask of the simplices
+    meeting it: the union of the vertex stars of its vertices.  Computed once
+    per complex, after the MEET_MASK_LIMIT check.
     """
     if c._meet is None:
-        bit = {v: 1 << i for i, v in enumerate(sorted(c.base))}
-        masks = tuple(sum(bit[v] for v in s) for s in c)
+        if len(c) > MEET_MASK_LIMIT:
+            raise ResourceLimitError(
+                f"meet masks over {len(c)} simplices, limit is {MEET_MASK_LIMIT}")
         star = {v: 0 for v in c.base}
         for i, s in enumerate(c):
             for v in s:
@@ -295,26 +296,63 @@ def intersection_masks(c: Complex) -> tuple[tuple[int, ...], tuple[int, ...]]:
             for v in s:
                 m |= star[v]
             meet.append(m)
-        c._meet = (masks, tuple(meet))
+        c._meet = tuple(meet)
     return c._meet
+
+
+def iter_bits(mask: int):
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def tuple_fold(c: Complex, k: int, weights, acc0, step) -> dict:
+    """Fold the first k-1 slots of the pairwise intersecting k-tuples of c.
+
+    From the empty prefix, which allows every simplex, each step appends
+    each allowed simplex i, narrows the allowed mask by the meet mask of i,
+    multiplies in weights[i] and updates the accumulator to step(acc, i).
+    Returns {(allowed, acc): summed weight product} over the (k-1)-prefixes;
+    callers finish the k-th slot over the bits of ``allowed``.  Order 1
+    folds no slot, so it builds no meet masks.
+    """
+    if k < 1:
+        raise InvalidInputError("order must be at least 1")
+    prefixes = {((1 << len(c)) - 1, acc0): 1}
+    meet = intersection_masks(c) if k > 1 else ()
+    for _ in range(k - 1):
+        grown = {}
+        for (allowed, acc), w in prefixes.items():
+            for i in iter_bits(allowed):
+                key = (allowed & meet[i], step(acc, i))
+                grown[key] = grown.get(key, 0) + w * weights[i]
+        prefixes = grown
+    return prefixes
+
+
+def layer_fold(c: Complex, k: int, acc0, step):
+    """Triples (acc, dim, count): ``count`` pairwise intersecting k-tuples
+    fold their first k-1 slots to ``acc`` and end in a dim-simplex."""
+    fv = f_vector(c)  # c iterates dimension-major: one bit range per layer
+    layers = [((1 << n) - 1) << start
+              for n, start in zip(fv, itertools.accumulate(fv, initial=0))]
+    for (allowed, acc), w in tuple_fold(c, k, [1] * len(c), acc0, step).items():
+        for dim, layer in enumerate(layers):
+            yield acc, dim, w * (allowed & layer).bit_count()
 
 
 def f_matrix(c: Complex) -> np.ndarray:
     """Counts of ordered intersecting simplex pairs by dimension pair.
 
     Entry (k, l) is the number of ordered pairs (a, b) with dim a = k,
-    dim b = l and a meeting b.  Symmetric, with diagonal at least the
-    f-vector since every simplex meets itself.
+    dim b = l and a meeting b: the order-2 fold keyed by dim a.  Symmetric,
+    with diagonal at least the f-vector since every simplex meets itself.
     """
-    d = c.dimension
-    if d < 0:
-        return np.zeros((0, 0), dtype=np.int64)
-    layers = [0] * (d + 1)
-    for i, s in enumerate(c):
-        layers[len(s) - 1] |= 1 << i
-    out = np.zeros((d + 1, d + 1), dtype=np.int64)
-    for s, m in zip(c, intersection_masks(c)[1]):
-        out[len(s) - 1] += [(m & layer).bit_count() for layer in layers]
+    dims = [len(s) - 1 for s in c]
+    out = np.zeros((c.dimension + 1,) * 2, dtype=np.int64)
+    for first, dim, count in layer_fold(c, 2, None, lambda acc, i: dims[i]):
+        out[first, dim] += count
     return out
 
 

@@ -15,13 +15,12 @@ from fractions import Fraction
 
 import numpy as np
 
-from .complexes import (Complex, f_matrix, f_vector, intersection_masks,
-                        simplex_weight, unit_sphere)
+from .complexes import (Complex, f_matrix, f_vector, iter_bits, simplex_weight,
+                        tuple_fold, unit_sphere)
 from .errors import InvalidInputError, ResourceLimitError
 from .io import fraction_payload
 from .operators import (GradedOperator, alternating_sum, connection_degree_counts,
-                        connection_derivative, exterior_derivative, iter_bits,
-                        tuple_fold)
+                        connection_derivative, exterior_derivative)
 from .spectral import betti
 
 EXHAUSTIVE_VERTEX_LIMIT = 8
@@ -115,9 +114,10 @@ def sphere_curvature(c: Complex) -> dict[int, Fraction]:
 def _vertex_tallies(c: Complex, k: int, weights) -> list[dict[int, int]]:
     """Per vertex (sorted order), the summed weight products of the pairwise
     intersecting k-tuples whose vertex union contains it, keyed by union size."""
-    vmasks, meet = intersection_masks(c)
+    bit = {v: 1 << j for j, v in enumerate(sorted(c.base))}
+    vmasks = [sum(bit[v] for v in s) for s in c]
     tallies: list[dict[int, int]] = [{} for _ in c.base]
-    for (allowed, prefix), w in tuple_fold(meet, k, weights, 0,
+    for (allowed, prefix), w in tuple_fold(c, k, weights, 0,
                                            lambda acc, i: acc | vmasks[i]).items():
         # group the last slot by final union, per prefix to keep memory flat
         unions: dict[int, int] = {}

@@ -146,12 +146,12 @@ def integrate(initial: GradedOperator | FlowState, t_end: float, dt: float,
     if not (isinstance(sample_every, numbers.Integral) and sample_every >= 1):
         raise InvalidInputError("sample_every must be a positive integer")
     basis = initial.basis
+    steps = _check_budget(len(basis), t_end, dt, sample_every)
     if isinstance(initial, GradedOperator):
         m, t0 = initial.to_dense(), 0.0
     else:
         m, t0 = np.asarray(initial.matrix, dtype=float), initial.t
     split_by_degree(m, basis)  # validates shape and symmetry
-    steps = _check_budget(len(basis), t_end, dt, sample_every)
     m = np.triu(m) + np.triu(m, 1).T  # exactly symmetric from here on
     sign = _sign_matrix(basis)
     work = np.empty((4,) + m.shape)

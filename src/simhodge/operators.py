@@ -2,22 +2,22 @@
 
 The de Rham basis of a complex is its simplex list; a connection basis of
 order k consists of the ordered k-tuples of pairwise intersecting simplices,
-graded by total dimension.  ``tuple_fold`` is the one walk over those
-tuples: connection bases, tuple counts and tuple curvatures all fold their
-prefixes with it and finish the last slot themselves (tuple counts, and so
-Wu characteristics, through a degree accumulator).  Every simplex is
-oriented by its increasing vertex order (a gauge choice), which fixes all
-incidence signs.  Operators are square ``intlinalg.IntMatrix`` triplets
-over a single graded basis, so exterior derivative, Dirac, Hodge and
-automorphism actions share one exact integer representation; chain actions
-run on Python integers.
+graded by total dimension.  ``complexes.tuple_fold`` is the one walk over
+those tuples: connection bases and their degree counts (so Wu
+characteristics) fold them, and basis membership is the connection
+derivative's intersection test.  Every simplex is oriented by its increasing
+vertex order (a gauge choice), which fixes all incidence signs.  Operators
+are square ``intlinalg.IntMatrix`` triplets over a single graded basis, so
+exterior derivative, Dirac, Hodge and automorphism actions share one exact
+integer representation; chain actions run on Python integers.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .complexes import Complex, intersection_masks
+from .complexes import (Complex, intersection_masks,  # noqa: F401, perfbench times it
+                        iter_bits, layer_fold, tuple_fold)
 from .errors import ContractViolationError, InvalidInputError, ResourceLimitError
 from .intlinalg import IntMatrix, as_integer, int_matrix
 
@@ -227,42 +227,10 @@ def stokes_check(d: GradedOperator, form: dict, chain: dict):
     return lhs, rhs, lhs == rhs
 
 
-def iter_bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
-def tuple_fold(meet, k: int, weights, acc0=None, step=None) -> dict:
-    """Fold the first k-1 slots of the pairwise intersecting k-tuples.
-
-    ``meet[i]`` is the bitmask of simplices meeting simplex i.  Starting from
-    the empty prefix, each step appends every simplex allowed by the prefix,
-    narrows the allowed mask by its meet mask, multiplies in its weight and
-    updates the accumulator with ``step(acc, i)`` (kept when step is None).
-    Returns {(allowed, acc): summed weight product} over the (k-1)-prefixes;
-    the k-th slot ranges over the bits of ``allowed``, which callers finish
-    themselves.
-    """
-    if k < 1:
-        raise InvalidInputError("order must be at least 1")
-    prefixes = {((1 << len(meet)) - 1, acc0): 1}
-    for _ in range(k - 1):
-        grown = {}
-        for (allowed, acc), w in prefixes.items():
-            for i in iter_bits(allowed):
-                key = (allowed & meet[i], acc if step is None else step(acc, i))
-                grown[key] = grown.get(key, 0) + w * weights[i]
-        prefixes = grown
-    return prefixes
-
-
 def connection_basis(c: Complex, k: int) -> GradedBasis:
     """Ordered k-tuples of pairwise intersecting simplices, graded by total dimension."""
     order = list(c)
-    _, meet = intersection_masks(c)
-    prefixes = tuple_fold(meet, k, [1] * len(order), (), lambda acc, i: acc + (i,))
+    prefixes = tuple_fold(c, k, [1] * len(order), (), lambda acc, i: acc + (i,))
     elements, degrees = [], []
     for allowed, chosen in prefixes:
         for i in iter_bits(allowed):
@@ -275,17 +243,10 @@ def connection_basis(c: Complex, k: int) -> GradedBasis:
 def connection_degree_counts(c: Complex, k: int) -> tuple[int, ...]:
     """Per total degree, the number of ordered pairwise-intersecting k-tuples:
     one fold with a degree accumulator, without materializing the tuples."""
-    _, meet = intersection_masks(c)
     dims = [len(s) - 1 for s in c]
-    top = max(dims, default=-1)
-    masks = [0] * (top + 1)
-    for i, dim in enumerate(dims):
-        masks[dim] |= 1 << i
-    counts = [0] * (k * top + 1)  # a top simplex k times has the top degree
-    for (allowed, degree), w in tuple_fold(meet, k, [1] * len(dims), 0,
-                                           lambda acc, i: acc + dims[i]).items():
-        for dim, mask in enumerate(masks):
-            counts[degree + dim] += w * (allowed & mask).bit_count()
+    counts = [0] * (k * c.dimension + 1)  # a top simplex k times has the top degree
+    for degree, dim, count in layer_fold(c, k, 0, lambda acc, i: acc + dims[i]):
+        counts[degree + dim] += count
     return tuple(counts)
 
 
@@ -298,13 +259,12 @@ def require_connection_budget(c: Complex, k: int, eigensolve: bool = False):
     """ResourceLimitError before the order-k basis is built: an order of three
     or more over CONNECTION_TUPLE_LIMIT tuples, or, when its Hodge blocks are
     to be solved, a degree over DENSE_BLOCK_LIMIT tuples."""
-    if k >= 3:
-        count = connection_tuple_count(c, k)
-        if count > CONNECTION_TUPLE_LIMIT:
-            raise ResourceLimitError(
-                f"order {k} needs {count} tuples, limit is {CONNECTION_TUPLE_LIMIT}")
-    if eigensolve:
-        for degree, width in enumerate(connection_degree_counts(c, k)):
+    if k >= 3 or eigensolve:
+        counts = connection_degree_counts(c, k)
+        if k >= 3 and sum(counts) > CONNECTION_TUPLE_LIMIT:
+            raise ResourceLimitError(f"order {k} needs {sum(counts)} tuples, "
+                                     f"limit is {CONNECTION_TUPLE_LIMIT}")
+        for degree, width in enumerate(counts if eigensolve else ()):
             require_dense_block(degree, width)
 
 
@@ -313,27 +273,24 @@ def connection_derivative(c: Complex, k: int) -> GradedOperator:
 
     Each slot contributes its simplicial boundary with the graded sign
     (-1)^(sum of the dimensions before the slot); terms whose tuple stops
-    being pairwise intersecting are dropped.  Tuples containing a disjoint
-    pair can never regain intersection under further boundaries, so this is
-    the differential of a quotient complex and squares to zero for every
-    order.  Order 1 reproduces the exterior derivative.
+    being pairwise intersecting, that is stops being a basis element, are
+    dropped.  Tuples containing a disjoint pair can never regain
+    intersection under further boundaries, so this is the differential of a
+    quotient complex and squares to zero for every order.  Order 1
+    reproduces the exterior derivative.
     """
     basis = connection_basis(c, k)
-    vmask = dict(zip(c, intersection_masks(c)[0]))
     rows, cols, vals = [], [], []
     for i, element in enumerate(basis.elements):
         prefix = 0
         for slot, simplex in enumerate(element):
-            if len(simplex) > 1:
-                others = [vmask[t] for t_i, t in enumerate(element) if t_i != slot]
-                for j in range(len(simplex)):
-                    face = simplex[:j] + simplex[j + 1:]
-                    fm = vmask[face]
-                    if all(fm & om for om in others):
-                        target = element[:slot] + (face,) + element[slot + 1:]
-                        rows.append(i)
-                        cols.append(basis.index[target])
-                        vals.append((-1) ** (prefix + j))
+            for j in range(len(simplex)):  # a vertex's empty face is in no tuple
+                face = simplex[:j] + simplex[j + 1:]
+                col = basis.index.get(element[:slot] + (face,) + element[slot + 1:])
+                if col is not None:
+                    rows.append(i)
+                    cols.append(col)
+                    vals.append((-1) ** (prefix + j))
             prefix += len(simplex) - 1
     n = len(basis)
     return GradedOperator(IntMatrix(rows, cols, vals, (n, n)), basis, shift=1)

@@ -384,6 +384,17 @@ class TestCli:
         assert json.loads(out_path.read_text())["command"] == "heat"
         assert not (tmp_path / "report.json.tmp").exists()
 
+    @pytest.mark.parametrize("target", ["missing/report.json", "adir"])
+    def test_unwritable_out_is_two(self, k3_file, tmp_path, capsys, target):
+        (tmp_path / "adir").mkdir()
+        code, out, err = run_cli(["heat", "--input", k3_file, "--format", "edges",
+                                  "--out", str(tmp_path / target)], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert list(tmp_path.rglob("*.tmp")) == []
+        assert list((tmp_path / "adir").iterdir()) == []
+
     def test_out_dir_environment_variable(self, k3_file, tmp_path, capsys,
                                           monkeypatch):
         monkeypatch.setenv("SIMHODGE_OUT_DIR", str(tmp_path))
@@ -694,7 +705,7 @@ class TestHostileInputs:
         code, out, _ = run_cli(["report", "--input", k3_file,
                                 "--format", "edges"], capsys)
         assert code == 0
-        assert calls == {"betti": 2, "multilinear_curvature": 1,
+        assert calls == {"betti": 2, "multilinear_curvature": 2,  # one per order
                          "exterior_derivative": 1, "connection_derivative": 1}
         triples = json.loads(out)["results"]["index_theorem"]
         assert all(t["equal"] for t in triples.values())
@@ -805,6 +816,25 @@ def test_simplex_budget_is_four_in_a_bounded_child(tmp_path, name, text, argv,
     assert time.monotonic() - started < 10
 
 
+@pytest.mark.parametrize("argv, code", [
+    (["report"], 4), (["betti"], 4), (["betti", "--order", "2"], 4),
+    (["curvature", "--order", "2"], 4), (["heat"], 4), (["lax"], 4),
+    (["lefschetz", "--perm", "identity.txt"], 4), (["curvature"], 0)])
+def test_one_17_vertex_facet_in_a_bounded_child(tmp_path, argv, code):
+    """One facet on 17 vertices spans 131071 simplices, inside SIMPLEX_LIMIT.
+    Order 1 builds no meet masks, and every meet mask, dense block and flow
+    over budget is refused before it is allocated, inside 2 GiB."""
+    (tmp_path / "facet17.txt").write_text(" ".join(map(str, range(17))) + "\n")
+    (tmp_path / "identity.txt").write_text("0->0\n")
+    done = _run_child([argv[0], "--input", "facet17.txt", *argv[1:]], tmp_path,
+                      address_space=2 << 30, timeout=60)
+    assert done.returncode == code, done.stderr[-2000:]
+    if code == 4:
+        assert done.stderr.startswith("resource limit: ")
+    else:
+        assert json.loads(done.stdout)["results"]["total_matches_characteristic"]
+
+
 def test_numerically_equal_labels_ignore_hash_seed(tmp_path):
     """Labels "1" and "01" have the same integer value; their ids, and so
     the ``ph`` indices, must not depend on set iteration order."""
@@ -853,6 +883,24 @@ class TestEigensolves:
         assert code == 4
         assert out == ""
         assert err.startswith("resource limit: degree-2 block is 132 wide")
+
+    @pytest.mark.parametrize("command, extra", [
+        ("heat", []), ("lefschetz", ["--perm", "swap.txt"])])
+    def test_order_one_budget_before_any_solve(self, tmp_path, capsys, monkeypatch,
+                                               solver_calls, command, extra):
+        from simhodge import operators
+
+        monkeypatch.setattr(operators, "DENSE_BLOCK_LIMIT", 10)  # edges need 12
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "octahedron.txt").write_text(
+            serialize_facets(generate("octahedron")))
+        (tmp_path / "swap.txt").write_text("(0 1)(2 3)\n")
+        code, out, err = run_cli([command, "--input", "octahedron.txt", *extra],
+                                 capsys)
+        assert code == 4
+        assert out == ""
+        assert err.startswith("resource limit: degree-1 block is 12 wide")
+        assert solver_calls == {"eigh": 0, "eigvalsh": 0}
 
     def test_order_three_curvature_still_four(self, tmp_path, capsys):
         octahedron = tmp_path / "octahedron.txt"

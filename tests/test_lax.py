@@ -296,9 +296,11 @@ class TestClosedForm:
 class TestBudget:
     @pytest.fixture()
     def no_steps(self, monkeypatch):
-        def step(*args):
-            raise AssertionError("a step ran before the budget was checked")
-        monkeypatch.setattr(lax, "_rk4_step", step)
+        def never(*args):
+            raise AssertionError("a step or the dense copy ran before the budget "
+                                 "was checked")
+        monkeypatch.setattr(lax, "_rk4_step", never)
+        monkeypatch.setattr(lax.GradedOperator, "to_dense", never)
 
     @pytest.mark.parametrize("t_end, dt", [(1e12, 1e-3), (1e300, 1e-300)])
     def test_too_many_steps_refused(self, c4, no_steps, t_end, dt):

@@ -9,11 +9,15 @@ from conftest import as_scipy
 from scipy import sparse
 
 from simhodge import (ContractViolationError, GradedBasis, GradedOperator,
-                      InvalidInputError, boundary_chain, connection_basis,
-                      connection_degree_counts, connection_derivative,
-                      connection_tuple_count, dirac, downward_closure,
-                      exterior_derivative, f_matrix, generate, graded_basis,
-                      hodge, stokes_check, whitney_complex)
+                      InvalidInputError, ResourceLimitError, boundary_chain,
+                      connection_basis, connection_degree_counts,
+                      connection_derivative, connection_tuple_count, dirac,
+                      downward_closure, euler_characteristic,
+                      exterior_derivative, f_matrix, f_vector,
+                      gauss_bonnet_curvature, generate, graded_basis, hodge,
+                      multilinear_curvature, stokes_check, whitney_complex,
+                      wu_characteristic)
+from simhodge.intlinalg import IntMatrix
 
 
 class TestGradedBasis:
@@ -248,7 +252,92 @@ class TestConnectionBasis:
         assert connection_degree_counts(downward_closure([]), 2) == ()
 
 
+class TestMeetMasks:
+    def test_order_one_builds_none(self, suite, tmp_path, capsys, monkeypatch):
+        import sys
+
+        from simhodge import complexes
+        from simhodge.cli import main
+        from simhodge.io import serialize_facets
+
+        def never(c):
+            raise AssertionError("order 1 built meet masks")
+
+        builder = complexes.intersection_masks
+        for name, module in list(sys.modules.items()):  # every binding of it
+            if name.startswith("simhodge") and \
+                    getattr(module, "intersection_masks", None) is builder:
+                monkeypatch.setattr(module, "intersection_masks", never)
+        c = suite["octahedron"]
+        assert connection_degree_counts(c, 1) == f_vector(c)
+        assert wu_characteristic(c, 1) == euler_characteristic(c)
+        assert multilinear_curvature(c, 1) == gauss_bonnet_curvature(c)
+        assert len(connection_basis(c, 1)) == len(c)
+        path = tmp_path / "octahedron.txt"
+        path.write_text(serialize_facets(c))
+        assert main(["betti", "--input", str(path)]) == 0
+        assert capsys.readouterr().err == ""
+
+    def test_budget_refuses_before_building(self, monkeypatch):
+        from simhodge import complexes
+
+        monkeypatch.setattr(complexes, "MEET_MASK_LIMIT", 10)
+        c = downward_closure([(0, 1, 2, 3)])  # 15 simplices
+        for count in (lambda: connection_degree_counts(c, 2), lambda: f_matrix(c),
+                      lambda: multilinear_curvature(c, 2)):
+            with pytest.raises(ResourceLimitError,
+                               match="^meet masks over 15 simplices, limit is 10$"):
+                count()
+        assert c._meet is None
+        assert connection_degree_counts(c, 1) == (4, 6, 4, 1)
+
+    def test_budget_folds_once(self, suite, monkeypatch):
+        from simhodge import operators
+
+        calls = []
+
+        def counted(c, k):
+            calls.append(k)
+            return connection_degree_counts(c, k)
+
+        monkeypatch.setattr(operators, "connection_degree_counts", counted)
+        operators.require_connection_budget(suite["circle3"], 3, eigensolve=True)
+        operators.require_connection_budget(suite["circle3"], 2)
+        assert calls == [3]
+
+
+def vmask_derivative(c, k):
+    """The connection derivative by the vertex-mask rule: a face term stays
+    when the face's vertex mask meets the mask of every other slot."""
+    basis = connection_basis(c, k)
+    bit = {v: 1 << i for i, v in enumerate(sorted(c.base))}
+    vmask = {s: sum(bit[v] for v in s) for s in c}
+    rows, cols, vals = [], [], []
+    for i, element in enumerate(basis.elements):
+        prefix = 0
+        for slot, simplex in enumerate(element):
+            if len(simplex) > 1:
+                others = [vmask[t] for t_i, t in enumerate(element) if t_i != slot]
+                for j in range(len(simplex)):
+                    face = simplex[:j] + simplex[j + 1:]
+                    if all(vmask[face] & om for om in others):
+                        target = element[:slot] + (face,) + element[slot + 1:]
+                        rows.append(i)
+                        cols.append(basis.index[target])
+                        vals.append((-1) ** (prefix + j))
+            prefix += len(simplex) - 1
+    return IntMatrix(rows, cols, vals, (len(basis), len(basis)))
+
+
 class TestConnectionDerivative:
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_basis_membership_is_the_vertex_mask_rule(self, suite, k):
+        for name, c in suite.items():
+            expected, got = vmask_derivative(c, k), connection_derivative(c, k).matrix
+            for field in ("row", "col", "data"):
+                assert np.array_equal(getattr(got, field), getattr(expected, field)), \
+                    (name, k, field)
+
     def test_order_one_is_exterior_derivative(self, suite):
         for name in ("wheel4", "circle3", "random2"):
             c = suite[name]
