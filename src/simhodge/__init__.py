@@ -11,11 +11,10 @@ from .errors import (ContractViolationError, DivergenceError,
                      InvalidInputError, ParseError, ResourceLimitError,
                      SimhodgeError)
 from .indices import (ExpectationResult, IndexTriple, analytic_index,
-                      cohomological_index, gauss_bonnet_curvature,
-                      index_expectation, index_theorem_report,
-                      mean_tuple_curvature, multilinear_curvature,
+                      cohomological_index, index_expectation,
+                      index_theorem_report, multilinear_curvature,
                       poincare_hopf, sphere_curvature, valuation_evaluate,
-                      wu_characteristic, wu_intersection)
+                      vertex_spread, wu_characteristic, wu_intersection)
 from .intlinalg import IntMatrix, exact_nullity, exact_rank
 from .lax import (FlowState, bracket_field, deformed_stokes_probe, integrate,
                   spectral_drift, split_by_degree, trajectory_to_csv,

@@ -23,14 +23,13 @@ from .complexes import (barycentric_operator, barycentric_refinement,
                         euler_characteristic, f_matrix, f_vector, skeleton)
 from .errors import (ContractViolationError, InvalidInputError,
                      ResourceLimitError)
-from .indices import (IndexTriple, gauss_bonnet_curvature, index_expectation,
-                      multilinear_curvature, poincare_hopf, seeded_rng,
-                      wu_characteristic)
+from .indices import (IndexTriple, index_expectation, multilinear_curvature,
+                      poincare_hopf, seeded_rng, wu_characteristic)
 from .io import (field_payload, fraction_payload, operator_to_json,
                  operator_to_triplets, parse_input, parse_permutation,
                  parse_vertex_function, read_text, serialize_facets,
                  sha256_hex)
-from .lax import integrate, trajectory_to_csv, trajectory_to_json
+from .lax import flow_steps, integrate, trajectory_to_csv, trajectory_to_json
 from .lefschetz import check_automorphism, lefschetz_report
 from .operators import (connection_derivative, dirac, exterior_derivative,
                         hodge, require_connection_budget)
@@ -177,8 +176,7 @@ def _cmd_ph(c, args):
         if result.stderr is not None:
             payload["stderr"] = field_payload(c, result.stderr)
         if result.exhaustive:
-            curvature = gauss_bonnet_curvature(c)
-            payload["matches_curvature"] = result.values == curvature
+            payload["matches_curvature"] = result.values == multilinear_curvature(c, 1)
         return payload
     if args.function:
         f = parse_vertex_function(read_text(args.function), c)
@@ -231,9 +229,10 @@ def _cmd_heat(c, args):
 def _lax_states(c, args):
     if not 0 < args.dt < math.inf:
         raise InvalidInputError(f"--dt must be positive and finite, got {args.dt}")
-    big_d = dirac(exterior_derivative(c))
     # sample every 0.1 time units; the cap keeps a subnormal dt from overflowing
     sample_every = max(1, round(min(0.1 / args.dt, 1e18)))
+    flow_steps(len(c), args.t_end, args.dt, sample_every)  # before any operator
+    big_d = dirac(exterior_derivative(c))
     return integrate(big_d, args.t_end, args.dt, sample_every=sample_every)
 
 

@@ -84,25 +84,11 @@ def wu_characteristic(c: Complex, k: int = 2) -> int:
     return alternating_sum(connection_degree_counts(c, k))
 
 
-def gauss_bonnet_curvature(c: Complex) -> dict[int, Fraction]:
-    """Vertex curvature K(v), each simplex spreading its weight over its vertices.
-
-    K(v) = sum over simplices x containing v of (-1)^dim(x) / (dim(x)+1),
-    so the curvatures add up to the Euler characteristic exactly.
-    """
-    curvature = {v: Fraction(0) for v in c.base}
-    for s in c.simplices:
-        share = Fraction(simplex_weight(s), len(s))
-        for v in s:
-            curvature[v] += share
-    return curvature
-
-
 def sphere_curvature(c: Complex) -> dict[int, Fraction]:
     """The same curvature from link counts: 1 - V_0/2 + V_1/3 - V_2/4 + ...
 
     V_k(v) counts the k-simplices of the unit sphere of v.  Agrees with
-    gauss_bonnet_curvature vertex by vertex.
+    multilinear_curvature(c, 1) vertex by vertex.
     """
     out = {}
     for v in sorted(c.base):
@@ -111,12 +97,16 @@ def sphere_curvature(c: Complex) -> dict[int, Fraction]:
     return out
 
 
-def _vertex_tallies(c: Complex, k: int, weights) -> list[dict[int, int]]:
-    """Per vertex (sorted order), the summed weight products of the pairwise
-    intersecting k-tuples whose vertex union contains it, keyed by union size."""
+def vertex_spread(c: Complex, k: int, weights) -> dict[int, Fraction]:
+    """Push per-simplex weights onto the vertices.
+
+    Every pairwise intersecting ordered k-tuple carries the product of its
+    members' weights, shared equally among the vertices of their union, so
+    the field sums to the weight products summed over all such tuples.
+    """
     bit = {v: 1 << j for j, v in enumerate(sorted(c.base))}
     vmasks = [sum(bit[v] for v in s) for s in c]
-    tallies: list[dict[int, int]] = [{} for _ in c.base]
+    tallies: list[dict[int, int]] = [{} for _ in c.base]  # union size -> weight
     for (allowed, prefix), w in tuple_fold(c, k, weights, 0,
                                            lambda acc, i: acc | vmasks[i]).items():
         # group the last slot by final union, per prefix to keep memory flat
@@ -129,32 +119,18 @@ def _vertex_tallies(c: Complex, k: int, weights) -> list[dict[int, int]]:
             for b in iter_bits(union):
                 t = tallies[b]
                 t[size] = t.get(size, 0) + total
-    return tallies
-
-
-def multilinear_curvature(c: Complex, k: int) -> dict[int, Fraction]:
-    """Order-k curvature distributing each tuple weight over its vertex union.
-
-    Every pairwise intersecting ordered k-tuple carries the product of its
-    member weights; the share lands equally on the vertices of the union of
-    its members, so the total over vertices is the order-k characteristic.
-    Order 1 reduces to gauss_bonnet_curvature.
-    """
-    tallies = _vertex_tallies(c, k, [simplex_weight(s) for s in c])
-    return {v: sum(Fraction(w, size) for size, w in t.items())
+    return {v: sum((Fraction(w, size) for size, w in t.items()), Fraction(0))
             for v, t in zip(sorted(c.base), tallies)}
 
 
-def mean_tuple_curvature(c: Complex, k: int) -> dict[int, Fraction]:
-    """Diagnostic per-vertex average of tuple weights over incident tuples.
+def multilinear_curvature(c: Complex, k: int) -> dict[int, Fraction]:
+    """Order-k curvature: the vertex spread of the weights (-1)^dim.
 
-    The plain mean over all pairwise intersecting k-tuples whose vertex union
-    contains v.  Unlike multilinear_curvature it carries no sum identity."""
-    sums = _vertex_tallies(c, k, [simplex_weight(s) for s in c])
-    # never empty: the k-fold repeat of (v,) is a tuple containing v
-    counts = _vertex_tallies(c, k, [1] * len(c))
-    return {v: Fraction(sum(s.values()), sum(n.values()))
-            for v, s, n in zip(sorted(c.base), sums, counts)}
+    The total over vertices is the order-k characteristic.  Order 1 is the
+    Gauss-Bonnet curvature, K(v) = sum over simplices x containing v of
+    (-1)^dim(x) / (dim(x)+1), which adds up to the Euler characteristic.
+    """
+    return vertex_spread(c, k, [simplex_weight(s) for s in c])
 
 
 def _index_field(c: Complex, ranks: np.ndarray) -> np.ndarray:

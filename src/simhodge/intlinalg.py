@@ -22,7 +22,12 @@ import math
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, ResourceLimitError
+
+# Stored-entry pairs a product may form, checked before they are allocated:
+# at the limit one int64 array over them takes 128 MiB, as a dense block
+# DENSE_BLOCK_LIMIT wide does.
+PRODUCT_PAIR_LIMIT = 2 ** 24
 
 
 class IntMatrix:
@@ -72,6 +77,9 @@ class IntMatrix:
             raise ValueError(f"shapes {self.shape} and {other.shape} do not chain")
         starts = np.searchsorted(other.row, np.arange(other.shape[0] + 1))
         counts = starts[self.col + 1] - starts[self.col]
+        if (pairs := int(counts.sum())) > PRODUCT_PAIR_LIMIT:
+            raise ResourceLimitError(f"product needs {pairs} entry pairs, "
+                                     f"limit is {PRODUCT_PAIR_LIMIT}")
         left = np.repeat(np.arange(self.nnz), counts)
         # position of each pair inside its run, plus where that row of other starts
         right = (np.arange(len(left)) - np.repeat(np.cumsum(counts) - counts, counts)

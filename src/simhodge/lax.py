@@ -111,8 +111,14 @@ def _rk4_step(m: np.ndarray, sign: np.ndarray, dt: float, work) -> np.ndarray:
     return np.add(m, np.multiply(dt / 6.0, total, out=total))
 
 
-def _check_budget(n: int, t_end: float, dt: float, sample_every: int) -> int:
-    """Number of steps, once the work and the sampled states fit the budgets."""
+def flow_steps(n: int, t_end: float, dt: float, sample_every: int) -> int:
+    """Number of steps of a size-n flow, once its arguments and budgets pass."""
+    if not 0 < dt < math.inf:
+        raise InvalidInputError("dt must be positive and finite")
+    if not 0 <= t_end < math.inf:
+        raise InvalidInputError("t_end must be non-negative and finite")
+    if not (isinstance(sample_every, numbers.Integral) and sample_every >= 1):
+        raise InvalidInputError("sample_every must be a positive integer")
     ratio = t_end / dt
     work = ratio * max(n, 1) ** 3
     if not work <= MAX_FLOW_WORK:
@@ -139,14 +145,8 @@ def integrate(initial: GradedOperator | FlowState, t_end: float, dt: float,
     first step when the run would exceed MAX_FLOW_WORK or its sampled states
     MAX_TRAJECTORY_BYTES.
     """
-    if not 0 < dt < math.inf:
-        raise InvalidInputError("dt must be positive and finite")
-    if not 0 <= t_end < math.inf:
-        raise InvalidInputError("t_end must be non-negative and finite")
-    if not (isinstance(sample_every, numbers.Integral) and sample_every >= 1):
-        raise InvalidInputError("sample_every must be a positive integer")
     basis = initial.basis
-    steps = _check_budget(len(basis), t_end, dt, sample_every)
+    steps = flow_steps(len(basis), t_end, dt, sample_every)
     if isinstance(initial, GradedOperator):
         m, t0 = initial.to_dense(), 0.0
     else:

@@ -10,12 +10,12 @@ fixed-simplex indices; heat deformation interpolates between the two sides.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
 from .complexes import Complex, simplex_weight
 from .errors import ContractViolationError, InvalidInputError
+from .indices import vertex_spread
 from .intlinalg import IntMatrix, as_integer
 from .io import field_payload
 from .operators import GradedBasis, GradedOperator
@@ -162,19 +162,16 @@ def fixed_point_indices(t: Automorphism, c: Complex):
 
     A simplex is fixed when its image equals it as a set; its index is
     (-1)^dim times the sign of the permutation induced on its vertices,
-    exactly the diagonal entry of the induced map in the super trace.
+    exactly the diagonal entry of the induced map in the super trace.  The
+    vertex field is the vertex spread of those indices.
     """
     mapping = t.as_dict()
-    fixed = []
-    vertex_indices = {v: Fraction(0) for v in c.base}
+    indices = []  # 0 on a simplex that is not fixed
     for s in c:
         image, sign = _signed_image(mapping, s)
-        if image == s:
-            index = simplex_weight(s) * sign
-            fixed.append((s, index))
-            for v in s:
-                vertex_indices[v] += Fraction(index, len(s))
-    return fixed, vertex_indices
+        indices.append(simplex_weight(s) * sign if image == s else 0)
+    fixed = [(s, index) for s, index in zip(c, indices) if index]
+    return fixed, vertex_spread(c, 1, indices)
 
 
 def heat_lefschetz(t: Automorphism, L: GradedOperator, time: float) -> float:

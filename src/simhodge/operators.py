@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from .complexes import (Complex, intersection_masks,  # noqa: F401, perfbench times it
-                        iter_bits, layer_fold, tuple_fold)
+                        SIMPLEX_LIMIT, iter_bits, layer_fold, tuple_fold)
 from .errors import ContractViolationError, InvalidInputError, ResourceLimitError
 from .intlinalg import IntMatrix, as_integer, int_matrix
 
@@ -228,9 +228,14 @@ def stokes_check(d: GradedOperator, form: dict, chain: dict):
 
 
 def connection_basis(c: Complex, k: int) -> GradedBasis:
-    """Ordered k-tuples of pairwise intersecting simplices, graded by total dimension."""
+    """Ordered k-tuples of pairwise intersecting simplices, graded by total
+    dimension; more than SIMPLEX_LIMIT of them are refused before any is built."""
     order = list(c)
     prefixes = tuple_fold(c, k, [1] * len(order), (), lambda acc, i: acc + (i,))
+    count = sum(allowed.bit_count() for allowed, _ in prefixes)  # keys are distinct
+    if count > SIMPLEX_LIMIT:
+        raise ResourceLimitError(f"order {k} needs {count} tuples, "
+                                 f"limit is {SIMPLEX_LIMIT}")
     elements, degrees = [], []
     for allowed, chosen in prefixes:
         for i in iter_bits(allowed):

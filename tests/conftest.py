@@ -1,5 +1,7 @@
 """Shared fixtures: the standard complex zoo used across the test suite."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -7,6 +9,7 @@ from scipy import sparse
 
 from simhodge import (barycentric_refinement, generate, skeleton,
                       whitney_complex)
+from simhodge.complexes import simplex_weight
 
 # Property tests draw the same examples on every run and have no per-example
 # deadline, so a slow example on a busy host is not a failure.
@@ -19,6 +22,18 @@ def as_scipy(matrix):
     for operator identities checked with scipy's own arithmetic."""
     return sparse.csr_array((matrix.data, (matrix.row, matrix.col)),
                             shape=matrix.shape)
+
+
+def gauss_bonnet_curvature(c) -> dict:
+    """Oracle for the order-1 curvature: each simplex spreads its weight
+    (-1)^dim over its vertices, so K(v) sums (-1)^dim(x) / (dim(x)+1) over
+    the simplices x containing v and the curvatures add up to chi exactly."""
+    curvature = {v: Fraction(0) for v in c.base}
+    for s in c.simplices:
+        share = Fraction(simplex_weight(s), len(s))
+        for v in s:
+            curvature[v] += share
+    return curvature
 
 
 def k3_whitney():

@@ -12,16 +12,16 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from conftest import gauss_bonnet_curvature
 
 from simhodge import (Complex, barycentric_operator, barycentric_refinement,
                       betti, check_automorphism, connection_derivative, dirac,
                       euler_characteristic, exterior_derivative, f_vector,
-                      fixed_point_indices, gauss_bonnet_curvature, generate,
-                      heat_lefschetz, heat_supertrace, hodge,
-                      index_expectation, integrate, lefschetz_number,
-                      multilinear_curvature, poincare_hopf, random_subcomplex,
-                      spectral_drift, spectrum_report, supersymmetry_check,
-                      whitney_complex, wu_characteristic)
+                      fixed_point_indices, generate, heat_lefschetz,
+                      heat_supertrace, hodge, index_expectation, integrate,
+                      lefschetz_number, multilinear_curvature, poincare_hopf,
+                      random_subcomplex, spectral_drift, spectrum_report,
+                      supersymmetry_check, whitney_complex, wu_characteristic)
 from simhodge.cli import main
 
 HEAT_TIMES = (0.0, 0.1, 0.5, 1.0, 5.0, 10.0)
@@ -268,3 +268,12 @@ def test_criterion_11_cli(tmp_path, capsys):
     assert results["within_tolerance"] is True
     print("PASS criterion 11: round trip, deterministic payloads, "
           "exit codes 0/2/4 exercised")
+
+
+def test_readme_tour_runs():
+    """The library tour in README.md runs as written."""
+    from pathlib import Path
+
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    tour = readme.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(tour, "README.md", "exec"), {})

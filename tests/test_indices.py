@@ -6,16 +6,17 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from conftest import gauss_bonnet_curvature
 
 from simhodge import (InvalidInputError, ResourceLimitError, analytic_index,
                       barycentric_refinement, betti, cohomological_index,
                       connection_derivative, downward_closure,
-                      euler_characteristic, f_vector, gauss_bonnet_curvature,
-                      generate, index_expectation, index_theorem_report,
-                      mean_tuple_curvature, multilinear_curvature,
-                      poincare_hopf, random_subcomplex, skeleton,
-                      sphere_curvature, unit_sphere, valuation_evaluate,
-                      wu_characteristic, wu_intersection)
+                      euler_characteristic, f_vector, generate,
+                      index_expectation, index_theorem_report,
+                      multilinear_curvature, poincare_hopf,
+                      random_subcomplex, skeleton, sphere_curvature,
+                      unit_sphere, valuation_evaluate, wu_characteristic,
+                      wu_intersection)
 from simhodge.complexes import simplex_weight
 
 
@@ -33,12 +34,10 @@ def brute_force_wu(c, k):
 
 
 def brute_force_curvatures(c, k):
-    """Oracle: per-vertex multilinear and mean tuple curvature by product
-    enumeration, each tuple weight spread over the vertices of its union."""
+    """Oracle: per-vertex multilinear curvature by product enumeration, each
+    tuple weight spread over the vertices of its union."""
     simplices = [frozenset(s) for s in c.simplices]
     shares = {v: Fraction(0) for v in c.base}
-    sums = {v: 0 for v in c.base}
-    counts = {v: 0 for v in c.base}
     for combo in itertools.product(simplices, repeat=k):
         if all(a & b for a, b in itertools.combinations(combo, 2)):
             w = 1
@@ -47,10 +46,7 @@ def brute_force_curvatures(c, k):
             union = frozenset().union(*combo)
             for v in union:
                 shares[v] += Fraction(w, len(union))
-                sums[v] += w
-                counts[v] += 1
-    means = {v: Fraction(sums[v], counts[v]) for v in c.base}
-    return shares, means
+    return shares
 
 
 class TestAnalyticIndex:
@@ -218,15 +214,8 @@ class TestMultilinearCurvature:
             for k in (1, 2, 3):
                 if k == 3 and len(c) > 26:
                     continue
-                shares, means = brute_force_curvatures(c, k)
+                shares = brute_force_curvatures(c, k)
                 assert multilinear_curvature(c, k) == shares, (name, k)
-                assert mean_tuple_curvature(c, k) == means, (name, k)
-
-    def test_mean_diagnostic_runs(self, k3):
-        means = mean_tuple_curvature(k3, 2)
-        assert set(means) == k3.base
-        single = downward_closure([{0}])
-        assert mean_tuple_curvature(single, 1) == {0: Fraction(1)}
 
 
 class TestPoincareHopf:

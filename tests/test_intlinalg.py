@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 
-from simhodge import IntMatrix, exact_nullity, exact_rank
+from simhodge import IntMatrix, ResourceLimitError, exact_nullity, exact_rank
 
 
 def fraction_rank(matrix):
@@ -175,3 +175,20 @@ def test_int_matrix_matches_scipy(data):
     r0, r1 = sorted(data.draw(st.integers(0, r)) for _ in range(2))
     c0, c1 = sorted(data.draw(st.integers(0, k)) for _ in range(2))
     assert_same(a.block(slice(r0, r1), slice(c0, c1)), sa.tocsr()[r0:r1, c0:c1])
+
+
+def test_product_pair_limit_is_checked_before_allocation(monkeypatch):
+    from simhodge import intlinalg
+
+    a = IntMatrix([0, 0, 1], [0, 1, 1], [1, 2, 3], (2, 2))  # a @ a forms 4 pairs
+    monkeypatch.setattr(intlinalg, "PRODUCT_PAIR_LIMIT", 4)
+    assert_same(a @ a, sparse.csr_array(a.toarray() @ a.toarray()))
+
+    def never(*args, **kwargs):
+        raise AssertionError("pairs were allocated before the limit was checked")
+
+    monkeypatch.setattr(intlinalg, "PRODUCT_PAIR_LIMIT", 3)
+    monkeypatch.setattr(intlinalg.np, "repeat", never)
+    with pytest.raises(ResourceLimitError,
+                       match="product needs 4 entry pairs, limit is 3"):
+        a @ a

@@ -608,12 +608,16 @@ class TestHostileInputs:
         ["--dt", "5e-324"],
     ])
     def test_unbounded_lax_is_four(self, k3_file, capsys, monkeypatch, flags):
-        from simhodge import lax
+        from simhodge import cli, lax
 
         def step(*args):
             raise AssertionError("a step ran before the budget was checked")
 
+        def build(*args):
+            raise AssertionError("an operator was built before the budget was checked")
+
         monkeypatch.setattr(lax, "_rk4_step", step)
+        monkeypatch.setattr(cli, "exterior_derivative", build)
         code, out, err = run_cli(["lax", "--input", k3_file,
                                   "--format", "edges", *flags], capsys)
         assert code == 4
@@ -819,11 +823,13 @@ def test_simplex_budget_is_four_in_a_bounded_child(tmp_path, name, text, argv,
 @pytest.mark.parametrize("argv, code", [
     (["report"], 4), (["betti"], 4), (["betti", "--order", "2"], 4),
     (["curvature", "--order", "2"], 4), (["heat"], 4), (["lax"], 4),
-    (["lefschetz", "--perm", "identity.txt"], 4), (["curvature"], 0)])
+    (["lefschetz", "--perm", "identity.txt"], 4), (["curvature"], 0),
+    (["export", "--operator", "hodge"], 4)])
 def test_one_17_vertex_facet_in_a_bounded_child(tmp_path, argv, code):
     """One facet on 17 vertices spans 131071 simplices, inside SIMPLEX_LIMIT.
-    Order 1 builds no meet masks, and every meet mask, dense block and flow
-    over budget is refused before it is allocated, inside 2 GiB."""
+    Order 1 builds no meet masks, and every meet mask, dense block, flow and
+    operator product over budget is refused before it is allocated, inside
+    2 GiB."""
     (tmp_path / "facet17.txt").write_text(" ".join(map(str, range(17))) + "\n")
     (tmp_path / "identity.txt").write_text("0->0\n")
     done = _run_child([argv[0], "--input", "facet17.txt", *argv[1:]], tmp_path,
@@ -833,6 +839,21 @@ def test_one_17_vertex_facet_in_a_bounded_child(tmp_path, argv, code):
         assert done.stderr.startswith("resource limit: ")
     else:
         assert json.loads(done.stdout)["results"]["total_matches_characteristic"]
+
+
+def test_order_two_basis_over_simplex_limit_is_four(tmp_path):
+    """A 10-vertex facet has 989527 ordered intersecting pairs, more than
+    SIMPLEX_LIMIT: refused before any basis element is built."""
+    import time
+
+    (tmp_path / "facet10.txt").write_text(" ".join(map(str, range(10))) + "\n")
+    started = time.monotonic()
+    done = _run_child(["export", "--input", "facet10.txt", "--order", "2"],
+                      tmp_path, address_space=2 << 30, timeout=60)
+    assert done.returncode == 4, done.stderr[-2000:]
+    assert done.stderr.startswith(
+        "resource limit: order 2 needs 989527 tuples, limit is 262144")
+    assert time.monotonic() - started < 2
 
 
 def test_numerically_equal_labels_ignore_hash_seed(tmp_path):

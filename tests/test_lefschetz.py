@@ -282,6 +282,23 @@ class TestSharedSuperTrace:
                 assert abs(value - direct_heat(u, L, time)) <= 1e-12, (name, time)
                 assert report.heat_trace(time) == value, (name, time)
 
+    def test_vertex_field_against_fixed_simplex_loop(self, suite):
+        """Each fixed simplex shares its index, (-1)^dim times the diagonal
+        entry of the induced map, among its vertices; the field sums to the
+        Lefschetz number."""
+        for name, perm in automorphism_cases(suite):
+            c = suite[name]
+            d, L = de_rham(c)
+            t = check_automorphism(c, perm)
+            diagonal = induced_map(t, L.basis).matrix.toarray().diagonal()
+            expected = {v: Fraction(0) for v in c.base}
+            for s, sign in zip(L.basis.elements, diagonal.tolist()):
+                for v in s:
+                    expected[v] += Fraction((-1) ** (len(s) - 1) * sign, len(s))
+            _, field = fixed_point_indices(t, c)
+            assert field == expected, name
+            assert sum(field.values()) == lefschetz_number(t, d, L)[0], name
+
     def test_report_rejects_bad_times(self, c4, c4_ops):
         d, L = c4_ops
         report = lefschetz_report(c4, check_automorphism(c4, rotation(4)), d, L)

@@ -5,7 +5,7 @@ import random
 
 import numpy as np
 import pytest
-from conftest import as_scipy
+from conftest import as_scipy, gauss_bonnet_curvature
 from scipy import sparse
 
 from simhodge import (ContractViolationError, GradedBasis, GradedOperator,
@@ -13,10 +13,9 @@ from simhodge import (ContractViolationError, GradedBasis, GradedOperator,
                       connection_basis, connection_degree_counts,
                       connection_derivative, connection_tuple_count, dirac,
                       downward_closure, euler_characteristic,
-                      exterior_derivative, f_matrix, f_vector,
-                      gauss_bonnet_curvature, generate, graded_basis, hodge,
-                      multilinear_curvature, stokes_check, whitney_complex,
-                      wu_characteristic)
+                      exterior_derivative, f_matrix, f_vector, generate,
+                      graded_basis, hodge, multilinear_curvature,
+                      stokes_check, whitney_complex, wu_characteristic)
 from simhodge.intlinalg import IntMatrix
 
 
