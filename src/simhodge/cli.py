@@ -25,6 +25,7 @@ from .errors import (ContractViolationError, InvalidInputError,
                      ResourceLimitError)
 from .indices import (IndexTriple, index_expectation, multilinear_curvature,
                       poincare_hopf, seeded_rng, wu_characteristic)
+from .intlinalg import require_product_pairs
 from .io import (field_payload, fraction_payload, operator_to_json,
                  operator_to_triplets, parse_input, parse_permutation,
                  parse_vertex_function, read_text, serialize_facets,
@@ -260,11 +261,8 @@ def _cmd_refine(c, args):
     d = c.dimension
     fv = f_vector(c)
     fv1 = f_vector(refined)
-    if d >= 0:
-        s = barycentric_operator(d)
-        predicted = (s @ np.array(fv, dtype=np.int64)).tolist()
-    else:
-        predicted = []
+    predicted = ((barycentric_operator(d) @ np.array(fv, dtype=np.int64)).tolist()
+                 if d >= 0 else [])
     return {
         "f_vector": list(fv),
         "refined_f_vector": list(fv1),
@@ -288,6 +286,12 @@ def _cmd_skeleton(c, args):
 
 def _cmd_export(c, args):
     d = _derivative_for(c, args.order)
+    if args.operator == "hodge":
+        # the entry pairs of (d + d*)^2, counted before dirac(d) squares d:
+        # row j of d + d* holds row j and column j of d
+        per_row = np.bincount(np.concatenate([d.matrix.row, d.matrix.col]),
+                              minlength=len(d.basis))
+        require_product_pairs(int(per_row @ per_row))
     op = {"derivative": lambda: d,
           "dirac": lambda: dirac(d),
           "hodge": lambda: hodge(dirac(d))}[args.operator]()

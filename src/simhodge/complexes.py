@@ -4,8 +4,8 @@ A complex is a finite set of non-empty vertex sets closed under taking
 non-empty subsets.  Vertices are non-negative integer ids; text labels, when
 they exist, ride along in a side table and never affect the mathematics.
 All constructors return immutable, hashable ``Complex`` values, so every
-operation in this package is a pure function.  ``tuple_fold``, the only
-code that builds meet masks, walks every pairwise intersecting tuple.
+operation in this package is a pure function.  ``tuple_fold`` walks every
+pairwise intersecting tuple over meet masks built once per complex.
 """
 
 from __future__ import annotations
@@ -138,13 +138,10 @@ def downward_closure(facets, labels=None) -> Complex:
 
 
 def _check_simple_graph(vertices, edges):
-    vset = set()
-    for v in vertices:
-        vset.add(int(v))
+    vset = {int(v) for v in vertices}
     eset = set()
     for e in edges:
-        a, b = e
-        a, b = int(a), int(b)
+        a, b = map(int, e)
         if a == b:
             raise InvalidInputError(f"loop edge ({a},{a}) not allowed")
         if a not in vset or b not in vset:

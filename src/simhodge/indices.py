@@ -15,8 +15,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .complexes import (Complex, f_matrix, f_vector, iter_bits, simplex_weight,
-                        tuple_fold, unit_sphere)
+from .complexes import (Complex, f_matrix, f_vector, simplex_weight, tuple_fold,
+                        unit_sphere)
 from .errors import InvalidInputError, ResourceLimitError
 from .io import fraction_payload
 from .operators import (GradedOperator, alternating_sum, connection_degree_counts,
@@ -25,6 +25,9 @@ from .spectral import betti
 
 EXHAUSTIVE_VERTEX_LIMIT = 8
 SAMPLED_WORK_LIMIT = 10 ** 8  # draws times (vertices + link entries)
+# Scratch bytes per block of the vertex spread: one per simplex for each prefix,
+# and about 64 per (prefix, last simplex) pair and vertex slot of that simplex.
+SPREAD_BLOCK_BYTES = 2 ** 21
 
 
 def analytic_index(e_dims, f_dims) -> int:
@@ -98,29 +101,50 @@ def sphere_curvature(c: Complex) -> dict[int, Fraction]:
 
 
 def vertex_spread(c: Complex, k: int, weights) -> dict[int, Fraction]:
-    """Push per-simplex weights onto the vertices.
+    """Push integer per-simplex weights onto the vertices.
 
     Every pairwise intersecting ordered k-tuple carries the product of its
-    members' weights, shared equally among the vertices of their union, so
-    the field sums to the weight products summed over all such tuples.
+    members' weights, shared equally among the vertices of their union.  The
+    last slot runs over blocks of (prefix, last simplex) pairs: each pair's
+    weight goes to the vertices it adds, each prefix's pair totals to its own.
     """
-    bit = {v: 1 << j for j, v in enumerate(sorted(c.base))}
-    vmasks = [sum(bit[v] for v in s) for s in c]
-    tallies: list[dict[int, int]] = [{} for _ in c.base]  # union size -> weight
-    for (allowed, prefix), w in tuple_fold(c, k, weights, 0,
-                                           lambda acc, i: acc | vmasks[i]).items():
-        # group the last slot by final union, per prefix to keep memory flat
-        unions: dict[int, int] = {}
-        for i in iter_bits(allowed):
-            union = prefix | vmasks[i]
-            unions[union] = unions.get(union, 0) + w * weights[i]
-        for union, total in unions.items():
-            size = union.bit_count()
-            for b in iter_bits(union):
-                t = tallies[b]
-                t[size] = t.get(size, 0) + total
-    return {v: sum((Fraction(w, size) for size, w in t.items()), Fraction(0))
-            for v, t in zip(sorted(c.base), tallies)}
+    vertices = sorted(c.base)
+    n, nv, width = len(c), len(vertices), max(c.dimension + 1, 1)
+    column = {v: j for j, v in enumerate(vertices)}
+    vmasks = [sum(1 << column[v] for v in s) for s in c]
+    prefixes = tuple_fold(c, k, weights, 0, lambda acc, i: acc | vmasks[i])
+    members = np.full((n, width), nv, dtype=np.min_scalar_type(nv))  # nv pads
+    for i, s in enumerate(c):
+        members[i, :len(s)] = [column[v] for v in s]
+    big = sum(map(abs, prefixes.values())) * sum(map(abs, weights)) >= 2 ** 63
+    dtype = object if big else np.int64  # int64 unless a tally could overflow
+    last_weight = np.array(weights, dtype=dtype)
+    tallies = np.zeros((nv + 1, min(nv, k * width) + 1), dtype=dtype)  # vertex, size
+    step, row_bytes = max(1, SPREAD_BLOCK_BYTES // (64 * width)), (n + nv + 8) // 8
+    spent = itertools.accumulate(n + 64 * width * a.bit_count() for a, _ in prefixes)
+    for _, group in itertools.groupby(zip(prefixes, spent),
+                                      lambda e: e[1] // SPREAD_BLOCK_BYTES):
+        block = [key for key, _ in group]
+        # per prefix: allowed simplices, then union vertices and the pad nv
+        raw = b"".join((a | (u | 1 << nv) << n).to_bytes(row_bytes, "little")
+                       for a, u in block)
+        bits = np.unpackbits(np.frombuffer(raw, np.uint8).reshape(len(block), -1),
+                             axis=1, count=n + nv + 1, bitorder="little").view(bool)
+        (rows, last), inside = np.nonzero(bits[:, :n]), bits[:, n:]
+        prefix_size = inside.sum(axis=1) - 1
+        prefix_weight = np.array([prefixes[key] for key in block], dtype=dtype)
+        totals = np.zeros((len(block), tallies.shape[1]), dtype=dtype)
+        for at in range(0, len(rows), step):
+            p, x = rows[at:at + step], last[at:at + step]
+            new = ~inside[p[:, None], members[x]]
+            union = prefix_size[p] + new.sum(axis=1)
+            w = prefix_weight[p] * last_weight[x]
+            np.add.at(totals, (p, union), w)
+            j, slot = np.nonzero(new)
+            np.add.at(tallies, (members[x[j], slot], union[j]), w[j])
+        tallies += inside.T.astype(dtype) @ totals
+    return {v: sum((Fraction(w, s) for s, w in enumerate(t.tolist()) if w), Fraction(0))
+            for v, t in zip(vertices, tallies)}
 
 
 def multilinear_curvature(c: Complex, k: int) -> dict[int, Fraction]:

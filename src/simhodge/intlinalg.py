@@ -77,9 +77,7 @@ class IntMatrix:
             raise ValueError(f"shapes {self.shape} and {other.shape} do not chain")
         starts = np.searchsorted(other.row, np.arange(other.shape[0] + 1))
         counts = starts[self.col + 1] - starts[self.col]
-        if (pairs := int(counts.sum())) > PRODUCT_PAIR_LIMIT:
-            raise ResourceLimitError(f"product needs {pairs} entry pairs, "
-                                     f"limit is {PRODUCT_PAIR_LIMIT}")
+        require_product_pairs(int(counts.sum()))
         left = np.repeat(np.arange(self.nnz), counts)
         # position of each pair inside its run, plus where that row of other starts
         right = (np.arange(len(left)) - np.repeat(np.cumsum(counts) - counts, counts)
@@ -87,6 +85,14 @@ class IntMatrix:
         return IntMatrix(self.row[left], other.col[right],
                          self.data[left] * other.data[right],
                          (self.shape[0], other.shape[1]))
+
+
+def require_product_pairs(pairs: int):
+    """ResourceLimitError when a product would form more than PRODUCT_PAIR_LIMIT
+    stored-entry pairs."""
+    if pairs > PRODUCT_PAIR_LIMIT:
+        raise ResourceLimitError(f"product needs {pairs} entry pairs, "
+                                 f"limit is {PRODUCT_PAIR_LIMIT}")
 
 
 def int_matrix(matrix) -> IntMatrix:

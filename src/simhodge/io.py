@@ -118,10 +118,8 @@ def parse_input(path: str, fmt: str, raw: bytes | None = None) -> Complex:
 
 def serialize_facets(c: Complex) -> str:
     """Deterministic facet-list text; parsing it recovers the same complex."""
-    lines = []
-    for facet in c.facets():
-        labels = sorted((c.label_of(v) for v in facet), key=_label_sort_key)
-        lines.append(" ".join(labels))
+    lines = [" ".join(sorted(map(c.label_of, facet), key=_label_sort_key))
+             for facet in c.facets()]
     return "\n".join(sorted(lines)) + ("\n" if lines else "")
 
 
@@ -161,12 +159,8 @@ def parse_permutation(text: str, c: Complex) -> dict:
                 raise ParseError("expected exactly 'a -> b'", line=number)
             assign(resolve(parts[0]), resolve(parts[1]), number)
         elif body.startswith("("):
-            chunks = body.replace("(", " ").split(")")
-            for chunk in chunks:
-                names = chunk.split()
-                if not names:
-                    continue
-                ids = [resolve(name) for name in names]
+            for chunk in body.replace("(", " ").split(")"):
+                ids = [resolve(name) for name in chunk.split()]
                 for i, src in enumerate(ids):
                     assign(src, ids[(i + 1) % len(ids)], number)
         else:

@@ -9,6 +9,7 @@ fixed-simplex indices; heat deformation interpolates between the two sides.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -58,28 +59,23 @@ def check_automorphism(c: Complex, permutation: dict) -> Automorphism:
 def _signed_image(mapping: dict, s) -> tuple[tuple, int]:
     """Sorted image of a simplex and the parity of the permutation sorting it."""
     image = [mapping[v] for v in s]
-    sign = 1
-    for i in range(len(image)):
-        for j in range(i + 1, len(image)):
-            if image[i] > image[j]:
-                sign = -sign
-    return tuple(sorted(image)), sign
+    inversions = sum(a > b for a, b in itertools.combinations(image, 2))
+    return tuple(sorted(image)), (-1) ** inversions
 
 
 def induced_map(t: Automorphism, basis: GradedBasis) -> GradedOperator:
     """Signed permutation action of an automorphism on a simplex basis."""
     mapping = t.as_dict()
     n = len(basis)
-    rows, cols, vals = [], [], []
-    for i, s in enumerate(basis.elements):
+    rows, vals = [], []  # column i holds the image of basis element i
+    for s in basis.elements:
         target, sign = _signed_image(mapping, s)
         if target not in basis.index:
             raise InvalidInputError(
                 f"automorphism does not preserve the basis element {s}")
         rows.append(basis.index[target])
-        cols.append(i)
         vals.append(sign)
-    return GradedOperator(IntMatrix(rows, cols, vals, (n, n)), basis, shift=0)
+    return GradedOperator(IntMatrix(rows, range(n), vals, (n, n)), basis, shift=0)
 
 
 def _require_commuting(u: GradedOperator, other: GradedOperator, name: str):

@@ -14,12 +14,14 @@ integer representation; chain actions run on Python integers.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
-from .complexes import (Complex, intersection_masks,  # noqa: F401, perfbench times it
+from .complexes import (Complex, intersection_masks,
                         SIMPLEX_LIMIT, iter_bits, layer_fold, tuple_fold)
 from .errors import ContractViolationError, InvalidInputError, ResourceLimitError
-from .intlinalg import IntMatrix, as_integer, int_matrix
+from .intlinalg import PRODUCT_PAIR_LIMIT, IntMatrix, as_integer, int_matrix
 
 # Budgets checked before allocation, like lax.MAX_FLOW_WORK: a connection
 # basis of order three and up holds at most CONNECTION_TUPLE_LIMIT tuples,
@@ -46,14 +48,8 @@ class GradedBasis:
         if len(self.index) != len(self.elements):
             raise InvalidInputError("basis elements must be unique")
         top = max(self.degrees, default=-1)
-        dims = [0] * (top + 1)
-        for d in self.degrees:
-            dims[d] += 1
-        self.dims = tuple(dims)
-        offsets = [0]
-        for d in dims:
-            offsets.append(offsets[-1] + d)
-        self.offsets = tuple(offsets)
+        self.dims = tuple(self.degrees.count(d) for d in range(top + 1))
+        self.offsets = tuple(itertools.accumulate(self.dims, initial=0))
 
     @property
     def max_degree(self) -> int:
@@ -261,9 +257,14 @@ def connection_tuple_count(c: Complex, k: int) -> int:
 
 
 def require_connection_budget(c: Complex, k: int, eigensolve: bool = False):
-    """ResourceLimitError before the order-k basis is built: an order of three
-    or more over CONNECTION_TUPLE_LIMIT tuples, or, when its Hodge blocks are
-    to be solved, a degree over DENSE_BLOCK_LIMIT tuples."""
+    """ResourceLimitError before the order-k basis is built: order two over
+    PRODUCT_PAIR_LIMIT intersecting pairs, an order of three or more over
+    CONNECTION_TUPLE_LIMIT tuples, or, when its Hodge blocks are to be
+    solved, a degree over DENSE_BLOCK_LIMIT tuples."""
+    if k == 2 and (pairs := sum(m.bit_count() for m in intersection_masks(c))) \
+            > PRODUCT_PAIR_LIMIT:
+        raise ResourceLimitError(f"order 2 needs {pairs} intersecting pairs, "
+                                 f"limit is {PRODUCT_PAIR_LIMIT}")
     if k >= 3 or eigensolve:
         counts = connection_degree_counts(c, k)
         if k >= 3 and sum(counts) > CONNECTION_TUPLE_LIMIT:

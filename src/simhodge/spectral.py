@@ -32,11 +32,8 @@ def betti(d: GradedOperator) -> tuple[int, ...]:
     ranks = [exact_rank(d.matrix.block(d.basis.degree_slice(k + 1),
                                        d.basis.degree_slice(k)))
              for k in range(top + 1)]
-    out = []
-    for k in range(top + 1):
-        below = ranks[k - 1] if k > 0 else 0
-        out.append(d.basis.dimension_of(k) - ranks[k] - below)
-    return tuple(out)
+    return tuple(d.basis.dimension_of(k) - ranks[k] - (ranks[k - 1] if k else 0)
+                 for k in range(top + 1))
 
 
 def kernel_threshold(eigenvalues: np.ndarray) -> float:
@@ -118,25 +115,15 @@ def supersymmetry_check(L: GradedOperator, even_degrees=None,
     declared odd half is empty.
     """
     top = L.basis.max_degree
-    if even_degrees is None:
-        even_degrees = range(0, top + 1, 2)
-    if odd_degrees is None:
-        odd_degrees = range(1, top + 1, 2)
 
     def nonzero(degrees):
-        parts = []
-        for k in degrees:
-            eigs = L.eigenvalues(k)
-            parts.append(eigs[~kernel_mask(eigs)])
+        parts = [w[~kernel_mask(w)] for w in map(L.eigenvalues, degrees)]
         return np.sort(np.concatenate(parts)) if parts else np.zeros(0)
 
-    even = nonzero(even_degrees)
-    odd = nonzero(odd_degrees)
+    even = nonzero(range(0, top + 1, 2) if even_degrees is None else even_degrees)
+    odd = nonzero(range(1, top + 1, 2) if odd_degrees is None else odd_degrees)
     shared = min(len(even), len(odd))
-    if shared:
-        max_mismatch = float(np.max(np.abs(even[:shared] - odd[:shared])))
-    else:
-        max_mismatch = 0.0
+    max_mismatch = float(np.max(np.abs(even[:shared] - odd[:shared]), initial=0.0))
     return SupersymmetryReport(even, odd, max_mismatch, abs(len(even) - len(odd)))
 
 

@@ -15,9 +15,10 @@ from simhodge import (InvalidInputError, ResourceLimitError, analytic_index,
                       index_expectation, index_theorem_report,
                       multilinear_curvature, poincare_hopf,
                       random_subcomplex, skeleton, sphere_curvature,
-                      unit_sphere, valuation_evaluate, wu_characteristic,
-                      wu_intersection)
-from simhodge.complexes import simplex_weight
+                      unit_sphere, valuation_evaluate, vertex_spread,
+                      wu_characteristic, wu_intersection)
+from simhodge import indices
+from simhodge.complexes import intersection_masks, simplex_weight
 
 
 def brute_force_wu(c, k):
@@ -33,16 +34,17 @@ def brute_force_wu(c, k):
     return total
 
 
-def brute_force_curvatures(c, k):
+def brute_force_curvatures(c, k, weight=simplex_weight):
     """Oracle: per-vertex multilinear curvature by product enumeration, each
-    tuple weight spread over the vertices of its union."""
-    simplices = [frozenset(s) for s in c.simplices]
+    tuple's product of ``weight(simplex)`` spread over the vertices of its
+    union; the default weight (-1)^dim gives the curvature."""
+    simplices = list(c.simplices)
     shares = {v: Fraction(0) for v in c.base}
     for combo in itertools.product(simplices, repeat=k):
-        if all(a & b for a, b in itertools.combinations(combo, 2)):
+        if all(set(a) & set(b) for a, b in itertools.combinations(combo, 2)):
             w = 1
             for s in combo:
-                w *= (-1) ** (len(s) - 1)
+                w *= weight(s)
             union = frozenset().union(*combo)
             for v in union:
                 shares[v] += Fraction(w, len(union))
@@ -216,6 +218,50 @@ class TestMultilinearCurvature:
                     continue
                 shares = brute_force_curvatures(c, k)
                 assert multilinear_curvature(c, k) == shares, (name, k)
+
+
+class TestVertexSpread:
+    """The last slot of the spread runs in blocks of (prefix, last simplex)
+    pairs; every block size must give the enumerated shares exactly."""
+
+    def test_several_blocks_against_brute_force(self):
+        c = generate("random", 30, seed=4, edge_prob=0.4)
+        pairs = sum(m.bit_count() for m in intersection_masks(c))
+        width = c.dimension + 1
+        assert 64 * width * pairs > 4 * indices.SPREAD_BLOCK_BYTES  # several blocks
+        for k in (1, 2):
+            assert multilinear_curvature(c, k) == brute_force_curvatures(c, k), k
+
+    @pytest.mark.parametrize("block_bytes", [1, 64 * 4 * 3, 10 ** 4])
+    def test_block_size_does_not_change_the_field(self, suite, monkeypatch,
+                                                  block_bytes):
+        c = suite["octahedron"]
+        expected = {k: brute_force_curvatures(c, k) for k in (1, 2, 3)}
+        monkeypatch.setattr(indices, "SPREAD_BLOCK_BYTES", block_bytes)
+        for k in (1, 2, 3):
+            assert multilinear_curvature(c, k) == expected[k], k
+
+    @pytest.mark.parametrize("scale", [1, 2 ** 40])  # int64 tallies, then objects
+    def test_integer_weights_against_weighted_brute_force(self, suite, scale):
+        rng = random.Random(11)
+        for name in ("wheel4", "octahedron", "random3"):
+            c = suite[name]
+            weights = [scale * rng.randint(-7, 7) for _ in c]
+            weight_of = dict(zip(c, weights))
+            for k in (1, 2, 3):
+                if k == 3 and len(c) > 26:
+                    continue
+                assert vertex_spread(c, k, weights) == brute_force_curvatures(
+                    c, k, weight_of.__getitem__), (name, k)
+
+    def test_single_vertex(self):
+        c = downward_closure([(7,)])
+        for k in (1, 2, 3):
+            assert multilinear_curvature(c, k) == {7: Fraction(1)}
+            assert vertex_spread(c, k, [5]) == {7: Fraction(5 ** k)}
+
+    def test_empty_complex(self):
+        assert vertex_spread(downward_closure([]), 2, []) == {}
 
 
 class TestPoincareHopf:

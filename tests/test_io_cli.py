@@ -6,9 +6,9 @@ import pytest
 from conftest import as_scipy
 
 from simhodge import (ContractViolationError, InvalidInputError, ParseError,
-                      downward_closure, euler_characteristic,
-                      exterior_derivative, f_vector, generate,
-                      trajectory_to_csv)
+                      ResourceLimitError, dirac, downward_closure,
+                      euler_characteristic, exterior_derivative, f_vector,
+                      generate, trajectory_to_csv)
 from simhodge.cli import main
 from simhodge.io import (operator_to_json, operator_to_triplets, parse_edges,
                          parse_facets, parse_input, parse_permutation,
@@ -624,6 +624,32 @@ class TestHostileInputs:
         assert out == ""
         assert err.startswith("resource limit: ")
 
+    def test_hodge_export_budget_before_dirac(self, k3_file, capsys, monkeypatch):
+        """export --operator hodge counts the pairs of (d + d*)^2 from d alone,
+        the same count and message as the product it stands in for."""
+        from simhodge import cli, intlinalg
+
+        d = exterior_derivative(parse_input(k3_file, "edges"))
+        big_d = dirac(d).matrix
+        monkeypatch.setattr(intlinalg, "PRODUCT_PAIR_LIMIT", 0)
+        with pytest.raises(ResourceLimitError) as refused:
+            big_d @ big_d
+        pairs = int(str(refused.value).split()[2])
+        argv = ["export", "--input", k3_file, "--format", "edges",
+                "--operator", "hodge"]
+        monkeypatch.setattr(intlinalg, "PRODUCT_PAIR_LIMIT", pairs)
+        assert run_cli(argv, capsys)[0] == 0
+
+        def never(*args):
+            raise AssertionError("d was squared before the budget was checked")
+
+        monkeypatch.setattr(intlinalg, "PRODUCT_PAIR_LIMIT", pairs - 1)
+        monkeypatch.setattr(cli, "dirac", never)
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out) == (4, "")
+        assert err == (f"resource limit: product needs {pairs} entry pairs, "
+                       f"limit is {pairs - 1}\n")
+
     def test_non_finite_lefschetz_time_is_two(self, c4_file, tmp_path, capsys):
         perm = tmp_path / "perm.txt"
         perm.write_text("(a b c d)\n")
@@ -830,15 +856,38 @@ def test_one_17_vertex_facet_in_a_bounded_child(tmp_path, argv, code):
     Order 1 builds no meet masks, and every meet mask, dense block, flow and
     operator product over budget is refused before it is allocated, inside
     2 GiB."""
+    import time
+
     (tmp_path / "facet17.txt").write_text(" ".join(map(str, range(17))) + "\n")
     (tmp_path / "identity.txt").write_text("0->0\n")
+    started = time.monotonic()
     done = _run_child([argv[0], "--input", "facet17.txt", *argv[1:]], tmp_path,
                       address_space=2 << 30, timeout=60)
     assert done.returncode == code, done.stderr[-2000:]
+    if argv[-1] == "hodge":  # the Dirac-square pairs are counted before d @ d
+        assert time.monotonic() - started < 3
+        assert done.stderr == ("resource limit: product needs 37878958 entry "
+                               "pairs, limit is 16777216\n")
     if code == 4:
         assert done.stderr.startswith("resource limit: ")
     else:
         assert json.loads(done.stdout)["results"]["total_matches_characteristic"]
+
+
+def test_order_two_curvature_over_pair_budget_is_four(tmp_path):
+    """A 15-vertex facet has 32767 simplices, inside MEET_MASK_LIMIT, and
+    1059392917 ordered intersecting pairs: counted from the meet masks and
+    refused before the order-2 fold."""
+    import time
+
+    (tmp_path / "facet15.txt").write_text(" ".join(map(str, range(15))) + "\n")
+    started = time.monotonic()
+    done = _run_child(["curvature", "--input", "facet15.txt", "--order", "2"],
+                      tmp_path, address_space=2 << 30, timeout=60)
+    assert done.returncode == 4, done.stderr[-2000:]
+    assert done.stderr == ("resource limit: order 2 needs 1059392917 "
+                           "intersecting pairs, limit is 16777216\n")
+    assert time.monotonic() - started < 3
 
 
 def test_order_two_basis_over_simplex_limit_is_four(tmp_path):

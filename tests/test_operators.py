@@ -304,6 +304,23 @@ class TestMeetMasks:
         operators.require_connection_budget(suite["circle3"], 2)
         assert calls == [3]
 
+    def test_order_two_pair_budget_before_the_fold(self, monkeypatch):
+        from simhodge import complexes, operators
+
+        def never(*args):
+            raise AssertionError("folded before the budget check")
+
+        # a triangle: 3 vertices meet 4 simplices each, 3 edges 6, the face 7
+        c = downward_closure([(0, 1, 2)])
+        monkeypatch.setattr(operators, "PRODUCT_PAIR_LIMIT", 37)
+        operators.require_connection_budget(c, 2)
+        monkeypatch.setattr(operators, "PRODUCT_PAIR_LIMIT", 36)
+        monkeypatch.setattr(complexes, "tuple_fold", never)
+        monkeypatch.setattr(operators, "tuple_fold", never)
+        with pytest.raises(ResourceLimitError, match="^order 2 needs 37 "
+                           "intersecting pairs, limit is 36$"):
+            operators.require_connection_budget(c, 2)
+
 
 def vmask_derivative(c, k):
     """The connection derivative by the vertex-mask rule: a face term stays

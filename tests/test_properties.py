@@ -60,6 +60,14 @@ def test_index_identities_and_kernels(c, order):
     assert report.supersymmetry.symmetric
 
 
+@settings(max_examples=60)
+@given(small_complexes, st.sampled_from([1, 2, 3]))
+def test_curvature_totals_are_the_characteristic(c, order):
+    """The blocked vertex spread adds up to the tuple count's alternating sum."""
+    total = sum(multilinear_curvature(c, order).values(), Fraction(0))
+    assert total == wu_characteristic(c, order)
+
+
 PARSER_TEXT = st.one_of(
     st.text(),
     st.lists(st.sampled_from(["a", "b", "c", "1", "01", "2", "7", "(", ")",
