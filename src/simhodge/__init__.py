@@ -28,7 +28,7 @@ from .operators import (GradedBasis, GradedOperator, boundary_chain,
                         exterior_derivative, graded_basis, hodge,
                         stokes_check)
 from .spectral import (SpectrumReport, SupersymmetryReport, betti,
-                       harmonic_projector, heat_supertrace, spectrum,
+                       harmonic_projector, heat_supertrace, hodge_spectra,
                        spectrum_report, supersymmetry_check)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

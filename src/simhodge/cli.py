@@ -34,7 +34,7 @@ from .lax import flow_steps, integrate, trajectory_to_csv, trajectory_to_json
 from .lefschetz import check_automorphism, lefschetz_report
 from .operators import (connection_derivative, dirac, exterior_derivative,
                         hodge, require_connection_budget)
-from .spectral import heat_supertrace, spectrum_report
+from .spectral import heat_supertrace, hodge_spectra, spectrum_report
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -215,9 +215,9 @@ def _parse_times(text: str):
 
 
 def _cmd_heat(c, args):
-    big_l = hodge(dirac(_derivative_for(c, 1, True)))
+    spectra = hodge_spectra(_derivative_for(c, 1, True))
     chi = euler_characteristic(c)
-    values = {str(x): heat_supertrace(big_l, x) for x in _parse_times(args.t)}
+    values = {str(x): heat_supertrace(spectra, x) for x in _parse_times(args.t)}
     deviation = max((abs(v - chi) for v in values.values()), default=0.0)
     return {
         "euler_characteristic": chi,

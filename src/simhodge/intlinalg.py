@@ -24,9 +24,9 @@ import numpy as np
 
 from .errors import InvalidInputError, ResourceLimitError
 
-# Stored-entry pairs a product may form, checked before they are allocated:
-# at the limit one int64 array over them takes 128 MiB, as a dense block
-# DENSE_BLOCK_LIMIT wide does.
+# Stored-entry pairs a product may form, checked before they are allocated.
+# It forms them in runs of whole rows of about a 64th of the limit: at some
+# 100 bytes a pair, 25 MiB a run (more only for a row with more pairs).
 PRODUCT_PAIR_LIMIT = 2 ** 24
 
 
@@ -72,19 +72,28 @@ class IntMatrix:
                          np.concatenate([self.data, other.data]), self.shape)
 
     def __matmul__(self, other: IntMatrix) -> IntMatrix:
-        """Every stored (i, k, a) meets every stored (k, j, b) of ``other``."""
+        """Every stored (i, k, a) meets every stored (k, j, b) of ``other``, a
+        run of whole rows of ``self`` at a time; the runs' sums join in order."""
         if self.shape[1] != other.shape[0]:
             raise ValueError(f"shapes {self.shape} and {other.shape} do not chain")
+        shape = (self.shape[0], other.shape[1])
         starts = np.searchsorted(other.row, np.arange(other.shape[0] + 1))
         counts = starts[self.col + 1] - starts[self.col]
-        require_product_pairs(int(counts.sum()))
-        left = np.repeat(np.arange(self.nnz), counts)
-        # position of each pair inside its run, plus where that row of other starts
-        right = (np.arange(len(left)) - np.repeat(np.cumsum(counts) - counts, counts)
-                 + starts[self.col][left])
-        return IntMatrix(self.row[left], other.col[right],
-                         self.data[left] * other.data[right],
-                         (self.shape[0], other.shape[1]))
+        bounds = np.concatenate([[0], np.cumsum(counts)])  # each entry's first pair
+        require_product_pairs(int(bounds[-1]))
+        firsts = np.flatnonzero(np.diff(self.row, prepend=-1))  # entries starting a row
+        run = bounds[firsts] // max(PRODUCT_PAIR_LIMIT // 64, 1)
+        edges = [0, *firsts[1:][np.diff(run) > 0].tolist(), self.nnz]
+        # a pair's place in its entry's run, plus where that row of other starts
+        shift = starts[self.col] - bounds[:-1]
+        parts = []
+        for lo, hi in zip(edges, edges[1:]):
+            left = np.repeat(np.arange(lo, hi), counts[lo:hi])
+            right = np.arange(bounds[lo], bounds[hi]) + shift[left]
+            parts.append(IntMatrix(self.row[left], other.col[right],
+                                   self.data[left] * other.data[right], shape))
+        return parts[0] if len(parts) == 1 else IntMatrix(
+            *map(np.concatenate, zip(*((p.row, p.col, p.data) for p in parts))), shape)
 
 
 def require_product_pairs(pairs: int):

@@ -23,10 +23,10 @@ from .complexes import (Complex, intersection_masks,
 from .errors import ContractViolationError, InvalidInputError, ResourceLimitError
 from .intlinalg import PRODUCT_PAIR_LIMIT, IntMatrix, as_integer, int_matrix
 
-# Budgets checked before allocation, like lax.MAX_FLOW_WORK: a connection
-# basis of order three and up holds at most CONNECTION_TUPLE_LIMIT tuples,
-# and a Hodge block solved densely is at most DENSE_BLOCK_LIMIT wide (each
-# dense copy of a block that wide, int64 or float, takes 128 MiB).
+# Budgets checked before allocation, like lax.MAX_FLOW_WORK: an order-3+ basis
+# holds at most CONNECTION_TUPLE_LIMIT tuples, and a degree whose spectrum is
+# solved is at most DENSE_BLOCK_LIMIT wide (128 MiB a dense copy): values on
+# Gram blocks of d, min(dim_k, dim_{k+1}) wide, vectors on Hodge blocks, dim_k.
 CONNECTION_TUPLE_LIMIT = 2000
 DENSE_BLOCK_LIMIT = 4096
 

@@ -1,8 +1,9 @@
 """Betti numbers, spectra, harmonic projectors, and heat super-traces.
 
-Betti numbers come from exact integer rank computations and act as ground
-truth; eigenvalue pipelines are cross-validated against them.  The kernel
-detection threshold is 1e-7 relative to the largest eigenvalue of a block.
+Exact integer ranks give the Betti numbers that eigenvalue pipelines are
+checked against.  Values alone are solved on Gram matrices of d, min(dim_k,
+dim_{k+1}) wide, vectors on Hodge blocks, dim_k wide.  An eigenvalue counts
+as zero under 1e-7 times the top eigenvalue of its solved block.
 """
 
 from __future__ import annotations
@@ -12,9 +13,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ContractViolationError, InvalidInputError
+from .errors import InvalidInputError
 from .intlinalg import exact_rank
-from .operators import (GradedOperator, alternating_sum, dirac, hodge,
+from .operators import (GradedOperator, alternating_sum, require_dense_block,
                         require_nilpotent)
 
 KERNEL_TOL = 1e-7
@@ -46,17 +47,24 @@ def kernel_mask(eigenvalues: np.ndarray) -> np.ndarray:
     return eigenvalues < kernel_threshold(eigenvalues)
 
 
-def spectrum(L: GradedOperator, k: int) -> np.ndarray:
-    """Ascending eigenvalues of the degree-k Hodge block."""
-    eigs = L.eigenvalues(k)
-    if len(eigs) and eigs[0] < -SUSY_TOL:
-        raise ContractViolationError(
-            f"degree-{k} block has negative eigenvalue {eigs[0]}")
-    return eigs
-
-
-def numeric_kernel_count(L: GradedOperator, k: int) -> int:
-    return int(np.count_nonzero(kernel_mask(L.eigenvalues(k))))
+def hodge_spectra(d: GradedOperator) -> list[np.ndarray]:
+    """Ascending eigenvalues of each block L_k of L = (d + d*)^2, without L:
+    the non-zero ones are the squared singular values of d_{k-1} and d_k
+    (McKean-Singer), so one ``eigvalsh`` of the exact Gram matrix on the
+    narrower side of d_k, less its ``kernel_mask`` values, serves degrees k
+    and k+1, and zeros fill each degree up to its dimension."""
+    require_nilpotent(d)
+    basis, dims = d.basis, d.basis.dims
+    squares = [np.zeros(0)]  # the non-zero ones of d_{-1}, d_0, d_1, ...
+    for k in range(len(dims) - 1):
+        side = k if dims[k] <= dims[k + 1] else k + 1
+        require_dense_block(side, dims[side])
+        block = d.matrix.block(basis.degree_slice(k + 1), basis.degree_slice(k))
+        gram = block.T @ block if side == k else block @ block.T
+        w = np.linalg.eigvalsh(gram.toarray().astype(float))
+        squares.append(w[~kernel_mask(w)])
+    return [np.sort(np.concatenate([np.zeros(n - len(a) - len(b)), a, b]))
+            for n, a, b in zip(dims, squares, squares[1:] + [np.zeros(0)])]
 
 
 def _super_trace(pairs, f) -> tuple[float, list[float]]:
@@ -73,14 +81,14 @@ def _heat_trace(pairs, t: float) -> float:
     return _super_trace(pairs, lambda w: np.exp(-t * np.clip(w, 0.0, None)))[0]
 
 
-def heat_supertrace(L: GradedOperator, t: float) -> float:
-    """Alternating sum over degrees of the traces of exp(-t L_k).
+def heat_supertrace(spectra, t: float) -> float:
+    """Alternating sum over degrees of the traces of exp(-t L_k), given the
+    eigenvalues of each L_k (``hodge_spectra``).
 
     Constant in t for elliptic complexes; at t = 0 it is the alternating
     dimension sum (the analytic index).
     """
-    return _heat_trace(((L.eigenvalues(k), 1.0)
-                        for k in range(L.basis.max_degree + 1)), t)
+    return _heat_trace(((w, 1.0) for w in spectra), t)
 
 
 @dataclass
@@ -106,7 +114,7 @@ class SupersymmetryReport:
         }
 
 
-def supersymmetry_check(L: GradedOperator, even_degrees=None,
+def supersymmetry_check(spectra, even_degrees=None,
                         odd_degrees=None) -> SupersymmetryReport:
     """Pair the sorted non-zero spectra of L on the even and odd halves.
 
@@ -114,14 +122,12 @@ def supersymmetry_check(L: GradedOperator, even_degrees=None,
     Passing explicit degree sets probes other splits, e.g. a complex whose
     declared odd half is empty.
     """
-    top = L.basis.max_degree
-
     def nonzero(degrees):
-        parts = [w[~kernel_mask(w)] for w in map(L.eigenvalues, degrees)]
+        parts = [spectra[k][~kernel_mask(spectra[k])] for k in degrees]
         return np.sort(np.concatenate(parts)) if parts else np.zeros(0)
 
-    even = nonzero(range(0, top + 1, 2) if even_degrees is None else even_degrees)
-    odd = nonzero(range(1, top + 1, 2) if odd_degrees is None else odd_degrees)
+    even = nonzero(range(0, len(spectra), 2) if even_degrees is None else even_degrees)
+    odd = nonzero(range(1, len(spectra), 2) if odd_degrees is None else odd_degrees)
     shared = min(len(even), len(odd))
     max_mismatch = float(np.max(np.abs(even[:shared] - odd[:shared]), initial=0.0))
     return SupersymmetryReport(even, odd, max_mismatch, abs(len(even) - len(odd)))
@@ -140,8 +146,8 @@ class SpectrumReport:
 
     betti_numbers: tuple
     kernel_counts: tuple
-    eigenvalues: dict = field(repr=False)
-    supersymmetry: SupersymmetryReport = None
+    eigenvalues: list = field(repr=False)  # per degree, ascending
+    supersymmetry: SupersymmetryReport
 
     @property
     def agreement(self) -> bool:
@@ -151,19 +157,14 @@ class SpectrumReport:
         return {
             "betti": [int(b) for b in self.betti_numbers],
             "kernel_counts": [int(n) for n in self.kernel_counts],
-            "eigenvalues": {str(k): v.tolist()
-                            for k, v in sorted(self.eigenvalues.items())},
+            "eigenvalues": {str(k): v.tolist() for k, v in enumerate(self.eigenvalues)},
             "exact_numeric_agreement": bool(self.agreement),
-            "supersymmetry": self.supersymmetry.to_payload()
-            if self.supersymmetry else None,
+            "supersymmetry": self.supersymmetry.to_payload(),
         }
 
 
 def spectrum_report(d: GradedOperator) -> SpectrumReport:
     """Assemble Betti numbers, spectra and their consistency booleans."""
-    L = hodge(dirac(d))
-    b = betti(d)
-    top = d.basis.max_degree
-    eigs = {k: spectrum(L, k) for k in range(top + 1)}
-    kernels = tuple(numeric_kernel_count(L, k) for k in range(top + 1))
-    return SpectrumReport(b, kernels, eigs, supersymmetry_check(L))
+    spectra = hodge_spectra(d)
+    kernels = tuple(int(np.count_nonzero(kernel_mask(w))) for w in spectra)
+    return SpectrumReport(betti(d), kernels, spectra, supersymmetry_check(spectra))

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import settings
 from scipy import sparse
 
-from simhodge import (barycentric_refinement, generate, skeleton,
+from simhodge import (barycentric_refinement, dirac, generate, hodge, skeleton,
                       whitney_complex)
 from simhodge.complexes import simplex_weight
 
@@ -34,6 +34,13 @@ def gauss_bonnet_curvature(c) -> dict:
         for v in s:
             curvature[v] += share
     return curvature
+
+
+def full_hodge_spectra(d) -> list:
+    """Oracle for ``hodge_spectra``: ``eigvalsh`` of each degree block of
+    L = (d + d*)^2, with L formed in full."""
+    L = hodge(dirac(d))
+    return [L.eigenvalues(k) for k in range(L.basis.max_degree + 1)]
 
 
 def k3_whitney():

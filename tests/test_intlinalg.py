@@ -192,3 +192,19 @@ def test_product_pair_limit_is_checked_before_allocation(monkeypatch):
     with pytest.raises(ResourceLimitError,
                        match="product needs 4 entry pairs, limit is 3"):
         a @ a
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_products_formed_in_runs_of_rows_match_scipy(data):
+    """At a limit of 256 pairs a product forms them in runs of whole rows of
+    about 4 pairs each, so most products here take several runs."""
+    from simhodge import intlinalg
+
+    r, k, c = (data.draw(st.integers(0, 6)) for _ in range(3))
+    a, sa = data.draw(triplet_matrices((r, k)))
+    b, sb = data.draw(triplet_matrices((k, c)))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(intlinalg, "PRODUCT_PAIR_LIMIT", 256)
+        product = a @ b
+    assert_same(product, sa.tocsr() @ sb.tocsr())

@@ -905,6 +905,53 @@ def test_order_two_basis_over_simplex_limit_is_four(tmp_path):
     assert time.monotonic() - started < 2
 
 
+def test_report_results_on_the_refined_octahedron_are_pinned(tmp_path, capsys):
+    """The ``results`` block of ``report`` holds only integers, fractions and
+    booleans, so it is byte-identical across BLAS builds and solver changes."""
+    import hashlib
+
+    from simhodge import barycentric_refinement
+
+    refined = tmp_path / "refined.txt"
+    refined.write_text(serialize_facets(barycentric_refinement(generate("octahedron"))))
+    code, out, err = run_cli(["report", "--input", str(refined)], capsys)
+    assert code == 0, err
+    text = json.dumps(json.loads(out)["results"], sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        "4ebbfa76ff8714ce491fee58d4aa8e02cfe1612057e69006a7848ef173daa62f"
+
+
+def test_hodge_export_of_a_15_vertex_facet_stays_small(tmp_path):
+    """(d + d*)^2 of a 15-vertex facet forms 7.6 million entry pairs that sum
+    to one diagonal entry per simplex; formed a run of rows at a time they
+    peak far below the 745 MB they took as one batch.  The peak is read from
+    a small intermediate process, since a child's peak RSS starts from its
+    parent's at exec."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import simhodge
+
+    (tmp_path / "facet15.txt").write_text(" ".join(map(str, range(15))) + "\n")
+    probe = ("import os, resource, subprocess, sys\n"
+             "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
+             "child = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL)\n"
+             "_, status, usage = os.wait4(child.pid, 0)\n"
+             "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)\n")
+    env = dict(os.environ, PYTHONHASHSEED="0", OPENBLAS_NUM_THREADS="1",
+               OMP_NUM_THREADS="1",
+               PYTHONPATH=str(Path(simhodge.__file__).resolve().parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-c", probe, sys.executable, "-m", "simhodge.cli",
+         "export", "--input", "facet15.txt", "--operator", "hodge"],
+        env=env, cwd=tmp_path, capture_output=True, text=True, timeout=60)
+    code, peak_kib = map(int, done.stdout.split())
+    assert code == 0, done.stderr[-2000:]
+    assert peak_kib < 400 * 1024
+
+
 def test_numerically_equal_labels_ignore_hash_seed(tmp_path):
     """Labels "1" and "01" have the same integer value; their ids, and so
     the ``ph`` indices, must not depend on set iteration order."""
@@ -920,10 +967,11 @@ def test_numerically_equal_labels_ignore_hash_seed(tmp_path):
 
 class TestEigensolves:
     @pytest.mark.parametrize("command, extra, solves", [
-        ("report", [], {"eigh": 0, "eigvalsh": 8}),  # 3 order-1, 5 order-2 blocks
-        ("betti", [], {"eigh": 0, "eigvalsh": 3}),
-        ("betti", ["--order", "2"], {"eigh": 0, "eigvalsh": 5}),
-        ("heat", [], {"eigh": 0, "eigvalsh": 3}),
+        # one Gram solve per block of d: 2 order-1 and 4 order-2 blocks
+        ("report", [], {"eigh": 0, "eigvalsh": 6}),
+        ("betti", [], {"eigh": 0, "eigvalsh": 2}),
+        ("betti", ["--order", "2"], {"eigh": 0, "eigvalsh": 4}),
+        ("heat", [], {"eigh": 0, "eigvalsh": 2}),
         ("lefschetz", ["--perm", "swap.txt"], {"eigh": 3, "eigvalsh": 0}),
     ])
     def test_vectors_only_where_read(self, tmp_path, capsys, monkeypatch,
@@ -936,6 +984,29 @@ class TestEigensolves:
                                capsys)
         assert code == 0, err
         assert solver_calls == solves
+
+    def test_report_solves_nothing_wider_than_1080(self, tmp_path, capsys,
+                                                  monkeypatch):
+        """The refined octahedron's order-2 degrees are 26, 288, 1080, 1440
+        and 624 wide; its value solves run on the narrower side of each d_k."""
+        import numpy as np
+
+        from simhodge import barycentric_refinement
+
+        widths = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def recording(a):
+            widths.append(len(a))
+            return eigvalsh(a)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+        refined = tmp_path / "refined.txt"
+        refined.write_text(serialize_facets(
+            barycentric_refinement(generate("octahedron"))))
+        code, _, err = run_cli(["report", "--input", str(refined)], capsys)
+        assert code == 0, err
+        assert max(widths) == 1080
 
     @pytest.mark.parametrize("argv", [
         ["report"], ["betti", "--order", "2"]])

@@ -9,14 +9,20 @@ from simhodge import (ContractViolationError, GradedBasis, GradedOperator,
                       barycentric_refinement, betti,
                       cohomological_index, connection_derivative, dirac, downward_closure,
                       euler_characteristic, exterior_derivative, generate,
-                      harmonic_projector, heat_supertrace, hodge, skeleton,
-                      spectrum, spectrum_report, supersymmetry_check,
+                      harmonic_projector, heat_supertrace, hodge, hodge_spectra,
+                      skeleton, spectrum_report, supersymmetry_check,
                       wu_characteristic)
+
+from conftest import full_hodge_spectra
 
 
 def de_rham_hodge(c):
     d = exterior_derivative(c)
     return d, hodge(dirac(d))
+
+
+def de_rham_spectra(c):
+    return hodge_spectra(exterior_derivative(c))
 
 
 class TestBetti:
@@ -55,92 +61,91 @@ class TestBetti:
 
 class TestSpectrum:
     def test_cycle_vertex_block(self, c4):
-        _, L = de_rham_hodge(c4)
-        assert np.allclose(spectrum(L, 0), [0, 2, 2, 4], atol=1e-9)
+        assert np.allclose(de_rham_spectra(c4)[0], [0, 2, 2, 4], atol=1e-9)
 
     def test_single_vertex(self):
-        _, L = de_rham_hodge(downward_closure([{0}]))
-        assert spectrum(L, 0).tolist() == [0.0]
+        assert de_rham_spectra(downward_closure([{0}]))[0].tolist() == [0.0]
 
     def test_counts_match_block_dimension(self, suite):
-        c = suite["wheel4"]
-        _, L = de_rham_hodge(c)
-        for k in range(L.basis.max_degree + 1):
-            assert len(spectrum(L, k)) == L.basis.dimension_of(k)
+        d = exterior_derivative(suite["wheel4"])
+        spectra = hodge_spectra(d)
+        assert len(spectra) == d.basis.max_degree + 1
+        for k, w in enumerate(spectra):
+            assert len(w) == d.basis.dimension_of(k)
 
     def test_asymmetric_block_rejected(self):
         basis = GradedBasis([("a",), ("b",)], [0, 0])
         m = sparse.csr_array(np.array([[0, 1], [0, 0]]))
         with pytest.raises(ContractViolationError):
-            spectrum(GradedOperator(m, basis), 0)
+            GradedOperator(m, basis).eigenvalues(0)
         with pytest.raises(ContractViolationError):  # the path with vectors
             harmonic_projector(GradedOperator(m, basis), 0)
 
     def test_nonzero_even_odd_spectra_match(self, k3):
-        _, L = de_rham_hodge(k3)
-        report = supersymmetry_check(L)
+        report = supersymmetry_check(de_rham_spectra(k3))
         assert report.symmetric
         assert len(report.even_nonzero) == len(report.odd_nonzero)
 
 
 class TestHeatSupertrace:
     def test_disc_is_one(self, k3):
-        _, L = de_rham_hodge(k3)
-        assert abs(heat_supertrace(L, 1.0) - 1.0) < 1e-9
+        assert abs(heat_supertrace(de_rham_spectra(k3), 1.0) - 1.0) < 1e-9
 
     def test_time_zero_counts_dimensions(self, suite):
         for name in ("wheel5", "random4"):
-            c = suite[name]
-            d, L = de_rham_hodge(c)
-            assert heat_supertrace(L, 0.0) == d.basis.alternating_dimension_sum()
+            d = exterior_derivative(suite[name])
+            assert heat_supertrace(hodge_spectra(d), 0.0) \
+                == d.basis.alternating_dimension_sum()
 
     def test_circle_vanishes(self, c4):
-        _, L = de_rham_hodge(c4)
+        spectra = de_rham_spectra(c4)
         for t in (0.1, 1.0, 10.0):
-            assert abs(heat_supertrace(L, t)) < 1e-9
+            assert abs(heat_supertrace(spectra, t)) < 1e-9
 
     def test_negative_time_rejected(self, k3):
-        _, L = de_rham_hodge(k3)
         with pytest.raises(InvalidInputError):
-            heat_supertrace(L, -0.5)
+            heat_supertrace(de_rham_spectra(k3), -0.5)
 
     def test_non_finite_time_rejected(self, k3):
-        _, L = de_rham_hodge(k3)
+        spectra = de_rham_spectra(k3)
         for t in (float("nan"), float("inf")):
             with pytest.raises(InvalidInputError):
-                heat_supertrace(L, t)
+                heat_supertrace(spectra, t)
 
     def test_equals_per_degree_loop_exactly(self, suite):
-        def loop(L, t):
+        def loop(spectra, t):
             total = 0.0
-            for k in range(L.basis.max_degree + 1):
-                w = np.clip(L.eigenvalues(k), 0.0, None)
-                term = float(np.sum(np.exp(-t * w)))
+            for k, w in enumerate(spectra):
+                term = float(np.sum(np.exp(-t * np.clip(w, 0.0, None))))
                 total += term if k % 2 == 0 else -term
             return total
 
         for name, c in suite.items():
-            _, L = de_rham_hodge(c)
-            for t in (0.0, 0.1, 0.5, 1.0, 5.0, 10.0):
-                assert heat_supertrace(L, t) == loop(L, t), (name, t)
+            d = exterior_derivative(c)
+            for spectra in (hodge_spectra(d), full_hodge_spectra(d)):
+                for t in (0.0, 0.1, 0.5, 1.0, 5.0, 10.0):
+                    assert heat_supertrace(spectra, t) == loop(spectra, t), (name, t)
 
 
 class TestSupersymmetry:
     def test_wheel_spectra_pair(self, suite):
-        _, L = de_rham_hodge(suite["wheel4"])
-        assert supersymmetry_check(L).max_mismatch < 1e-9
+        d = exterior_derivative(suite["wheel4"])
+        for spectra in (hodge_spectra(d), full_hodge_spectra(d)):
+            assert supersymmetry_check(spectra).max_mismatch < 1e-9
 
     def test_even_only_split_fails(self, k3):
         # a split whose odd half is empty cannot pair its non-zero spectrum
-        _, L = de_rham_hodge(k3)
-        report = supersymmetry_check(L, even_degrees=[0, 2], odd_degrees=[])
-        assert not report.symmetric
-        assert report.multiplicity_mismatch > 0
+        d = exterior_derivative(k3)
+        for spectra in (hodge_spectra(d), full_hodge_spectra(d)):
+            report = supersymmetry_check(spectra, even_degrees=[0, 2],
+                                         odd_degrees=[])
+            assert not report.symmetric
+            assert report.multiplicity_mismatch > 0
 
     def test_empty_complex_vacuous(self):
         empty = downward_closure([{0}]).intersection(downward_closure([{1}]))
-        _, L = de_rham_hodge(empty)
-        assert supersymmetry_check(L).symmetric
+        assert de_rham_spectra(empty) == []
+        assert supersymmetry_check([]).symmetric
 
 
 class TestHarmonicProjector:
@@ -165,8 +170,9 @@ class TestHarmonicProjector:
 class TestConnectionSupersymmetry:
     def test_nonzero_spectra_pair_by_parity(self, suite):
         for name in ("circle3", "star3", "wheel4", "random0"):
-            L = hodge(dirac(connection_derivative(suite[name], 2)))
-            report = supersymmetry_check(L)
+            # the full Hodge blocks: pairing is structural in hodge_spectra
+            report = supersymmetry_check(
+                full_hodge_spectra(connection_derivative(suite[name], 2)))
             assert report.symmetric, name
             assert report.max_mismatch < 1e-9, name
 
@@ -292,3 +298,52 @@ class TestEigenvalueOnlySolves:
             with pytest.raises(ResourceLimitError, match="degree-1 block is 12 wide"):
                 L.eigensystem(1, vectors=vectors)
         assert L._eigs == {}
+
+
+@pytest.fixture(scope="module")
+def derivatives(suite):
+    """Orders 1 and 2 over the suite and the refined octahedron, whose
+    order-2 blocks are 26, 288, 1080, 1440 and 624 wide."""
+    complexes = dict(suite, refined_octahedron=barycentric_refinement(
+        generate("octahedron")))
+    return {(name, order): exterior_derivative(c) if order == 1
+            else connection_derivative(c, 2)
+            for name, c in complexes.items() for order in (1, 2)}
+
+
+class TestHodgeSpectraOracle:
+    """``hodge_spectra`` against ``eigvalsh`` of each full Hodge block."""
+
+    def test_spectra_match_the_full_blocks(self, derivatives):
+        for key, d in derivatives.items():
+            spectra, full = hodge_spectra(d), full_hodge_spectra(d)
+            assert len(spectra) == len(full), key
+            for k, (w, expected) in enumerate(zip(spectra, full)):
+                assert np.max(np.abs(w - expected), initial=0.0) <= 1e-12, (key, k)
+
+    def test_kernel_counts_are_the_exact_betti_numbers(self, derivatives):
+        for key, d in derivatives.items():
+            b = betti(d)
+            report = spectrum_report(d)
+            assert report.kernel_counts == b, key
+            assert tuple(int(np.count_nonzero(w == 0.0))
+                         for w in hodge_spectra(d)) == b, key
+
+    def test_pairing_agrees_with_the_full_pairing(self, derivatives):
+        for key, d in derivatives.items():
+            ours = supersymmetry_check(hodge_spectra(d))
+            full = supersymmetry_check(full_hodge_spectra(d))
+            assert ours.symmetric and full.symmetric, key
+            assert (ours.max_mismatch, ours.multiplicity_mismatch) == (0.0, 0), key
+            assert len(ours.even_nonzero) == len(full.even_nonzero), key
+            assert np.max(np.abs(ours.even_nonzero - full.even_nonzero),
+                          initial=0.0) <= 1e-12, key
+            assert np.max(np.abs(ours.odd_nonzero - full.odd_nonzero),
+                          initial=0.0) <= 1e-12, key
+
+    def test_heat_supertrace_is_the_index(self, derivatives):
+        for key, d in derivatives.items():
+            index = d.basis.alternating_dimension_sum()
+            spectra = hodge_spectra(d)
+            for t in (0.0, 0.1, 1.0, 10.0):
+                assert abs(heat_supertrace(spectra, t) - index) <= 1e-9, (key, t)
