@@ -6,6 +6,16 @@ transpose of the first, steer with the antisymmetric difference of raising
 and lowering parts, and integrate the commutator field with fixed-step
 classical Runge-Kutta.  The degree-preserving middle grows from zero while
 the spectrum and the nilpotency of the raising part persist.
+
+The field keeps a matrix with entries only within a degree and between
+adjacent degrees in that band, so the integrator stores and multiplies only
+the band blocks: X = R + M + R^T with M_k within degree k and R_k from degree
+k to k + 1.  With B = R - R^T and Q = RM - MR,
+
+    [B, X] = Q + Q^T + 2 (R R^T - R^T R),
+
+whose block (k, k) is P_k + P_k^T for P_k = R_(k-1) R_(k-1)^T - R_k^T R_k and
+whose block (k + 1, k) is R_k M_k - M_(k+1) R_k; every other block is zero.
 """
 
 from __future__ import annotations
@@ -21,8 +31,8 @@ from .errors import (ContractViolationError, DivergenceError, InvalidInputError,
 from .operators import GradedBasis, GradedOperator
 
 SYMMETRY_TOL = 1e-10
-# Budgets checked before the first step: steps times n**3 bounds the work of
-# the dense products, and the sampled states must fit in memory.
+# Budgets checked before the first step: steps times n**3 is an upper bound on
+# the work of the band products, and the sampled states must fit in memory.
 MAX_FLOW_WORK = 10 ** 11
 MAX_TRAJECTORY_BYTES = 2 ** 28
 
@@ -33,16 +43,98 @@ def _sign_matrix(basis: GradedBasis) -> np.ndarray:
     return np.sign(degrees[:, None] - degrees[None, :])
 
 
-def _field(sign: np.ndarray, x: np.ndarray, out, scratch) -> np.ndarray:
-    """[B, X] for symmetric X and B = sign * X, in one product.
+def _symmetric(matrix, basis: GradedBasis) -> np.ndarray:
+    """The matrix as floats, once its shape and symmetry are checked."""
+    m = np.asarray(matrix, dtype=float)
+    if m.shape != (len(basis), len(basis)):
+        raise InvalidInputError("matrix shape does not match basis size")
+    if m.size and float(np.max(np.abs(m - m.T))) >= SYMMETRY_TOL:
+        raise ContractViolationError("matrix is not symmetric")
+    return m
 
-    B is antisymmetric, so XB = -(BX)^T and [B, X] = BX + (BX)^T; the sum of
-    a matrix and its transpose is exactly symmetric in floating point.
-    The n x n buffers ``out`` and ``scratch`` (not x) hold result and product.
-    """
-    b = np.multiply(sign, x, out=out)
-    p = np.matmul(b, x, out=scratch)
-    return np.add(p, p.T, out=b)
+
+def _block_slices(basis: GradedBasis) -> list:
+    """(rows, columns) of the band blocks in storage order: every M_k, then
+    every R_k (rows of degree k + 1, columns of degree k)."""
+    s = [basis.degree_slice(k) for k in range(len(basis.dims))]
+    return list(zip(s, s)) + list(zip(s[1:], s))
+
+
+def _band_blocks(m: np.ndarray, basis: GradedBasis) -> list:
+    """Views of the band blocks of m; refuses an entry between degrees more
+    than one apart, which the band storage would drop."""
+    cuts = basis.offsets
+    for k in range(2, len(basis.dims)):
+        rows, below = slice(cuts[k], cuts[k + 1]), slice(0, cuts[k - 1])
+        if m[rows, below].any() or m[below, rows].any():
+            raise InvalidInputError(
+                f"matrix has entries between degree {k} and a degree below "
+                f"{k - 1}; the flow is defined on adjacent degrees only")
+    return [m[rows, cols] for rows, cols in _block_slices(basis)]
+
+
+def _views(flat: np.ndarray, basis: GradedBasis) -> list:
+    """The band blocks of a flat vector, as views in storage order."""
+    views, start = [], 0
+    for rows, cols in _block_slices(basis):
+        shape = (rows.stop - rows.start, cols.stop - cols.start)
+        views.append(flat[start:start + shape[0] * shape[1]].reshape(shape))
+        start += shape[0] * shape[1]
+    return views
+
+
+def _pack(matrix, basis: GradedBasis):
+    """The exactly symmetric matrix, from the upper triangle of a validated
+    one, and its band blocks as one flat vector."""
+    m = _symmetric(matrix, basis)
+    m = np.triu(m) + np.triu(m, 1).T
+    blocks = _band_blocks(m, basis)
+    flat = np.concatenate([b.ravel() for b in blocks]) if blocks else np.zeros(0)
+    return m, flat
+
+
+def _unpack(flat: np.ndarray, basis: GradedBasis) -> np.ndarray:
+    """The dense matrix of a flat band vector: every block and its transpose
+    (each M_k is exactly symmetric), exact zeros elsewhere."""
+    n = len(basis)
+    dense = np.zeros((n, n))
+    for (rows, cols), block in zip(_block_slices(basis), _views(flat, basis)):
+        dense[rows, cols] = block
+        dense[cols, rows] = block.T
+    return dense
+
+
+def _field_ops(source: list, target: list) -> list:
+    """The calls (function, arguments ending in the output) that write the
+    field [B, X] of the band blocks ``source`` into the band blocks
+    ``target``, with their scratch allocated here once; a block no call
+    writes stays as it is."""
+    levels = (len(source) + 1) // 2  # M_0 .. M_top, then R_0 .. R_(top-1)
+    m, r = source[:levels], source[levels:]
+    ops = []
+    for k in range(levels):
+        # P_k, with the term of a missing R_(k-1) or R_k left out
+        p = np.empty_like(m[k])
+        if k > 0:
+            ops.append((np.matmul, (r[k - 1], r[k - 1].T, p)))
+        if k + 1 < levels:
+            if k > 0:
+                s = np.empty_like(p)
+                ops += [(np.matmul, (r[k].T, r[k], s)), (np.subtract, (p, s, p))]
+            else:
+                ops += [(np.matmul, (r[k].T, r[k], p)), (np.negative, (p, p))]
+        if levels > 1:
+            ops.append((np.add, (p, p.T, target[k])))
+    for k, out in enumerate(target[levels:]):
+        t = np.empty_like(out)
+        ops += [(np.matmul, (r[k], m[k], out)), (np.matmul, (m[k + 1], r[k], t)),
+                (np.subtract, (out, t, out))]
+    return ops
+
+
+def _run(ops: list) -> None:
+    for function, args in ops:
+        function(*args)
 
 
 def _max_abs(x: np.ndarray) -> float:
@@ -62,53 +154,67 @@ class FlowState:
         return split_by_degree(self.matrix, self.basis)
 
     def raising_norm_squared(self) -> float:
-        r, _, _ = self.split()
-        return _max_abs(r @ r)
+        return _norms(self)[1]
 
     def preserving_norm(self) -> float:
-        _, b, _ = self.split()
-        return _max_abs(b)
+        return _norms(self)[0]
 
     def eigenvalues(self) -> np.ndarray:
         return np.linalg.eigvalsh(self.matrix) if self.matrix.size else np.zeros(0)
+
+
+def _norms(state: FlowState) -> tuple[float, float]:
+    """(largest entry of the degree-preserving part, largest entry of the
+    square of the raising part) of a band state, from its blocks: the square
+    of the raising part has the blocks R_(k+1) R_k and no others."""
+    blocks = _band_blocks(_symmetric(state.matrix, state.basis), state.basis)
+    levels = len(state.basis.dims)
+    middles, raisings = blocks[:levels], blocks[levels:]
+    return (max(map(_max_abs, middles), default=0.0),
+            max((_max_abs(b @ a) for a, b in zip(raisings, raisings[1:])),
+                default=0.0))
 
 
 def split_by_degree(matrix: np.ndarray, basis: GradedBasis):
     """Split a symmetric matrix into degree-raising, -preserving and -lowering parts.
 
     Raising collects every entry that maps a degree into any strictly higher
-    degree; at time zero only adjacent degrees are populated and the flow is
-    observed, not assumed, to keep it that way.
+    degree.  The flow keeps only adjacent degrees by construction: for
+    X = R + M + R^T and B = R - R^T, [B, X] = (RM - MR) + (RM - MR)^T
+    + 2 (R R^T - R^T R) has no entry between degrees more than one apart.
     """
-    m = np.asarray(matrix, dtype=float)
-    if m.shape != (len(basis), len(basis)):
-        raise InvalidInputError("matrix shape does not match basis size")
-    if m.size and float(np.max(np.abs(m - m.T))) >= SYMMETRY_TOL:
-        raise ContractViolationError("matrix is not symmetric")
+    m = _symmetric(matrix, basis)
     sign = _sign_matrix(basis)
     return m * (sign > 0), m * (sign == 0), m * (sign < 0)
 
 
 def bracket_field(state: FlowState) -> np.ndarray:
-    """Commutator field steering the flow; symmetric for symmetric input."""
-    split_by_degree(state.matrix, state.basis)  # validates shape and symmetry
-    x = np.asarray(state.matrix, dtype=float)
-    return _field(_sign_matrix(state.basis), x, np.empty_like(x), np.empty_like(x))
+    """Commutator field steering the flow; exactly symmetric, and zero
+    outside the band.  Raises InvalidInputError for a matrix with an entry
+    between degrees more than one apart."""
+    basis = state.basis
+    _, x = _pack(state.matrix, basis)
+    out = np.zeros_like(x)
+    _run(_field_ops(_views(x, basis), _views(out, basis)))
+    return _unpack(out, basis)
 
 
-def _rk4_step(m: np.ndarray, sign: np.ndarray, dt: float, work) -> np.ndarray:
-    """m + dt/6 (k1 + 2 k2 + 2 k3 + k4), bit for bit in that order, with the
-    stages in the four n x n arrays of ``work`` instead of fresh blocks."""
+def _rk4_step(m: np.ndarray, fields, dt: float, work) -> None:
+    """m + dt/6 (k1 + 2 k2 + 2 k3 + k4) into m, bit for bit in that order, on
+    flat band vectors with the stages in the four vectors of ``work``;
+    ``fields`` are the steps writing the field of m into total and of x
+    into k."""
     x, k, total, scratch = work
-    _field(sign, m, total, scratch)                          # total = k1
+    field_of_m, field_of_x = fields
+    _run(field_of_m)                                         # total = k1
     np.add(m, np.multiply(0.5 * dt, total, out=x), out=x)
     for c in (0.5 * dt, dt):
-        _field(sign, x, k, scratch)                          # k2, then k3
+        _run(field_of_x)                                     # k2, then k3
         np.add(m, np.multiply(c, k, out=x), out=x)
         np.add(total, np.multiply(2.0, k, out=scratch), out=total)
-    _field(sign, x, k, scratch)                              # k4
+    _run(field_of_x)                                         # k4
     np.add(total, k, out=total)
-    return np.add(m, np.multiply(dt / 6.0, total, out=total))
+    np.add(m, np.multiply(dt / 6.0, total, out=total), out=m)
 
 
 def flow_steps(n: int, t_end: float, dt: float, sample_every: int) -> int:
@@ -141,7 +247,9 @@ def integrate(initial: GradedOperator | FlowState, t_end: float, dt: float,
 
     Returns sampled states including the initial and final ones; raises with
     the last good state attached if the integration leaves the finite range.
-    Every state is exactly symmetric.  Raises ResourceLimitError before the
+    Every state is exactly symmetric, with exact zeros between degrees more
+    than one apart; a matrix with an entry there raises InvalidInputError.
+    Only the band blocks are integrated.  Raises ResourceLimitError before the
     first step when the run would exceed MAX_FLOW_WORK or its sampled states
     MAX_TRAJECTORY_BYTES.
     """
@@ -150,21 +258,21 @@ def integrate(initial: GradedOperator | FlowState, t_end: float, dt: float,
     if isinstance(initial, GradedOperator):
         m, t0 = initial.to_dense(), 0.0
     else:
-        m, t0 = np.asarray(initial.matrix, dtype=float), initial.t
-    split_by_degree(m, basis)  # validates shape and symmetry
-    m = np.triu(m) + np.triu(m, 1).T  # exactly symmetric from here on
-    sign = _sign_matrix(basis)
-    work = np.empty((4,) + m.shape)
+        m, t0 = initial.matrix, initial.t
+    m, current = _pack(m, basis)
+    work = np.zeros((4, current.size))
+    x, k, total, _ = work
+    fields = (_field_ops(_views(current, basis), _views(total, basis)),
+              _field_ops(_views(x, basis), _views(k, basis)))
     states = [FlowState(m, t0, basis)]
-    current = m
     for i in range(1, steps + 1):
-        current = _rk4_step(current, sign, dt, work)
-        if not np.all(np.isfinite(current)):
+        _rk4_step(current, fields, dt, work)
+        if not np.isfinite(current).all():
             raise DivergenceError(
                 f"flow diverged at step {i} (t = {t0 + i * dt:.6g})",
                 last_state=states[-1])
         if i % sample_every == 0 or i == steps:
-            states.append(FlowState(current, t0 + i * dt, basis))
+            states.append(FlowState(_unpack(current, basis), t0 + i * dt, basis))
     return states
 
 
@@ -205,12 +313,11 @@ def _diagnostics(states: list[FlowState]) -> list[dict]:
     defect and spectral drift from the first state; one eigensolve each."""
     rows = []
     for s in states:
-        raising, middle, _ = s.split()
+        b_norm, d_squared_norm = _norms(s)
         eigs = s.eigenvalues()
         base = rows[0]["eigenvalues"] if rows else eigs
-        rows.append({"t": float(s.t), "eigenvalues": eigs,
-                     "b_norm": _max_abs(middle),
-                     "d_squared_norm": _max_abs(raising @ raising),
+        rows.append({"t": float(s.t), "eigenvalues": eigs, "b_norm": b_norm,
+                     "d_squared_norm": d_squared_norm,
                      "drift": _max_abs(eigs - base)})
     return rows
 
