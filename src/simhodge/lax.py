@@ -16,6 +16,20 @@ k to k + 1.  With B = R - R^T and Q = RM - MR,
 
 whose block (k, k) is P_k + P_k^T for P_k = R_(k-1) R_(k-1)^T - R_k^T R_k and
 whose block (k + 1, k) is R_k M_k - M_(k+1) R_k; every other block is zero.
+
+A Dirac start (every M_k zero and every R_(k+1) R_k zero, as for d + d*)
+flows in the singular frame of d instead.  With R_k = U_k diag(sigma) V_k^T,
+the columns [U_(k-1) | V_k] of each degree are orthonormal, and the flow
+keeps the form M_k = V_k diag(a) V_k^T + U_(k-1) diag(c) U_(k-1)^T,
+R_k = U_k diag(s) V_k^T: every singular pair of d is one 2 x 2 flow
+
+    a' = -2 s^2,  c' = 2 s^2,  s' = s (a - c)
+
+from (0, 0, sigma).  The field commutes with orthogonal changes of basis
+within a degree, so RK4 on these triples is RK4 on the band at the same dt,
+and the sampled states do not depend on how a degree's basis is ordered or
+signed.  Any other start, or a frame that does not reproduce its blocks to
+FRAME_TOL, flows on the band blocks.
 """
 
 from __future__ import annotations
@@ -29,10 +43,17 @@ import numpy as np
 from .errors import (ContractViolationError, DivergenceError, InvalidInputError,
                      ResourceLimitError)
 from .operators import GradedBasis, GradedOperator
+from .spectral import kernel_mask, narrow_side
 
 SYMMETRY_TOL = 1e-10
+# Largest entry error of a singular frame: of U_k diag(sigma) V_k^T against
+# R_k, relative to the largest entry of R_k, and of the Gram matrix of each
+# degree's columns [U_(k-1) | V_k] against the identity.
+FRAME_TOL = 1e-12
 # Budgets checked before the first step: steps times n**3 is an upper bound on
-# the work of the band products, and the sampled states must fit in memory.
+# the work of both paths, the band products and the singular frame (its eigh
+# runs only for a run of at least one step, so at t_end/dt >= 1/2), and the
+# sampled states must fit in memory.
 MAX_FLOW_WORK = 10 ** 11
 MAX_TRAJECTORY_BYTES = 2 ** 28
 
@@ -132,6 +153,91 @@ def _field_ops(source: list, target: list) -> list:
     return ops
 
 
+def _pair_field_ops(source: np.ndarray, target: np.ndarray) -> list:
+    """The calls that write the field of a flat (a, c, s) vector, one triple
+    per singular pair of d, into ``target``: a' = -2 s^2, c' = 2 s^2,
+    s' = s (a - c)."""
+    a, c, s = source.reshape(3, -1)
+    da, dc, ds = target.reshape(3, -1)
+    square = np.empty_like(s)
+    return [(np.multiply, (s, s, square)), (np.multiply, (-2.0, square, da)),
+            (np.multiply, (2.0, square, dc)), (np.subtract, (a, c, ds)),
+            (np.multiply, (ds, s, ds))]
+
+
+def _singular_frame(blocks: list, dims) -> list | None:
+    """(U_k, sigma_k, V_k) with R_k = U_k diag(sigma_k) V_k^T for every
+    raising block, from one ``eigh`` of its Gram matrix on the narrower side
+    less the ``kernel_mask`` values; None unless every M_k and every
+    R_(k+1) R_k is exactly zero, every Gram matrix is finite and the frame
+    is within FRAME_TOL."""
+    middles, raisings = blocks[:len(dims)], blocks[len(dims):]
+    if (any(m.any() for m in middles)
+            or any((b @ a).any() for a, b in zip(raisings, raisings[1:]))):
+        return None
+    frame, columns = [], [[np.zeros((n, 0))] for n in dims]
+    for k, r in enumerate(raisings):
+        on_source = narrow_side(dims, k) == k
+        gram = r.T @ r if on_source else r @ r.T
+        if not np.isfinite(gram).all():
+            return None
+        w, vectors = np.linalg.eigh(gram)
+        keep = ~kernel_mask(w)
+        sigma, vectors = np.sqrt(w[keep]), vectors[:, keep]
+        if on_source:
+            u, v = (r @ vectors) / sigma, vectors
+        else:
+            u, v = vectors, (r.T @ vectors) / sigma
+        if _max_abs((u * sigma) @ v.T - r) > FRAME_TOL * _max_abs(r):
+            return None
+        frame.append((u, sigma, v))
+        columns[k].append(v)
+        columns[k + 1].append(u)
+    for parts in columns:
+        w = np.hstack(parts)
+        if _max_abs(w.T @ w - np.eye(w.shape[1])) > FRAME_TOL:
+            return None
+    return frame
+
+
+def _frame_to_band(frame: list, basis: GradedBasis, band: np.ndarray):
+    """The function that writes the band vector of a flat (a, c, s) vector
+    into the buffer ``band`` and returns it: M_k = V_k diag(a) V_k^T
+    + U_(k-1) diag(c) U_(k-1)^T, exactly symmetric from its upper triangle,
+    and R_k = U_k diag(s) V_k^T."""
+    levels = len(basis.dims)
+    cuts = np.cumsum([0] + [len(sigma) for _, sigma, _ in frame])
+    pairs = [slice(i, j) for i, j in zip(cuts, cuts[1:])]
+    views = _views(band, basis)
+
+    def to_band(state: np.ndarray) -> np.ndarray:
+        a, c, s = state.reshape(3, -1)
+        band[:] = 0.0
+        for k, ((u, _, v), p) in enumerate(zip(frame, pairs)):
+            views[k] += (v * a[p]) @ v.T
+            views[k + 1] += (u * c[p]) @ u.T
+            np.matmul(u * s[p], v.T, out=views[levels + k])
+        for m in views[:levels]:
+            m[...] = np.triu(m) + np.triu(m, 1).T
+        return band
+    return to_band
+
+
+def _stepper(band: np.ndarray, basis: GradedBasis):
+    """(flat start, field calls of a source and a target vector, the band
+    vector of a flat state): the (a, c, s) triples of the singular frame
+    when it serves, else the band blocks themselves."""
+    frame = _singular_frame(_views(band, basis), basis.dims)
+    if frame is None:
+        return (band, lambda source, target: _field_ops(
+                    _views(source, basis), _views(target, basis)),
+                lambda state: state)
+    sigma = np.concatenate([np.zeros(0)] + [f[1] for f in frame])
+    start = np.concatenate([np.zeros(2 * sigma.size), sigma])
+    return (start, _pair_field_ops,
+            _frame_to_band(frame, basis, np.empty_like(band)))
+
+
 def _run(ops: list) -> None:
     for function, args in ops:
         function(*args)
@@ -201,7 +307,7 @@ def bracket_field(state: FlowState) -> np.ndarray:
 
 def _rk4_step(m: np.ndarray, fields, dt: float, work) -> None:
     """m + dt/6 (k1 + 2 k2 + 2 k3 + k4) into m, bit for bit in that order, on
-    flat band vectors with the stages in the four vectors of ``work``;
+    flat state vectors with the stages in the four vectors of ``work``;
     ``fields`` are the steps writing the field of m into total and of x
     into k."""
     x, k, total, scratch = work
@@ -249,8 +355,10 @@ def integrate(initial: GradedOperator | FlowState, t_end: float, dt: float,
     the last good state attached if the integration leaves the finite range.
     Every state is exactly symmetric, with exact zeros between degrees more
     than one apart; a matrix with an entry there raises InvalidInputError.
-    Only the band blocks are integrated.  Raises ResourceLimitError before the
-    first step when the run would exceed MAX_FLOW_WORK or its sampled states
+    A Dirac start flows as one 2 x 2 flow per singular pair of d, any other
+    on the band blocks (see the module docstring); the first state is the
+    given matrix either way.  Raises ResourceLimitError before the first
+    step when the run would exceed MAX_FLOW_WORK or its sampled states
     MAX_TRAJECTORY_BYTES.
     """
     basis = initial.basis
@@ -259,12 +367,14 @@ def integrate(initial: GradedOperator | FlowState, t_end: float, dt: float,
         m, t0 = initial.to_dense(), 0.0
     else:
         m, t0 = initial.matrix, initial.t
-    m, current = _pack(m, basis)
+    m, band = _pack(m, basis)
+    states = [FlowState(m, t0, basis)]
+    if not steps:
+        return states
+    current, field_ops, to_band = _stepper(band, basis)
     work = np.zeros((4, current.size))
     x, k, total, _ = work
-    fields = (_field_ops(_views(current, basis), _views(total, basis)),
-              _field_ops(_views(x, basis), _views(k, basis)))
-    states = [FlowState(m, t0, basis)]
+    fields = (field_ops(current, total), field_ops(x, k))
     for i in range(1, steps + 1):
         _rk4_step(current, fields, dt, work)
         if not np.isfinite(current).all():
@@ -272,7 +382,8 @@ def integrate(initial: GradedOperator | FlowState, t_end: float, dt: float,
                 f"flow diverged at step {i} (t = {t0 + i * dt:.6g})",
                 last_state=states[-1])
         if i % sample_every == 0 or i == steps:
-            states.append(FlowState(_unpack(current, basis), t0 + i * dt, basis))
+            states.append(FlowState(_unpack(to_band(current), basis),
+                                    t0 + i * dt, basis))
     return states
 
 

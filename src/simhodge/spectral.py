@@ -47,6 +47,12 @@ def kernel_mask(eigenvalues: np.ndarray) -> np.ndarray:
     return eigenvalues < kernel_threshold(eigenvalues)
 
 
+def narrow_side(dims, k: int) -> int:
+    """The degree, k or k + 1, on whose side the Gram matrix of d_k is the
+    narrower one; k when both sides are equally wide."""
+    return k if dims[k] <= dims[k + 1] else k + 1
+
+
 def hodge_spectra(d: GradedOperator) -> list[np.ndarray]:
     """Ascending eigenvalues of each block L_k of L = (d + d*)^2, without L:
     the non-zero ones are the squared singular values of d_{k-1} and d_k
@@ -57,7 +63,7 @@ def hodge_spectra(d: GradedOperator) -> list[np.ndarray]:
     basis, dims = d.basis, d.basis.dims
     squares = [np.zeros(0)]  # the non-zero ones of d_{-1}, d_0, d_1, ...
     for k in range(len(dims) - 1):
-        side = k if dims[k] <= dims[k + 1] else k + 1
+        side = narrow_side(dims, k)
         require_dense_block(side, dims[side])
         block = d.matrix.block(basis.degree_slice(k + 1), basis.degree_slice(k))
         gram = block.T @ block if side == k else block @ block.T
