@@ -197,8 +197,7 @@ def _cmd_ph(c, args):
 
 def _cmd_lefschetz(c, args):
     t = check_automorphism(c, parse_permutation(read_text(args.perm), c))
-    d = _derivative_for(c, 1, True)
-    report = lefschetz_report(c, t, d, hodge(dirac(d)))
+    report = lefschetz_report(c, t, _derivative_for(c, 1, True))
     heats = {str(x): report.heat_trace(x) for x in _parse_times(args.t)}
     payload = report.to_payload()
     payload["heat_trace"] = heats

@@ -43,7 +43,7 @@ import numpy as np
 from .errors import (ContractViolationError, DivergenceError, InvalidInputError,
                      ResourceLimitError)
 from .operators import GradedBasis, GradedOperator
-from .spectral import kernel_mask, narrow_side
+from .spectral import gram_pairs, narrow_side
 
 SYMMETRY_TOL = 1e-10
 # Largest entry error of a singular frame: of U_k diag(sigma) V_k^T against
@@ -167,10 +167,9 @@ def _pair_field_ops(source: np.ndarray, target: np.ndarray) -> list:
 
 def _singular_frame(blocks: list, dims) -> list | None:
     """(U_k, sigma_k, V_k) with R_k = U_k diag(sigma_k) V_k^T for every
-    raising block, from one ``eigh`` of its Gram matrix on the narrower side
-    less the ``kernel_mask`` values; None unless every M_k and every
-    R_(k+1) R_k is exactly zero, every Gram matrix is finite and the frame
-    is within FRAME_TOL."""
+    raising block, from ``spectral.gram_pairs`` of its Gram matrix on the
+    narrower side; None unless every M_k and every R_(k+1) R_k is exactly
+    zero, every Gram matrix is finite and the frame is within FRAME_TOL."""
     middles, raisings = blocks[:len(dims)], blocks[len(dims):]
     if (any(m.any() for m in middles)
             or any((b @ a).any() for a, b in zip(raisings, raisings[1:]))):
@@ -181,13 +180,8 @@ def _singular_frame(blocks: list, dims) -> list | None:
         gram = r.T @ r if on_source else r @ r.T
         if not np.isfinite(gram).all():
             return None
-        w, vectors = np.linalg.eigh(gram)
-        keep = ~kernel_mask(w)
-        sigma, vectors = np.sqrt(w[keep]), vectors[:, keep]
-        if on_source:
-            u, v = (r @ vectors) / sigma, vectors
-        else:
-            u, v = vectors, (r.T @ vectors) / sigma
+        w, u, v = gram_pairs(gram, r, on_source)
+        sigma = np.sqrt(w)
         if _max_abs((u * sigma) @ v.T - r) > FRAME_TOL * _max_abs(r):
             return None
         frame.append((u, sigma, v))

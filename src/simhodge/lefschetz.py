@@ -19,8 +19,8 @@ from .errors import ContractViolationError, InvalidInputError
 from .indices import vertex_spread
 from .intlinalg import IntMatrix, as_integer
 from .io import field_payload
-from .operators import GradedBasis, GradedOperator
-from .spectral import _heat_trace, _super_trace, kernel_mask
+from .operators import GradedBasis, GradedOperator, alternating_sum
+from .spectral import _heat_trace, _super_trace, singular_frame
 
 SNAP_TOL = 1e-7
 
@@ -78,11 +78,11 @@ def induced_map(t: Automorphism, basis: GradedBasis) -> GradedOperator:
     return GradedOperator(IntMatrix(rows, range(n), vals, (n, n)), basis, shift=0)
 
 
-def _require_commuting(u: GradedOperator, other: GradedOperator, name: str):
+def _require_commuting(u: GradedOperator, d: GradedOperator):
     a, b = (np.stack([m.row, m.col, m.data]) for m in
-            (u.matrix @ other.matrix, other.matrix @ u.matrix))
+            (u.matrix @ d.matrix, d.matrix @ u.matrix))
     if not np.array_equal(a, b):
-        raise ContractViolationError(f"induced map does not commute with {name}")
+        raise ContractViolationError("induced map does not commute with the derivative")
 
 
 def snap_integer(x: float, tol: float = SNAP_TOL) -> int:
@@ -101,7 +101,7 @@ class LefschetzReport:
     fixed: list          # (simplex, integer index) pairs
     vertex_indices: dict  # vertex -> Fraction
     complex: Complex = field(repr=False)
-    pairs: list = field(repr=False, compare=False)  # per degree: λ, diag(V^T U V)
+    pairs: list = field(repr=False, compare=False)  # per degree: λ, diag(W^T U W)
 
     @property
     def fixed_index_sum(self) -> int:
@@ -118,7 +118,7 @@ class LefschetzReport:
     def to_payload(self) -> dict:
         return {
             "lefschetz_number": int(self.number),
-            "degree_traces": {str(k): float(v)
+            "degree_traces": {str(k): int(v)
                               for k, v in sorted(self.degree_traces.items())},
             "fixed_simplices": [{"simplex": [self.complex.label_of(v) for v in s],
                                  "index": int(i)} for s, i in self.fixed],
@@ -128,29 +128,38 @@ class LefschetzReport:
         }
 
 
-def _action_pairs(u: GradedOperator, L: GradedOperator) -> list:
-    """Per degree: the eigenvalues of L_k and diag(V_k^T U_k V_k) for the action u."""
-    _require_commuting(u, L, "the Hodge operator")
-    eig = [L.eigensystem(k) for k in range(L.basis.max_degree + 1)]
-    return [(w, np.diag(v.T @ u.diag_block(k) @ v)) for k, (w, v) in enumerate(eig)]
+def _action_pairs(u: GradedOperator, d: GradedOperator) -> list:
+    """Per degree k, the eigenvalues λ of L_k and the weights diag(W^T U_k W)
+    of the action u over the eigenvectors W = [V_k | U_(k-1)] of
+    ``singular_frame``, led by the kernel as one λ = 0 of weight tr(U_k) less
+    the others.  u is orthogonal, so u d = d u makes it commute with d*, L."""
+    _require_commuting(u, d)
+    frame, pairs = singular_frame(d, vectors=True), []
+    for k, n in enumerate(d.basis.dims):
+        right, left = frame[k:k + 1], frame[max(k - 1, 0):k]  # d_k, d_(k-1)
+        w = np.concatenate([[0.0]] + [f[0] for f in right + left])
+        vectors = np.hstack([np.zeros((n, 0))] + [f[2] for f in right]
+                            + [f[1] for f in left])
+        block = u.diag_block(k)
+        h = np.einsum("ij,ij->j", vectors, block @ vectors)
+        pairs.append((w, np.concatenate([[np.trace(block) - np.sum(h)], h])))
+    return pairs
 
 
-def _harmonic_side(t: Automorphism, d: GradedOperator, L: GradedOperator):
-    """Lefschetz number, per-degree harmonic traces and the pairs behind them."""
-    u = induced_map(t, L.basis)
-    _require_commuting(u, d, "the derivative")
-    pairs = _action_pairs(u, L)
-    total, traces = _super_trace(pairs, kernel_mask)
-    return snap_integer(total), dict(enumerate(traces)), pairs
+def _harmonic_side(t: Automorphism, d: GradedOperator):
+    """Lefschetz number, per-degree harmonic traces and the pairs behind
+    them; each trace tr(U | H^k) is an integer and is snapped as one."""
+    pairs = _action_pairs(induced_map(t, d.basis), d)
+    traces = [snap_integer(x) for x in _super_trace(pairs, lambda w: w == 0)[1]]
+    return alternating_sum(traces), dict(enumerate(traces)), pairs
 
 
-def lefschetz_number(t: Automorphism, d: GradedOperator,
-                     L: GradedOperator) -> tuple[int, dict]:
-    """Super trace of the induced map on cohomology, snapped to an integer.
+def lefschetz_number(t: Automorphism, d: GradedOperator) -> tuple[int, dict]:
+    """Super trace of the induced map on cohomology, an integer.
 
     Returns the number together with the per-degree harmonic traces.
     """
-    return _harmonic_side(t, d, L)[:2]
+    return _harmonic_side(t, d)[:2]
 
 
 def fixed_point_indices(t: Automorphism, c: Complex):
@@ -170,18 +179,18 @@ def fixed_point_indices(t: Automorphism, c: Complex):
     return fixed, vertex_spread(c, 1, indices)
 
 
-def heat_lefschetz(t: Automorphism, L: GradedOperator, time: float) -> float:
+def heat_lefschetz(t: Automorphism, d: GradedOperator, time: float) -> float:
     """Alternating sum of traces of exp(-time L_k) composed with the action.
 
     Constant in time: at 0 it counts signed fixed basis elements, in the
     large-time limit it becomes the Lefschetz number.
     """
-    return _heat_trace(_action_pairs(induced_map(t, L.basis), L), time)
+    return _heat_trace(_action_pairs(induced_map(t, d.basis), d), time)
 
 
-def lefschetz_report(c: Complex, t: Automorphism, d: GradedOperator,
-                     L: GradedOperator) -> LefschetzReport:
+def lefschetz_report(c: Complex, t: Automorphism,
+                     d: GradedOperator) -> LefschetzReport:
     """Bundle the cohomological and fixed-point sides for one automorphism."""
-    number, traces, pairs = _harmonic_side(t, d, L)
+    number, traces, pairs = _harmonic_side(t, d)
     fixed, vertex_indices = fixed_point_indices(t, c)
     return LefschetzReport(number, traces, fixed, vertex_indices, c, pairs)

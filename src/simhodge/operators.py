@@ -25,8 +25,9 @@ from .intlinalg import PRODUCT_PAIR_LIMIT, IntMatrix, as_integer, int_matrix
 
 # Budgets checked before allocation, like lax.MAX_FLOW_WORK: an order-3+ basis
 # holds at most CONNECTION_TUPLE_LIMIT tuples, and a degree whose spectrum is
-# solved is at most DENSE_BLOCK_LIMIT wide (128 MiB a dense copy): values on
-# Gram blocks of d, min(dim_k, dim_{k+1}) wide, vectors on Hodge blocks, dim_k.
+# solved is at most DENSE_BLOCK_LIMIT wide (128 MiB a dense copy).  Commands
+# solve Gram blocks of d, min(dim_k, dim_{k+1}) wide, values and vectors
+# alike; only a formed L's eigensystem solves a Hodge block, dim_k wide.
 CONNECTION_TUPLE_LIMIT = 2000
 DENSE_BLOCK_LIMIT = 4096
 

@@ -1,9 +1,10 @@
 """Betti numbers, spectra, harmonic projectors, and heat super-traces.
 
 Exact integer ranks give the Betti numbers that eigenvalue pipelines are
-checked against.  Values alone are solved on Gram matrices of d, min(dim_k,
-dim_{k+1}) wide, vectors on Hodge blocks, dim_k wide.  An eigenvalue counts
-as zero under 1e-7 times the top eigenvalue of its solved block.
+checked against.  Spectra, singular vectors and Lefschetz weights come from
+one solve per block d_k of d, on its Gram matrix of the narrower side,
+min(dim_k, dim_{k+1}) wide.  An eigenvalue counts as zero under 1e-7 times
+the top eigenvalue of its solved block.
 """
 
 from __future__ import annotations
@@ -53,24 +54,45 @@ def narrow_side(dims, k: int) -> int:
     return k if dims[k] <= dims[k + 1] else k + 1
 
 
-def hodge_spectra(d: GradedOperator) -> list[np.ndarray]:
-    """Ascending eigenvalues of each block L_k of L = (d + d*)^2, without L:
-    the non-zero ones are the squared singular values of d_{k-1} and d_k
-    (McKean-Singer), so one ``eigvalsh`` of the exact Gram matrix on the
-    narrower side of d_k, less its ``kernel_mask`` values, serves degrees k
-    and k+1, and zeros fill each degree up to its dimension."""
+def gram_pairs(gram: np.ndarray, block=None, on_source: bool = True):
+    """(σ², U, V) for one block b of d from its float Gram matrix ``gram``,
+    b^T b when ``on_source``, else b b^T: the eigenvalues σ² above its
+    ``kernel_mask``, ascending, from one ``eigvalsh``; given the dense b, also
+    b = U diag(σ) V^T from one ``eigh`` and one product, else None twice."""
+    if block is None:
+        w = np.linalg.eigvalsh(gram)
+        return w[~kernel_mask(w)], None, None
+    w, vectors = np.linalg.eigh(gram)
+    keep = ~kernel_mask(w)
+    w, vectors = w[keep], vectors[:, keep]
+    other = (block if on_source else block.T) @ vectors / np.sqrt(w)
+    return (w, other, vectors) if on_source else (w, vectors, other)
+
+
+def singular_frame(d: GradedOperator, vectors: bool = False) -> list:
+    """``gram_pairs`` of each block d_k on the exact Gram matrix of its
+    narrower side.  L_k has the σ² of d_(k-1) and d_k, with the columns of
+    U_(k-1) and V_k, and zero on what is orthogonal to both (McKean-Singer)."""
     require_nilpotent(d)
     basis, dims = d.basis, d.basis.dims
-    squares = [np.zeros(0)]  # the non-zero ones of d_{-1}, d_0, d_1, ...
+    frame = []
     for k in range(len(dims) - 1):
         side = narrow_side(dims, k)
         require_dense_block(side, dims[side])
         block = d.matrix.block(basis.degree_slice(k + 1), basis.degree_slice(k))
         gram = block.T @ block if side == k else block @ block.T
-        w = np.linalg.eigvalsh(gram.toarray().astype(float))
-        squares.append(w[~kernel_mask(w)])
+        frame.append(gram_pairs(gram.toarray().astype(float),
+                                block.toarray() if vectors else None, side == k))
+    return frame
+
+
+def hodge_spectra(d: GradedOperator) -> list[np.ndarray]:
+    """Ascending eigenvalues of each block L_k of L = (d + d*)^2, without L:
+    the σ² of ``singular_frame`` in degrees k and k+1 of each d_k, and zeros
+    up to each degree's dimension."""
+    squares = [np.zeros(0)] + [w for w, _, _ in singular_frame(d)]
     return [np.sort(np.concatenate([np.zeros(n - len(a) - len(b)), a, b]))
-            for n, a, b in zip(dims, squares, squares[1:] + [np.zeros(0)])]
+            for n, a, b in zip(d.basis.dims, squares, squares[1:] + [np.zeros(0)])]
 
 
 def _super_trace(pairs, f) -> tuple[float, list[float]]:

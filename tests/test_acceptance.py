@@ -193,14 +193,14 @@ def test_criterion_08_lefschetz(suite, de_rham):
         name = reverse[id(c)]
         d, L = de_rham[name]
         t = check_automorphism(c, perm)
-        number, _ = lefschetz_number(t, d, L)
+        number, _ = lefschetz_number(t, d)
         fixed, vertex = fixed_point_indices(t, c)
         assert number == expected, label
         assert number == sum(i for _, i in fixed), label
         assert sum(vertex.values(), Fraction(0)) == number, label
-        base = heat_lefschetz(t, L, 0.0)
+        base = heat_lefschetz(t, d, 0.0)
         for x in (0.1, 1.0, 10.0):
-            assert abs(heat_lefschetz(t, L, x) - base) < 1e-9, label
+            assert abs(heat_lefschetz(t, d, x) - base) < 1e-9, label
     print(f"PASS criterion 8: Lefschetz number = fixed index sum on "
           f"{len(cases)} pairs; heat trace constant within 1e-9")
 

@@ -255,11 +255,26 @@ class TestCli:
         assert json.loads(out)["results"]["values"].keys() == \
             results["vertex_indices"].keys()
 
+    def test_lefschetz_degree_traces_are_integers(self, tmp_path, capsys):
+        """tr(U | H^k) is an integer in every degree: an edge and a point,
+        with the edge's ends swapped, fix both components."""
+        complex_file = tmp_path / "edge_and_point.txt"
+        complex_file.write_text("a b\nc\n")
+        perm = tmp_path / "swap.txt"
+        perm.write_text("(a b)\n")
+        code, out, _ = run_cli(["lefschetz", "--input", str(complex_file),
+                                "--perm", str(perm)], capsys)
+        assert code == 0
+        results = json.loads(out)["results"]
+        assert results["degree_traces"] == {"0": 2, "1": 0}
+        assert all(type(v) is int for v in results["degree_traces"].values())
+        assert results["lefschetz_number"] == 2
+
     def test_lefschetz_builds_the_action_once(self, tmp_path, capsys,
                                               monkeypatch):
         import numpy as np
 
-        from simhodge import lefschetz
+        from simhodge import cli, lefschetz, operators
         from simhodge.operators import GradedOperator
 
         octahedron = tmp_path / "octahedron.txt"
@@ -267,13 +282,11 @@ class TestCli:
         perm = tmp_path / "swap.txt"
         perm.write_text("(0 1)(2 3)\n")
         calls = {"induced_map": 0, "commuting": 0, "eigh": 0,
-                 "eigh_outside_eigensystem": 0, "action_blocks": 0}
-        actions, inside = [], []
+                 "action_blocks": 0}
+        actions, widths = [], []
         induced_map, require_commuting = (lefschetz.induced_map,
                                           lefschetz._require_commuting)
-        eigh, eigensystem, diag_block = (np.linalg.eigh,
-                                         GradedOperator.eigensystem,
-                                         GradedOperator.diag_block)
+        eigh, diag_block = np.linalg.eigh, GradedOperator.diag_block
 
         def counting_induced_map(*args):
             calls["induced_map"] += 1
@@ -284,17 +297,13 @@ class TestCli:
             calls["commuting"] += 1
             return require_commuting(*args)
 
-        def counting_eigh(*args):
+        def counting_eigh(a):
             calls["eigh"] += 1
-            calls["eigh_outside_eigensystem"] += not inside
-            return eigh(*args)
+            widths.append(len(a))
+            return eigh(a)
 
-        def marking_eigensystem(op, k):
-            inside.append(k)
-            try:
-                return eigensystem(op, k)
-            finally:
-                inside.pop()
+        def never(*args, **kwargs):
+            raise AssertionError("lefschetz formed or solved L")
 
         def counting_diag_block(op, k):
             calls["action_blocks"] += any(op is u for u in actions)
@@ -303,7 +312,9 @@ class TestCli:
         monkeypatch.setattr(lefschetz, "induced_map", counting_induced_map)
         monkeypatch.setattr(lefschetz, "_require_commuting", counting_commuting)
         monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
-        monkeypatch.setattr(GradedOperator, "eigensystem", marking_eigensystem)
+        for owner in (cli, operators):
+            monkeypatch.setattr(owner, "hodge", never)
+        monkeypatch.setattr(GradedOperator, "eigensystem", never)
         monkeypatch.setattr(GradedOperator, "diag_block", counting_diag_block)
         code, out, _ = run_cli(["lefschetz", "--input", str(octahedron),
                                 "--perm", str(perm), "--t", "0,0.1,1,10,50"],
@@ -312,9 +323,11 @@ class TestCli:
         results = json.loads(out)["results"]
         assert results["lefschetz_number"] == 2
         assert len(results["heat_trace"]) == 5
-        # three degrees: one solve and one V^T U V product for each
-        assert calls == {"induced_map": 1, "commuting": 2, "eigh": 3,
-                         "eigh_outside_eigensystem": 0, "action_blocks": 3}
+        # one commuting check with d, one Gram solve for each of the two
+        # blocks of d, and one W^T U W product for each of the three degrees
+        assert calls == {"induced_map": 1, "commuting": 1, "eigh": 2,
+                         "action_blocks": 3}
+        assert widths == [6, 8]
 
     def test_deterministic_results(self, k3_file, capsys):
         _, first, _ = run_cli(["ph", "--input", k3_file, "--format", "edges",
@@ -972,7 +985,7 @@ class TestEigensolves:
         ("betti", [], {"eigh": 0, "eigvalsh": 2}),
         ("betti", ["--order", "2"], {"eigh": 0, "eigvalsh": 4}),
         ("heat", [], {"eigh": 0, "eigvalsh": 2}),
-        ("lefschetz", ["--perm", "swap.txt"], {"eigh": 3, "eigvalsh": 0}),
+        ("lefschetz", ["--perm", "swap.txt"], {"eigh": 2, "eigvalsh": 0}),
     ])
     def test_vectors_only_where_read(self, tmp_path, capsys, monkeypatch,
                                      solver_calls, command, extra, solves):

@@ -95,20 +95,20 @@ class TestLefschetzNumber:
     def test_identity_is_chi(self, k3):
         d, L = de_rham(k3)
         t = check_automorphism(k3, {v: v for v in k3.base})
-        number, traces = lefschetz_number(t, d, L)
+        number, traces = lefschetz_number(t, d)
         assert number == euler_characteristic(k3) == 1
 
     def test_cycle_rotation_zero(self, c4, c4_ops):
         d, L = c4_ops
         t = check_automorphism(c4, rotation(4))
-        number, traces = lefschetz_number(t, d, L)
+        number, traces = lefschetz_number(t, d)
         assert number == 0
         assert abs(traces[0] - 1) < 1e-7 and abs(traces[1] - 1) < 1e-7
 
     def test_cycle_reflection_two(self, c4, c4_ops):
         d, L = c4_ops
         t = check_automorphism(c4, {0: 0, 1: 3, 2: 2, 3: 1})
-        number, traces = lefschetz_number(t, d, L)
+        number, traces = lefschetz_number(t, d)
         assert number == 2
         assert abs(traces[1] + 1) < 1e-7  # orientation reversed on the circle
 
@@ -149,39 +149,39 @@ class TestHeatLefschetz:
                      {v: v for v in c4.base}):
             t = check_automorphism(c4, perm)
             fixed, _ = fixed_point_indices(t, c4)
-            value = heat_lefschetz(t, L, 0.0)
+            value = heat_lefschetz(t, d, 0.0)
             assert abs(value - sum(i for _, i in fixed)) < 1e-12
 
     def test_rotation_constant_zero(self, c4, c4_ops):
         d, L = c4_ops
         t = check_automorphism(c4, rotation(4))
         for x in (0.5, 2.0):
-            assert abs(heat_lefschetz(t, L, x)) < 1e-9
+            assert abs(heat_lefschetz(t, d, x)) < 1e-9
 
     def test_identity_reduces_to_supertrace(self, k3):
         d, L = de_rham(k3)
         t = check_automorphism(k3, {v: v for v in k3.base})
-        assert abs(heat_lefschetz(t, L, 1.0) - 1.0) < 1e-9
+        assert abs(heat_lefschetz(t, d, 1.0) - 1.0) < 1e-9
 
     def test_large_time_limit_is_cohomological(self, c4, c4_ops):
         d, L = c4_ops
         for perm in (rotation(4), {0: 0, 1: 3, 2: 2, 3: 1}):
             t = check_automorphism(c4, perm)
-            number, _ = lefschetz_number(t, d, L)
-            assert abs(heat_lefschetz(t, L, 50.0) - number) < 1e-9
+            number, _ = lefschetz_number(t, d)
+            assert abs(heat_lefschetz(t, d, 50.0) - number) < 1e-9
 
     def test_negative_time_rejected(self, c4, c4_ops):
         d, L = c4_ops
         t = check_automorphism(c4, rotation(4))
         with pytest.raises(InvalidInputError):
-            heat_lefschetz(t, L, -1.0)
+            heat_lefschetz(t, d, -1.0)
 
     def test_non_finite_time_rejected(self, c4, c4_ops):
         d, L = c4_ops
         t = check_automorphism(c4, rotation(4))
         for time in (float("nan"), float("inf")):
             with pytest.raises(InvalidInputError):
-                heat_lefschetz(t, L, time)
+                heat_lefschetz(t, d, time)
 
 
 class TestLefschetzReport:
@@ -190,14 +190,14 @@ class TestLefschetzReport:
         rotate_rim = {0: 0, 1: 2, 2: 3, 3: 4, 4: 5, 5: 1}
         t = check_automorphism(wheel, rotate_rim)
         d, L = de_rham(wheel)
-        report = lefschetz_report(wheel, t, d, L)
+        report = lefschetz_report(wheel, t, d)
         assert report.consistent
         assert report.number == 1  # only the hub stays put
 
     def test_payload_fields(self, c4, c4_ops):
         d, L = c4_ops
         t = check_automorphism(c4, {0: 0, 1: 3, 2: 2, 3: 1})
-        payload = lefschetz_report(c4, t, d, L).to_payload()
+        payload = lefschetz_report(c4, t, d).to_payload()
         assert payload["lefschetz_number"] == 2
         assert payload["matches_fixed_points"] is True
         assert len(payload["fixed_simplices"]) == 2
@@ -268,17 +268,17 @@ class TestSharedSuperTrace:
             d, L = de_rham(c)
             t = check_automorphism(c, perm)
             u = induced_map(t, L.basis)
-            number, traces = lefschetz_number(t, d, L)
+            number, traces = lefschetz_number(t, d)
             direct = direct_degree_traces(u, L)
             assert traces.keys() == direct.keys(), name
             for k in direct:
                 assert abs(traces[k] - direct[k]) <= 1e-12, (name, k)
             fixed, _ = fixed_point_indices(t, c)
             assert number == sum(i for _, i in fixed), name
-            report = lefschetz_report(c, t, d, L)
+            report = lefschetz_report(c, t, d)
             assert (report.number, report.degree_traces) == (number, traces)
             for time in (0.0, 0.1, 1.0, 10.0, 50.0):
-                value = heat_lefschetz(t, L, time)
+                value = heat_lefschetz(t, d, time)
                 assert abs(value - direct_heat(u, L, time)) <= 1e-12, (name, time)
                 assert report.heat_trace(time) == value, (name, time)
 
@@ -297,11 +297,11 @@ class TestSharedSuperTrace:
                     expected[v] += Fraction((-1) ** (len(s) - 1) * sign, len(s))
             _, field = fixed_point_indices(t, c)
             assert field == expected, name
-            assert sum(field.values()) == lefschetz_number(t, d, L)[0], name
+            assert sum(field.values()) == lefschetz_number(t, d)[0], name
 
     def test_report_rejects_bad_times(self, c4, c4_ops):
         d, L = c4_ops
-        report = lefschetz_report(c4, check_automorphism(c4, rotation(4)), d, L)
+        report = lefschetz_report(c4, check_automorphism(c4, rotation(4)), d)
         for time in (-1.0, float("nan"), float("inf")):
             with pytest.raises(InvalidInputError):
                 report.heat_trace(time)

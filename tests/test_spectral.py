@@ -12,6 +12,7 @@ from simhodge import (ContractViolationError, GradedBasis, GradedOperator,
                       harmonic_projector, heat_supertrace, hodge, hodge_spectra,
                       skeleton, spectrum_report, supersymmetry_check,
                       wu_characteristic)
+from simhodge.spectral import singular_frame
 
 from conftest import full_hodge_spectra
 
@@ -347,3 +348,37 @@ class TestHodgeSpectraOracle:
             spectra = hodge_spectra(d)
             for t in (0.0, 0.1, 1.0, 10.0):
                 assert abs(heat_supertrace(spectra, t) - index) <= 1e-9, (key, t)
+
+
+def _max_abs(x) -> float:
+    return float(np.max(np.abs(x), initial=0.0))
+
+
+class TestSingularFrameOracle:
+    """The vectors of ``singular_frame`` against d, the exact Betti numbers
+    and, on the suite, each dense Hodge block of L = (d + d*)^2."""
+
+    def test_frame_against_d_and_the_dense_blocks(self, derivatives):
+        empty = exterior_derivative(downward_closure([]))
+        cases = {**derivatives, ("empty", 1): empty}
+        assert ("simplex1", 1) in cases  # a single vertex: no block either
+        for key, d in cases.items():
+            frame, dims = singular_frame(d, vectors=True), d.basis.dims
+            assert len(frame) == max(len(dims) - 1, 0), key
+            for k, (w, u, v) in enumerate(frame):
+                block = d.block(k + 1, k)
+                assert _max_abs((u * np.sqrt(w)) @ v.T - block) \
+                    <= 1e-12 * max(_max_abs(block), 1.0), (key, k)
+            L = hodge(dirac(d)) if key[0] != "refined_octahedron" else None
+            for k, (n, b) in enumerate(zip(dims, betti(d))):
+                parts = ([(w, v) for w, _, v in frame[k:k + 1]]
+                         + [(w, u) for w, u, _ in frame[max(k - 1, 0):k]])
+                w = np.concatenate([np.zeros(0)] + [p[0] for p in parts])
+                columns = np.hstack([np.zeros((n, 0))] + [p[1] for p in parts])
+                assert _max_abs(columns.T @ columns - np.eye(len(w))) <= 1e-12, \
+                    (key, k)
+                assert len(w) + b == n, (key, k)
+                if L is not None:
+                    dense = L.diag_block(k)
+                    assert _max_abs((columns * w) @ columns.T - dense) \
+                        <= 1e-10 * max(_max_abs(dense), 1.0), (key, k)
