@@ -29,7 +29,9 @@ from (0, 0, sigma).  The field commutes with orthogonal changes of basis
 within a degree, so RK4 on these triples is RK4 on the band at the same dt,
 and the sampled states do not depend on how a degree's basis is ordered or
 signed.  Any other start, or a frame that does not reproduce its blocks to
-FRAME_TOL, flows on the band blocks.
+FRAME_TOL, flows by RK4 of the bracket field on the band blocks, the field
+that ``bracket_field`` returns.  Both paths are one plain RK4 step over one
+function giving the field of a flat state.
 """
 
 from __future__ import annotations
@@ -125,44 +127,32 @@ def _unpack(flat: np.ndarray, basis: GradedBasis) -> np.ndarray:
     return dense
 
 
-def _field_ops(source: list, target: list) -> list:
-    """The calls (function, arguments ending in the output) that write the
-    field [B, X] of the band blocks ``source`` into the band blocks
-    ``target``, with their scratch allocated here once; a block no call
-    writes stays as it is."""
-    levels = (len(source) + 1) // 2  # M_0 .. M_top, then R_0 .. R_(top-1)
-    m, r = source[:levels], source[levels:]
-    ops = []
-    for k in range(levels):
+def _band_field(x: np.ndarray, basis: GradedBasis) -> np.ndarray:
+    """The field [B, X] of a flat band vector x, as a flat band vector: block
+    (k, k) is P_k + P_k^T, block (k + 1, k) is R_k M_k - M_(k+1) R_k."""
+    levels = len(basis.dims)  # M_0 .. M_top, then R_0 .. R_(top-1)
+    blocks, out = _views(x, basis), np.zeros_like(x)
+    m, r, target = blocks[:levels], blocks[levels:], _views(out, basis)
+    for k in range(levels if levels > 1 else 0):
         # P_k, with the term of a missing R_(k-1) or R_k left out
-        p = np.empty_like(m[k])
-        if k > 0:
-            ops.append((np.matmul, (r[k - 1], r[k - 1].T, p)))
-        if k + 1 < levels:
-            if k > 0:
-                s = np.empty_like(p)
-                ops += [(np.matmul, (r[k].T, r[k], s)), (np.subtract, (p, s, p))]
-            else:
-                ops += [(np.matmul, (r[k].T, r[k], p)), (np.negative, (p, p))]
-        if levels > 1:
-            ops.append((np.add, (p, p.T, target[k])))
-    for k, out in enumerate(target[levels:]):
-        t = np.empty_like(out)
-        ops += [(np.matmul, (r[k], m[k], out)), (np.matmul, (m[k + 1], r[k], t)),
-                (np.subtract, (out, t, out))]
-    return ops
+        if k == 0:
+            p = -(r[0].T @ r[0])
+        elif k + 1 == levels:
+            p = r[k - 1] @ r[k - 1].T
+        else:
+            p = r[k - 1] @ r[k - 1].T - r[k].T @ r[k]
+        target[k][...] = p + p.T
+    for k in range(levels - 1):
+        target[levels + k][...] = r[k] @ m[k] - m[k + 1] @ r[k]
+    return out
 
 
-def _pair_field_ops(source: np.ndarray, target: np.ndarray) -> list:
-    """The calls that write the field of a flat (a, c, s) vector, one triple
-    per singular pair of d, into ``target``: a' = -2 s^2, c' = 2 s^2,
-    s' = s (a - c)."""
-    a, c, s = source.reshape(3, -1)
-    da, dc, ds = target.reshape(3, -1)
-    square = np.empty_like(s)
-    return [(np.multiply, (s, s, square)), (np.multiply, (-2.0, square, da)),
-            (np.multiply, (2.0, square, dc)), (np.subtract, (a, c, ds)),
-            (np.multiply, (ds, s, ds))]
+def _pair_field(x: np.ndarray) -> np.ndarray:
+    """The field of a flat (a, c, s) vector, one triple per singular pair of
+    d: a' = -2 s^2, c' = 2 s^2, s' = s (a - c)."""
+    a, c, s = x.reshape(3, -1)
+    square = s * s
+    return np.concatenate([-2.0 * square, 2.0 * square, (a - c) * s])
 
 
 def _singular_frame(blocks: list, dims) -> list | None:
@@ -218,23 +208,15 @@ def _frame_to_band(frame: list, basis: GradedBasis, band: np.ndarray):
 
 
 def _stepper(band: np.ndarray, basis: GradedBasis):
-    """(flat start, field calls of a source and a target vector, the band
-    vector of a flat state): the (a, c, s) triples of the singular frame
-    when it serves, else the band blocks themselves."""
+    """(flat start, its field, the band vector of a flat state): the (a, c, s)
+    triples of the singular frame when it serves, else the band blocks
+    themselves."""
     frame = _singular_frame(_views(band, basis), basis.dims)
     if frame is None:
-        return (band, lambda source, target: _field_ops(
-                    _views(source, basis), _views(target, basis)),
-                lambda state: state)
+        return band, lambda x: _band_field(x, basis), lambda state: state
     sigma = np.concatenate([np.zeros(0)] + [f[1] for f in frame])
     start = np.concatenate([np.zeros(2 * sigma.size), sigma])
-    return (start, _pair_field_ops,
-            _frame_to_band(frame, basis, np.empty_like(band)))
-
-
-def _run(ops: list) -> None:
-    for function, args in ops:
-        function(*args)
+    return start, _pair_field, _frame_to_band(frame, basis, np.empty_like(band))
 
 
 def _max_abs(x: np.ndarray) -> float:
@@ -294,27 +276,17 @@ def bracket_field(state: FlowState) -> np.ndarray:
     between degrees more than one apart."""
     basis = state.basis
     _, x = _pack(state.matrix, basis)
-    out = np.zeros_like(x)
-    _run(_field_ops(_views(x, basis), _views(out, basis)))
-    return _unpack(out, basis)
+    return _unpack(_band_field(x, basis), basis)
 
 
-def _rk4_step(m: np.ndarray, fields, dt: float, work) -> None:
-    """m + dt/6 (k1 + 2 k2 + 2 k3 + k4) into m, bit for bit in that order, on
-    flat state vectors with the stages in the four vectors of ``work``;
-    ``fields`` are the steps writing the field of m into total and of x
-    into k."""
-    x, k, total, scratch = work
-    field_of_m, field_of_x = fields
-    _run(field_of_m)                                         # total = k1
-    np.add(m, np.multiply(0.5 * dt, total, out=x), out=x)
-    for c in (0.5 * dt, dt):
-        _run(field_of_x)                                     # k2, then k3
-        np.add(m, np.multiply(c, k, out=x), out=x)
-        np.add(total, np.multiply(2.0, k, out=scratch), out=total)
-    _run(field_of_x)                                         # k4
-    np.add(total, k, out=total)
-    np.add(m, np.multiply(dt / 6.0, total, out=total), out=m)
+def _rk4_step(m: np.ndarray, field, dt: float) -> np.ndarray:
+    """m + dt/6 (k1 + 2 k2 + 2 k3 + k4) for a flat state vector m, summed in
+    that order, with ``field`` the field of a flat state."""
+    k1 = field(m)
+    k2 = field(m + 0.5 * dt * k1)
+    k3 = field(m + 0.5 * dt * k2)
+    k4 = field(m + dt * k3)
+    return m + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 def flow_steps(n: int, t_end: float, dt: float, sample_every: int) -> int:
@@ -365,12 +337,9 @@ def integrate(initial: GradedOperator | FlowState, t_end: float, dt: float,
     states = [FlowState(m, t0, basis)]
     if not steps:
         return states
-    current, field_ops, to_band = _stepper(band, basis)
-    work = np.zeros((4, current.size))
-    x, k, total, _ = work
-    fields = (field_ops(current, total), field_ops(x, k))
+    current, field, to_band = _stepper(band, basis)
     for i in range(1, steps + 1):
-        _rk4_step(current, fields, dt, work)
+        current = _rk4_step(current, field, dt)
         if not np.isfinite(current).all():
             raise DivergenceError(
                 f"flow diverged at step {i} (t = {t0 + i * dt:.6g})",

@@ -75,10 +75,11 @@ def singular_frame(d: GradedOperator, vectors: bool = False) -> list:
     U_(k-1) and V_k, and zero on what is orthogonal to both (McKean-Singer)."""
     require_nilpotent(d)
     basis, dims = d.basis, d.basis.dims
-    frame = []
-    for k in range(len(dims) - 1):
-        side = narrow_side(dims, k)
+    sides = [narrow_side(dims, k) for k in range(len(dims) - 1)]
+    for side in sides:  # every width, before the first Gram matrix
         require_dense_block(side, dims[side])
+    frame = []
+    for k, side in enumerate(sides):
         block = d.matrix.block(basis.degree_slice(k + 1), basis.degree_slice(k))
         gram = block.T @ block if side == k else block @ block.T
         frame.append(gram_pairs(gram.toarray().astype(float),

@@ -165,6 +165,20 @@ class TestWuCharacteristic:
         with pytest.raises(InvalidInputError):
             wu_characteristic(k3, 0)
 
+    def test_fold_budget_refuses_before_the_slot(self):
+        from simhodge.operators import connection_basis
+
+        # the 63 simplices of a 6-vertex facet: the fourth slot of the order-8
+        # fold behind the characteristic would extend 667286 prefixes
+        facet = downward_closure([range(6)])
+        with pytest.raises(ResourceLimitError, match=(
+                "^order 8 fold needs 667286 extensions at slot 4, limit is 262144$")):
+            wu_characteristic(facet, 8)
+        for call in (multilinear_curvature, connection_basis):
+            with pytest.raises(ResourceLimitError, match=(
+                    r"^order 8 fold needs \d+ extensions at slot \d, limit is 262144$")):
+                call(facet, 8)
+
 
 class TestCurvature:
     def test_cycle_is_flat(self):

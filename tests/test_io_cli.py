@@ -918,6 +918,28 @@ def test_order_two_basis_over_simplex_limit_is_four(tmp_path):
     assert time.monotonic() - started < 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["curvature", "--order", "3"], ["curvature", "--order", "4"],
+    ["curvature", "--order", "8"], ["betti", "--order", "3"],
+    ["export", "--order", "3"]])
+@pytest.mark.parametrize("vertices", [6, 9, 12, 15])
+def test_high_orders_on_one_facet_are_four_in_a_bounded_child(tmp_path, argv,
+                                                             vertices):
+    """Orders of three or more on one facet of 6 to 15 vertices: the tuple
+    count, or the fold's budget on the slot before it, refuses each well
+    inside 2 GiB and 5 s."""
+    import time
+
+    (tmp_path / "facet.txt").write_text(" ".join(map(str, range(vertices))) + "\n")
+    started = time.monotonic()
+    done = _run_child([argv[0], "--input", "facet.txt", *argv[1:]], tmp_path,
+                      address_space=2 << 30, timeout=10)
+    assert done.returncode == 4, done.stderr[-2000:]
+    assert done.stderr.startswith("resource limit: ")
+    assert "Traceback" not in done.stderr
+    assert time.monotonic() - started < 5
+
+
 def test_report_results_on_the_refined_octahedron_are_pinned(tmp_path, capsys):
     """The ``results`` block of ``report`` holds only integers, fractions and
     booleans, so it is byte-identical across BLAS builds and solver changes."""

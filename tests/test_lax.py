@@ -372,7 +372,7 @@ class BandKernelBuilt(Exception):
 def no_band_kernel(monkeypatch):
     def refuse(*args):
         raise BandKernelBuilt
-    monkeypatch.setattr(lax, "_field_ops", refuse)
+    monkeypatch.setattr(lax, "_band_field", refuse)
 
 
 def signed_relabeling(basis, seed):

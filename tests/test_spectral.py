@@ -300,6 +300,18 @@ class TestEigenvalueOnlySolves:
                 L.eigensystem(1, vectors=vectors)
         assert L._eigs == {}
 
+    def test_every_gram_width_checked_before_the_first_solve(self, monkeypatch,
+                                                             solver_calls):
+        from simhodge import operators
+
+        # degrees 7, 21 and 35 wide: Gram blocks of d 7 and then 21 wide
+        d = exterior_derivative(skeleton(downward_closure([range(7)]), 2))
+        monkeypatch.setattr(operators, "DENSE_BLOCK_LIMIT", 20)
+        for solve in (hodge_spectra, lambda d: singular_frame(d, vectors=True)):
+            with pytest.raises(ResourceLimitError, match="degree-1 block is 21 wide"):
+                solve(d)
+        assert solver_calls == {"eigh": 0, "eigvalsh": 0}
+
 
 @pytest.fixture(scope="module")
 def derivatives(suite):
