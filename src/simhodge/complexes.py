@@ -312,17 +312,19 @@ def tuple_fold(c: Complex, k: int, weights, acc0, step) -> dict:
     multiplies in weights[i] and updates the accumulator to step(acc, i).
     Returns {(allowed, acc): summed weight product} over the (k-1)-prefixes;
     callers finish the k-th slot over the bits of ``allowed``.  Order 1
-    folds no slot, so it builds no meet masks.  Before each slot runs, its
-    extensions (the bits of every ``allowed``) are refused over SIMPLEX_LIMIT,
-    or over MEET_MASK_LIMIT**2 mask bits at |c| bits each.
+    folds no slot, so it builds no meet masks.  Before each slot runs, the
+    extensions (the bits of every ``allowed``) summed over it and the slots
+    before it are refused over SIMPLEX_LIMIT, or over MEET_MASK_LIMIT**2 mask
+    bits at |c| bits each.
     """
     if k < 1:
         raise InvalidInputError("order must be at least 1")
     prefixes = {((1 << len(c)) - 1, acc0): 1}
     meet = intersection_masks(c) if k > 1 else ()
     limit = min(SIMPLEX_LIMIT, MEET_MASK_LIMIT ** 2 // max(len(c), 1))
+    work = 0
     for slot in range(1, k):
-        work = sum(allowed.bit_count() for allowed, _ in prefixes)
+        work += sum(allowed.bit_count() for allowed, _ in prefixes)
         if work > limit:
             raise ResourceLimitError(f"order {k} fold needs {work} extensions "
                                      f"at slot {slot}, limit is {limit}")
@@ -332,6 +334,8 @@ def tuple_fold(c: Complex, k: int, weights, acc0, step) -> dict:
                 key = (allowed & meet[i], step(acc, i))
                 grown[key] = grown.get(key, 0) + w * weights[i]
         prefixes = grown
+        if not prefixes:  # an empty complex: every later slot is empty too
+            break
     return prefixes
 
 

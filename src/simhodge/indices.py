@@ -18,6 +18,7 @@ import numpy as np
 from .complexes import (Complex, f_matrix, f_vector, simplex_weight, tuple_fold,
                         unit_sphere)
 from .errors import InvalidInputError, ResourceLimitError
+from .intlinalg import PRODUCT_PAIR_LIMIT
 from .io import fraction_payload
 from .operators import (GradedOperator, alternating_sum, connection_degree_counts,
                         connection_derivative, exterior_derivative)
@@ -107,12 +108,17 @@ def vertex_spread(c: Complex, k: int, weights) -> dict[int, Fraction]:
     members' weights, shared equally among the vertices of their union.  The
     last slot runs over blocks of (prefix, last simplex) pairs: each pair's
     weight goes to the vertices it adds, each prefix's pair totals to its own.
+    More than PRODUCT_PAIR_LIMIT pairs are refused before the first block.
     """
     vertices = sorted(c.base)
     n, nv, width = len(c), len(vertices), max(c.dimension + 1, 1)
     column = {v: j for j, v in enumerate(vertices)}
     vmasks = [sum(1 << column[v] for v in s) for s in c]
     prefixes = tuple_fold(c, k, weights, 0, lambda acc, i: acc | vmasks[i])
+    pairs = sum(allowed.bit_count() for allowed, _ in prefixes)
+    if pairs > PRODUCT_PAIR_LIMIT:
+        raise ResourceLimitError(f"order {k} vertex spread needs {pairs} (prefix, "
+                                 f"last simplex) pairs, limit is {PRODUCT_PAIR_LIMIT}")
     members = np.full((n, width), nv, dtype=np.min_scalar_type(nv))  # nv pads
     for i, s in enumerate(c):
         members[i, :len(s)] = [column[v] for v in s]

@@ -8,9 +8,9 @@ classical Runge-Kutta.  The degree-preserving middle grows from zero while
 the spectrum and the nilpotency of the raising part persist.
 
 The field keeps a matrix with entries only within a degree and between
-adjacent degrees in that band, so the integrator stores and multiplies only
-the band blocks: X = R + M + R^T with M_k within degree k and R_k from degree
-k to k + 1.  With B = R - R^T and Q = RM - MR,
+adjacent degrees in that band, so it is formed from views of the band blocks
+of the dense matrix: X = R + M + R^T with M_k within degree k and R_k from
+degree k to k + 1.  With B = R - R^T and Q = RM - MR,
 
     [B, X] = Q + Q^T + 2 (R R^T - R^T R),
 
@@ -29,9 +29,9 @@ from (0, 0, sigma).  The field commutes with orthogonal changes of basis
 within a degree, so RK4 on these triples is RK4 on the band at the same dt,
 and the sampled states do not depend on how a degree's basis is ordered or
 signed.  Any other start, or a frame that does not reproduce its blocks to
-FRAME_TOL, flows by RK4 of the bracket field on the band blocks, the field
-that ``bracket_field`` returns.  Both paths are one plain RK4 step over one
-function giving the field of a flat state.
+FRAME_TOL, flows by RK4 of the dense, exactly symmetric matrix under the
+field that ``bracket_field`` returns.  Both paths are one plain RK4 step over
+one field function, of the flat triples or of the dense matrix.
 """
 
 from __future__ import annotations
@@ -77,15 +77,15 @@ def _symmetric(matrix, basis: GradedBasis) -> np.ndarray:
 
 
 def _block_slices(basis: GradedBasis) -> list:
-    """(rows, columns) of the band blocks in storage order: every M_k, then
-    every R_k (rows of degree k + 1, columns of degree k)."""
+    """(rows, columns) of the band blocks: every M_k, then every R_k (rows of
+    degree k + 1, columns of degree k)."""
     s = [basis.degree_slice(k) for k in range(len(basis.dims))]
     return list(zip(s, s)) + list(zip(s[1:], s))
 
 
 def _band_blocks(m: np.ndarray, basis: GradedBasis) -> list:
     """Views of the band blocks of m; refuses an entry between degrees more
-    than one apart, which the band storage would drop."""
+    than one apart, which the band field would drop."""
     cuts = basis.offsets
     for k in range(2, len(basis.dims)):
         rows, below = slice(cuts[k], cuts[k + 1]), slice(0, cuts[k - 1])
@@ -96,43 +96,23 @@ def _band_blocks(m: np.ndarray, basis: GradedBasis) -> list:
     return [m[rows, cols] for rows, cols in _block_slices(basis)]
 
 
-def _views(flat: np.ndarray, basis: GradedBasis) -> list:
-    """The band blocks of a flat vector, as views in storage order."""
-    views, start = [], 0
-    for rows, cols in _block_slices(basis):
-        shape = (rows.stop - rows.start, cols.stop - cols.start)
-        views.append(flat[start:start + shape[0] * shape[1]].reshape(shape))
-        start += shape[0] * shape[1]
-    return views
-
-
-def _pack(matrix, basis: GradedBasis):
+def _symmetrized(matrix, basis: GradedBasis) -> np.ndarray:
     """The exactly symmetric matrix, from the upper triangle of a validated
-    one, and its band blocks as one flat vector."""
+    one with no entry outside the band."""
     m = _symmetric(matrix, basis)
     m = np.triu(m) + np.triu(m, 1).T
-    blocks = _band_blocks(m, basis)
-    flat = np.concatenate([b.ravel() for b in blocks]) if blocks else np.zeros(0)
-    return m, flat
-
-
-def _unpack(flat: np.ndarray, basis: GradedBasis) -> np.ndarray:
-    """The dense matrix of a flat band vector: every block and its transpose
-    (each M_k is exactly symmetric), exact zeros elsewhere."""
-    n = len(basis)
-    dense = np.zeros((n, n))
-    for (rows, cols), block in zip(_block_slices(basis), _views(flat, basis)):
-        dense[rows, cols] = block
-        dense[cols, rows] = block.T
-    return dense
+    _band_blocks(m, basis)
+    return m
 
 
 def _band_field(x: np.ndarray, basis: GradedBasis) -> np.ndarray:
-    """The field [B, X] of a flat band vector x, as a flat band vector: block
-    (k, k) is P_k + P_k^T, block (k + 1, k) is R_k M_k - M_(k+1) R_k."""
+    """The field [B, X] of a dense band matrix x, from views of its band
+    blocks: block (k, k) is P_k + P_k^T, block (k + 1, k) is
+    R_k M_k - M_(k+1) R_k and block (k, k + 1) its transpose."""
+    slices = _block_slices(basis)
     levels = len(basis.dims)  # M_0 .. M_top, then R_0 .. R_(top-1)
-    blocks, out = _views(x, basis), np.zeros_like(x)
-    m, r, target = blocks[:levels], blocks[levels:], _views(out, basis)
+    blocks, out = [x[rows, cols] for rows, cols in slices], np.zeros_like(x)
+    m, r = blocks[:levels], blocks[levels:]
     for k in range(levels if levels > 1 else 0):
         # P_k, with the term of a missing R_(k-1) or R_k left out
         if k == 0:
@@ -141,9 +121,10 @@ def _band_field(x: np.ndarray, basis: GradedBasis) -> np.ndarray:
             p = r[k - 1] @ r[k - 1].T
         else:
             p = r[k - 1] @ r[k - 1].T - r[k].T @ r[k]
-        target[k][...] = p + p.T
-    for k in range(levels - 1):
-        target[levels + k][...] = r[k] @ m[k] - m[k + 1] @ r[k]
+        out[slices[k]] = p + p.T
+    for k, (rows, cols) in enumerate(slices[levels:]):
+        q = r[k] @ m[k] - m[k + 1] @ r[k]
+        out[rows, cols], out[cols, rows] = q, q.T
     return out
 
 
@@ -184,39 +165,40 @@ def _singular_frame(blocks: list, dims) -> list | None:
     return frame
 
 
-def _frame_to_band(frame: list, basis: GradedBasis, band: np.ndarray):
-    """The function that writes the band vector of a flat (a, c, s) vector
-    into the buffer ``band`` and returns it: M_k = V_k diag(a) V_k^T
-    + U_(k-1) diag(c) U_(k-1)^T, exactly symmetric from its upper triangle,
-    and R_k = U_k diag(s) V_k^T."""
-    levels = len(basis.dims)
+def _frame_to_dense(frame: list, basis: GradedBasis):
+    """The function that writes a flat (a, c, s) vector into a fresh dense
+    matrix: M_k = V_k diag(a) V_k^T + U_(k-1) diag(c) U_(k-1)^T, exactly
+    symmetric from its upper triangle, R_k = U_k diag(s) V_k^T and R_k^T."""
+    slices, levels = _block_slices(basis), len(basis.dims)
     cuts = np.cumsum([0] + [len(sigma) for _, sigma, _ in frame])
     pairs = [slice(i, j) for i, j in zip(cuts, cuts[1:])]
-    views = _views(band, basis)
 
-    def to_band(state: np.ndarray) -> np.ndarray:
+    def to_dense(state: np.ndarray) -> np.ndarray:
         a, c, s = state.reshape(3, -1)
-        band[:] = 0.0
+        dense = np.zeros((len(basis), len(basis)))
         for k, ((u, _, v), p) in enumerate(zip(frame, pairs)):
-            views[k] += (v * a[p]) @ v.T
-            views[k + 1] += (u * c[p]) @ u.T
-            np.matmul(u * s[p], v.T, out=views[levels + k])
-        for m in views[:levels]:
+            dense[slices[k]] += (v * a[p]) @ v.T
+            dense[slices[k + 1]] += (u * c[p]) @ u.T
+            rows, cols = slices[levels + k]
+            dense[rows, cols] = (u * s[p]) @ v.T
+            dense[cols, rows] = dense[rows, cols].T
+        for rows, cols in slices[:levels]:
+            m = dense[rows, cols]
             m[...] = np.triu(m) + np.triu(m, 1).T
-        return band
-    return to_band
+        return dense
+    return to_dense
 
 
-def _stepper(band: np.ndarray, basis: GradedBasis):
-    """(flat start, its field, the band vector of a flat state): the (a, c, s)
-    triples of the singular frame when it serves, else the band blocks
-    themselves."""
-    frame = _singular_frame(_views(band, basis), basis.dims)
+def _stepper(m: np.ndarray, basis: GradedBasis):
+    """(start, its field, the writer of a state's dense matrix): the flat
+    (a, c, s) triples of the singular frame when it serves, else the dense
+    band matrix m itself, which needs no writer (None)."""
+    frame = _singular_frame(_band_blocks(m, basis), basis.dims)
     if frame is None:
-        return band, lambda x: _band_field(x, basis), lambda state: state
+        return m, lambda x: _band_field(x, basis), None
     sigma = np.concatenate([np.zeros(0)] + [f[1] for f in frame])
     start = np.concatenate([np.zeros(2 * sigma.size), sigma])
-    return start, _pair_field, _frame_to_band(frame, basis, np.empty_like(band))
+    return start, _pair_field, _frame_to_dense(frame, basis)
 
 
 def _max_abs(x: np.ndarray) -> float:
@@ -274,14 +256,12 @@ def bracket_field(state: FlowState) -> np.ndarray:
     """Commutator field steering the flow; exactly symmetric, and zero
     outside the band.  Raises InvalidInputError for a matrix with an entry
     between degrees more than one apart."""
-    basis = state.basis
-    _, x = _pack(state.matrix, basis)
-    return _unpack(_band_field(x, basis), basis)
+    return _band_field(_symmetrized(state.matrix, state.basis), state.basis)
 
 
 def _rk4_step(m: np.ndarray, field, dt: float) -> np.ndarray:
-    """m + dt/6 (k1 + 2 k2 + 2 k3 + k4) for a flat state vector m, summed in
-    that order, with ``field`` the field of a flat state."""
+    """m + dt/6 (k1 + 2 k2 + 2 k3 + k4) for a state array m, summed in that
+    order, with ``field`` the field of a state."""
     k1 = field(m)
     k2 = field(m + 0.5 * dt * k1)
     k3 = field(m + 0.5 * dt * k2)
@@ -322,10 +302,10 @@ def integrate(initial: GradedOperator | FlowState, t_end: float, dt: float,
     Every state is exactly symmetric, with exact zeros between degrees more
     than one apart; a matrix with an entry there raises InvalidInputError.
     A Dirac start flows as one 2 x 2 flow per singular pair of d, any other
-    on the band blocks (see the module docstring); the first state is the
-    given matrix either way.  Raises ResourceLimitError before the first
-    step when the run would exceed MAX_FLOW_WORK or its sampled states
-    MAX_TRAJECTORY_BYTES.
+    as the dense matrix under the band field (see the module docstring); the
+    first state is the given matrix, rebuilt from its upper triangle, either
+    way.  Raises ResourceLimitError before the first step when the run would
+    exceed MAX_FLOW_WORK or its sampled states MAX_TRAJECTORY_BYTES.
     """
     basis = initial.basis
     steps = flow_steps(len(basis), t_end, dt, sample_every)
@@ -333,11 +313,11 @@ def integrate(initial: GradedOperator | FlowState, t_end: float, dt: float,
         m, t0 = initial.to_dense(), 0.0
     else:
         m, t0 = initial.matrix, initial.t
-    m, band = _pack(m, basis)
+    m = _symmetrized(m, basis)
     states = [FlowState(m, t0, basis)]
     if not steps:
         return states
-    current, field, to_band = _stepper(band, basis)
+    current, field, to_dense = _stepper(m, basis)
     for i in range(1, steps + 1):
         current = _rk4_step(current, field, dt)
         if not np.isfinite(current).all():
@@ -345,8 +325,8 @@ def integrate(initial: GradedOperator | FlowState, t_end: float, dt: float,
                 f"flow diverged at step {i} (t = {t0 + i * dt:.6g})",
                 last_state=states[-1])
         if i % sample_every == 0 or i == steps:
-            states.append(FlowState(_unpack(to_band(current), basis),
-                                    t0 + i * dt, basis))
+            matrix = current if to_dense is None else to_dense(current)
+            states.append(FlowState(matrix, t0 + i * dt, basis))
     return states
 
 

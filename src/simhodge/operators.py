@@ -246,8 +246,9 @@ def connection_degree_counts(c: Complex, k: int) -> tuple[int, ...]:
     """Per total degree, the number of ordered pairwise-intersecting k-tuples:
     one fold with a degree accumulator, without materializing the tuples."""
     dims = [len(s) - 1 for s in c]
+    layers = list(layer_fold(c, k, 0, lambda acc, i: acc + dims[i]))
     counts = [0] * (k * c.dimension + 1)  # a top simplex k times has the top degree
-    for degree, dim, count in layer_fold(c, k, 0, lambda acc, i: acc + dims[i]):
+    for degree, dim, count in layers:
         counts[degree + dim] += count
     return tuple(counts)
 

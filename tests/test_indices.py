@@ -168,11 +168,12 @@ class TestWuCharacteristic:
     def test_fold_budget_refuses_before_the_slot(self):
         from simhodge.operators import connection_basis
 
-        # the 63 simplices of a 6-vertex facet: the fourth slot of the order-8
-        # fold behind the characteristic would extend 667286 prefixes
+        # the 63 simplices of a 6-vertex facet: the first four slots of the
+        # order-8 fold behind the characteristic would extend 736585 prefixes,
+        # 667286 of them in the fourth
         facet = downward_closure([range(6)])
         with pytest.raises(ResourceLimitError, match=(
-                "^order 8 fold needs 667286 extensions at slot 4, limit is 262144$")):
+                "^order 8 fold needs 736585 extensions at slot 4, limit is 262144$")):
             wu_characteristic(facet, 8)
         for call in (multilinear_curvature, connection_basis):
             with pytest.raises(ResourceLimitError, match=(
@@ -276,6 +277,21 @@ class TestVertexSpread:
 
     def test_empty_complex(self):
         assert vertex_spread(downward_closure([]), 2, []) == {}
+
+    def test_last_slot_pairs_refused_before_the_blocks(self):
+        import time
+
+        # order 3 on a 9-vertex facet: 121486 prefixes fold into 54912166
+        # (prefix, last simplex) pairs, more than PRODUCT_PAIR_LIMIT
+        started = time.monotonic()
+        with pytest.raises(ResourceLimitError, match=(
+                "^order 3 vertex spread needs 54912166 \\(prefix, last simplex\\) "
+                "pairs, limit is 16777216$")):
+            multilinear_curvature(downward_closure([range(9)]), 3)
+        assert time.monotonic() - started < 1
+        # an 8-vertex facet has 6451841 pairs and stays admitted
+        assert sum(multilinear_curvature(downward_closure([range(8)]), 3).values()) \
+            == 253
 
 
 class TestPoincareHopf:

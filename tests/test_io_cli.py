@@ -940,6 +940,26 @@ def test_high_orders_on_one_facet_are_four_in_a_bounded_child(tmp_path, argv,
     assert time.monotonic() - started < 5
 
 
+@pytest.mark.parametrize("argv", [
+    ["export", "--order", "1000000000"], ["betti", "--order", "3000"],
+    ["curvature", "--order", "400"], ["curvature", "--order", "1000000000"]])
+def test_huge_orders_on_the_octahedron_are_four_in_a_bounded_child(tmp_path,
+                                                                  argv):
+    """Each slot of a huge order passes the fold budget on its own while the
+    degree keys and weights keep growing; the extensions summed over the
+    slots refuse each well inside 2 GiB and 5 s."""
+    import time
+
+    (tmp_path / "octahedron.txt").write_text(serialize_facets(generate("octahedron")))
+    started = time.monotonic()
+    done = _run_child([argv[0], "--input", "octahedron.txt", *argv[1:]],
+                      tmp_path, address_space=2 << 30, timeout=30)
+    assert done.returncode == 4, done.stderr[-2000:]
+    assert done.stderr.startswith("resource limit: ")
+    assert "Traceback" not in done.stderr
+    assert time.monotonic() - started < 5
+
+
 def test_report_results_on_the_refined_octahedron_are_pinned(tmp_path, capsys):
     """The ``results`` block of ``report`` holds only integers, fractions and
     booleans, so it is byte-identical across BLAS builds and solver changes."""

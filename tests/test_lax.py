@@ -359,8 +359,11 @@ def test_band_path_matches_two_product_rk4(state):
     assume(middle.any())
     states = integrate(state, 0.5, 0.05, sample_every=2)
     expected = reference_rk4(state.matrix, state.basis, 0.5, 0.05, 2)
+    degrees = np.asarray(state.basis.degrees)
     assert len(states) == len(expected)
     for s, m in zip(states, expected):
+        assert np.array_equal(s.matrix, s.matrix.T), s.t
+        assert not out_of_band(s.matrix, degrees).any(), s.t
         assert np.max(np.abs(s.matrix - m), initial=0.0) <= 1e-12, s.t
 
 

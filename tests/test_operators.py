@@ -249,6 +249,8 @@ class TestConnectionBasis:
                 assert connection_degree_counts(suite[name], k) \
                     == connection_basis(suite[name], k).dims, (name, k)
         assert connection_degree_counts(downward_closure([]), 2) == ()
+        # the empty complex's fold stops at its first empty slot
+        assert connection_degree_counts(downward_closure([]), 10 ** 9) == ()
 
 
 class TestMeetMasks:
@@ -289,6 +291,14 @@ class TestMeetMasks:
                 count()
         assert c._meet is None
         assert connection_degree_counts(c, 1) == (4, 6, 4, 1)
+
+    def test_huge_order_refused_before_the_counts(self):
+        # each slot of the octahedron's fold passes the budget on its own;
+        # the extensions summed over slots 1 to 29 do not
+        with pytest.raises(ResourceLimitError, match=(
+                "^order 1000000000 fold needs 271140 extensions at slot 29, "
+                "limit is 262144$")):
+            connection_degree_counts(generate("octahedron"), 10 ** 9)
 
     def test_budget_folds_once(self, suite, monkeypatch):
         from simhodge import operators
