@@ -30,10 +30,11 @@ from .io import (field_payload, fraction_payload, operator_to_json,
                  operator_to_triplets, parse_input, parse_permutation,
                  parse_vertex_function, read_text, serialize_facets,
                  sha256_hex)
-from .lax import flow_steps, integrate, trajectory_to_csv, trajectory_to_json
+from .lax import (closed_form_error, flow_steps, integrate, trajectory_to_csv,
+                  trajectory_to_json)
 from .lefschetz import check_automorphism, lefschetz_report
-from .operators import (connection_derivative, dirac, exterior_derivative,
-                        hodge, require_connection_budget)
+from .operators import (alternating_sum, connection_derivative, dirac,
+                        exterior_derivative, hodge, require_connection_budget)
 from .spectral import heat_supertrace, hodge_spectra, spectrum_report
 
 EXIT_OK = 0
@@ -142,10 +143,12 @@ def _cmd_betti(c, args):
 
 
 def _cmd_curvature(c, args):
-    require_connection_budget(c, args.order)
+    counts = require_connection_budget(c, args.order)
     values = multilinear_curvature(c, args.order)
     total = sum(values.values(), Fraction(0))
-    target = wu_characteristic(c, args.order)
+    # the budget check folded the degree counts of order three and more
+    target = (wu_characteristic(c, args.order) if counts is None
+              else alternating_sum(counts))
     return {
         "order": args.order,
         "values": field_payload(c, values),
@@ -246,6 +249,7 @@ def _cmd_lax(c, args):
         "t_end": states[-1].t,
         "dt": args.dt,
         "spectral_drift": drift,
+        "closed_form_error": closed_form_error(states),
         "final_middle_norm": rows[-1]["b_norm"],
         "max_nilpotency_defect": defect,
         "isospectral_within_tolerance": drift < 1e-6,

@@ -32,13 +32,26 @@ signed.  Any other start, or a frame that does not reproduce its blocks to
 FRAME_TOL, flows by RK4 of the dense, exactly symmetric matrix under the
 field that ``bracket_field`` returns.  Both paths are one plain RK4 step over
 one field function, of the flat triples or of the dense matrix.
+
+Each pair has the closed form a = -sigma tanh(2 sigma tau), c = -a,
+s = sigma sech(2 sigma tau) at tau = t - t0, since a + c and a^2 + s^2 are
+conserved; ``closed_form_error`` is the largest distance of the RK4 triples
+from it over the sampled states.  A flowed state of a Dirac start keeps its
+triples, and its matrix is written only when read.  Its diagnostics row
+comes from the triples: the spectrum is the sorted union of the 2 x 2
+spectra (a + c)/2 +- hypot((a - c)/2, s) and a zero for every other basis
+element, the middle-part norm ||M||_F is sqrt(sum a^2 + sum c^2), and the
+nilpotency defect ||R^2||_F has the blocks diag(s) C_k diag(s) with
+C_k = V_(k+1)^T U_k, zero up to the frame's rounding.  The first row (the
+input, and the reference of the drift) and the last row (the check of the
+written matrix) come from the dense matrices, as does every row of a band
+path: eigvalsh, and the Frobenius norms of M and of the blocks R_(k+1) R_k.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -165,18 +178,29 @@ def _singular_frame(blocks: list, dims) -> list | None:
     return frame
 
 
-def _frame_to_dense(frame: list, basis: GradedBasis):
-    """The function that writes a flat (a, c, s) vector into a fresh dense
-    matrix: M_k = V_k diag(a) V_k^T + U_(k-1) diag(c) U_(k-1)^T, exactly
-    symmetric from its upper triangle, R_k = U_k diag(s) V_k^T and R_k^T."""
-    slices, levels = _block_slices(basis), len(basis.dims)
-    cuts = np.cumsum([0] + [len(sigma) for _, sigma, _ in frame])
-    pairs = [slice(i, j) for i, j in zip(cuts, cuts[1:])]
+class _Frame:
+    """The singular frame of a Dirac start, built once per run: it writes a
+    flat (a, c, s) vector into a dense matrix and reads the spectrum, the
+    norms and the closed-form error of a state from the triples alone."""
 
-    def to_dense(state: np.ndarray) -> np.ndarray:
+    def __init__(self, blocks: list, basis: GradedBasis, t0: float):
+        self.blocks, self.basis, self.t0 = blocks, basis, t0
+        cuts = np.cumsum([0] + [len(sigma) for _, sigma, _ in blocks])
+        self.pairs = [slice(i, j) for i, j in zip(cuts, cuts[1:])]
+        self.sigma = np.concatenate([np.zeros(0)] + [f[1] for f in blocks])
+        # C_k = V_(k+1)^T U_k, zero up to rounding since im d_k lies in
+        # ker d_(k+1): R_(k+1) R_k = U_(k+1) diag(s) C_k diag(s) V_k^T
+        self.overlaps = [v.T @ u for (u, _, _), (_, _, v) in zip(blocks, blocks[1:])]
+
+    def to_dense(self, state: np.ndarray) -> np.ndarray:
+        """A fresh dense matrix: M_k = V_k diag(a) V_k^T
+        + U_(k-1) diag(c) U_(k-1)^T, exactly symmetric from its upper
+        triangle, R_k = U_k diag(s) V_k^T and R_k^T."""
+        basis = self.basis
+        slices, levels = _block_slices(basis), len(basis.dims)
         a, c, s = state.reshape(3, -1)
         dense = np.zeros((len(basis), len(basis)))
-        for k, ((u, _, v), p) in enumerate(zip(frame, pairs)):
+        for k, ((u, _, v), p) in enumerate(zip(self.blocks, self.pairs)):
             dense[slices[k]] += (v * a[p]) @ v.T
             dense[slices[k + 1]] += (u * c[p]) @ u.T
             rows, cols = slices[levels + k]
@@ -186,32 +210,73 @@ def _frame_to_dense(frame: list, basis: GradedBasis):
             m = dense[rows, cols]
             m[...] = np.triu(m) + np.triu(m, 1).T
         return dense
-    return to_dense
+
+    def spectrum(self, state: np.ndarray) -> np.ndarray:
+        """The sorted union of the 2 x 2 spectra [[a, s], [s, c]] and a
+        zero for every basis element outside the pairs."""
+        a, c, s = state.reshape(3, -1)
+        middle, radius = 0.5 * (a + c), np.hypot(0.5 * (a - c), s)
+        zeros = np.zeros(len(self.basis) - 2 * a.size)
+        return np.sort(np.concatenate([middle - radius, zeros, middle + radius]))
+
+    def norms(self, state: np.ndarray) -> tuple[float, float]:
+        """(||M||_F, ||R^2||_F): the columns of each degree are orthonormal,
+        so ||M||_F^2 = sum a^2 + sum c^2 and ||R_(k+1) R_k||_F is that of
+        diag(s_(k+1)) C_k diag(s_k)."""
+        a, c, s = state.reshape(3, -1)
+        squares = [s[q][:, None] * overlap * s[p] for overlap, p, q
+                   in zip(self.overlaps, self.pairs, self.pairs[1:])]
+        return _frobenius([a, c]), _frobenius(squares)
+
+    def closed_form_error(self, state: np.ndarray, t: float) -> float:
+        """Largest |RK4 - exact| over the triples at time t, against
+        a = -sigma tanh(2 sigma tau), c = -a, s = sigma sech(2 sigma tau)
+        with tau = t - t0."""
+        x = 2.0 * self.sigma * (t - self.t0)
+        decay = np.exp(-x)  # sech x = 2 e^-x / (1 + e^-2x) cannot overflow
+        a = -self.sigma * np.tanh(x)
+        s = self.sigma * 2.0 * decay / (1.0 + decay * decay)
+        return _max_abs(state - np.concatenate([a, -a, s]))
 
 
-def _stepper(m: np.ndarray, basis: GradedBasis):
-    """(start, its field, the writer of a state's dense matrix): the flat
-    (a, c, s) triples of the singular frame when it serves, else the dense
-    band matrix m itself, which needs no writer (None)."""
-    frame = _singular_frame(_band_blocks(m, basis), basis.dims)
-    if frame is None:
+def _stepper(m: np.ndarray, basis: GradedBasis, t0: float):
+    """(start, its field, its frame): the flat (a, c, s) triples of the
+    singular frame when it serves, else the dense band matrix m itself, with
+    no frame (None)."""
+    blocks = _singular_frame(_band_blocks(m, basis), basis.dims)
+    if blocks is None:
         return m, lambda x: _band_field(x, basis), None
-    sigma = np.concatenate([np.zeros(0)] + [f[1] for f in frame])
-    start = np.concatenate([np.zeros(2 * sigma.size), sigma])
-    return start, _pair_field, _frame_to_dense(frame, basis)
+    frame = _Frame(blocks, basis, t0)
+    start = np.concatenate([np.zeros(2 * frame.sigma.size), frame.sigma])
+    return start, _pair_field, frame
 
 
 def _max_abs(x: np.ndarray) -> float:
     return float(np.max(np.abs(x))) if x.size else 0.0
 
 
-@dataclass
-class FlowState:
-    """A symmetric matrix over a graded basis at one flow time."""
+def _frobenius(blocks) -> float:
+    """The Frobenius norm of the matrix whose blocks (or parts) these are."""
+    return math.hypot(*map(np.linalg.norm, blocks))
 
-    matrix: np.ndarray
-    t: float
-    basis: GradedBasis
+
+class FlowState:
+    """A symmetric matrix over a graded basis at one flow time.
+
+    A flowed state of a Dirac start holds its flat (a, c, s) triples and the
+    frame of its run: its matrix is written from them on first read and then
+    kept, and its spectrum and norms come from the triples alone."""
+
+    def __init__(self, matrix: np.ndarray | None, t: float, basis: GradedBasis,
+                 triples: np.ndarray | None = None, frame: _Frame | None = None):
+        self._matrix, self.t, self.basis = matrix, t, basis
+        self.triples, self.frame = triples, frame
+
+    @property
+    def matrix(self) -> np.ndarray:
+        if self._matrix is None:
+            self._matrix = self.frame.to_dense(self.triples)
+        return self._matrix
 
     def split(self):
         """(raising, preserving, lowering) parts; they add back to the matrix."""
@@ -224,19 +289,23 @@ class FlowState:
         return _norms(self)[0]
 
     def eigenvalues(self) -> np.ndarray:
+        if self.frame is not None:
+            return self.frame.spectrum(self.triples)
         return np.linalg.eigvalsh(self.matrix) if self.matrix.size else np.zeros(0)
 
 
 def _norms(state: FlowState) -> tuple[float, float]:
-    """(largest entry of the degree-preserving part, largest entry of the
-    square of the raising part) of a band state, from its blocks: the square
-    of the raising part has the blocks R_(k+1) R_k and no others."""
+    """(Frobenius norm of the degree-preserving part, Frobenius norm of the
+    square of the raising part), from the triples of a frame state, else
+    from the band blocks of the matrix: the square of the raising part has
+    the blocks R_(k+1) R_k and no others."""
+    if state.frame is not None:
+        return state.frame.norms(state.triples)
     blocks = _band_blocks(_symmetric(state.matrix, state.basis), state.basis)
     levels = len(state.basis.dims)
     middles, raisings = blocks[:levels], blocks[levels:]
-    return (max(map(_max_abs, middles), default=0.0),
-            max((_max_abs(b @ a) for a, b in zip(raisings, raisings[1:])),
-                default=0.0))
+    return (_frobenius(middles),
+            _frobenius([b @ a for a, b in zip(raisings, raisings[1:])]))
 
 
 def split_by_degree(matrix: np.ndarray, basis: GradedBasis):
@@ -304,7 +373,7 @@ def integrate(initial: GradedOperator | FlowState, t_end: float, dt: float,
     A Dirac start flows as one 2 x 2 flow per singular pair of d, any other
     as the dense matrix under the band field (see the module docstring); the
     first state is the given matrix, rebuilt from its upper triangle, either
-    way.  Raises ResourceLimitError before the first step when the run would
+    way, and a flowed Dirac state writes its matrix on first read.  Raises ResourceLimitError before the first step when the run would
     exceed MAX_FLOW_WORK or its sampled states MAX_TRAJECTORY_BYTES.
     """
     basis = initial.basis
@@ -317,7 +386,7 @@ def integrate(initial: GradedOperator | FlowState, t_end: float, dt: float,
     states = [FlowState(m, t0, basis)]
     if not steps:
         return states
-    current, field, to_dense = _stepper(m, basis)
+    current, field, frame = _stepper(m, basis, t0)
     for i in range(1, steps + 1):
         current = _rk4_step(current, field, dt)
         if not np.isfinite(current).all():
@@ -325,9 +394,21 @@ def integrate(initial: GradedOperator | FlowState, t_end: float, dt: float,
                 f"flow diverged at step {i} (t = {t0 + i * dt:.6g})",
                 last_state=states[-1])
         if i % sample_every == 0 or i == steps:
-            matrix = current if to_dense is None else to_dense(current)
-            states.append(FlowState(matrix, t0 + i * dt, basis))
+            if frame is None:
+                states.append(FlowState(current, t0 + i * dt, basis))
+            else:
+                states.append(FlowState(None, t0 + i * dt, basis, current, frame))
     return states
+
+
+def closed_form_error(states: list[FlowState]) -> float | None:
+    """Largest |RK4 - exact| over the triples of the states that flowed in
+    the singular frame, against the closed form of each 2 x 2 flow (see the
+    module docstring); None when no state did, as for a band-path start,
+    which has no closed form."""
+    errors = [s.frame.closed_form_error(s.triples, s.t)
+              for s in states if s.frame is not None]
+    return max(errors) if errors else None
 
 
 def spectral_drift(s0: FlowState, s1: FlowState) -> float:
@@ -364,9 +445,14 @@ def deformed_stokes_probe(state: FlowState, form: dict, chain: dict,
 
 def _diagnostics(states: list[FlowState]) -> list[dict]:
     """Per sampled state: time, sorted spectrum, middle-part norm, nilpotency
-    defect and spectral drift from the first state; one eigensolve each."""
+    defect and spectral drift from the first state; one spectrum each.  The
+    first and last rows come from the dense matrices, the first as the drift
+    reference and the last as the check of the written matrix; the rows
+    between come from the triples of a frame state."""
     rows = []
-    for s in states:
+    for i, s in enumerate(states):
+        if i in (0, len(states) - 1):
+            s = FlowState(s.matrix, s.t, s.basis)
         b_norm, d_squared_norm = _norms(s)
         eigs = s.eigenvalues()
         base = rows[0]["eigenvalues"] if rows else eigs

@@ -262,7 +262,8 @@ def require_connection_budget(c: Complex, k: int, eigensolve: bool = False):
     """ResourceLimitError before the order-k basis is built: order two over
     PRODUCT_PAIR_LIMIT intersecting pairs, an order of three or more over
     CONNECTION_TUPLE_LIMIT tuples, or, when its Hodge blocks are to be
-    solved, a degree over DENSE_BLOCK_LIMIT tuples."""
+    solved, a degree over DENSE_BLOCK_LIMIT tuples.  Returns the per-degree
+    counts of ``connection_degree_counts`` when it folded them, else None."""
     if k == 2 and (pairs := sum(m.bit_count() for m in intersection_masks(c))) \
             > PRODUCT_PAIR_LIMIT:
         raise ResourceLimitError(f"order 2 needs {pairs} intersecting pairs, "
@@ -274,6 +275,8 @@ def require_connection_budget(c: Complex, k: int, eigensolve: bool = False):
                                      f"limit is {CONNECTION_TUPLE_LIMIT}")
         for degree, width in enumerate(counts if eigensolve else ()):
             require_dense_block(degree, width)
+        return counts
+    return None
 
 
 def connection_derivative(c: Complex, k: int) -> GradedOperator:

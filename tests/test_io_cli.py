@@ -472,6 +472,64 @@ class TestCli:
         assert lax_calls["eigenvalues"] == len(states) == 11
         assert out_path.read_text() == trajectory_to_csv(states)
 
+    def test_lax_dense_work_is_the_first_and_last_state(
+            self, tmp_path, capsys, monkeypatch, solver_calls):
+        from simhodge import barycentric_refinement, lax
+
+        refined = tmp_path / "refined.txt"
+        refined.write_text(serialize_facets(
+            barycentric_refinement(generate("octahedron"))))
+        written = []
+        to_dense = lax._Frame.to_dense
+
+        def counting_to_dense(frame, state):
+            written.append(state)
+            return to_dense(frame, state)
+
+        monkeypatch.setattr(lax._Frame, "to_dense", counting_to_dense)
+        code, out, _ = run_cli(["lax", "--input", str(refined),
+                                "--t-end", "10", "--dt", "0.01"], capsys)
+        assert code == 0
+        results = json.loads(out)["results"]
+        assert len(results["trajectory"]["states"]) == 101
+        # one eigh per block of d for the frame, one dense eigvalsh for the
+        # first and one for the last state, and only the last state written
+        assert solver_calls == {"eigh": 2, "eigvalsh": 2}
+        assert len(written) == 1
+        assert 0.0 < results["closed_form_error"] < 1e-6
+        assert results["isospectral_within_tolerance"] is True
+        assert results["nilpotency_within_tolerance"] is True
+
+    def test_curvature_order_three_folds_the_counts_once(self, tmp_path, capsys,
+                                                         monkeypatch):
+        import sys
+
+        from simhodge import complexes
+
+        triangle = tmp_path / "triangle.txt"
+        triangle.write_text("1 2 3\n")
+        calls = []
+        fold = complexes.tuple_fold
+
+        def counting_fold(*args):
+            calls.append(args[1])
+            return fold(*args)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("simhodge"):
+                for attr, value in list(vars(module).items()):
+                    if value is fold:
+                        monkeypatch.setattr(module, attr, counting_fold)
+        code, out, _ = run_cli(["curvature", "--input", str(triangle),
+                                "--order", "3"], capsys)
+        assert code == 0
+        # the budget's degree counts, then the curvature's vertex spread
+        assert calls == [3, 3]
+        results = json.loads(out)["results"]
+        # weight products over the ordered pairwise-intersecting triples
+        assert results["target_characteristic"] == -5
+        assert results["total_matches_characteristic"] is True
+
 
 class TestExitCodes:
     def test_parse_error_is_two(self, tmp_path, capsys):

@@ -1,5 +1,7 @@
 """Commutator-flow integration: splitting, isospectrality, convergence."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -347,9 +349,10 @@ def test_band_field_and_norms_match_dense_products(state):
     if field.size:
         assert np.max(np.abs(field - expected)) <= 1e-12
     raising, middle, _ = state.split()
-    assert state.preserving_norm() == np.max(np.abs(middle), initial=0.0)
-    dense = np.max(np.abs(raising @ raising), initial=0.0)
-    assert abs(state.raising_norm_squared() - dense) <= 1e-12 * max(dense, 1.0)
+    for norm, dense in ((state.preserving_norm(), np.linalg.norm(middle)),
+                        (state.raising_norm_squared(),
+                         np.linalg.norm(raising @ raising))):
+        assert abs(norm - dense) <= 1e-12 * max(dense, 1.0)
 
 
 @settings(max_examples=40)
@@ -534,11 +537,13 @@ class TestDiagnostics:
         monkeypatch.setattr(FlowState, "eigenvalues", counting)
         rows = trajectory_to_json(states)["states"]
         assert len(calls) == len(states)
-        assert rows[-1]["drift"] == spectral_drift(states[0], states[-1])
+        # the first and last rows come from the dense matrices
+        expected = [dense_copy(states[0]), *states[1:-1], dense_copy(states[-1])]
+        assert rows[-1]["drift"] == spectral_drift(states[0], expected[-1])
         assert [r["b_norm"] for r in rows] == [s.preserving_norm()
-                                               for s in states]
+                                               for s in expected]
         assert [r["d_squared_norm"] for r in rows] == [
-            s.raising_norm_squared() for s in states]
+            s.raising_norm_squared() for s in expected]
         calls.clear()
         trajectory_to_csv(states)
         assert len(calls) == len(states)
@@ -546,3 +551,89 @@ class TestDiagnostics:
     def test_empty_trajectory(self):
         assert trajectory_to_json([]) == {"states": []}
         assert trajectory_to_csv([]) == ""
+
+
+def dense_copy(state):
+    """The same matrix as a plain dense state, whose spectrum and norms come
+    from the matrix."""
+    return FlowState(state.matrix, state.t, state.basis)
+
+
+class TestFrameDiagnostics:
+    """A frame state's spectrum and norms come from its (a, c, s) triples;
+    they agree with the same row recomputed from its dense matrix."""
+
+    @staticmethod
+    def check_rows(c):
+        states = integrate(initial_dirac(c), 2.0, 0.05, sample_every=4)
+        assert states[0].frame is None
+        for s in states[1:]:
+            assert s.frame is not None and s._matrix is None
+            dense = dense_copy(s)
+            eigs = dense.eigenvalues()
+            scale = max(np.max(np.abs(eigs), initial=0.0), 1.0)
+            assert np.max(np.abs(s.eigenvalues() - eigs),
+                          initial=0.0) <= 1e-12 * scale, s.t
+            assert abs(s.preserving_norm()
+                       - dense.preserving_norm()) <= 1e-12 * scale, s.t
+            assert abs(s.raising_norm_squared()
+                       - dense.raising_norm_squared()) <= 1e-12 * scale ** 2, s.t
+
+    def test_frame_rows_match_dense_rows_on_suite(self, suite):
+        cases = dict(suite, empty=downward_closure([]))
+        for c in cases.values():
+            self.check_rows(c)
+
+    def test_frame_rows_match_dense_rows_on_refined_octahedron(self):
+        self.check_rows(barycentric_refinement(generate("octahedron")))
+
+    def test_matrix_written_once_on_first_read(self, c4):
+        states = integrate(initial_dirac(c4), 0.2, 0.1)
+        last = states[-1]
+        assert last._matrix is None
+        assert last.matrix is last.matrix
+        assert np.array_equal(last.matrix, last.frame.to_dense(last.triples))
+
+    def test_frame_norms_are_not_structural(self):
+        # R_(k+1) R_k is zero in exact arithmetic; the frame keeps the
+        # rounding of C_k = V_(k+1)^T U_k instead of a structural 0
+        refined = barycentric_refinement(generate("octahedron"))
+        state = integrate(initial_dirac(refined), 1.0, 0.1)[-1]
+        assert 0.0 < state.raising_norm_squared() < 1e-12
+
+
+class TestClosedFormError:
+    """a = -sigma tanh(2 sigma tau), c = -a, s = sigma sech(2 sigma tau)."""
+
+    def test_refined_octahedron_at_the_benchmark_step(self):
+        # measured: 6.2e-7, at t = 0.1 on the largest singular value 3.28;
+        # 1.0e-5 at dt = 0.02 and 3.8e-8 at dt = 0.005
+        refined = barycentric_refinement(generate("octahedron"))
+        states = integrate(initial_dirac(refined), 10.0, 0.01,
+                           sample_every=10)
+        assert 0.0 < lax.closed_form_error(states) < 1e-6
+
+    def test_fourth_order_in_dt(self, suite):
+        big_d = initial_dirac(suite["simplex3"])
+        errors = [lax.closed_form_error(integrate(big_d, 5.0, dt,
+                                                  sample_every=5))
+                  for dt in (0.2, 0.1)]
+        assert 8.0 <= errors[0] / errors[1] <= 32.0
+
+    def test_no_overflow_at_large_times(self, c4):
+        state = integrate(initial_dirac(c4), 0.2, 0.1)[-1]
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                error = state.frame.closed_form_error(state.triples, 1e6)
+        # the exact triples there are (-sigma, sigma, 0)
+        sigma = state.frame.sigma
+        assert error == lax._max_abs(state.triples - np.concatenate(
+            [-sigma, sigma, np.zeros(sigma.size)]))
+
+    def test_none_without_a_frame_state(self, c4):
+        big_d = initial_dirac(c4)
+        m = big_d.to_dense() + np.diag(np.linspace(0.0, 0.1, len(big_d.basis)))
+        assert lax.closed_form_error(
+            integrate(FlowState(m, 0.0, big_d.basis), 0.2, 0.1)) is None
+        assert lax.closed_form_error(integrate(big_d, 0.0, 0.1)) is None
