@@ -107,7 +107,8 @@ def _cmd_report(c, args):
         "f_vector": list(f_vector(c)),
         "f_matrix": f_matrix(c).tolist(),
         "euler_characteristic": euler_characteristic(c),
-        "wu": {"2": wu_characteristic(c, 2), "3": wu_characteristic(c, 3)},
+        "wu": {"2": derivatives[2].basis.alternating_dimension_sum(),
+               "3": wu_characteristic(c, 3)},
     }
     curvatures = {k: multilinear_curvature(c, k) for k in (1, 2)}
     reports, triples = {}, {}

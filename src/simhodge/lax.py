@@ -7,15 +7,15 @@ and lowering parts, and integrate the commutator field with fixed-step
 classical Runge-Kutta.  The degree-preserving middle grows from zero while
 the spectrum and the nilpotency of the raising part persist.
 
-The field keeps a matrix with entries only within a degree and between
-adjacent degrees in that band, so it is formed from views of the band blocks
-of the dense matrix: X = R + M + R^T with M_k within degree k and R_k from
-degree k to k + 1.  With B = R - R^T and Q = RM - MR,
+X is symmetric and B = S o X, with S the sign of the degree difference of
+row and column, is antisymmetric, so the field is one product,
 
-    [B, X] = Q + Q^T + 2 (R R^T - R^T R),
+    [B, X] = BX - XB = BX + (BX)^T,
 
-whose block (k, k) is P_k + P_k^T for P_k = R_(k-1) R_(k-1)^T - R_k^T R_k and
-whose block (k + 1, k) is R_k M_k - M_(k+1) R_k; every other block is zero.
+exactly symmetric as a sum.  With X = R + M + R^T (M_k within degree k, R_k
+from degree k to k + 1) and Q = RM - MR it is Q + Q^T + 2 (R R^T - R^T R),
+which has no entry between degrees more than one apart: there the product
+leaves only rounding, and the field has exact zeros.
 
 A Dirac start (every M_k zero and every R_(k+1) R_k zero, as for d + d*)
 flows in the singular frame of d instead.  With R_k = U_k diag(sigma) V_k^T,
@@ -37,7 +37,8 @@ Each pair has the closed form a = -sigma tanh(2 sigma tau), c = -a,
 s = sigma sech(2 sigma tau) at tau = t - t0, since a + c and a^2 + s^2 are
 conserved; ``closed_form_error`` is the largest distance of the RK4 triples
 from it over the sampled states.  A flowed state of a Dirac start keeps its
-triples, and its matrix is written only when read.  Its diagnostics row
+triples, and its matrix is written only when read; a restart from it
+goes on from the triples in the same frame.  Its diagnostics row
 comes from the triples: the spectrum is the sorted union of the 2 x 2
 spectra (a + c)/2 +- hypot((a - c)/2, s) and a zero for every other basis
 element, the middle-part norm ||M||_F is sqrt(sum a^2 + sum c^2), and the
@@ -73,10 +74,13 @@ MAX_FLOW_WORK = 10 ** 11
 MAX_TRAJECTORY_BYTES = 2 ** 28
 
 
-def _sign_matrix(basis: GradedBasis) -> np.ndarray:
-    """+1 on raising entries, -1 on lowering entries, 0 within a degree."""
+def _degree_signs(basis: GradedBasis) -> tuple[np.ndarray, np.ndarray]:
+    """(S, outside): S is +1 on raising entries, -1 on lowering entries and
+    0 within a degree; outside marks the entries between degrees more than
+    one apart."""
     degrees = np.asarray(basis.degrees, dtype=float)
-    return np.sign(degrees[:, None] - degrees[None, :])
+    gaps = degrees[:, None] - degrees[None, :]
+    return np.sign(gaps), np.abs(gaps) > 1
 
 
 def _symmetric(matrix, basis: GradedBasis) -> np.ndarray:
@@ -118,27 +122,11 @@ def _symmetrized(matrix, basis: GradedBasis) -> np.ndarray:
     return m
 
 
-def _band_field(x: np.ndarray, basis: GradedBasis) -> np.ndarray:
-    """The field [B, X] of a dense band matrix x, from views of its band
-    blocks: block (k, k) is P_k + P_k^T, block (k + 1, k) is
-    R_k M_k - M_(k+1) R_k and block (k, k + 1) its transpose."""
-    slices = _block_slices(basis)
-    levels = len(basis.dims)  # M_0 .. M_top, then R_0 .. R_(top-1)
-    blocks, out = [x[rows, cols] for rows, cols in slices], np.zeros_like(x)
-    m, r = blocks[:levels], blocks[levels:]
-    for k in range(levels if levels > 1 else 0):
-        # P_k, with the term of a missing R_(k-1) or R_k left out
-        if k == 0:
-            p = -(r[0].T @ r[0])
-        elif k + 1 == levels:
-            p = r[k - 1] @ r[k - 1].T
-        else:
-            p = r[k - 1] @ r[k - 1].T - r[k].T @ r[k]
-        out[slices[k]] = p + p.T
-    for k, (rows, cols) in enumerate(slices[levels:]):
-        q = r[k] @ m[k] - m[k + 1] @ r[k]
-        out[rows, cols], out[cols, rows] = q, q.T
-    return out
+def _band_field(x: np.ndarray, sign, outside) -> np.ndarray:
+    """The field BX + (BX)^T of a dense band matrix x, B = sign * x, with
+    exact zeros outside the band (``_degree_signs``)."""
+    p = (sign * x) @ x
+    return np.where(outside, 0.0, p + p.T)
 
 
 def _pair_field(x: np.ndarray) -> np.ndarray:
@@ -245,7 +233,8 @@ def _stepper(m: np.ndarray, basis: GradedBasis, t0: float):
     no frame (None)."""
     blocks = _singular_frame(_band_blocks(m, basis), basis.dims)
     if blocks is None:
-        return m, lambda x: _band_field(x, basis), None
+        signs = _degree_signs(basis)  # once per run
+        return m, lambda x: _band_field(x, *signs), None
     frame = _Frame(blocks, basis, t0)
     start = np.concatenate([np.zeros(2 * frame.sigma.size), frame.sigma])
     return start, _pair_field, frame
@@ -283,9 +272,12 @@ class FlowState:
         return split_by_degree(self.matrix, self.basis)
 
     def raising_norm_squared(self) -> float:
+        """||R^2||_F, the Frobenius norm of the square of the raising part
+        (not ||R||^2): the nilpotency defect, zero for a Dirac operator."""
         return _norms(self)[1]
 
     def preserving_norm(self) -> float:
+        """||M||_F, the Frobenius norm of the degree-preserving part."""
         return _norms(self)[0]
 
     def eigenvalues(self) -> np.ndarray:
@@ -312,12 +304,10 @@ def split_by_degree(matrix: np.ndarray, basis: GradedBasis):
     """Split a symmetric matrix into degree-raising, -preserving and -lowering parts.
 
     Raising collects every entry that maps a degree into any strictly higher
-    degree.  The flow keeps only adjacent degrees by construction: for
-    X = R + M + R^T and B = R - R^T, [B, X] = (RM - MR) + (RM - MR)^T
-    + 2 (R R^T - R^T R) has no entry between degrees more than one apart.
+    degree; the flow keeps only adjacent degrees (see the module docstring).
     """
     m = _symmetric(matrix, basis)
-    sign = _sign_matrix(basis)
+    sign, _ = _degree_signs(basis)
     return m * (sign > 0), m * (sign == 0), m * (sign < 0)
 
 
@@ -325,7 +315,8 @@ def bracket_field(state: FlowState) -> np.ndarray:
     """Commutator field steering the flow; exactly symmetric, and zero
     outside the band.  Raises InvalidInputError for a matrix with an entry
     between degrees more than one apart."""
-    return _band_field(_symmetrized(state.matrix, state.basis), state.basis)
+    return _band_field(_symmetrized(state.matrix, state.basis),
+                       *_degree_signs(state.basis))
 
 
 def _rk4_step(m: np.ndarray, field, dt: float) -> np.ndarray:
@@ -370,23 +361,28 @@ def integrate(initial: GradedOperator | FlowState, t_end: float, dt: float,
     the last good state attached if the integration leaves the finite range.
     Every state is exactly symmetric, with exact zeros between degrees more
     than one apart; a matrix with an entry there raises InvalidInputError.
-    A Dirac start flows as one 2 x 2 flow per singular pair of d, any other
-    as the dense matrix under the band field (see the module docstring); the
-    first state is the given matrix, rebuilt from its upper triangle, either
-    way, and a flowed Dirac state writes its matrix on first read.  Raises ResourceLimitError before the first step when the run would
-    exceed MAX_FLOW_WORK or its sampled states MAX_TRAJECTORY_BYTES.
+    A Dirac start flows as one 2 x 2 flow per singular pair of d, and a
+    flowed Dirac state goes on from its triples in the frame of its run; any
+    other start flows as the dense matrix under the band field (see the
+    module docstring).  The first state is the given matrix, rebuilt from
+    its upper triangle, on every path.  Raises ResourceLimitError before the
+    first step when the run would exceed MAX_FLOW_WORK or its sampled states
+    MAX_TRAJECTORY_BYTES.
     """
     basis = initial.basis
     steps = flow_steps(len(basis), t_end, dt, sample_every)
     if isinstance(initial, GradedOperator):
-        m, t0 = initial.to_dense(), 0.0
+        m, t0, frame = initial.to_dense(), 0.0, None
     else:
-        m, t0 = initial.matrix, initial.t
+        m, t0, frame = initial.matrix, initial.t, initial.frame
     m = _symmetrized(m, basis)
     states = [FlowState(m, t0, basis)]
     if not steps:
         return states
-    current, field, frame = _stepper(m, basis, t0)
+    if frame is None:
+        current, field, frame = _stepper(m, basis, t0)
+    else:
+        current, field = initial.triples, _pair_field
     for i in range(1, steps + 1):
         current = _rk4_step(current, field, dt)
         if not np.isfinite(current).all():
@@ -394,10 +390,9 @@ def integrate(initial: GradedOperator | FlowState, t_end: float, dt: float,
                 f"flow diverged at step {i} (t = {t0 + i * dt:.6g})",
                 last_state=states[-1])
         if i % sample_every == 0 or i == steps:
-            if frame is None:
-                states.append(FlowState(current, t0 + i * dt, basis))
-            else:
-                states.append(FlowState(None, t0 + i * dt, basis, current, frame))
+            t = t0 + i * dt
+            states.append(FlowState(current, t, basis) if frame is None
+                          else FlowState(None, t, basis, current, frame))
     return states
 
 

@@ -104,10 +104,12 @@ def _super_trace(pairs, f) -> tuple[float, list[float]]:
 
 
 def _heat_trace(pairs, t: float) -> float:
-    """Sum_k (-1)^k sum_i exp(-t λ_i) h_i; t must be non-negative and finite."""
+    """Sum_k (-1)^k sum_i exp(-t λ_i) h_i; t must be non-negative and finite.
+    A t λ past the float range gives exp(-inf) = 0, its exact limit."""
     if not 0 <= t < math.inf:
         raise InvalidInputError("heat time must be non-negative and finite")
-    return _super_trace(pairs, lambda w: np.exp(-t * np.clip(w, 0.0, None)))[0]
+    with np.errstate(over="ignore"):
+        return _super_trace(pairs, lambda w: np.exp(-t * np.clip(w, 0.0, None)))[0]
 
 
 def heat_supertrace(spectra, t: float) -> float:

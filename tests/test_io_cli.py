@@ -530,6 +530,33 @@ class TestCli:
         assert results["target_characteristic"] == -5
         assert results["total_matches_characteristic"] is True
 
+    def test_report_folds_the_order_two_counts_once(self, tmp_path, capsys,
+                                                    monkeypatch):
+        import sys
+
+        from simhodge import operators
+
+        octahedron = tmp_path / "octahedron.txt"
+        octahedron.write_text(serialize_facets(generate("octahedron")))
+        calls = []
+        counts = operators.connection_degree_counts
+
+        def counting(c, k):
+            calls.append(k)
+            return counts(c, k)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("simhodge"):
+                for attr, value in list(vars(module).items()):
+                    if value is counts:
+                        monkeypatch.setattr(module, attr, counting)
+        code, out, _ = run_cli(["report", "--input", str(octahedron)], capsys)
+        assert code == 0
+        # the budgets of orders 1 and 2, then omega_3; omega_2 is the
+        # alternating dimension sum of the order-2 basis
+        assert calls == [1, 2, 3]
+        assert json.loads(out)["results"]["wu"] == {"2": 2, "3": 2}
+
 
 class TestExitCodes:
     def test_parse_error_is_two(self, tmp_path, capsys):
@@ -943,6 +970,25 @@ def test_one_17_vertex_facet_in_a_bounded_child(tmp_path, argv, code):
         assert done.stderr.startswith("resource limit: ")
     else:
         assert json.loads(done.stdout)["results"]["total_matches_characteristic"]
+
+
+@pytest.mark.parametrize("argv", [["heat"],
+                                  ["lefschetz", "--perm", "swap.txt"]])
+def test_heat_time_past_the_float_range_warns_nothing(tmp_path, argv):
+    """At t = 1e308 every t * lambda of a nonzero eigenvalue is past the float
+    range; the trace takes exp(-inf) = 0 without a warning on stderr."""
+    (tmp_path / "octahedron.txt").write_text(
+        serialize_facets(generate("octahedron")))
+    (tmp_path / "swap.txt").write_text("(0 1)\n")
+    done = _run_child([argv[0], "--input", "octahedron.txt", *argv[1:],
+                       "--t", "1e308"], tmp_path)
+    assert done.returncode == 0, done.stderr[-2000:]
+    assert done.stderr == ""
+    results = json.loads(done.stdout)["results"]
+    if argv[0] == "heat":
+        assert results["supertrace"] == {"1e+308": 2.0}
+    else:  # the swap of two antipodes fixes a circle: L = chi(circle) = 0
+        assert abs(results["heat_trace"]["1e+308"]) < 1e-9
 
 
 def test_order_two_curvature_over_pair_budget_is_four(tmp_path):

@@ -265,6 +265,14 @@ def two_product_field(x, basis):
     return b @ x - x @ b
 
 
+def block_field(x, basis):
+    """The same commutator as Q + Q^T + 2 (R R^T - R^T R), Q = RM - MR, whose
+    terms have no entry between degrees more than one apart."""
+    r, m, _ = split_by_degree(x, basis)
+    q = r @ m - m @ r
+    return q + q.T + 2.0 * (r @ r.T - r.T @ r)
+
+
 def reference_rk4(m, basis, t_end, dt, sample_every):
     """Classical RK4 on the two-product field, sampled like integrate."""
     steps = int(round(t_end / dt))
@@ -345,9 +353,9 @@ def test_band_field_and_norms_match_dense_products(state):
     field = bracket_field(state)
     assert np.array_equal(field, field.T)
     assert not out_of_band(field, np.asarray(state.basis.degrees)).any()
-    expected = two_product_field(state.matrix, state.basis)
-    if field.size:
-        assert np.max(np.abs(field - expected)) <= 1e-12
+    for expected in (two_product_field(state.matrix, state.basis),
+                     block_field(state.matrix, state.basis)):
+        assert np.max(np.abs(field - expected), initial=0.0) <= 1e-12
     raising, middle, _ = state.split()
     for norm, dense in ((state.preserving_norm(), np.linalg.norm(middle)),
                         (state.raising_norm_squared(),
@@ -395,8 +403,9 @@ def signed_relabeling(basis, seed):
 
 
 class TestSingularFrame:
-    """A Dirac start flows as one 2 x 2 flow per singular pair of d; every
-    other start flows on the band blocks."""
+    """A Dirac start flows as one 2 x 2 flow per singular pair of d, and a
+    restart from one of its flowed states goes on in the same frame; every
+    other start flows as the dense matrix under the band field."""
 
     def test_dirac_starts_never_build_the_band_kernel(self, suite,
                                                       no_band_kernel):
@@ -426,6 +435,29 @@ class TestSingularFrame:
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(BandKernelBuilt):
                 integrate(FlowState(1e200 * m, 0.0, big_d.basis), 0.1, 0.05)
+
+    @staticmethod
+    def check_restarts(c, t_end, dt, sample_every):
+        run = integrate(initial_dirac(c), t_end, dt, sample_every=sample_every)
+        for j, start in enumerate(run[1:], 1):
+            again = integrate(start, t_end - start.t, dt,
+                              sample_every=sample_every)
+            assert len(again) == len(run) - j
+            assert again[0].frame is None
+            assert np.array_equal(again[0].matrix, start.matrix)
+            for s, r in zip(again[1:], run[j + 1:]):
+                assert s.frame is start.frame, (j, s.t)
+                assert s.t == pytest.approx(r.t, abs=1e-12)
+                assert np.array_equal(s.triples, r.triples), (j, s.t)
+                assert np.array_equal(s.matrix, r.matrix), (j, s.t)
+
+    def test_restarts_repeat_the_uninterrupted_run(self, suite,
+                                                   no_band_kernel):
+        self.check_restarts(suite["octahedron"], 2.0, 0.05, 4)
+
+    def test_restarts_on_refined_octahedron(self, no_band_kernel):
+        refined = barycentric_refinement(generate("octahedron"))
+        self.check_restarts(refined, 10.0, 0.01, 200)
 
     def test_zero_singular_pairs(self, no_band_kernel):
         starts = [initial_dirac(downward_closure(f))

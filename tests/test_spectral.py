@@ -113,6 +113,14 @@ class TestHeatSupertrace:
             with pytest.raises(InvalidInputError):
                 heat_supertrace(spectra, t)
 
+    def test_time_past_the_float_range_is_chi(self, suite):
+        # t * lambda overflows to inf, and exp(-inf) = 0 is the exact limit;
+        # pytest turns any warning into an error here
+        for name, c in suite.items():
+            d = exterior_derivative(c)
+            assert heat_supertrace(hodge_spectra(d), 1e308) \
+                == euler_characteristic(c), name
+
     def test_equals_per_degree_loop_exactly(self, suite):
         def loop(spectra, t):
             total = 0.0
