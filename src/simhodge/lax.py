@@ -152,7 +152,7 @@ def _singular_frame(blocks: list, dims) -> list | None:
         gram = r.T @ r if on_source else r @ r.T
         if not np.isfinite(gram).all():
             return None
-        w, u, v = gram_pairs(gram, r, on_source)
+        w, u, v = gram_pairs([(gram, None)], r, on_source)
         sigma = np.sqrt(w)
         if _max_abs((u * sigma) @ v.T - r) > FRAME_TOL * _max_abs(r):
             return None

@@ -27,7 +27,9 @@ from .intlinalg import PRODUCT_PAIR_LIMIT, IntMatrix, as_integer, int_matrix
 # holds at most CONNECTION_TUPLE_LIMIT tuples, and a degree whose spectrum is
 # solved is at most DENSE_BLOCK_LIMIT wide (128 MiB a dense copy).  Commands
 # solve Gram blocks of d, min(dim_k, dim_{k+1}) wide, values and vectors
-# alike; only a formed L's eigensystem solves a Hodge block, dim_k wide.
+# alike, one swap sector at a time where d records one (order 2), so a solve
+# can be narrower than the full degree width this budget still charges; only
+# a formed L's eigensystem solves a Hodge block, dim_k wide.
 CONNECTION_TUPLE_LIMIT = 2000
 DENSE_BLOCK_LIMIT = 4096
 
@@ -91,8 +93,12 @@ class GradedOperator:
         self.matrix = m
         self.basis = basis
         self.shift = shift
+        # (partner, sign) int arrays of a degree-preserving signed involution
+        # tau e_i = sign[i] e_partner[i] that commutes with the matrix, or None
+        self.swap = None
         self._eigs = {}
         self._nilpotent = False
+        self._swap_commutes = False
 
     def block(self, row_degree: int, col_degree: int) -> np.ndarray:
         """Dense integer block mapping col_degree forms to row_degree forms."""
@@ -167,6 +173,25 @@ def require_nilpotent(d: GradedOperator):
     if not d._nilpotent and (d.matrix @ d.matrix).nnz:
         raise ContractViolationError("d is not nilpotent: d @ d has non-zero entries")
     d._nilpotent = True
+
+
+def require_swap_commutes(d: GradedOperator):
+    """Raise ContractViolationError unless d's recorded swap tau is a
+    degree-preserving involution with tau d = d tau exactly (as tau d and
+    tau (tau d^T)^T); once per d."""
+    if d.swap is None or d._swap_commutes:
+        return
+    partner, sign = d.swap
+    index, degrees = np.arange(len(partner)), np.array(d.basis.degrees)
+    tau = IntMatrix(partner, index, sign, d.matrix.shape)
+    left, right = tau @ d.matrix, (tau @ d.matrix.T).T
+    if not (np.array_equal(partner[partner], index)
+            and np.array_equal(sign * sign[partner], np.ones_like(sign))
+            and np.array_equal(degrees[partner], degrees)
+            and all(np.array_equal(a, b) for a, b in zip(
+                (left.row, left.col, left.data), (right.row, right.col, right.data)))):
+        raise ContractViolationError("d's swap is not a commuting involution")
+    d._swap_commutes = True
 
 
 def dirac(d: GradedOperator) -> GradedOperator:
@@ -288,7 +313,8 @@ def connection_derivative(c: Complex, k: int) -> GradedOperator:
     dropped.  Tuples containing a disjoint pair can never regain
     intersection under further boundaries, so this is the differential of a
     quotient complex and squares to zero for every order.  Order 1
-    reproduces the exterior derivative.
+    reproduces the exterior derivative.  Order 2 records its swap
+    tau(x, y) = (-1)^(dim x dim y) (y, x), which commutes with d.
     """
     basis = connection_basis(c, k)
     rows, cols, vals = [], [], []
@@ -304,4 +330,10 @@ def connection_derivative(c: Complex, k: int) -> GradedOperator:
                     vals.append((-1) ** (prefix + j))
             prefix += len(simplex) - 1
     n = len(basis)
-    return GradedOperator(IntMatrix(rows, cols, vals, (n, n)), basis, shift=1)
+    d = GradedOperator(IntMatrix(rows, cols, vals, (n, n)), basis, shift=1)
+    if k == 2:
+        d.swap = (np.array([basis.index[(y, x)] for x, y in basis.elements],
+                           dtype=np.int64),
+                  np.array([(-1) ** ((len(x) - 1) * (len(y) - 1))
+                            for x, y in basis.elements], dtype=np.int64))
+    return d

@@ -5,6 +5,20 @@ checked against.  Spectra, singular vectors and Lefschetz weights come from
 one solve per block d_k of d, on its Gram matrix of the narrower side,
 min(dim_k, dim_{k+1}) wide.  An eigenvalue counts as zero under 1e-7 times
 the top eigenvalue of its solved block.
+
+A derivative that records a swap tau (a signed involution of its basis that
+commutes with d: the order-2 connection derivative) is solved one tau-sector
+at a time.  Each degree splits into the tau = +1 and tau = -1 eigenspaces,
+spanned by e_i + tau e_i for each pair {i, tau i} and by e_i for each fixed
+i; d maps each sector into the same sector, so each Gram matrix splits into
+two blocks, each built as an exact integer product and scaled by the basis
+norms (sqrt 2 for a pair) only as it becomes float.  The sector eigenvalues
+of a block are joined before its kernel threshold is taken.
+
+``spectrum_report`` checks the non-zero spectrum against an exact number:
+tr(L_k), the sum of the eigenvalues of degree k, equals the sum of v^2 over
+the entries v of d whose row or column lies in degree k, to a relative
+1e-9; a split that loses mass between sectors fails it.
 """
 
 from __future__ import annotations
@@ -15,12 +29,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidInputError
-from .intlinalg import exact_rank
+from .intlinalg import IntMatrix, exact_rank
 from .operators import (GradedOperator, alternating_sum, require_dense_block,
-                        require_nilpotent)
+                        require_nilpotent, require_swap_commutes)
 
 KERNEL_TOL = 1e-7
 SUSY_TOL = 1e-9
+TRACE_TOL = 1e-9
 
 
 def betti(d: GradedOperator) -> tuple[int, ...]:
@@ -54,36 +69,121 @@ def narrow_side(dims, k: int) -> int:
     return k if dims[k] <= dims[k + 1] else k + 1
 
 
-def gram_pairs(gram: np.ndarray, block=None, on_source: bool = True):
-    """(σ², U, V) for one block b of d from its float Gram matrix ``gram``,
-    b^T b when ``on_source``, else b b^T: the eigenvalues σ² above its
-    ``kernel_mask``, ascending, from one ``eigvalsh``; given the dense b, also
-    b = U diag(σ) V^T from one ``eigh`` and one product, else None twice."""
+def gram_pairs(sectors, block=None, on_source: bool = True):
+    """(σ², U, V) for one block b of d from the float Gram matrices of its
+    sectors, b^T b restricted to each when ``on_source``, else b b^T, each
+    paired with the map that lifts its eigenvectors into the full basis
+    (None: the sector is the full basis).  The eigenvalues σ² of all sectors
+    joined, ascending, above their ``kernel_mask``, from one ``eigvalsh`` per
+    sector; given the dense b, also b = U diag(σ) V^T from one ``eigh`` per
+    sector and one product, else None twice."""
     if block is None:
-        w = np.linalg.eigvalsh(gram)
+        w, _ = _join([(np.linalg.eigvalsh(gram), None) for gram, _ in sectors])
         return w[~kernel_mask(w)], None, None
-    w, vectors = np.linalg.eigh(gram)
+    parts = []
+    for gram, lift in sectors:
+        w, vectors = np.linalg.eigh(gram)
+        parts.append((w, vectors if lift is None else lift(vectors)))
+    w, vectors = _join(parts)
     keep = ~kernel_mask(w)
     w, vectors = w[keep], vectors[:, keep]
     other = (block if on_source else block.T) @ vectors / np.sqrt(w)
     return (w, other, vectors) if on_source else (w, vectors, other)
 
 
+def _join(parts):
+    """One (w, vectors) of the sector solves, ascending in w; a lone solve
+    is returned as it is."""
+    if len(parts) == 1:
+        return parts[0]
+    w = np.concatenate([p[0] for p in parts])
+    order = np.argsort(w, kind="stable")
+    if parts[0][1] is None:
+        return w[order], None
+    return w[order], np.hstack([p[1] for p in parts])[:, order]
+
+
+def swap_sectors(d: GradedOperator) -> list:
+    """Per degree, the sectors its Gram blocks are solved on: [None], the
+    whole degree, when d records no swap; else the tau = +1 and tau = -1
+    sectors as (U, R, norms) in the degree's own indices.  For the sector of
+    eigenvalue e, U's integer columns are e_i + e tau(e_i) for each pair
+    i < tau(i) and e_i for each fixed i with tau(e_i) = e e_i, R picks
+    coordinate i of each column, and norms are the columns' squared lengths,
+    2 or 1.  Checks the swap exactly, once per d."""
+    if d.swap is None:
+        return [[None]] * len(d.basis.dims)
+    require_swap_commutes(d)
+    partner, sign = d.swap
+    sectors = []
+    for k in range(len(d.basis.dims)):
+        part = d.basis.degree_slice(k)
+        mate, signs = partner[part] - part.start, sign[part]
+        index = np.arange(len(mate))
+        degree = []
+        for value in (1, -1):
+            reps = np.flatnonzero((index < mate) | ((index == mate) & (signs == value)))
+            cols, paired = np.arange(len(reps)), mate[reps] != reps
+            ones = np.ones(len(reps), dtype=np.int64)
+            u = IntMatrix(np.concatenate([reps, mate[reps][paired]]),
+                          np.concatenate([cols, cols[paired]]),
+                          np.concatenate([ones, value * signs[reps][paired]]),
+                          (len(mate), len(reps)))
+            r = IntMatrix(cols, reps, ones, (len(reps), len(mate)))
+            degree.append((u, r, np.where(paired, 2, 1)))
+        sectors.append(degree)
+    return sectors
+
+
+def _sector_gram(b, source, target):
+    """The float Gram matrix b^T b of block b (source to target degree) on
+    one source sector, with the lift of its eigenvectors into the full
+    basis; for the whole degree (None), b^T b itself and no lift.
+
+    In the orthonormal sector bases b is N_t B N_s^-1, with B = R_t b U_s and
+    N the square roots of the norms; so b^T b = N_s^-1 (B^T diag(norms_t) B)
+    N_s^-1, exact integers until the last scaling."""
+    if source is None:
+        return _dense(b.T @ b, 1.0), None
+    (u, _, norms), (_, r, target_norms) = source, target
+    part = r @ b @ u
+    gram = part.T @ IntMatrix(part.row, part.col,
+                              part.data * target_norms[part.row], part.shape)
+    roots = np.sqrt(norms)
+
+    def lift(vectors):
+        full = np.zeros((u.shape[0], vectors.shape[1]))
+        full[u.row] = vectors[u.col] * (u.data / roots[u.col])[:, None]
+        return full
+    return _dense(gram, np.sqrt(norms[gram.row] * norms[gram.col])), lift
+
+
+def _dense(m: IntMatrix, scale) -> np.ndarray:
+    """The float array of m with each stored entry divided by ``scale``."""
+    out = np.zeros(m.shape)
+    out[m.row, m.col] = m.data / scale
+    return out
+
+
 def singular_frame(d: GradedOperator, vectors: bool = False) -> list:
-    """``gram_pairs`` of each block d_k on the exact Gram matrix of its
-    narrower side.  L_k has the σ² of d_(k-1) and d_k, with the columns of
-    U_(k-1) and V_k, and zero on what is orthogonal to both (McKean-Singer)."""
+    """``gram_pairs`` of each block d_k on the exact Gram matrices of its
+    narrower side, one per ``swap_sectors`` sector.  L_k has the σ² of
+    d_(k-1) and d_k, with the columns of U_(k-1) and V_k, and zero on what is
+    orthogonal to both (McKean-Singer)."""
     require_nilpotent(d)
     basis, dims = d.basis, d.basis.dims
     sides = [narrow_side(dims, k) for k in range(len(dims) - 1)]
     for side in sides:  # every width, before the first Gram matrix
         require_dense_block(side, dims[side])
+    sectors = swap_sectors(d)
     frame = []
     for k, side in enumerate(sides):
         block = d.matrix.block(basis.degree_slice(k + 1), basis.degree_slice(k))
-        gram = block.T @ block if side == k else block @ block.T
-        frame.append(gram_pairs(gram.toarray().astype(float),
-                                block.toarray() if vectors else None, side == k))
+        b, other = (block, k + 1) if side == k else (block.T, k)
+        # a generator: one sector's dense Gram matrix is alive at a time
+        grams = (_sector_gram(b, *pair) for pair in zip(sectors[side], sectors[other]))
+        frame.append(gram_pairs(grams, block.toarray() if vectors else None,
+                                side == k))
     return frame
 
 
@@ -171,18 +271,34 @@ def harmonic_projector(L: GradedOperator, k: int) -> np.ndarray:
     return kernel @ kernel.T
 
 
+def hodge_traces(d: GradedOperator) -> list[int]:
+    """Exact tr(L_k) per degree k: the sum of v^2 over the entries v of d
+    whose row or column lies in degree k, in Python integers."""
+    degrees = np.array(d.basis.degrees, dtype=np.int64)
+    traces = [0] * len(d.basis.dims)
+    m = d.matrix
+    for row, col, v in zip(degrees[m.row].tolist(), degrees[m.col].tolist(),
+                           m.data.tolist()):
+        traces[row] += v * v
+        traces[col] += v * v
+    return traces
+
+
 @dataclass
 class SpectrumReport:
-    """Per-degree spectra with the exact/numeric kernel cross-check."""
+    """Per-degree spectra with the exact/numeric cross-checks: kernel counts
+    against the Betti numbers, spectral sums against the exact traces."""
 
     betti_numbers: tuple
     kernel_counts: tuple
     eigenvalues: list = field(repr=False)  # per degree, ascending
     supersymmetry: SupersymmetryReport
+    trace_residual: float  # largest relative |sum of eigenvalues - tr L_k|
 
     @property
     def agreement(self) -> bool:
-        return tuple(self.betti_numbers) == tuple(self.kernel_counts)
+        return (tuple(self.betti_numbers) == tuple(self.kernel_counts)
+                and self.trace_residual <= TRACE_TOL)
 
     def to_payload(self) -> dict:
         return {
@@ -195,7 +311,10 @@ class SpectrumReport:
 
 
 def spectrum_report(d: GradedOperator) -> SpectrumReport:
-    """Assemble Betti numbers, spectra and their consistency booleans."""
+    """Assemble Betti numbers, spectra and their consistency checks."""
     spectra = hodge_spectra(d)
     kernels = tuple(int(np.count_nonzero(kernel_mask(w))) for w in spectra)
-    return SpectrumReport(betti(d), kernels, spectra, supersymmetry_check(spectra))
+    residual = max((abs(float(np.sum(w)) - t) / max(t, 1)
+                    for w, t in zip(spectra, hodge_traces(d))), default=0.0)
+    return SpectrumReport(betti(d), kernels, spectra, supersymmetry_check(spectra),
+                          residual)

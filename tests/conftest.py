@@ -10,6 +10,7 @@ from scipy import sparse
 from simhodge import (barycentric_refinement, dirac, generate, hodge, skeleton,
                       whitney_complex)
 from simhodge.complexes import simplex_weight
+from simhodge.spectral import kernel_mask
 
 # Property tests draw the same examples on every run and have no per-example
 # deadline, so a slow example on a busy host is not a failure.
@@ -41,6 +42,18 @@ def full_hodge_spectra(d) -> list:
     L = (d + d*)^2, with L formed in full."""
     L = hodge(dirac(d))
     return [L.eigenvalues(k) for k in range(L.basis.max_degree + 1)]
+
+
+def dense_gram_values(d) -> list:
+    """Oracle for the σ² of ``singular_frame``: per block d_k, ``eigvalsh``
+    of its whole dense Gram matrix on the narrower side, above its
+    ``kernel_mask``, with no swap sectors."""
+    dims, values = d.basis.dims, []
+    for k in range(len(dims) - 1):
+        b = d.block(k + 1, k).astype(float)
+        w = np.linalg.eigvalsh(b.T @ b if dims[k] <= dims[k + 1] else b @ b.T)
+        values.append(w[~kernel_mask(w)])
+    return values
 
 
 def k3_whitney():
@@ -96,3 +109,18 @@ def solver_calls(monkeypatch):
             return solver(*args)
         monkeypatch.setattr(np.linalg, name, counted)
     return calls
+
+
+@pytest.fixture()
+def solver_widths(monkeypatch):
+    """The widths of the np.linalg.eigh and eigvalsh calls made in the test,
+    in call order: the ``solver_calls`` that records what it counts."""
+    widths = {"eigh": [], "eigvalsh": []}
+    for name in widths:
+        solver = getattr(np.linalg, name)
+
+        def recorded(a, name=name, solver=solver):
+            widths[name].append(len(a))
+            return solver(a)
+        monkeypatch.setattr(np.linalg, name, recorded)
+    return widths

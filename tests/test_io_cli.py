@@ -1126,10 +1126,11 @@ def test_numerically_equal_labels_ignore_hash_seed(tmp_path):
 
 class TestEigensolves:
     @pytest.mark.parametrize("command, extra, solves", [
-        # one Gram solve per block of d: 2 order-1 and 4 order-2 blocks
-        ("report", [], {"eigh": 0, "eigvalsh": 6}),
+        # one Gram solve per block of d: 2 order-1 blocks; 4 order-2 blocks,
+        # each solved once per swap sector (degree 0's tau = -1 one is empty)
+        ("report", [], {"eigh": 0, "eigvalsh": 10}),
         ("betti", [], {"eigh": 0, "eigvalsh": 2}),
-        ("betti", ["--order", "2"], {"eigh": 0, "eigvalsh": 4}),
+        ("betti", ["--order", "2"], {"eigh": 0, "eigvalsh": 8}),
         ("heat", [], {"eigh": 0, "eigvalsh": 2}),
         ("lefschetz", ["--perm", "swap.txt"], {"eigh": 2, "eigvalsh": 0}),
     ])
@@ -1144,28 +1145,22 @@ class TestEigensolves:
         assert code == 0, err
         assert solver_calls == solves
 
-    def test_report_solves_nothing_wider_than_1080(self, tmp_path, capsys,
-                                                  monkeypatch):
+    def test_report_solves_nothing_wider_than_576(self, tmp_path, capsys,
+                                                 solver_widths):
         """The refined octahedron's order-2 degrees are 26, 288, 1080, 1440
-        and 624 wide; its value solves run on the narrower side of each d_k."""
-        import numpy as np
-
+        and 624 wide; its value solves run on the narrower side of each d_k,
+        one swap sector at a time: 26/0, 144/144, 504/576 and 336/288 wide.
+        Whole, the widest would be 1080."""
         from simhodge import barycentric_refinement
 
-        widths = []
-        eigvalsh = np.linalg.eigvalsh
-
-        def recording(a):
-            widths.append(len(a))
-            return eigvalsh(a)
-
-        monkeypatch.setattr(np.linalg, "eigvalsh", recording)
         refined = tmp_path / "refined.txt"
         refined.write_text(serialize_facets(
             barycentric_refinement(generate("octahedron"))))
         code, _, err = run_cli(["report", "--input", str(refined)], capsys)
         assert code == 0, err
-        assert max(widths) == 1080
+        assert solver_widths["eigh"] == []
+        assert sorted(solver_widths["eigvalsh"][2:]) \
+            == [0, 26, 144, 144, 288, 336, 504, 576]
 
     @pytest.mark.parametrize("argv", [
         ["report"], ["betti", "--order", "2"]])

@@ -3,6 +3,7 @@ complexes, and parser robustness on arbitrary text."""
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,6 +14,9 @@ from simhodge import (InvalidInputError, IndexTriple, betti,
                       spectrum_report, wu_characteristic)
 from simhodge.io import (parse_facets, parse_permutation,
                          parse_vertex_function, serialize_facets)
+from simhodge.spectral import singular_frame
+
+from conftest import dense_gram_values
 
 # Numerically equal labels ("1", "01", "+1", "1" in Arabic-Indic digits) must
 # still intern to distinct, reproducible ids.
@@ -58,6 +62,20 @@ def test_index_identities_and_kernels(c, order):
     report = spectrum_report(d)
     assert report.kernel_counts == exact
     assert report.supersymmetry.symmetric
+
+
+@settings(max_examples=60)
+@given(small_complexes)
+def test_swap_sectors_match_the_whole_gram_solves(c):
+    """Order-2 σ², solved one swap sector at a time, against the whole
+    dense Gram matrix of each block, to 1e-12 of its top value."""
+    d = connection_derivative(c, 2)
+    for w, expected in zip([w for w, _, _ in singular_frame(d)],
+                           dense_gram_values(d)):
+        assert len(w) == len(expected)
+        top = max(float(expected[-1]) if len(expected) else 0.0, 1.0)
+        assert np.max(np.abs(w - expected), initial=0.0) <= 1e-12 * top
+    assert spectrum_report(d).agreement
 
 
 @settings(max_examples=60)

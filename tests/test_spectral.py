@@ -12,9 +12,12 @@ from simhodge import (ContractViolationError, GradedBasis, GradedOperator,
                       harmonic_projector, heat_supertrace, hodge, hodge_spectra,
                       skeleton, spectrum_report, supersymmetry_check,
                       wu_characteristic)
-from simhodge.spectral import singular_frame
+from simhodge import spectral
+from simhodge.operators import alternating_sum
+from simhodge.spectral import (TRACE_TOL, hodge_traces, singular_frame,
+                               swap_sectors)
 
-from conftest import full_hodge_spectra
+from conftest import as_scipy, dense_gram_values, full_hodge_spectra
 
 
 def de_rham_hodge(c):
@@ -383,6 +386,7 @@ class TestSingularFrameOracle:
         cases = {**derivatives, ("empty", 1): empty}
         assert ("simplex1", 1) in cases  # a single vertex: no block either
         for key, d in cases.items():
+            assert (d.swap is not None) == (key[1] == 2), key  # sector solves
             frame, dims = singular_frame(d, vectors=True), d.basis.dims
             assert len(frame) == max(len(dims) - 1, 0), key
             for k, (w, u, v) in enumerate(frame):
@@ -402,3 +406,131 @@ class TestSingularFrameOracle:
                     dense = L.diag_block(k)
                     assert _max_abs((columns * w) @ columns.T - dense) \
                         <= 1e-10 * max(_max_abs(dense), 1.0), (key, k)
+
+
+def _swap_matrix(d):
+    """tau as a scipy integer matrix: tau e_i = sign_i e_partner_i."""
+    partner, sign = d.swap
+    n = len(partner)
+    return sparse.csr_array((sign, (partner, np.arange(n))), shape=(n, n))
+
+
+class TestSwapSectors:
+    """Order-2 solves split by the swap tau(x, y) = (-1)^(dim x dim y) (y, x)."""
+
+    def test_only_order_two_records_a_swap(self, suite):
+        c = suite["wheel4"]
+        assert exterior_derivative(c).swap is None
+        assert connection_derivative(c, 1).swap is None
+        assert connection_derivative(c, 3).swap is None
+        assert connection_derivative(c, 2).swap is not None
+        empty = downward_closure([{0}]).intersection(downward_closure([{1}]))
+        report = spectrum_report(connection_derivative(empty, 2))
+        assert report.betti_numbers == () and report.agreement
+
+    def test_swap_is_a_degree_preserving_involution_commuting_with_d(
+            self, derivatives):
+        for (name, order), d in derivatives.items():
+            if order != 2:
+                continue
+            tau, m = _swap_matrix(d), as_scipy(d.matrix)
+            assert (tau @ tau != sparse.eye_array(tau.shape[0])).nnz == 0, name
+            degrees = np.array(d.basis.degrees)
+            assert np.array_equal(degrees[d.swap[0]], degrees), name
+            assert (tau @ m != m @ tau).nnz == 0, name
+
+    def test_sector_values_match_the_whole_gram_solves(self, derivatives):
+        for key, d in derivatives.items():
+            frame = singular_frame(d)
+            for k, ((w, _, _), expected) in enumerate(
+                    zip(frame, dense_gram_values(d))):
+                assert len(w) == len(expected), (key, k)
+                top = max(float(expected[-1]) if len(expected) else 0.0, 1.0)
+                assert _max_abs(w - expected) <= 1e-12 * top, (key, k)
+
+    def test_lefschetz_number_of_the_swap_is_chi(self, suite):
+        # the fixed elements (x, x) have sign (-1)^dim x and even degree, so
+        # sum_k (-1)^k tr(tau | degree k) = sum_x (-1)^dim x = chi
+        for name, c in suite.items():
+            sectors = swap_sectors(connection_derivative(c, 2))
+            traces = [plus[0].shape[1] - minus[0].shape[1]
+                      for plus, minus in sectors]
+            assert alternating_sum(traces) == euler_characteristic(c), name
+
+    def test_widths_on_the_refined_octahedron(self, derivatives):
+        sectors = swap_sectors(derivatives["refined_octahedron", 2])
+        assert [[u.shape[1] for u, _, _ in degree] for degree in sectors] \
+            == [[26, 0], [144, 144], [504, 576], [720, 720], [336, 288]]
+
+    def test_swap_that_does_not_commute_is_refused(self, suite):
+        d = connection_derivative(suite["octahedron"], 2)
+        partner, sign = d.swap
+        i = int(np.flatnonzero(partner != np.arange(len(partner)))[0])
+        sign = sign.copy()
+        sign[[i, partner[i]]] *= -1  # still an involution, no longer tau
+        d.swap = (partner, sign)
+        for solve in (hodge_spectra, spectrum_report, singular_frame):
+            with pytest.raises(ContractViolationError, match="swap"):
+                solve(d)
+
+    def test_swap_checked_once_per_derivative(self, suite, monkeypatch):
+        from simhodge.intlinalg import IntMatrix
+
+        pairs = []
+        matmul = IntMatrix.__matmul__
+
+        def recording_matmul(self, other):
+            pairs.append((self, other))
+            return matmul(self, other)
+
+        monkeypatch.setattr(IntMatrix, "__matmul__", recording_matmul)
+        d = connection_derivative(suite["wheel4"], 2)
+        spectrum_report(d)
+        singular_frame(d, vectors=True)
+        hodge_spectra(d)
+        # tau @ d; d @ d is the nilpotency check
+        assert sum(b is d.matrix and a is not d.matrix for a, b in pairs) == 1
+
+
+class TestTraceCheck:
+    """tr(L_k), the sum of each degree's spectrum, against the exact sum of
+    the squared entries of d in or out of degree k."""
+
+    def test_exact_traces_are_the_dense_traces(self, derivatives):
+        for key, d in derivatives.items():
+            if key[0] == "refined_octahedron":
+                continue  # no dense L of 3458 x 3458 here
+            L = hodge(dirac(d))
+            assert hodge_traces(d) == [int(np.trace(L.diag_block(k)))
+                                       for k in range(len(d.basis.dims))], key
+
+    def test_spectral_sums_are_the_traces(self, derivatives):
+        for key, d in derivatives.items():
+            report = spectrum_report(d)
+            assert report.trace_residual <= 1e-12, key
+            assert report.agreement, key
+
+    def test_doctored_spectrum_flips_agreement(self, suite, monkeypatch):
+        d = connection_derivative(suite["wheel4"], 2)
+        honest = spectral.hodge_spectra
+
+        def doctored(d):
+            spectra = honest(d)
+            spectra[1][-1] *= 1 + 1e-6  # the kernel counts stay right
+            return spectra
+
+        monkeypatch.setattr(spectral, "hodge_spectra", doctored)
+        report = spectrum_report(d)
+        assert report.kernel_counts == report.betti_numbers
+        assert TRACE_TOL < report.trace_residual < 1e-5
+        assert not report.agreement
+        assert report.to_payload()["exact_numeric_agreement"] is False
+
+    def test_a_split_that_drops_a_sector_fails(self, suite, monkeypatch):
+        d = connection_derivative(suite["wheel4"], 2)
+        whole = spectral.swap_sectors
+        monkeypatch.setattr(spectral, "swap_sectors",
+                            lambda d: [degree[:1] for degree in whole(d)])
+        report = spectrum_report(d)
+        assert report.trace_residual > TRACE_TOL
+        assert not report.agreement
