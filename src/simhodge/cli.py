@@ -18,14 +18,13 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import __version__
+from . import __version__, budget
 from .complexes import (barycentric_operator, barycentric_refinement,
                         euler_characteristic, f_matrix, f_vector, skeleton)
 from .errors import (ContractViolationError, InvalidInputError,
                      ResourceLimitError)
 from .indices import (IndexTriple, index_expectation, multilinear_curvature,
                       poincare_hopf, seeded_rng, wu_characteristic)
-from .intlinalg import require_product_pairs
 from .io import (field_payload, fraction_payload, operator_to_json,
                  operator_to_triplets, parse_input, parse_permutation,
                  parse_vertex_function, read_text, serialize_facets,
@@ -235,7 +234,8 @@ def _lax_states(c, args):
         raise InvalidInputError(f"--dt must be positive and finite, got {args.dt}")
     # sample every 0.1 time units; the cap keeps a subnormal dt from overflowing
     sample_every = max(1, round(min(0.1 / args.dt, 1e18)))
-    flow_steps(len(c), args.t_end, args.dt, sample_every)  # before any operator
+    flow_steps(len(c), args.t_end, args.dt, sample_every,  # before any operator
+               state_bytes=8 * len(c) ** 2 if args.matrices else 0)
     big_d = dirac(exterior_derivative(c))
     return integrate(big_d, args.t_end, args.dt, sample_every=sample_every)
 
@@ -291,11 +291,11 @@ def _cmd_skeleton(c, args):
 def _cmd_export(c, args):
     d = _derivative_for(c, args.order)
     if args.operator == "hodge":
-        # the entry pairs of (d + d*)^2, counted before dirac(d) squares d:
-        # row j of d + d* holds row j and column j of d
+        # (d + d*)^2's pairs, before dirac(d): row j of d + d* is row and column j of d
         per_row = np.bincount(np.concatenate([d.matrix.row, d.matrix.col]),
                               minlength=len(d.basis))
-        require_product_pairs(int(per_row @ per_row))
+        budget.require(pairs := int(per_row @ per_row), budget.PRODUCT_PAIR_LIMIT,
+                       f"product needs {pairs} entry pairs")
     op = {"derivative": lambda: d,
           "dirac": lambda: dirac(d),
           "hodge": lambda: hodge(dirac(d))}[args.operator]()

@@ -15,16 +15,10 @@ import math
 
 import numpy as np
 
-from .errors import InvalidInputError, ResourceLimitError
+from . import budget
+from .errors import InvalidInputError
 
 Simplex = tuple[int, ...]
-
-# Simplices a complex may hold, checked before they are enumerated; at the
-# limit a complex takes about 100 MB, and building a refinement about 210 MB.
-SIMPLEX_LIMIT = 2 ** 18
-# Simplices the tuple fold builds |c|-bit meet masks for: at the limit they
-# take 128 MiB, as one dense float block DENSE_BLOCK_LIMIT wide does.
-MEET_MASK_LIMIT = 2 ** 15
 
 
 def as_simplex(vertices) -> Simplex:
@@ -119,21 +113,17 @@ class Complex:
         return None
 
 
-def require_simplex_budget(count: int, what: str):
-    """ResourceLimitError when ``what`` holds more than SIMPLEX_LIMIT simplices."""
-    if count > SIMPLEX_LIMIT:
-        raise ResourceLimitError(f"{what} {count} simplices, limit is {SIMPLEX_LIMIT}")
-
-
 def downward_closure(facets, labels=None) -> Complex:
     """Smallest complex containing the facets, refused once over SIMPLEX_LIMIT."""
     simplices = set()
     for facet in facets:
         f = as_simplex(facet)
-        require_simplex_budget((1 << len(f)) - 1, f"a facet on {len(f)} vertices spans")
+        budget.require(spans := (1 << len(f)) - 1, budget.SIMPLEX_LIMIT,
+                       f"a facet on {len(f)} vertices spans {spans} simplices")
         for k in range(1, len(f) + 1):
             simplices.update(itertools.combinations(f, k))
-        require_simplex_budget(len(simplices), "the facets span at least")
+        budget.require(len(simplices), budget.SIMPLEX_LIMIT,
+                       f"the facets span at least {len(simplices)} simplices")
     return Complex(simplices, labels=labels, validate=False)
 
 
@@ -235,10 +225,10 @@ def barycentric_refinement(c: Complex) -> Complex:
     pairwise comparable set is totally ordered, so the refinement is the
     Whitney complex of the containment graph; its exact size is checked first.
     """
-    require_simplex_budget(
-        sum(n * math.factorial(i) * stirling2(j + 1, i)
-            for j, n in enumerate(f_vector(c)) for i in range(1, j + 2)),
-        "the refinement would have")
+    size = sum(n * math.factorial(i) * stirling2(j + 1, i)
+               for j, n in enumerate(f_vector(c)) for i in range(1, j + 2))
+    budget.require(size, budget.SIMPLEX_LIMIT,
+                   f"the refinement would have {size} simplices")
     order = list(c)
     index = {s: i for i, s in enumerate(order)}
     edges = [(index[face], i) for i, s in enumerate(order)
@@ -277,12 +267,11 @@ def euler_characteristic(c: Complex) -> int:
 def intersection_masks(c: Complex) -> tuple[int, ...]:
     """Per simplex, in the deterministic order, the bitmask of the simplices
     meeting it: the union of the vertex stars of its vertices.  Computed once
-    per complex, after the MEET_MASK_LIMIT check.
+    per complex, after their |c|^2 / 8 bytes are checked against the budget.
     """
     if c._meet is None:
-        if len(c) > MEET_MASK_LIMIT:
-            raise ResourceLimitError(
-                f"meet masks over {len(c)} simplices, limit is {MEET_MASK_LIMIT}")
+        budget.require(len(c), budget.meet_mask_simplices(),
+                       f"meet masks over {len(c)} simplices")
         star = {v: 0 for v in c.base}
         for i, s in enumerate(c):
             for v in s:
@@ -314,20 +303,18 @@ def tuple_fold(c: Complex, k: int, weights, acc0, step) -> dict:
     callers finish the k-th slot over the bits of ``allowed``.  Order 1
     folds no slot, so it builds no meet masks.  Before each slot runs, the
     extensions (the bits of every ``allowed``) summed over it and the slots
-    before it are refused over SIMPLEX_LIMIT, or over MEET_MASK_LIMIT**2 mask
-    bits at |c| bits each.
+    before it are refused over ``budget.fold_extensions``: SIMPLEX_LIMIT, or
+    the memory budget at |c| mask bits each.
     """
     if k < 1:
         raise InvalidInputError("order must be at least 1")
     prefixes = {((1 << len(c)) - 1, acc0): 1}
     meet = intersection_masks(c) if k > 1 else ()
-    limit = min(SIMPLEX_LIMIT, MEET_MASK_LIMIT ** 2 // max(len(c), 1))
     work = 0
     for slot in range(1, k):
         work += sum(allowed.bit_count() for allowed, _ in prefixes)
-        if work > limit:
-            raise ResourceLimitError(f"order {k} fold needs {work} extensions "
-                                     f"at slot {slot}, limit is {limit}")
+        budget.require(work, budget.fold_extensions(len(c)),
+                       f"order {k} fold needs {work} extensions at slot {slot}")
         grown = {}
         for (allowed, acc), w in prefixes.items():
             for i in iter_bits(allowed):

@@ -29,7 +29,7 @@ class ContractViolationError(SimhodgeError):
 
 
 class ResourceLimitError(SimhodgeError):
-    """The requested computation exceeds the configured desk-scale bounds."""
+    """The requested computation exceeds a desk-scale limit of ``budget``."""
 
 
 class DivergenceError(ContractViolationError):

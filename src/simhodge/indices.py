@@ -15,17 +15,15 @@ from fractions import Fraction
 
 import numpy as np
 
+from . import budget
 from .complexes import (Complex, f_matrix, f_vector, simplex_weight, tuple_fold,
                         unit_sphere)
-from .errors import InvalidInputError, ResourceLimitError
-from .intlinalg import PRODUCT_PAIR_LIMIT
+from .errors import InvalidInputError
 from .io import fraction_payload
 from .operators import (GradedOperator, alternating_sum, connection_degree_counts,
                         connection_derivative, exterior_derivative)
 from .spectral import betti
 
-EXHAUSTIVE_VERTEX_LIMIT = 8
-SAMPLED_WORK_LIMIT = 10 ** 8  # draws times (vertices + link entries)
 # Scratch bytes per block of the vertex spread: one per simplex for each prefix,
 # and about 64 per (prefix, last simplex) pair and vertex slot of that simplex.
 SPREAD_BLOCK_BYTES = 2 ** 21
@@ -116,9 +114,8 @@ def vertex_spread(c: Complex, k: int, weights) -> dict[int, Fraction]:
     vmasks = [sum(1 << column[v] for v in s) for s in c]
     prefixes = tuple_fold(c, k, weights, 0, lambda acc, i: acc | vmasks[i])
     pairs = sum(allowed.bit_count() for allowed, _ in prefixes)
-    if pairs > PRODUCT_PAIR_LIMIT:
-        raise ResourceLimitError(f"order {k} vertex spread needs {pairs} (prefix, "
-                                 f"last simplex) pairs, limit is {PRODUCT_PAIR_LIMIT}")
+    budget.require(pairs, budget.PRODUCT_PAIR_LIMIT, f"order {k} vertex spread "
+                   f"needs {pairs} (prefix, last simplex) pairs")
     members = np.full((n, width), nv, dtype=np.min_scalar_type(nv))  # nv pads
     for i, s in enumerate(c):
         members[i, :len(s)] = [column[v] for v in s]
@@ -224,26 +221,29 @@ def index_expectation(c: Complex, mode: str = "exhaustive", samples: int = 10000
 
     Exhaustive mode averages over all |V|! orderings with exact rationals and
     reproduces the Gauss-Bonnet curvature; sampled mode draws random orderings
-    and reports a standard error per vertex.
+    and reports a standard error per vertex.  Either is refused when its
+    orderings times (vertices + link entries) pass MAX_INDEX_FIELD_WORK.
     """
     vertices = sorted(c.base)
     n = len(vertices)
     per_draw = max(sum(map(len, c)), 1)  # vertices plus link entries
+    most = budget.MAX_INDEX_FIELD_WORK // per_draw  # orderings
     if mode == "exhaustive":
-        if n > EXHAUSTIVE_VERTEX_LIMIT:
-            raise ResourceLimitError(
-                f"exhaustive expectation limited to {EXHAUSTIVE_VERTEX_LIMIT} "
-                f"vertices, complex has {n}")
-        rows, count = itertools.permutations(range(n)), math.factorial(n)
+        count = 1
+        for i in range(2, n + 1):  # n!, cut short once it is over budget
+            if count > most:
+                break
+            count *= i
+        budget.require(count, most, f"exhaustive expectation on this complex "
+                       f"needs at least {count} orderings")
+        rows = itertools.permutations(range(n))
     elif mode != "sampled":
         raise InvalidInputError("mode must be 'exhaustive' or 'sampled'")
     elif samples < 1:
         raise InvalidInputError(f"sample count must be positive, got {samples}")
-    elif samples * per_draw > SAMPLED_WORK_LIMIT:
-        raise ResourceLimitError(
-            f"sampled expectation on this complex is limited to "
-            f"{SAMPLED_WORK_LIMIT // per_draw} samples")
     else:
+        budget.require(samples, most, f"sampled expectation on this complex "
+                       f"needs {samples} samples")
         rng = seeded_rng(seed)
         rows, count = (rng.permutation(n) for _ in range(samples)), samples
     # exact int64 sums of the fields and their squares, ~2^18 entries a batch

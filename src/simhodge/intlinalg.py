@@ -22,12 +22,8 @@ import math
 
 import numpy as np
 
-from .errors import InvalidInputError, ResourceLimitError
-
-# Stored-entry pairs a product may form, checked before they are allocated.
-# It forms them in runs of whole rows of about a 64th of the limit: at some
-# 100 bytes a pair, 25 MiB a run (more only for a row with more pairs).
-PRODUCT_PAIR_LIMIT = 2 ** 24
+from . import budget
+from .errors import InvalidInputError
 
 
 class IntMatrix:
@@ -73,16 +69,18 @@ class IntMatrix:
 
     def __matmul__(self, other: IntMatrix) -> IntMatrix:
         """Every stored (i, k, a) meets every stored (k, j, b) of ``other``, a
-        run of whole rows of ``self`` at a time; the runs' sums join in order."""
+        run of whole rows of ``self`` at a time; the runs' sums join in order.
+        A run holds about a 64th of PRODUCT_PAIR_LIMIT, or one longer row."""
         if self.shape[1] != other.shape[0]:
             raise ValueError(f"shapes {self.shape} and {other.shape} do not chain")
         shape = (self.shape[0], other.shape[1])
         starts = np.searchsorted(other.row, np.arange(other.shape[0] + 1))
         counts = starts[self.col + 1] - starts[self.col]
         bounds = np.concatenate([[0], np.cumsum(counts)])  # each entry's first pair
-        require_product_pairs(int(bounds[-1]))
+        budget.require(pairs := int(bounds[-1]), budget.PRODUCT_PAIR_LIMIT,
+                       f"product needs {pairs} entry pairs")
         firsts = np.flatnonzero(np.diff(self.row, prepend=-1))  # entries starting a row
-        run = bounds[firsts] // max(PRODUCT_PAIR_LIMIT // 64, 1)
+        run = bounds[firsts] // max(budget.PRODUCT_PAIR_LIMIT // 64, 1)
         edges = [0, *firsts[1:][np.diff(run) > 0].tolist(), self.nnz]
         # a pair's place in its entry's run, plus where that row of other starts
         shift = starts[self.col] - bounds[:-1]
@@ -94,14 +92,6 @@ class IntMatrix:
                                    self.data[left] * other.data[right], shape))
         return parts[0] if len(parts) == 1 else IntMatrix(
             *map(np.concatenate, zip(*((p.row, p.col, p.data) for p in parts))), shape)
-
-
-def require_product_pairs(pairs: int):
-    """ResourceLimitError when a product would form more than PRODUCT_PAIR_LIMIT
-    stored-entry pairs."""
-    if pairs > PRODUCT_PAIR_LIMIT:
-        raise ResourceLimitError(f"product needs {pairs} entry pairs, "
-                                 f"limit is {PRODUCT_PAIR_LIMIT}")
 
 
 def int_matrix(matrix) -> IntMatrix:

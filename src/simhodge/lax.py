@@ -56,8 +56,8 @@ import numbers
 
 import numpy as np
 
-from .errors import (ContractViolationError, DivergenceError, InvalidInputError,
-                     ResourceLimitError)
+from . import budget
+from .errors import ContractViolationError, DivergenceError, InvalidInputError
 from .operators import GradedBasis, GradedOperator
 from .spectral import gram_pairs, narrow_side
 
@@ -66,12 +66,6 @@ SYMMETRY_TOL = 1e-10
 # R_k, relative to the largest entry of R_k, and of the Gram matrix of each
 # degree's columns [U_(k-1) | V_k] against the identity.
 FRAME_TOL = 1e-12
-# Budgets checked before the first step: steps times n**3 is an upper bound on
-# the work of both paths, the band products and the singular frame (its eigh
-# runs only for a run of at least one step, so at t_end/dt >= 1/2), and the
-# sampled states must fit in memory.
-MAX_FLOW_WORK = 10 ** 11
-MAX_TRAJECTORY_BYTES = 2 ** 28
 
 
 def _degree_signs(basis: GradedBasis) -> tuple[np.ndarray, np.ndarray]:
@@ -329,8 +323,12 @@ def _rk4_step(m: np.ndarray, field, dt: float) -> np.ndarray:
     return m + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def flow_steps(n: int, t_end: float, dt: float, sample_every: int) -> int:
-    """Number of steps of a size-n flow, once its arguments and budgets pass."""
+def flow_steps(n: int, t_end: float, dt: float, sample_every: int,
+               step_work: int = 0, state_bytes: int = 0) -> int:
+    """Number of steps of a size-n flow, once its arguments pass and its
+    budgets hold: every path spends an operation a step, and n**3 operations
+    and 8 n**2 bytes on each dense end state; a caller that knows the path
+    adds its ``step_work`` a step and ``state_bytes`` a state after the first."""
     if not 0 < dt < math.inf:
         raise InvalidInputError("dt must be positive and finite")
     if not 0 <= t_end < math.inf:
@@ -338,18 +336,14 @@ def flow_steps(n: int, t_end: float, dt: float, sample_every: int) -> int:
     if not (isinstance(sample_every, numbers.Integral) and sample_every >= 1):
         raise InvalidInputError("sample_every must be a positive integer")
     ratio = t_end / dt
-    work = ratio * max(n, 1) ** 3
-    if not work <= MAX_FLOW_WORK:
-        raise ResourceLimitError(
-            f"flow needs about {work:.3g} operations (t_end/dt = {ratio:.3g} "
-            f"steps of size {n}), limit is {MAX_FLOW_WORK:.3g}")
+    work = ratio * (1 + step_work) + 2 * n ** 3
+    budget.require(work, budget.MAX_FLOW_WORK, f"flow needs about {work:.3g} "
+                   f"operations (t_end/dt = {ratio:.3g} steps of size {n})")
     steps = int(round(ratio))
-    samples = 1 + steps // sample_every + (1 if steps % sample_every else 0)
-    size = samples * n * n * 8
-    if size > MAX_TRAJECTORY_BYTES:
-        raise ResourceLimitError(
-            f"{samples} sampled states of size {n} need {size} bytes, "
-            f"limit is {MAX_TRAJECTORY_BYTES}")
+    samples = -(-steps // sample_every)
+    size = 16 * n * n + samples * state_bytes
+    budget.require(size, budget.MAX_TRAJECTORY_BYTES, f"{samples} sampled states "
+                   f"of size {n} need {size} bytes")
     return steps
 
 
@@ -366,11 +360,12 @@ def integrate(initial: GradedOperator | FlowState, t_end: float, dt: float,
     other start flows as the dense matrix under the band field (see the
     module docstring).  The first state is the given matrix, rebuilt from
     its upper triangle, on every path.  Raises ResourceLimitError before the
-    first step when the run would exceed MAX_FLOW_WORK or its sampled states
-    MAX_TRAJECTORY_BYTES.
+    dense copy when what every path spends is over budget, and before the
+    first step when the path's steps and states are: n**3 operations and
+    8 n**2 bytes on the band, 3 and 24 bytes per singular pair in the frame.
     """
-    basis = initial.basis
-    steps = flow_steps(len(basis), t_end, dt, sample_every)
+    basis, n = initial.basis, len(initial.basis)
+    steps = flow_steps(n, t_end, dt, sample_every)
     if isinstance(initial, GradedOperator):
         m, t0, frame = initial.to_dense(), 0.0, None
     else:
@@ -383,6 +378,9 @@ def integrate(initial: GradedOperator | FlowState, t_end: float, dt: float,
         current, field, frame = _stepper(m, basis, t0)
     else:
         current, field = initial.triples, _pair_field
+    # the path is known: a band step is one n x n product, a frame step O(pairs)
+    flow_steps(n, t_end, dt, sample_every,
+               current.size * (n if frame is None else 1), 8 * current.size)
     for i in range(1, steps + 1):
         current = _rk4_step(current, field, dt)
         if not np.isfinite(current).all():

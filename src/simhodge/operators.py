@@ -18,20 +18,12 @@ import itertools
 
 import numpy as np
 
+from . import budget
+# intersection_masks stays bound here: perfbench's tracer wraps it by this name
 from .complexes import (Complex, intersection_masks,
-                        SIMPLEX_LIMIT, iter_bits, layer_fold, tuple_fold)
-from .errors import ContractViolationError, InvalidInputError, ResourceLimitError
-from .intlinalg import PRODUCT_PAIR_LIMIT, IntMatrix, as_integer, int_matrix
-
-# Budgets checked before allocation, like lax.MAX_FLOW_WORK: an order-3+ basis
-# holds at most CONNECTION_TUPLE_LIMIT tuples, and a degree whose spectrum is
-# solved is at most DENSE_BLOCK_LIMIT wide (128 MiB a dense copy).  Commands
-# solve Gram blocks of d, min(dim_k, dim_{k+1}) wide, values and vectors
-# alike, one swap sector at a time where d records one (order 2), so a solve
-# can be narrower than the full degree width this budget still charges; only
-# a formed L's eigensystem solves a Hodge block, dim_k wide.
-CONNECTION_TUPLE_LIMIT = 2000
-DENSE_BLOCK_LIMIT = 4096
+                        iter_bits, layer_fold, tuple_fold)
+from .errors import ContractViolationError, InvalidInputError
+from .intlinalg import IntMatrix, as_integer, int_matrix
 
 
 class GradedBasis:
@@ -121,7 +113,8 @@ class GradedOperator:
         """
         cached = self._eigs.get(k)
         if cached is None or (vectors and cached[1] is None):
-            require_dense_block(k, self.basis.dimension_of(k))
+            budget.require(width := self.basis.dimension_of(k), budget.dense_width(),
+                           f"degree-{k} block is {width} wide for a dense eigensolve")
             block = self.diag_block(k)
             if not np.array_equal(block, block.T):
                 raise ContractViolationError(f"degree-{k} block is not symmetric")
@@ -132,14 +125,6 @@ class GradedOperator:
 
     def eigenvalues(self, k: int) -> np.ndarray:
         return self.eigensystem(k, vectors=False)[0]
-
-
-def require_dense_block(k: int, width: int):
-    """ResourceLimitError when a degree-k block this wide is too big to solve."""
-    if width > DENSE_BLOCK_LIMIT:
-        raise ResourceLimitError(
-            f"degree-{k} block is {width} wide, dense eigensolve limit is "
-            f"{DENSE_BLOCK_LIMIT}")
 
 
 def graded_basis(c: Complex) -> GradedBasis:
@@ -255,9 +240,7 @@ def connection_basis(c: Complex, k: int) -> GradedBasis:
     order = list(c)
     prefixes = tuple_fold(c, k, [1] * len(order), (), lambda acc, i: acc + (i,))
     count = sum(allowed.bit_count() for allowed, _ in prefixes)  # keys are distinct
-    if count > SIMPLEX_LIMIT:
-        raise ResourceLimitError(f"order {k} needs {count} tuples, "
-                                 f"limit is {SIMPLEX_LIMIT}")
+    budget.require(count, budget.SIMPLEX_LIMIT, f"order {k} needs {count} tuples")
     elements, degrees = [], []
     for allowed, chosen in prefixes:
         for i in iter_bits(allowed):
@@ -284,22 +267,19 @@ def connection_tuple_count(c: Complex, k: int) -> int:
 
 
 def require_connection_budget(c: Complex, k: int, eigensolve: bool = False):
-    """ResourceLimitError before the order-k basis is built: order two over
-    PRODUCT_PAIR_LIMIT intersecting pairs, an order of three or more over
-    CONNECTION_TUPLE_LIMIT tuples, or, when its Hodge blocks are to be
-    solved, a degree over DENSE_BLOCK_LIMIT tuples.  Returns the per-degree
-    counts of ``connection_degree_counts`` when it folded them, else None."""
-    if k == 2 and (pairs := sum(m.bit_count() for m in intersection_masks(c))) \
-            > PRODUCT_PAIR_LIMIT:
-        raise ResourceLimitError(f"order 2 needs {pairs} intersecting pairs, "
-                                 f"limit is {PRODUCT_PAIR_LIMIT}")
+    """ResourceLimitError before the order-k basis is built: order three or
+    more over CONNECTION_TUPLE_LIMIT tuples, or, when its blocks are to be
+    solved, a degree wider than ``budget.dense_width`` (a Gram solve, one
+    swap sector at a time, can be narrower).  Returns the per-degree counts
+    of ``connection_degree_counts`` when it folded them, else None."""
     if k >= 3 or eigensolve:
         counts = connection_degree_counts(c, k)
-        if k >= 3 and sum(counts) > CONNECTION_TUPLE_LIMIT:
-            raise ResourceLimitError(f"order {k} needs {sum(counts)} tuples, "
-                                     f"limit is {CONNECTION_TUPLE_LIMIT}")
+        if k >= 3:
+            budget.require(sum(counts), budget.CONNECTION_TUPLE_LIMIT,
+                           f"order {k} needs {sum(counts)} tuples")
         for degree, width in enumerate(counts if eigensolve else ()):
-            require_dense_block(degree, width)
+            budget.require(width, budget.dense_width(), f"degree-{degree} block "
+                           f"is {width} wide for a dense eigensolve")
         return counts
     return None
 

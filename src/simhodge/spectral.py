@@ -28,10 +28,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import budget
 from .errors import InvalidInputError
 from .intlinalg import IntMatrix, exact_rank
-from .operators import (GradedOperator, alternating_sum, require_dense_block,
-                        require_nilpotent, require_swap_commutes)
+from .operators import (GradedOperator, alternating_sum, require_nilpotent,
+                        require_swap_commutes)
 
 KERNEL_TOL = 1e-7
 SUSY_TOL = 1e-9
@@ -174,7 +175,8 @@ def singular_frame(d: GradedOperator, vectors: bool = False) -> list:
     basis, dims = d.basis, d.basis.dims
     sides = [narrow_side(dims, k) for k in range(len(dims) - 1)]
     for side in sides:  # every width, before the first Gram matrix
-        require_dense_block(side, dims[side])
+        budget.require(dims[side], budget.dense_width(), f"degree-{side} block "
+                       f"is {dims[side]} wide for a dense eigensolve")
     sectors = swap_sectors(d)
     frame = []
     for k, side in enumerate(sides):

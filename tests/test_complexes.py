@@ -149,32 +149,32 @@ class TestSkeleton:
 
 class TestSimplexBudget:
     def test_large_facet_refused_before_enumeration(self, monkeypatch):
-        from simhodge import complexes
+        from simhodge import budget, complexes
 
         def never(*args):
             raise AssertionError("faces were enumerated before the budget")
 
-        monkeypatch.setattr(complexes, "SIMPLEX_LIMIT", 100)
+        monkeypatch.setattr(budget, "SIMPLEX_LIMIT", 100)
         monkeypatch.setattr(complexes.itertools, "combinations", never)
         with pytest.raises(ResourceLimitError,
                            match="a facet on 7 vertices spans 127 simplices"):
             downward_closure([range(7)])
 
     def test_running_closure_stops_at_the_limit(self, monkeypatch):
-        from simhodge import complexes
+        from simhodge import budget, complexes
 
         def facets():
             yield (0, 1, 2)
             yield (3, 4, 5)
             raise AssertionError("a facet was read after the closure was over budget")
 
-        monkeypatch.setattr(complexes, "SIMPLEX_LIMIT", 10)
+        monkeypatch.setattr(budget, "SIMPLEX_LIMIT", 10)
         with pytest.raises(ResourceLimitError, match="at least 14 simplices"):
             downward_closure(facets())
         assert len(downward_closure([(0, 1), (1, 2), (2, 3)])) == 7
 
     def test_clique_search_stops_at_the_limit(self, monkeypatch):
-        from simhodge import complexes
+        from simhodge import budget, complexes
 
         # 3^6 maximal cliques of six vertices: the search stops after a few
         groups = [range(3 * i, 3 * i + 3) for i in range(6)]
@@ -189,7 +189,7 @@ class TestSimplexBudget:
                 yield clique
 
         monkeypatch.setattr(complexes, "_maximal_cliques", counted)
-        monkeypatch.setattr(complexes, "SIMPLEX_LIMIT", 100)
+        monkeypatch.setattr(budget, "SIMPLEX_LIMIT", 100)
         with pytest.raises(ResourceLimitError):
             whitney_complex(range(18), edges)
         assert len(found) < 3 ** 6
@@ -224,13 +224,13 @@ class TestBarycentric:
                                           for i, s in enumerate(c)}
 
     def test_refinement_size_checked_before_any_edge(self, k3, monkeypatch):
-        from simhodge import complexes
+        from simhodge import budget, complexes
 
         def never(*args, **kwargs):
             raise AssertionError("the containment graph was built before the budget")
 
         # k3 refines to 3 + 3 * 3 + 13 = 25 simplices
-        monkeypatch.setattr(complexes, "SIMPLEX_LIMIT", 24)
+        monkeypatch.setattr(budget, "SIMPLEX_LIMIT", 24)
         monkeypatch.setattr(complexes, "whitney_complex", never)
         with pytest.raises(ResourceLimitError, match="refinement would have 25 "):
             barycentric_refinement(k3)

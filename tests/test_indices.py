@@ -384,7 +384,8 @@ class TestIndexExpectation:
             assert abs(mean - 1 / 3) < 3 * spread
 
     def test_resource_guard(self):
-        c = generate("path", 9)
+        # 10! orderings times 10 vertices and 18 link entries: 101,606,400
+        c = generate("path", 10)
         with pytest.raises(ResourceLimitError):
             index_expectation(c)
 
@@ -402,10 +403,10 @@ class TestIndexExpectation:
             index_expectation(k3, mode="sampled", samples=10, seed=-1)
 
     def test_sample_budget_checked_before_drawing(self, k3, monkeypatch):
-        from simhodge import indices
+        from simhodge import budget, indices
 
         # a draw on k3 costs 3 vertices plus 9 link entries
-        monkeypatch.setattr(indices, "SAMPLED_WORK_LIMIT", 5 * 12)
+        monkeypatch.setattr(budget, "MAX_INDEX_FIELD_WORK", 5 * 12)
         assert index_expectation(k3, mode="sampled", samples=5, seed=1).samples == 5
 
         def draw(*args):

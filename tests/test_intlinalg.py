@@ -178,16 +178,16 @@ def test_int_matrix_matches_scipy(data):
 
 
 def test_product_pair_limit_is_checked_before_allocation(monkeypatch):
-    from simhodge import intlinalg
+    from simhodge import budget, intlinalg
 
     a = IntMatrix([0, 0, 1], [0, 1, 1], [1, 2, 3], (2, 2))  # a @ a forms 4 pairs
-    monkeypatch.setattr(intlinalg, "PRODUCT_PAIR_LIMIT", 4)
+    monkeypatch.setattr(budget, "PRODUCT_PAIR_LIMIT", 4)
     assert_same(a @ a, sparse.csr_array(a.toarray() @ a.toarray()))
 
     def never(*args, **kwargs):
         raise AssertionError("pairs were allocated before the limit was checked")
 
-    monkeypatch.setattr(intlinalg, "PRODUCT_PAIR_LIMIT", 3)
+    monkeypatch.setattr(budget, "PRODUCT_PAIR_LIMIT", 3)
     monkeypatch.setattr(intlinalg.np, "repeat", never)
     with pytest.raises(ResourceLimitError,
                        match="product needs 4 entry pairs, limit is 3"):
@@ -199,12 +199,12 @@ def test_product_pair_limit_is_checked_before_allocation(monkeypatch):
 def test_products_formed_in_runs_of_rows_match_scipy(data):
     """At a limit of 256 pairs a product forms them in runs of whole rows of
     about 4 pairs each, so most products here take several runs."""
-    from simhodge import intlinalg
+    from simhodge import budget
 
     r, k, c = (data.draw(st.integers(0, 6)) for _ in range(3))
     a, sa = data.draw(triplet_matrices((r, k)))
     b, sb = data.draw(triplet_matrices((k, c)))
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(intlinalg, "PRODUCT_PAIR_LIMIT", 256)
+        patch.setattr(budget, "PRODUCT_PAIR_LIMIT", 256)
         product = a @ b
     assert_same(product, sa.tocsr() @ sb.tocsr())

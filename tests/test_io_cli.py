@@ -345,6 +345,28 @@ class TestCli:
         results = json.loads(out)["results"]
         assert results["sum_equals_euler_characteristic"] is True
 
+    def test_exhaustive_nine_cycle_is_curvature(self, tmp_path, capsys):
+        """9! orderings times 9 vertices and 18 link entries, 9.8 million,
+        are inside the index-field work limit."""
+        from fractions import Fraction
+
+        from simhodge import index_expectation, multilinear_curvature
+        from simhodge.io import field_payload
+
+        c = generate("cycle", 9)
+        path = tmp_path / "cycle9.txt"
+        path.write_text(serialize_facets(c))
+        code, out, err = run_cli(["ph", "--input", str(path), "--mode",
+                                  "exhaustive"], capsys)
+        assert code == 0, err
+        results = json.loads(out)["results"]
+        assert results["samples"] == 362880 and results["matches_curvature"]
+        expected = multilinear_curvature(c, 1)
+        values = index_expectation(c, "exhaustive").values
+        assert values == expected
+        assert all(type(x) is Fraction for x in values.values())
+        assert results["values"] == field_payload(c, expected)
+
     def test_refine_cross_check(self, k3_file, capsys):
         code, out, _ = run_cli(["refine", "--input", k3_file,
                                 "--format", "edges"], capsys)
@@ -722,26 +744,46 @@ class TestHostileInputs:
         assert out == ""
         assert err.startswith("resource limit: ")
 
+    def test_matrices_charged_before_any_operator(self, tmp_path, capsys,
+                                                  monkeypatch):
+        """The frame path admits lax --t-end 1000 --dt 0.01 on the refined
+        octahedron; its 10000 dense sampled matrices do not fit."""
+        from simhodge import barycentric_refinement, cli
+
+        def build(*args):
+            raise AssertionError("an operator was built before the budget "
+                                 "was checked")
+
+        monkeypatch.setattr(cli, "exterior_derivative", build)
+        refined = tmp_path / "refined.txt"
+        refined.write_text(serialize_facets(
+            barycentric_refinement(generate("octahedron"))))
+        code, out, err = run_cli(["lax", "--input", str(refined), "--t-end",
+                                  "1000", "--dt", "0.01", "--matrices"], capsys)
+        assert (code, out) == (4, "")
+        assert err == ("resource limit: 10000 sampled states of size 146 need "
+                       "1705621056 bytes, limit is 268435456\n")
+
     def test_hodge_export_budget_before_dirac(self, k3_file, capsys, monkeypatch):
         """export --operator hodge counts the pairs of (d + d*)^2 from d alone,
         the same count and message as the product it stands in for."""
-        from simhodge import cli, intlinalg
+        from simhodge import budget, cli
 
         d = exterior_derivative(parse_input(k3_file, "edges"))
         big_d = dirac(d).matrix
-        monkeypatch.setattr(intlinalg, "PRODUCT_PAIR_LIMIT", 0)
+        monkeypatch.setattr(budget, "PRODUCT_PAIR_LIMIT", 0)
         with pytest.raises(ResourceLimitError) as refused:
             big_d @ big_d
         pairs = int(str(refused.value).split()[2])
         argv = ["export", "--input", k3_file, "--format", "edges",
                 "--operator", "hodge"]
-        monkeypatch.setattr(intlinalg, "PRODUCT_PAIR_LIMIT", pairs)
+        monkeypatch.setattr(budget, "PRODUCT_PAIR_LIMIT", pairs)
         assert run_cli(argv, capsys)[0] == 0
 
         def never(*args):
             raise AssertionError("d was squared before the budget was checked")
 
-        monkeypatch.setattr(intlinalg, "PRODUCT_PAIR_LIMIT", pairs - 1)
+        monkeypatch.setattr(budget, "PRODUCT_PAIR_LIMIT", pairs - 1)
         monkeypatch.setattr(cli, "dirac", never)
         code, out, err = run_cli(argv, capsys)
         assert (code, out) == (4, "")
@@ -948,12 +990,13 @@ def test_simplex_budget_is_four_in_a_bounded_child(tmp_path, name, text, argv,
     (["report"], 4), (["betti"], 4), (["betti", "--order", "2"], 4),
     (["curvature", "--order", "2"], 4), (["heat"], 4), (["lax"], 4),
     (["lefschetz", "--perm", "identity.txt"], 4), (["curvature"], 0),
-    (["export", "--operator", "hodge"], 4)])
+    (["export", "--operator", "hodge"], 4), (["lax", "--matrices"], 4),
+    (["ph", "--mode", "exhaustive"], 4), (["refine"], 4), (["skeleton"], 0)])
 def test_one_17_vertex_facet_in_a_bounded_child(tmp_path, argv, code):
     """One facet on 17 vertices spans 131071 simplices, inside SIMPLEX_LIMIT.
-    Order 1 builds no meet masks, and every meet mask, dense block, flow and
-    operator product over budget is refused before it is allocated, inside
-    2 GiB."""
+    Order 1 builds no meet masks, and every meet mask, dense block, flow,
+    exhaustive expectation, refinement and operator product over budget is
+    refused before it is allocated, inside 2 GiB."""
     import time
 
     (tmp_path / "facet17.txt").write_text(" ".join(map(str, range(17))) + "\n")
@@ -968,6 +1011,8 @@ def test_one_17_vertex_facet_in_a_bounded_child(tmp_path, argv, code):
                                "pairs, limit is 16777216\n")
     if code == 4:
         assert done.stderr.startswith("resource limit: ")
+    elif argv[0] == "skeleton":
+        assert json.loads(done.stdout)["results"]["f_vector"] == [17, 136]
     else:
         assert json.loads(done.stdout)["results"]["total_matches_characteristic"]
 
@@ -992,9 +1037,9 @@ def test_heat_time_past_the_float_range_warns_nothing(tmp_path, argv):
 
 
 def test_order_two_curvature_over_pair_budget_is_four(tmp_path):
-    """A 15-vertex facet has 32767 simplices, inside MEET_MASK_LIMIT, and
-    1059392917 ordered intersecting pairs: counted from the meet masks and
-    refused before the order-2 fold."""
+    """A 15-vertex facet has 32767 simplices, inside the meet-mask budget,
+    and 1059392917 ordered intersecting pairs: the order-2 vertex spread
+    refuses them before its first block."""
     import time
 
     (tmp_path / "facet15.txt").write_text(" ".join(map(str, range(15))) + "\n")
@@ -1002,8 +1047,9 @@ def test_order_two_curvature_over_pair_budget_is_four(tmp_path):
     done = _run_child(["curvature", "--input", "facet15.txt", "--order", "2"],
                       tmp_path, address_space=2 << 30, timeout=60)
     assert done.returncode == 4, done.stderr[-2000:]
-    assert done.stderr == ("resource limit: order 2 needs 1059392917 "
-                           "intersecting pairs, limit is 16777216\n")
+    assert done.stderr == ("resource limit: order 2 vertex spread needs "
+                           "1059392917 (prefix, last simplex) pairs, "
+                           "limit is 16777216\n")
     assert time.monotonic() - started < 3
 
 
@@ -1165,12 +1211,13 @@ class TestEigensolves:
     @pytest.mark.parametrize("argv", [
         ["report"], ["betti", "--order", "2"]])
     def test_dense_block_budget_is_four(self, tmp_path, capsys, monkeypatch, argv):
-        from simhodge import operators
+        from simhodge import budget, operators
 
         def never(*args):
             raise AssertionError("a basis was built before the budget was checked")
 
-        monkeypatch.setattr(operators, "DENSE_BLOCK_LIMIT", 100)  # order 2 needs 132
+        # blocks up to 100 wide; order 2 needs 132
+        monkeypatch.setattr(budget, "MEMORY_BYTES", 8 * 100 ** 2)
         monkeypatch.setattr(operators, "connection_basis", never)
         octahedron = tmp_path / "octahedron.txt"
         octahedron.write_text(serialize_facets(generate("octahedron")))
@@ -1183,9 +1230,10 @@ class TestEigensolves:
         ("heat", []), ("lefschetz", ["--perm", "swap.txt"])])
     def test_order_one_budget_before_any_solve(self, tmp_path, capsys, monkeypatch,
                                                solver_calls, command, extra):
-        from simhodge import operators
+        from simhodge import budget
 
-        monkeypatch.setattr(operators, "DENSE_BLOCK_LIMIT", 10)  # edges need 12
+        # blocks up to 10 wide; edges need 12
+        monkeypatch.setattr(budget, "MEMORY_BYTES", 8 * 10 ** 2)
         monkeypatch.chdir(tmp_path)
         (tmp_path / "octahedron.txt").write_text(
             serialize_facets(generate("octahedron")))

@@ -14,7 +14,7 @@ from simhodge import (ContractViolationError, DivergenceError, FlowState,
                       exterior_derivative, generate, graded_basis, integrate,
                       spectral_drift, split_by_degree, trajectory_to_csv,
                       trajectory_to_json, whitney_complex)
-from simhodge import lax
+from simhodge import budget, lax
 from simhodge.operators import GradedBasis
 
 
@@ -537,22 +537,40 @@ class TestBudget:
         with pytest.raises(ResourceLimitError):
             integrate(initial_dirac(c4), t_end, dt)
 
+    @staticmethod
+    def band_start(c):
+        """A start with a middle part, which flows on the band path."""
+        big_d = initial_dirac(c)
+        m = big_d.matrix.toarray() + np.eye(len(big_d.basis))
+        return FlowState(m, 0.0, big_d.basis)
+
     def test_too_many_sampled_bytes_refused(self, c4, no_steps):
-        # 600,000 steps of an 8 x 8 flow are cheap, but keeping every state
-        # would need about 307 MB
-        with pytest.raises(ResourceLimitError):
-            integrate(initial_dirac(c4), 6000.0, 0.01, sample_every=1)
+        # 600,000 steps of an 8 x 8 band flow are cheap, but keeping every
+        # state would need about 307 MB
+        with pytest.raises(ResourceLimitError, match=" sampled states of size 8 "):
+            integrate(self.band_start(c4), 6000.0, 0.01, sample_every=1)
 
     def test_refined_octahedron_long_horizon_refused(self, no_steps):
+        # 100,000 steps of a 146 x 146 band product each
         refined = barycentric_refinement(generate("octahedron"))
-        with pytest.raises(ResourceLimitError):
-            integrate(initial_dirac(refined), 1000.0, 0.01, sample_every=10)
+        with pytest.raises(ResourceLimitError, match="^flow needs about 3.11e"):
+            integrate(self.band_start(refined), 1000.0, 0.01, sample_every=10)
+
+    def test_frame_flow_charged_by_its_pairs(self):
+        # lax --t-end 1000 --dt 0.01 on the refined octahedron: the Dirac
+        # start flows 72 singular pairs, 216 floats a step and a state
+        charges = (1000.0, 0.01, 10, 3 * 72, 24 * 72)
+        assert lax.flow_steps(146, *charges) == 100000
+        with pytest.raises(ResourceLimitError, match=(
+                r"^flow needs about 3.11e\+11 operations \(t_end/dt = 1e\+05 steps "
+                r"of size 146\), limit is 100000000000$")):
+            lax.flow_steps(146, 1000.0, 0.01, 10, 146 ** 3, 8 * 146 ** 2)
 
     def test_benchmark_sized_flow_is_far_inside(self):
         # lax --t-end 10 --dt 0.01 on the refined octahedron: 1000 steps of
         # a 146 x 146 flow, 101 sampled states
-        assert 10 * 1000 * 146 ** 3 <= lax.MAX_FLOW_WORK
-        assert 10 * 101 * 146 ** 2 * 8 <= lax.MAX_TRAJECTORY_BYTES
+        assert 10 * 1000 * 146 ** 3 <= budget.MAX_FLOW_WORK
+        assert 10 * 101 * 146 ** 2 * 8 <= budget.MAX_TRAJECTORY_BYTES
 
 
 class TestDiagnostics:

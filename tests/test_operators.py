@@ -280,9 +280,10 @@ class TestMeetMasks:
         assert capsys.readouterr().err == ""
 
     def test_budget_refuses_before_building(self, monkeypatch):
-        from simhodge import complexes
+        from simhodge import budget
 
-        monkeypatch.setattr(complexes, "MEET_MASK_LIMIT", 10)
+        # masks over 10 simplices take 10**2 / 8 bytes, over 11 more than 13
+        monkeypatch.setattr(budget, "MEMORY_BYTES", 13)
         c = downward_closure([(0, 1, 2, 3)])  # 15 simplices
         for count in (lambda: connection_degree_counts(c, 2), lambda: f_matrix(c),
                       lambda: multilinear_curvature(c, 2)):
@@ -314,22 +315,58 @@ class TestMeetMasks:
         operators.require_connection_budget(suite["circle3"], 2)
         assert calls == [3]
 
-    def test_order_two_pair_budget_before_the_fold(self, monkeypatch):
-        from simhodge import complexes, operators
 
-        def never(*args):
-            raise AssertionError("folded before the budget check")
+class TestMemoryBudget:
+    """budget.MEMORY_BYTES charges 8 w^2 bytes for a dense block w wide,
+    |c|^2 / 8 for the meet masks and |c| / 8 per fold extension: each rule
+    admits a need at the bytes it takes, refuses it one byte less, and
+    prints the count those bytes allow."""
 
-        # a triangle: 3 vertices meet 4 simplices each, 3 edges 6, the face 7
-        c = downward_closure([(0, 1, 2)])
-        monkeypatch.setattr(operators, "PRODUCT_PAIR_LIMIT", 37)
-        operators.require_connection_budget(c, 2)
-        monkeypatch.setattr(operators, "PRODUCT_PAIR_LIMIT", 36)
-        monkeypatch.setattr(complexes, "tuple_fold", never)
-        monkeypatch.setattr(operators, "tuple_fold", never)
-        with pytest.raises(ResourceLimitError, match="^order 2 needs 37 "
-                           "intersecting pairs, limit is 36$"):
-            operators.require_connection_budget(c, 2)
+    def test_default_bytes_give_the_count_limits(self):
+        from simhodge import budget
+
+        assert budget.dense_width() == 4096
+        assert budget.meet_mask_simplices() == 32768
+        assert [budget.fold_extensions(n) for n in (0, 4096, 4097, 32767)] \
+            == [2 ** 18, 2 ** 18, 2 ** 30 // 4097, 2 ** 30 // 32767]
+
+    def test_dense_width(self, monkeypatch):
+        from simhodge import budget, operators
+
+        c = generate("octahedron")  # degrees 6, 12 and 8 wide
+        monkeypatch.setattr(budget, "MEMORY_BYTES", 8 * 12 ** 2)
+        assert operators.require_connection_budget(c, 1, eigensolve=True) == (6, 12, 8)
+        monkeypatch.setattr(budget, "MEMORY_BYTES", 8 * 12 ** 2 - 1)
+        with pytest.raises(ResourceLimitError, match="^degree-1 block is 12 wide "
+                           "for a dense eigensolve, limit is 11$"):
+            operators.require_connection_budget(c, 1, eigensolve=True)
+
+    def test_meet_mask_simplices(self, monkeypatch):
+        from simhodge import budget, complexes
+
+        def tetrahedron():  # 15 simplices, a new complex each time
+            return downward_closure([(0, 1, 2, 3)])
+
+        monkeypatch.setattr(budget, "MEMORY_BYTES", -(-15 ** 2 // 8))
+        assert len(complexes.intersection_masks(tetrahedron())) == 15
+        monkeypatch.setattr(budget, "MEMORY_BYTES", -(-15 ** 2 // 8) - 1)
+        with pytest.raises(ResourceLimitError,
+                           match="^meet masks over 15 simplices, limit is 14$"):
+            complexes.intersection_masks(tetrahedron())
+
+    def test_fold_extensions(self, monkeypatch):
+        from simhodge import budget
+
+        c = generate("octahedron")
+        # order 3 extends 26 simplices, then every ordered intersecting pair
+        needed = len(c) + int(f_matrix(c).sum())
+        monkeypatch.setattr(budget, "MEMORY_BYTES", -(-len(c) * needed // 8))
+        assert len(connection_basis(c, 3)) == 4442
+        monkeypatch.setattr(budget, "MEMORY_BYTES", -(-len(c) * needed // 8) - 1)
+        with pytest.raises(ResourceLimitError, match=(
+                f"^order 3 fold needs {needed} extensions at slot 2, "
+                f"limit is {needed - 1}$")):
+            connection_basis(c, 3)
 
 
 def vmask_derivative(c, k):

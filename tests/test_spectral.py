@@ -297,14 +297,14 @@ class TestEigenvalueOnlySolves:
         assert solver_calls == {"eigh": 1, "eigvalsh": 0}
 
     def test_block_width_checked_before_the_block_is_built(self, monkeypatch):
-        from simhodge import operators
+        from simhodge import budget
 
         _, L = de_rham_hodge(generate("octahedron"))  # widths 6, 12, 8
 
         def never(*args):
             raise AssertionError("a block was built before the budget was checked")
 
-        monkeypatch.setattr(operators, "DENSE_BLOCK_LIMIT", 8)
+        monkeypatch.setattr(budget, "MEMORY_BYTES", 8 * 8 ** 2)  # 8 wide
         monkeypatch.setattr(GradedOperator, "diag_block", never)
         for vectors in (False, True):
             with pytest.raises(ResourceLimitError, match="degree-1 block is 12 wide"):
@@ -313,11 +313,11 @@ class TestEigenvalueOnlySolves:
 
     def test_every_gram_width_checked_before_the_first_solve(self, monkeypatch,
                                                              solver_calls):
-        from simhodge import operators
+        from simhodge import budget
 
         # degrees 7, 21 and 35 wide: Gram blocks of d 7 and then 21 wide
         d = exterior_derivative(skeleton(downward_closure([range(7)]), 2))
-        monkeypatch.setattr(operators, "DENSE_BLOCK_LIMIT", 20)
+        monkeypatch.setattr(budget, "MEMORY_BYTES", 8 * 20 ** 2)  # 20 wide
         for solve in (hodge_spectra, lambda d: singular_frame(d, vectors=True)):
             with pytest.raises(ResourceLimitError, match="degree-1 block is 21 wide"):
                 solve(d)
