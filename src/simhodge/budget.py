@@ -22,7 +22,7 @@ CONNECTION_TUPLE_LIMIT = 2000  # tuples of a basis of order 3 or more
 PRODUCT_PAIR_LIMIT = 2 ** 24
 MAX_INDEX_FIELD_WORK = 10 ** 8  # orderings times (vertices + link entries)
 MAX_FLOW_WORK = 10 ** 11  # operations of the flow's steps and dense solves
-MAX_TRAJECTORY_BYTES = 2 ** 28  # the flow's dense end states and samples
+MAX_TRAJECTORY_BYTES = 2 ** 28  # the flow's dense end states and reported states
 
 
 def require(need, limit, what: str):
@@ -31,8 +31,13 @@ def require(need, limit, what: str):
         raise ResourceLimitError(f"{what}, limit is {limit}")
 
 
-def dense_width() -> int:
-    return isqrt(MEMORY_BYTES // 8)
+def require_dense(k: int, width: int):
+    require(width, isqrt(MEMORY_BYTES // 8),
+            f"degree-{k} block is {width} wide for a dense eigensolve")
+
+
+def require_pairs(pairs: int):
+    require(pairs, PRODUCT_PAIR_LIMIT, f"product needs {pairs} entry pairs")
 
 
 def meet_mask_simplices() -> int:

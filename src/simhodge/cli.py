@@ -29,8 +29,8 @@ from .io import (field_payload, fraction_payload, operator_to_json,
                  operator_to_triplets, parse_input, parse_permutation,
                  parse_vertex_function, read_text, serialize_facets,
                  sha256_hex)
-from .lax import (closed_form_error, flow_steps, integrate, trajectory_to_csv,
-                  trajectory_to_json)
+from .lax import (REPORT_VALUE_BYTES, closed_form_error, flow_steps, integrate,
+                  trajectory_to_csv, trajectory_to_json)
 from .lefschetz import check_automorphism, lefschetz_report
 from .operators import (alternating_sum, connection_derivative, dirac,
                         exterior_derivative, hodge, require_connection_budget)
@@ -234,8 +234,8 @@ def _lax_states(c, args):
         raise InvalidInputError(f"--dt must be positive and finite, got {args.dt}")
     # sample every 0.1 time units; the cap keeps a subnormal dt from overflowing
     sample_every = max(1, round(min(0.1 / args.dt, 1e18)))
-    flow_steps(len(c), args.t_end, args.dt, sample_every,  # before any operator
-               state_bytes=8 * len(c) ** 2 if args.matrices else 0)
+    flow_steps(n := len(c), args.t_end, args.dt, sample_every,  # before any operator
+               state_bytes=REPORT_VALUE_BYTES * n * n if args.matrices else 0)
     big_d = dirac(exterior_derivative(c))
     return integrate(big_d, args.t_end, args.dt, sample_every=sample_every)
 
@@ -294,8 +294,7 @@ def _cmd_export(c, args):
         # (d + d*)^2's pairs, before dirac(d): row j of d + d* is row and column j of d
         per_row = np.bincount(np.concatenate([d.matrix.row, d.matrix.col]),
                               minlength=len(d.basis))
-        budget.require(pairs := int(per_row @ per_row), budget.PRODUCT_PAIR_LIMIT,
-                       f"product needs {pairs} entry pairs")
+        budget.require_pairs(int(per_row @ per_row))
     op = {"derivative": lambda: d,
           "dirac": lambda: dirac(d),
           "hodge": lambda: hodge(dirac(d))}[args.operator]()

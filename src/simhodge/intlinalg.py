@@ -77,8 +77,7 @@ class IntMatrix:
         starts = np.searchsorted(other.row, np.arange(other.shape[0] + 1))
         counts = starts[self.col + 1] - starts[self.col]
         bounds = np.concatenate([[0], np.cumsum(counts)])  # each entry's first pair
-        budget.require(pairs := int(bounds[-1]), budget.PRODUCT_PAIR_LIMIT,
-                       f"product needs {pairs} entry pairs")
+        budget.require_pairs(int(bounds[-1]))
         firsts = np.flatnonzero(np.diff(self.row, prepend=-1))  # entries starting a row
         run = bounds[firsts] // max(budget.PRODUCT_PAIR_LIMIT // 64, 1)
         edges = [0, *firsts[1:][np.diff(run) > 0].tolist(), self.nnz]

@@ -66,6 +66,8 @@ SYMMETRY_TOL = 1e-10
 # R_k, relative to the largest entry of R_k, and of the Gram matrix of each
 # degree's columns [U_(k-1) | V_k] against the identity.
 FRAME_TOL = 1e-12
+# Peak bytes of a reported state: a row, and each value in it (RSS of lax, JSON)
+REPORT_ROW_BYTES, REPORT_VALUE_BYTES = 2048, 200
 
 
 def _degree_signs(basis: GradedBasis) -> tuple[np.ndarray, np.ndarray]:
@@ -325,10 +327,9 @@ def _rk4_step(m: np.ndarray, field, dt: float) -> np.ndarray:
 
 def flow_steps(n: int, t_end: float, dt: float, sample_every: int,
                step_work: int = 0, state_bytes: int = 0) -> int:
-    """Number of steps of a size-n flow, once its arguments pass and its
-    budgets hold: every path spends an operation a step, and n**3 operations
-    and 8 n**2 bytes on each dense end state; a caller that knows the path
-    adds its ``step_work`` a step and ``state_bytes`` a state after the first."""
+    """Number of steps of a size-n flow, once its arguments pass and the
+    budgets hold: an operation and ``step_work`` a step, n**3 and 8 n**2
+    bytes a dense end state, and a report row and ``state_bytes`` a state."""
     if not 0 < dt < math.inf:
         raise InvalidInputError("dt must be positive and finite")
     if not 0 <= t_end < math.inf:
@@ -340,9 +341,9 @@ def flow_steps(n: int, t_end: float, dt: float, sample_every: int,
     budget.require(work, budget.MAX_FLOW_WORK, f"flow needs about {work:.3g} "
                    f"operations (t_end/dt = {ratio:.3g} steps of size {n})")
     steps = int(round(ratio))
-    samples = -(-steps // sample_every)
-    size = 16 * n * n + samples * state_bytes
-    budget.require(size, budget.MAX_TRAJECTORY_BYTES, f"{samples} sampled states "
+    states = 1 - (-steps // sample_every)  # each reported as a row
+    size = 16 * n * n + states * (REPORT_ROW_BYTES + REPORT_VALUE_BYTES * n + state_bytes)
+    budget.require(size, budget.MAX_TRAJECTORY_BYTES, f"{states} sampled states "
                    f"of size {n} need {size} bytes")
     return steps
 
@@ -360,9 +361,9 @@ def integrate(initial: GradedOperator | FlowState, t_end: float, dt: float,
     other start flows as the dense matrix under the band field (see the
     module docstring).  The first state is the given matrix, rebuilt from
     its upper triangle, on every path.  Raises ResourceLimitError before the
-    dense copy when what every path spends is over budget, and before the
-    first step when the path's steps and states are: n**3 operations and
-    8 n**2 bytes on the band, 3 and 24 bytes per singular pair in the frame.
+    dense copy when what every path spends is over budget (``flow_steps``),
+    and before the first step when the path's steps and states are: n**3 and
+    8 n**2 bytes on the band, 3 and 24 bytes a singular pair in the frame.
     """
     basis, n = initial.basis, len(initial.basis)
     steps = flow_steps(n, t_end, dt, sample_every)
@@ -378,8 +379,7 @@ def integrate(initial: GradedOperator | FlowState, t_end: float, dt: float,
         current, field, frame = _stepper(m, basis, t0)
     else:
         current, field = initial.triples, _pair_field
-    # the path is known: a band step is one n x n product, a frame step O(pairs)
-    flow_steps(n, t_end, dt, sample_every,
+    flow_steps(n, t_end, dt, sample_every,  # the path's, once it is known
                current.size * (n if frame is None else 1), 8 * current.size)
     for i in range(1, steps + 1):
         current = _rk4_step(current, field, dt)

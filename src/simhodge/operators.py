@@ -113,8 +113,7 @@ class GradedOperator:
         """
         cached = self._eigs.get(k)
         if cached is None or (vectors and cached[1] is None):
-            budget.require(width := self.basis.dimension_of(k), budget.dense_width(),
-                           f"degree-{k} block is {width} wide for a dense eigensolve")
+            budget.require_dense(k, self.basis.dimension_of(k))
             block = self.diag_block(k)
             if not np.array_equal(block, block.T):
                 raise ContractViolationError(f"degree-{k} block is not symmetric")
@@ -269,7 +268,7 @@ def connection_tuple_count(c: Complex, k: int) -> int:
 def require_connection_budget(c: Complex, k: int, eigensolve: bool = False):
     """ResourceLimitError before the order-k basis is built: order three or
     more over CONNECTION_TUPLE_LIMIT tuples, or, when its blocks are to be
-    solved, a degree wider than ``budget.dense_width`` (a Gram solve, one
+    solved, a degree over the dense-block memory (a Gram solve, one
     swap sector at a time, can be narrower).  Returns the per-degree counts
     of ``connection_degree_counts`` when it folded them, else None."""
     if k >= 3 or eigensolve:
@@ -278,8 +277,7 @@ def require_connection_budget(c: Complex, k: int, eigensolve: bool = False):
             budget.require(sum(counts), budget.CONNECTION_TUPLE_LIMIT,
                            f"order {k} needs {sum(counts)} tuples")
         for degree, width in enumerate(counts if eigensolve else ()):
-            budget.require(width, budget.dense_width(), f"degree-{degree} block "
-                           f"is {width} wide for a dense eigensolve")
+            budget.require_dense(degree, width)
         return counts
     return None
 

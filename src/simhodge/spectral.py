@@ -175,8 +175,7 @@ def singular_frame(d: GradedOperator, vectors: bool = False) -> list:
     basis, dims = d.basis, d.basis.dims
     sides = [narrow_side(dims, k) for k in range(len(dims) - 1)]
     for side in sides:  # every width, before the first Gram matrix
-        budget.require(dims[side], budget.dense_width(), f"degree-{side} block "
-                       f"is {dims[side]} wide for a dense eigensolve")
+        budget.require_dense(side, dims[side])
     sectors = swap_sectors(d)
     frame = []
     for k, side in enumerate(sides):

@@ -746,8 +746,8 @@ class TestHostileInputs:
 
     def test_matrices_charged_before_any_operator(self, tmp_path, capsys,
                                                   monkeypatch):
-        """The frame path admits lax --t-end 1000 --dt 0.01 on the refined
-        octahedron; its 10000 dense sampled matrices do not fit."""
+        """The frame path admits lax --t-end 500 --dt 0.01 on the refined
+        octahedron; reporting its 5001 sampled matrices does not fit."""
         from simhodge import barycentric_refinement, cli
 
         def build(*args):
@@ -759,10 +759,10 @@ class TestHostileInputs:
         refined.write_text(serialize_facets(
             barycentric_refinement(generate("octahedron"))))
         code, out, err = run_cli(["lax", "--input", str(refined), "--t-end",
-                                  "1000", "--dt", "0.01", "--matrices"], capsys)
+                                  "500", "--dt", "0.01", "--matrices"], capsys)
         assert (code, out) == (4, "")
-        assert err == ("resource limit: 10000 sampled states of size 146 need "
-                       "1705621056 bytes, limit is 268435456\n")
+        assert err == ("resource limit: 5001 sampled states of size 146 need "
+                       "21476875504 bytes, limit is 268435456\n")
 
     def test_hodge_export_budget_before_dirac(self, k3_file, capsys, monkeypatch):
         """export --operator hodge counts the pairs of (d + d*)^2 from d alone,

@@ -14,7 +14,7 @@ from simhodge import (ContractViolationError, DivergenceError, FlowState,
                       exterior_derivative, generate, graded_basis, integrate,
                       spectral_drift, split_by_degree, trajectory_to_csv,
                       trajectory_to_json, whitney_complex)
-from simhodge import budget, lax
+from simhodge import lax
 from simhodge.operators import GradedBasis
 
 
@@ -545,32 +545,41 @@ class TestBudget:
         return FlowState(m, 0.0, big_d.basis)
 
     def test_too_many_sampled_bytes_refused(self, c4, no_steps):
-        # 600,000 steps of an 8 x 8 band flow are cheap, but keeping every
-        # state would need about 307 MB
+        # 600,000 steps of an 8 x 8 band flow are cheap, but keeping and
+        # reporting every state would need about 2.5 GB
         with pytest.raises(ResourceLimitError, match=" sampled states of size 8 "):
             integrate(self.band_start(c4), 6000.0, 0.01, sample_every=1)
 
     def test_refined_octahedron_long_horizon_refused(self, no_steps):
-        # 100,000 steps of a 146 x 146 band product each
+        # 100,000 steps of a 146 x 146 band product each; its 1001 reported
+        # states would fit
         refined = barycentric_refinement(generate("octahedron"))
         with pytest.raises(ResourceLimitError, match="^flow needs about 3.11e"):
-            integrate(self.band_start(refined), 1000.0, 0.01, sample_every=10)
+            integrate(self.band_start(refined), 1000.0, 0.01, sample_every=100)
+
+    # the Dirac start of the refined octahedron flows 72 singular pairs,
+    # 216 floats a step and a state; on the band a step is one 146^3 product
+    frame, band = (3 * 72, 24 * 72), (146 ** 3, 8 * 146 ** 2)
 
     def test_frame_flow_charged_by_its_pairs(self):
-        # lax --t-end 1000 --dt 0.01 on the refined octahedron: the Dirac
-        # start flows 72 singular pairs, 216 floats a step and a state
-        charges = (1000.0, 0.01, 10, 3 * 72, 24 * 72)
-        assert lax.flow_steps(146, *charges) == 100000
+        # lax --t-end 500 --dt 0.01: 5001 reported states of 146 eigenvalues
+        assert lax.flow_steps(146, 500.0, 0.01, 10, *self.frame) == 50000
         with pytest.raises(ResourceLimitError, match=(
-                r"^flow needs about 3.11e\+11 operations \(t_end/dt = 1e\+05 steps "
+                r"^flow needs about 1.56e\+11 operations \(t_end/dt = 5e\+04 steps "
                 r"of size 146\), limit is 100000000000$")):
-            lax.flow_steps(146, 1000.0, 0.01, 10, 146 ** 3, 8 * 146 ** 2)
+            lax.flow_steps(146, 500.0, 0.01, 10, *self.band)
+        # lax --t-end 15000 --dt 0.1 is cheap in the frame, but its 150001
+        # report rows would need about 4.9 GB
+        with pytest.raises(ResourceLimitError, match=(
+                "^150001 sampled states of size 146 need 4946774032 bytes, "
+                "limit is 268435456$")):
+            lax.flow_steps(146, 15000.0, 0.1, 1, *self.frame)
 
     def test_benchmark_sized_flow_is_far_inside(self):
         # lax --t-end 10 --dt 0.01 on the refined octahedron: 1000 steps of
-        # a 146 x 146 flow, 101 sampled states
-        assert 10 * 1000 * 146 ** 3 <= budget.MAX_FLOW_WORK
-        assert 10 * 101 * 146 ** 2 * 8 <= budget.MAX_TRAJECTORY_BYTES
+        # a 146 x 146 flow, 101 sampled states; ten times as long fits even
+        # on the band
+        assert lax.flow_steps(146, 100.0, 0.01, 10, *self.band) == 10000
 
 
 class TestDiagnostics:

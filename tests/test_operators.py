@@ -325,7 +325,9 @@ class TestMemoryBudget:
     def test_default_bytes_give_the_count_limits(self):
         from simhodge import budget
 
-        assert budget.dense_width() == 4096
+        budget.require_dense(0, 4096)
+        with pytest.raises(ResourceLimitError, match=", limit is 4096$"):
+            budget.require_dense(0, 4097)
         assert budget.meet_mask_simplices() == 32768
         assert [budget.fold_extensions(n) for n in (0, 4096, 4097, 32767)] \
             == [2 ** 18, 2 ** 18, 2 ** 30 // 4097, 2 ** 30 // 32767]
