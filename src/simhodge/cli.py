@@ -29,7 +29,7 @@ from .io import (field_payload, fraction_payload, operator_to_json,
                  operator_to_triplets, parse_input, parse_permutation,
                  parse_vertex_function, read_text, serialize_facets,
                  sha256_hex)
-from .lax import (REPORT_VALUE_BYTES, closed_form_error, flow_steps, integrate,
+from .lax import (closed_form_error, flow_steps, integrate, report_row_bytes,
                   trajectory_to_csv, trajectory_to_json)
 from .lefschetz import check_automorphism, lefschetz_report
 from .operators import (alternating_sum, connection_derivative, dirac,
@@ -229,15 +229,18 @@ def _cmd_heat(c, args):
     }
 
 
-def _lax_states(c, args):
+def _lax_states(c, args, csv=False):
+    """The sampled states of ``lax``, each charged the row of the report
+    it goes to: the CSV trajectory with ``csv``, else the JSON report."""
     if not 0 < args.dt < math.inf:
         raise InvalidInputError(f"--dt must be positive and finite, got {args.dt}")
     # sample every 0.1 time units; the cap keeps a subnormal dt from overflowing
     sample_every = max(1, round(min(0.1 / args.dt, 1e18)))
-    flow_steps(n := len(c), args.t_end, args.dt, sample_every,  # before any operator
-               state_bytes=REPORT_VALUE_BYTES * n * n if args.matrices else 0)
+    row_bytes = report_row_bytes(len(c), csv, args.matrices)
+    flow_steps(len(c), args.t_end, args.dt, sample_every,  # before any operator
+               row_bytes=row_bytes)
     big_d = dirac(exterior_derivative(c))
-    return integrate(big_d, args.t_end, args.dt, sample_every=sample_every)
+    return integrate(big_d, args.t_end, args.dt, sample_every, row_bytes)
 
 
 def _cmd_lax(c, args):
@@ -347,7 +350,7 @@ def run(args) -> str:
         raw = handle.read()
     c = parse_input(args.input, args.format, raw)
     if args.command == "lax" and args.out and args.out.endswith(".csv"):
-        return trajectory_to_csv(_lax_states(c, args))
+        return trajectory_to_csv(_lax_states(c, args, csv=True))
     started = time.monotonic()
     results = _COMMANDS[args.command](c, args)
     elapsed_ms = 1000.0 * (time.monotonic() - started)

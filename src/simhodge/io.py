@@ -10,9 +10,16 @@ ignored; a non-comment line without tokens is a parse error.
 
 from __future__ import annotations
 
-import hashlib
 import math
 from fractions import Fraction
+
+try:  # CPython's builtin SHA-256, so no process maps OpenSSL to stamp its input
+    from _sha2 import sha256  # 3.12 and later
+except ImportError:
+    try:
+        from _sha256 import sha256  # 3.10 and 3.11
+    except ImportError:
+        from hashlib import sha256
 
 from .complexes import Complex, downward_closure, whitney_complex
 from .errors import InvalidInputError, ParseError
@@ -191,7 +198,7 @@ def parse_vertex_function(text: str, c: Complex) -> dict:
 
 
 def sha256_hex(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()
+    return sha256(data).hexdigest()
 
 
 def fraction_payload(value: Fraction) -> dict:

@@ -66,8 +66,13 @@ SYMMETRY_TOL = 1e-10
 # R_k, relative to the largest entry of R_k, and of the Gram matrix of each
 # degree's columns [U_(k-1) | V_k] against the identity.
 FRAME_TOL = 1e-12
-# Peak bytes of a reported state: a row, and each value in it (RSS of lax, JSON)
+# Peak bytes of a reported state: a row, and each value in it (RSS of lax,
+# JSON report and CSV)
 REPORT_ROW_BYTES, REPORT_VALUE_BYTES = 2048, 200
+CSV_ROW_BYTES, CSV_VALUE_BYTES = 1024, 68
+# A step's interpreter time, about 30 us whatever n, in operations of the
+# band's n**3 product, about 0.33 ns each
+STEP_OPERATIONS = 10 ** 5
 
 
 def _degree_signs(basis: GradedBasis) -> tuple[np.ndarray, np.ndarray]:
@@ -325,11 +330,21 @@ def _rk4_step(m: np.ndarray, field, dt: float) -> np.ndarray:
     return m + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
+def report_row_bytes(n: int, csv: bool = False, matrices: bool = False) -> int:
+    """Peak bytes of one reported state of size n: a CSV row, or a JSON
+    report row of n eigenvalues and, with ``matrices``, n**2 entries."""
+    if csv:
+        return CSV_ROW_BYTES + CSV_VALUE_BYTES * n
+    return REPORT_ROW_BYTES + REPORT_VALUE_BYTES * (n + matrices * n * n)
+
+
 def flow_steps(n: int, t_end: float, dt: float, sample_every: int,
-               step_work: int = 0, state_bytes: int = 0) -> int:
+               step_work: int = 0, state_bytes: int = 0,
+               row_bytes: int | None = None) -> int:
     """Number of steps of a size-n flow, once its arguments pass and the
-    budgets hold: an operation and ``step_work`` a step, n**3 and 8 n**2
-    bytes a dense end state, and a report row and ``state_bytes`` a state."""
+    budgets hold: ``STEP_OPERATIONS`` and ``step_work`` a step, n**3 and
+    8 n**2 bytes a dense end state, and ``row_bytes`` (by default a JSON
+    report row) and ``state_bytes`` a state."""
     if not 0 < dt < math.inf:
         raise InvalidInputError("dt must be positive and finite")
     if not 0 <= t_end < math.inf:
@@ -337,19 +352,21 @@ def flow_steps(n: int, t_end: float, dt: float, sample_every: int,
     if not (isinstance(sample_every, numbers.Integral) and sample_every >= 1):
         raise InvalidInputError("sample_every must be a positive integer")
     ratio = t_end / dt
-    work = ratio * (1 + step_work) + 2 * n ** 3
+    work = ratio * (STEP_OPERATIONS + step_work) + 2 * n ** 3
     budget.require(work, budget.MAX_FLOW_WORK, f"flow needs about {work:.3g} "
                    f"operations (t_end/dt = {ratio:.3g} steps of size {n})")
     steps = int(round(ratio))
     states = 1 - (-steps // sample_every)  # each reported as a row
-    size = 16 * n * n + states * (REPORT_ROW_BYTES + REPORT_VALUE_BYTES * n + state_bytes)
+    if row_bytes is None:
+        row_bytes = report_row_bytes(n)
+    size = 16 * n * n + states * (row_bytes + state_bytes)
     budget.require(size, budget.MAX_TRAJECTORY_BYTES, f"{states} sampled states "
                    f"of size {n} need {size} bytes")
     return steps
 
 
 def integrate(initial: GradedOperator | FlowState, t_end: float, dt: float,
-              sample_every: int = 1) -> list[FlowState]:
+              sample_every: int = 1, row_bytes: int | None = None) -> list[FlowState]:
     """Fixed-step trajectory of the commutator flow.
 
     Returns sampled states including the initial and final ones; raises with
@@ -364,9 +381,11 @@ def integrate(initial: GradedOperator | FlowState, t_end: float, dt: float,
     dense copy when what every path spends is over budget (``flow_steps``),
     and before the first step when the path's steps and states are: n**3 and
     8 n**2 bytes on the band, 3 and 24 bytes a singular pair in the frame.
+    Each sampled state is also charged ``row_bytes``, by default its JSON
+    report row (``report_row_bytes``).
     """
     basis, n = initial.basis, len(initial.basis)
-    steps = flow_steps(n, t_end, dt, sample_every)
+    steps = flow_steps(n, t_end, dt, sample_every, row_bytes=row_bytes)
     if isinstance(initial, GradedOperator):
         m, t0, frame = initial.to_dense(), 0.0, None
     else:
@@ -380,7 +399,8 @@ def integrate(initial: GradedOperator | FlowState, t_end: float, dt: float,
     else:
         current, field = initial.triples, _pair_field
     flow_steps(n, t_end, dt, sample_every,  # the path's, once it is known
-               current.size * (n if frame is None else 1), 8 * current.size)
+               current.size * (n if frame is None else 1), 8 * current.size,
+               row_bytes)
     for i in range(1, steps + 1):
         current = _rk4_step(current, field, dt)
         if not np.isfinite(current).all():

@@ -704,6 +704,34 @@ def test_runtime_needs_no_scipy(tmp_path):
     assert json.loads(done.stdout)["results"]["euler_characteristic"] == 2
 
 
+def test_cli_import_loads_no_openssl():
+    """Importing the CLI adds no ``_hashlib`` module, so no process maps
+    OpenSSL: the input digest is CPython's builtin SHA-256.  Checked in a
+    fresh interpreter against the modules loaded before the import, which a
+    site hook may have filled with hashlib already."""
+    import importlib.util
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import simhodge
+
+    if not any(importlib.util.find_spec(m) for m in ("_sha2", "_sha256")):
+        pytest.skip("this CPython has no builtin SHA-256 module")
+    script = "\n".join([
+        "import sys",
+        "before = set(sys.modules)",
+        "import simhodge.cli",
+        "added = sorted(set(sys.modules) - before)",
+        "assert '_hashlib' not in added, added"])
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(simhodge.__file__).resolve().parents[1]))
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+
+
 class TestHostileInputs:
     @pytest.mark.parametrize("flags", [
         ["ph", "--mode", "sampled:0"],
@@ -726,8 +754,12 @@ class TestHostileInputs:
     @pytest.mark.parametrize("flags", [
         ["--t-end", "1e12", "--dt", "1e-3"],
         ["--dt", "5e-324"],
+        # 1e8 steps of about 30 us: refused by the steps' fixed cost
+        ["--t-end", "1000", "--dt", "1e-5"],
     ])
     def test_unbounded_lax_is_four(self, k3_file, capsys, monkeypatch, flags):
+        import time
+
         from simhodge import cli, lax
 
         def step(*args):
@@ -738,11 +770,36 @@ class TestHostileInputs:
 
         monkeypatch.setattr(lax, "_rk4_step", step)
         monkeypatch.setattr(cli, "exterior_derivative", build)
+        started = time.perf_counter()
         code, out, err = run_cli(["lax", "--input", k3_file,
                                   "--format", "edges", *flags], capsys)
+        assert time.perf_counter() - started < 1.0
         assert code == 4
         assert out == ""
         assert err.startswith("resource limit: ")
+
+    def test_ten_thousand_lax_steps_run(self, k3_file, capsys):
+        code, out, _ = run_cli(["lax", "--input", k3_file, "--format", "edges",
+                                "--t-end", "10", "--dt", "0.001"], capsys)
+        assert code == 0
+        assert len(json.loads(out)["results"]["trajectory"]["states"]) == 101
+
+    def test_csv_states_charged_csv_rows(self, monkeypatch):
+        """lax --t-end 2000 --dt 0.1 on the refined octahedron: its 20001
+        CSV rows fit the trajectory budget, its JSON report rows do not."""
+        import argparse
+
+        from simhodge import barycentric_refinement, cli, lax
+
+        refined = barycentric_refinement(generate("octahedron"))
+        args = argparse.Namespace(t_end=2000.0, dt=0.1, matrices=False)
+        calls = []
+        monkeypatch.setattr(cli, "integrate", lambda *a: calls.append(a))
+        cli._lax_states(refined, args, csv=True)
+        assert calls[0][-1] == lax.report_row_bytes(len(refined), csv=True)
+        with pytest.raises(ResourceLimitError, match="^20001 sampled states "):
+            cli._lax_states(refined, args)
+        assert len(calls) == 1
 
     def test_matrices_charged_before_any_operator(self, tmp_path, capsys,
                                                   monkeypatch):

@@ -14,7 +14,7 @@ from simhodge import (ContractViolationError, DivergenceError, FlowState,
                       exterior_derivative, generate, graded_basis, integrate,
                       spectral_drift, split_by_degree, trajectory_to_csv,
                       trajectory_to_json, whitney_complex)
-from simhodge import lax
+from simhodge import budget, lax
 from simhodge.operators import GradedBasis
 
 
@@ -554,7 +554,7 @@ class TestBudget:
         # 100,000 steps of a 146 x 146 band product each; its 1001 reported
         # states would fit
         refined = barycentric_refinement(generate("octahedron"))
-        with pytest.raises(ResourceLimitError, match="^flow needs about 3.11e"):
+        with pytest.raises(ResourceLimitError, match="^flow needs about 3.21e"):
             integrate(self.band_start(refined), 1000.0, 0.01, sample_every=100)
 
     # the Dirac start of the refined octahedron flows 72 singular pairs,
@@ -565,7 +565,7 @@ class TestBudget:
         # lax --t-end 500 --dt 0.01: 5001 reported states of 146 eigenvalues
         assert lax.flow_steps(146, 500.0, 0.01, 10, *self.frame) == 50000
         with pytest.raises(ResourceLimitError, match=(
-                r"^flow needs about 1.56e\+11 operations \(t_end/dt = 5e\+04 steps "
+                r"^flow needs about 1.61e\+11 operations \(t_end/dt = 5e\+04 steps "
                 r"of size 146\), limit is 100000000000$")):
             lax.flow_steps(146, 500.0, 0.01, 10, *self.band)
         # lax --t-end 15000 --dt 0.1 is cheap in the frame, but its 150001
@@ -575,11 +575,40 @@ class TestBudget:
                 "limit is 268435456$")):
             lax.flow_steps(146, 15000.0, 0.1, 1, *self.frame)
 
-    def test_benchmark_sized_flow_is_far_inside(self):
+    def test_benchmark_sized_flow_is_far_inside(self, monkeypatch):
         # lax --t-end 10 --dt 0.01 on the refined octahedron: 1000 steps of
         # a 146 x 146 flow, 101 sampled states; ten times as long fits even
         # on the band
         assert lax.flow_steps(146, 100.0, 0.01, 10, *self.band) == 10000
+        # the benchmark's lax ops, that run and lax on wheel6 (25 simplices,
+        # 12 singular pairs, the default --t-end 1 --dt 0.01), fit a tenth
+        # of each budget
+        monkeypatch.setattr(budget, "MAX_FLOW_WORK", budget.MAX_FLOW_WORK // 10)
+        monkeypatch.setattr(budget, "MAX_TRAJECTORY_BYTES",
+                            budget.MAX_TRAJECTORY_BYTES // 10)
+        assert lax.flow_steps(146, 10.0, 0.01, 10, *self.frame) == 1000
+        assert lax.flow_steps(25, 1.0, 0.01, 10, 3 * 12, 24 * 12) == 100
+
+    def test_step_charged_its_fixed_cost(self):
+        # lax --t-end 1000 --dt 1e-5 on a triangle (7 simplices, 3 singular
+        # pairs): 1e8 steps of about 30 us each, some 50 minutes
+        with pytest.raises(ResourceLimitError, match=(
+                r"^flow needs about 1e\+13 operations \(t_end/dt = 1e\+08 steps "
+                r"of size 7\), limit is 100000000000$")):
+            lax.flow_steps(7, 1000.0, 1e-5, 10 ** 4, 3 * 3, 24 * 3)
+        assert lax.flow_steps(7, 10.0, 0.001, 100, 3 * 3, 24 * 3) == 10000
+
+    def test_csv_rows_charged_what_csv_costs(self):
+        # lax --t-end 2000 --dt 0.1 --out x.csv on the refined octahedron:
+        # 20001 states peak at 224 MiB as a process, the JSON report at 611 MiB
+        csv_row = lax.report_row_bytes(146, csv=True)
+        assert csv_row == lax.CSV_ROW_BYTES + 146 * lax.CSV_VALUE_BYTES
+        assert lax.flow_steps(146, 2000.0, 0.1, 1, *self.frame,
+                              row_bytes=csv_row) == 20000
+        with pytest.raises(ResourceLimitError, match=(
+                "^20001 sampled states of size 146 need 659894032 bytes, "
+                "limit is 268435456$")):
+            lax.flow_steps(146, 2000.0, 0.1, 1, *self.frame)
 
 
 class TestDiagnostics:

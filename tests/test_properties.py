@@ -1,11 +1,12 @@
 """Property tests: parse round trips, index identities on random small
 complexes, and parser robustness on arbitrary text."""
 
+import hashlib
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from simhodge import (InvalidInputError, IndexTriple, betti,
@@ -13,7 +14,7 @@ from simhodge import (InvalidInputError, IndexTriple, betti,
                       exterior_derivative, generate, multilinear_curvature,
                       spectrum_report, wu_characteristic)
 from simhodge.io import (parse_facets, parse_permutation,
-                         parse_vertex_function, serialize_facets)
+                         parse_vertex_function, serialize_facets, sha256_hex)
 from simhodge.spectral import singular_frame
 
 from conftest import dense_gram_values
@@ -103,3 +104,11 @@ def test_parsers_raise_only_input_errors(parse, c, text):
         parse(text, c)
     except InvalidInputError:  # ParseError included
         pass
+
+
+@example(b"")
+@example(b"\xff\xfe\x80 is not UTF-8")
+@example(bytes(range(256)) * 80)  # 20 KiB, many blocks
+@given(st.binary())
+def test_sha256_hex_is_the_hashlib_digest(data):
+    assert sha256_hex(data) == hashlib.sha256(data).hexdigest()
