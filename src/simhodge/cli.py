@@ -32,9 +32,11 @@ from .io import (field_payload, fraction_payload, operator_to_json,
 from .lax import (closed_form_error, flow_steps, integrate, report_row_bytes,
                   trajectory_to_csv, trajectory_to_json)
 from .lefschetz import check_automorphism, lefschetz_report
-from .operators import (alternating_sum, connection_derivative, dirac,
-                        exterior_derivative, hodge, require_connection_budget)
-from .spectral import heat_supertrace, hodge_spectra, spectrum_report
+from .operators import (alternating_sum, connection_degree_counts,
+                        connection_derivative, dirac, exterior_derivative,
+                        hodge, require_connection_budget)
+from .spectral import (heat_supertrace, hodge_spectra, require_frame,
+                       spectrum_report)
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -89,10 +91,13 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _derivative_for(c, order, eigensolve=False):
-    """The order's derivative, refused first when it is over budget; with
-    ``eigensolve`` also when one of its Hodge blocks is too wide to solve."""
-    require_connection_budget(c, order, eigensolve)
+def _derivative_for(c, order, vectors=None):
+    """The order's derivative, refused first when it is over budget; unless
+    ``vectors`` is None, also when its singular frame, with or without
+    vectors, is too wide (``require_frame`` on its degree counts)."""
+    counts = require_connection_budget(c, order)
+    if vectors is not None:
+        require_frame(counts or connection_degree_counts(c, order), vectors)
     if order == 1:
         return exterior_derivative(c)
     return connection_derivative(c, order)
@@ -100,7 +105,7 @@ def _derivative_for(c, order, eigensolve=False):
 
 def _cmd_report(c, args):
     # both orders pass their budgets before any other work
-    derivatives = {order: _derivative_for(c, order, True)
+    derivatives = {order: _derivative_for(c, order, False)
                    for order in (1, 2)}
     payload = {
         "f_vector": list(f_vector(c)),
@@ -135,7 +140,7 @@ def _cmd_report(c, args):
 
 
 def _cmd_betti(c, args):
-    d = _derivative_for(c, args.order, True)
+    d = _derivative_for(c, args.order, False)
     sr = spectrum_report(d)
     payload = sr.to_payload()
     payload["order"] = args.order
@@ -217,7 +222,7 @@ def _parse_times(text: str):
 
 
 def _cmd_heat(c, args):
-    spectra = hodge_spectra(_derivative_for(c, 1, True))
+    spectra = hodge_spectra(_derivative_for(c, 1, False))
     chi = euler_characteristic(c)
     values = {str(x): heat_supertrace(spectra, x) for x in _parse_times(args.t)}
     deviation = max((abs(v - chi) for v in values.values()), default=0.0)

@@ -365,6 +365,8 @@ def flow_steps(n: int, t_end: float, dt: float, sample_every: int,
     return steps
 
 
+# a diverging flow overflows quietly: its finiteness checks raise instead
+@np.errstate(over="ignore", invalid="ignore")
 def integrate(initial: GradedOperator | FlowState, t_end: float, dt: float,
               sample_every: int = 1, row_bytes: int | None = None) -> list[FlowState]:
     """Fixed-step trajectory of the commutator flow.

@@ -265,21 +265,16 @@ def connection_tuple_count(c: Complex, k: int) -> int:
     return sum(connection_degree_counts(c, k))
 
 
-def require_connection_budget(c: Complex, k: int, eigensolve: bool = False):
-    """ResourceLimitError before the order-k basis is built: order three or
-    more over CONNECTION_TUPLE_LIMIT tuples, or, when its blocks are to be
-    solved, a degree over the dense-block memory (a Gram solve, one
-    swap sector at a time, can be narrower).  Returns the per-degree counts
-    of ``connection_degree_counts`` when it folded them, else None."""
-    if k >= 3 or eigensolve:
-        counts = connection_degree_counts(c, k)
-        if k >= 3:
-            budget.require(sum(counts), budget.CONNECTION_TUPLE_LIMIT,
-                           f"order {k} needs {sum(counts)} tuples")
-        for degree, width in enumerate(counts if eigensolve else ()):
-            budget.require_dense(degree, width)
-        return counts
-    return None
+def require_connection_budget(c: Complex, k: int):
+    """ResourceLimitError before the order-k basis is built when order three
+    or more has over CONNECTION_TUPLE_LIMIT tuples.  Returns the per-degree
+    counts it folded, else None; a solve charges ``spectral.require_frame``."""
+    if k < 3:
+        return None
+    counts = connection_degree_counts(c, k)
+    budget.require(sum(counts), budget.CONNECTION_TUPLE_LIMIT,
+                   f"order {k} needs {sum(counts)} tuples")
+    return counts
 
 
 def connection_derivative(c: Complex, k: int) -> GradedOperator:

@@ -70,6 +70,17 @@ def narrow_side(dims, k: int) -> int:
     return k if dims[k] <= dims[k + 1] else k + 1
 
 
+def require_frame(dims, vectors: bool = False) -> list:
+    """The narrower side of each d_k, once the dense blocks a
+    ``singular_frame`` on degrees ``dims`` wide builds are charged: those
+    sides for values alone, and with ``vectors`` every degree, as
+    W_k = [V_k | U_(k-1)] is degree-wide."""
+    sides = [narrow_side(dims, k) for k in range(len(dims) - 1)]
+    for k in range(len(dims)) if vectors else sides:
+        budget.require_dense(k, dims[k])
+    return sides
+
+
 def gram_pairs(sectors, block=None, on_source: bool = True):
     """(σ², U, V) for one block b of d from the float Gram matrices of its
     sectors, b^T b restricted to each when ``on_source``, else b b^T, each
@@ -168,14 +179,12 @@ def _dense(m: IntMatrix, scale) -> np.ndarray:
 
 def singular_frame(d: GradedOperator, vectors: bool = False) -> list:
     """``gram_pairs`` of each block d_k on the exact Gram matrices of its
-    narrower side, one per ``swap_sectors`` sector.  L_k has the σ² of
-    d_(k-1) and d_k, with the columns of U_(k-1) and V_k, and zero on what is
-    orthogonal to both (McKean-Singer)."""
+    narrower side, one per ``swap_sectors`` sector, once ``require_frame``
+    charged them.  L_k has the σ² of d_(k-1) and d_k, with the columns of
+    U_(k-1) and V_k, and zero on what is orthogonal to both (McKean-Singer)."""
     require_nilpotent(d)
     basis, dims = d.basis, d.basis.dims
-    sides = [narrow_side(dims, k) for k in range(len(dims) - 1)]
-    for side in sides:  # every width, before the first Gram matrix
-        budget.require_dense(side, dims[side])
+    sides = require_frame(dims, vectors)
     sectors = swap_sectors(d)
     frame = []
     for k, side in enumerate(sides):

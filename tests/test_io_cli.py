@@ -1017,6 +1017,11 @@ def _run_child(argv, tmp_path, hash_seed="0", address_space=None, timeout=120):
                           preexec_fn=limit if address_space else None)
 
 
+def _cycle_and_points(n):
+    """Facets of n vertices: a 3-cycle on 0, 1, 2 and the rest isolated."""
+    return "0 1\n1 2\n0 2\n" + "".join(f"{v}\n" for v in range(3, n))
+
+
 @pytest.mark.parametrize("name, text, argv, message", [
     ("facet26.txt", " ".join(map(str, range(26))) + "\n", ["skeleton"],
      "a facet on 26 vertices spans 67108863 simplices"),
@@ -1072,6 +1077,21 @@ def test_one_17_vertex_facet_in_a_bounded_child(tmp_path, argv, code):
         assert json.loads(done.stdout)["results"]["f_vector"] == [17, 136]
     else:
         assert json.loads(done.stdout)["results"]["total_matches_characteristic"]
+
+
+@pytest.mark.parametrize("name, flags, where", [
+    ("octahedron", ["--dt", "1", "--t-end", "100"], "step 3 (t = 3)"),
+    ("octahedron", ["--dt", "1e200", "--t-end", "1e200"], "step 1 (t = 1e+200)"),
+    ("wheel", ["--dt", "1", "--t-end", "100"], "step 3 (t = 3)")],
+    ids=["octahedron", "octahedron-1e200", "wheel6"])
+def test_diverging_flow_warns_nothing(tmp_path, name, flags, where):
+    """A flow that leaves the float range exits 3 with its one line on
+    stderr, without numpy's overflow warnings from the steps before."""
+    (tmp_path / "c.txt").write_text(serialize_facets(
+        generate(name, 6 if name == "wheel" else None)))
+    done = _run_child(["lax", "--input", "c.txt", *flags], tmp_path)
+    assert done.returncode == 3
+    assert done.stderr == f"contract violation: flow diverged at {where}\n"
 
 
 @pytest.mark.parametrize("argv", [["heat"],
@@ -1287,20 +1307,77 @@ class TestEigensolves:
         ("heat", []), ("lefschetz", ["--perm", "swap.txt"])])
     def test_order_one_budget_before_any_solve(self, tmp_path, capsys, monkeypatch,
                                                solver_calls, command, extra):
+        """The octahedron's degrees are 6, 12 and 8 wide and the Gram sides
+        of its values solve 6 and 8: heat runs on blocks up to 10 wide and
+        is refused at 7, lefschetz, whose vectors are degree-wide, at 10."""
         from simhodge import budget
 
-        # blocks up to 10 wide; edges need 12
-        monkeypatch.setattr(budget, "MEMORY_BYTES", 8 * 10 ** 2)
         monkeypatch.chdir(tmp_path)
         (tmp_path / "octahedron.txt").write_text(
             serialize_facets(generate("octahedron")))
         (tmp_path / "swap.txt").write_text("(0 1)(2 3)\n")
-        code, out, err = run_cli([command, "--input", "octahedron.txt", *extra],
-                                 capsys)
+        argv = [command, "--input", "octahedron.txt", *extra]
+        monkeypatch.setattr(budget, "MEMORY_BYTES", 8 * 10 ** 2)
+        if command == "heat":
+            assert run_cli(argv, capsys)[0] == 0
+            monkeypatch.setattr(budget, "MEMORY_BYTES", 8 * 7 ** 2)
+            solver_calls.update(eigh=0, eigvalsh=0)
+        code, out, err = run_cli(argv, capsys)
         assert code == 4
         assert out == ""
-        assert err.startswith("resource limit: degree-1 block is 12 wide")
+        assert err.startswith("resource limit: " + {
+            "heat": "degree-2 block is 8 wide",
+            "lefschetz": "degree-1 block is 12 wide"}[command])
         assert solver_calls == {"eigh": 0, "eigvalsh": 0}
+
+    def test_values_charge_the_gram_sides(self, tmp_path, capsys, monkeypatch,
+                                          solver_calls):
+        """On 20 vertices with a 3-cycle, with blocks up to 12 wide: the
+        values solves are 3 wide at order 1 and 12 and 9 at order 2, so
+        they run; lefschetz's vectors are 20 wide in degree 0."""
+        from simhodge import budget
+
+        monkeypatch.setattr(budget, "MEMORY_BYTES", 8 * 12 ** 2)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "c.txt").write_text(_cycle_and_points(20))
+        (tmp_path / "id.txt").write_text("0 -> 0\n")
+        for extra, betti in (([], [18, 1]), (["--order", "2"], [17, 1, 1])):
+            code, out, err = run_cli(["betti", "--input", "c.txt", *extra],
+                                     capsys)
+            assert code == 0, err
+            results = json.loads(out)["results"]
+            assert results["betti"] == betti
+            assert results["exact_numeric_agreement"]
+        for command in ("heat", "report"):
+            code, _, err = run_cli([command, "--input", "c.txt"], capsys)
+            assert code == 0, err
+        solver_calls.update(eigh=0, eigvalsh=0)
+        code, out, err = run_cli(["lefschetz", "--input", "c.txt",
+                                  "--perm", "id.txt"], capsys)
+        assert (code, out) == (4, "")
+        assert err.startswith("resource limit: degree-0 block is 20 wide")
+        assert solver_calls == {"eigh": 0, "eigvalsh": 0}
+
+    def test_isolated_points_solve_in_a_bounded_child(self, tmp_path):
+        """5000 vertices with a 3-cycle: no values solve is wider than 3 at
+        order 1 or 12 at order 2, while lefschetz's degree 0 is over the
+        4096 the default dense-block memory allows."""
+        import time
+
+        (tmp_path / "c.txt").write_text(_cycle_and_points(5000))
+        (tmp_path / "id.txt").write_text("0 -> 0\n")
+        for argv in (["betti"], ["heat"], ["report"], ["betti", "--order", "2"],
+                     ["export", "--operator", "hodge"]):
+            started = time.monotonic()
+            done = _run_child([*argv, "--input", "c.txt"], tmp_path,
+                              address_space=2 << 30, timeout=60)
+            assert done.returncode == 0, (argv, done.stderr[-2000:])
+            assert time.monotonic() - started < 10, argv
+        done = _run_child(["lefschetz", "--input", "c.txt", "--perm", "id.txt"],
+                          tmp_path, address_space=2 << 30, timeout=60)
+        assert done.returncode == 4
+        assert done.stderr == ("resource limit: degree-0 block is 5000 wide "
+                               "for a dense eigensolve, limit is 4096\n")
 
     def test_order_three_curvature_still_four(self, tmp_path, capsys):
         octahedron = tmp_path / "octahedron.txt"

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from conftest import as_scipy
 
-from simhodge import (InvalidInputError, check_automorphism, dirac,
+from simhodge import (InvalidInputError, ResourceLimitError,
+                      check_automorphism, dirac,
                       downward_closure, euler_characteristic,
                       exterior_derivative, fixed_point_indices, generate,
                       graded_basis, heat_lefschetz, hodge, induced_map,
@@ -111,6 +112,21 @@ class TestLefschetzNumber:
         number, traces = lefschetz_number(t, d)
         assert number == 2
         assert abs(traces[1] + 1) < 1e-7  # orientation reversed on the circle
+
+    def test_degree_wider_than_the_budget_refused_before_any_solve(
+            self, monkeypatch, solver_calls):
+        """The eigenbasis and the action are degree-wide, so a degree over
+        the dense-block memory is refused though every Gram side fits."""
+        from simhodge import budget
+
+        c = downward_closure([(0, 1), (1, 2), (0, 2)]
+                             + [(v,) for v in range(3, 20)])
+        t = check_automorphism(c, {v: v for v in c.base})
+        monkeypatch.setattr(budget, "MEMORY_BYTES", 8 * 12 ** 2)
+        with pytest.raises(ResourceLimitError,
+                           match="^degree-0 block is 20 wide"):
+            lefschetz_number(t, exterior_derivative(c))
+        assert solver_calls == {"eigh": 0, "eigvalsh": 0}
 
 
 class TestFixedPointIndices:

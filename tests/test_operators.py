@@ -311,7 +311,7 @@ class TestMeetMasks:
             return connection_degree_counts(c, k)
 
         monkeypatch.setattr(operators, "connection_degree_counts", counted)
-        operators.require_connection_budget(suite["circle3"], 3, eigensolve=True)
+        operators.require_connection_budget(suite["circle3"], 3)
         operators.require_connection_budget(suite["circle3"], 2)
         assert calls == [3]
 
@@ -333,15 +333,21 @@ class TestMemoryBudget:
             == [2 ** 18, 2 ** 18, 2 ** 30 // 4097, 2 ** 30 // 32767]
 
     def test_dense_width(self, monkeypatch):
-        from simhodge import budget, operators
+        """A values frame solves each block's narrower Gram side, 6 and 8
+        wide; one with vectors every degree, the widest 12."""
+        from simhodge import budget
+        from simhodge.spectral import require_frame
 
-        c = generate("octahedron")  # degrees 6, 12 and 8 wide
-        monkeypatch.setattr(budget, "MEMORY_BYTES", 8 * 12 ** 2)
-        assert operators.require_connection_budget(c, 1, eigensolve=True) == (6, 12, 8)
-        monkeypatch.setattr(budget, "MEMORY_BYTES", 8 * 12 ** 2 - 1)
-        with pytest.raises(ResourceLimitError, match="^degree-1 block is 12 wide "
-                           "for a dense eigensolve, limit is 11$"):
-            operators.require_connection_budget(c, 1, eigensolve=True)
+        dims = (6, 12, 8)  # the octahedron's degrees
+        for vectors, width, refused in ((False, 8, "degree-2 block is 8"),
+                                        (True, 12, "degree-1 block is 12")):
+            monkeypatch.setattr(budget, "MEMORY_BYTES", 8 * width ** 2)
+            assert require_frame(dims, vectors) == [0, 2]  # the Gram sides
+            monkeypatch.setattr(budget, "MEMORY_BYTES", 8 * width ** 2 - 1)
+            with pytest.raises(ResourceLimitError, match=(
+                    f"^{refused} wide for a dense eigensolve, "
+                    f"limit is {width - 1}$")):
+                require_frame(dims, vectors)
 
     def test_meet_mask_simplices(self, monkeypatch):
         from simhodge import budget, complexes
