@@ -1,6 +1,7 @@
 """Command-line entry point.
 
-One subcommand per pipeline; every run emits a versioned JSON report.  For a
+One subcommand per pipeline; every run emits a versioned JSON report, one
+line with sorted keys (``python -m json.tool`` indents it).  For a
 fixed input and seed its exact ``results`` fields are byte-deterministic, and
 its float fields are for a fixed BLAS build and thread count.  Exit codes: 0
 success, 2 invalid input or --out write error, 3 contract violation, 4 resource limit.
@@ -29,8 +30,8 @@ from .io import (field_payload, fraction_payload, operator_to_json,
                  operator_to_triplets, parse_input, parse_permutation,
                  parse_vertex_function, read_text, serialize_facets,
                  sha256_hex)
-from .lax import (closed_form_error, flow_steps, integrate, report_row_bytes,
-                  trajectory_to_csv, trajectory_to_json)
+from .lax import (flow_steps, integrate, report_row_bytes, trajectory_to_csv,
+                  trajectory_to_json)
 from .lefschetz import check_automorphism, lefschetz_report
 from .operators import (alternating_sum, connection_degree_counts,
                         connection_derivative, dirac, exterior_derivative,
@@ -258,7 +259,6 @@ def _cmd_lax(c, args):
         "t_end": states[-1].t,
         "dt": args.dt,
         "spectral_drift": drift,
-        "closed_form_error": closed_form_error(states),
         "final_middle_norm": rows[-1]["b_norm"],
         "max_nilpotency_defect": defect,
         "isospectral_within_tolerance": drift < 1e-6,
@@ -369,7 +369,7 @@ def run(args) -> str:
         "timing_ms": elapsed_ms,
     }
     try:
-        text = json.dumps(report, sort_keys=True, indent=2, allow_nan=False,
+        text = json.dumps(report, sort_keys=True, allow_nan=False,
                           default=_json_default)
     except ValueError as err:  # NaN or an infinity reached the report
         raise ContractViolationError(f"results are not strict JSON: {err}") from None

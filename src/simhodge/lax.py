@@ -3,9 +3,9 @@
 The flow moves a symmetric graded matrix along its isospectral set: split
 the matrix into a degree-raising part, a degree-preserving part and the
 transpose of the first, steer with the antisymmetric difference of raising
-and lowering parts, and integrate the commutator field with fixed-step
-classical Runge-Kutta.  The degree-preserving middle grows from zero while
-the spectrum and the nilpotency of the raising part persist.
+and lowering parts, and follow the commutator field.  The
+degree-preserving middle grows from zero while the spectrum and the
+nilpotency of the raising part persist.
 
 X is symmetric and B = S o X, with S the sign of the degree difference of
 row and column, is antisymmetric, so the field is one product,
@@ -18,41 +18,47 @@ which has no entry between degrees more than one apart: there the product
 leaves only rounding, and the field has exact zeros.
 
 A Dirac start (every M_k zero and every R_(k+1) R_k zero, as for d + d*)
-flows in the singular frame of d instead.  With R_k = U_k diag(sigma) V_k^T,
-the columns [U_(k-1) | V_k] of each degree are orthonormal, and the flow
-keeps the form M_k = V_k diag(a) V_k^T + U_(k-1) diag(c) U_(k-1)^T,
-R_k = U_k diag(s) V_k^T: every singular pair of d is one 2 x 2 flow
+flows in the singular frame of d, in closed form.  With
+R_k = U_k diag(sigma) V_k^T, the columns [U_(k-1) | V_k] of each degree are
+orthonormal, and the flow keeps the form
+M_k = V_k diag(a) V_k^T + U_(k-1) diag(c) U_(k-1)^T, R_k = U_k diag(s) V_k^T:
+every singular pair of d is one 2 x 2 flow
 
     a' = -2 s^2,  c' = 2 s^2,  s' = s (a - c)
 
-from (0, 0, sigma).  The field commutes with orthogonal changes of basis
-within a degree, so RK4 on these triples is RK4 on the band at the same dt,
-and the sampled states do not depend on how a degree's basis is ordered or
-signed.  Any other start, or a frame that does not reproduce its blocks to
-FRAME_TOL, flows by RK4 of the dense, exactly symmetric matrix under the
-field that ``bracket_field`` returns.  Both paths are one plain RK4 step over
-one field function, of the flat triples or of the dense matrix.
+from (0, 0, sigma).  Since a + c and a^2 + s^2 are conserved, it is
 
-Each pair has the closed form a = -sigma tanh(2 sigma tau), c = -a,
-s = sigma sech(2 sigma tau) at tau = t - t0, since a + c and a^2 + s^2 are
-conserved; ``closed_form_error`` is the largest distance of the RK4 triples
-from it over the sampled states.  A flowed state of a Dirac start keeps its
-triples, and its matrix is written only when read; a restart from it
-goes on from the triples in the same frame.  Its diagnostics row
-comes from the triples: the spectrum is the sorted union of the 2 x 2
-spectra (a + c)/2 +- hypot((a - c)/2, s) and a zero for every other basis
-element, the middle-part norm ||M||_F is sqrt(sum a^2 + sum c^2), and the
-nilpotency defect ||R^2||_F has the blocks diag(s) C_k diag(s) with
-C_k = V_(k+1)^T U_k, zero up to the frame's rounding.  The first row (the
-input, and the reference of the drift) and the last row (the check of the
-written matrix) come from the dense matrices, as does every row of a band
-path: eigvalsh, and the Frobenius norms of M and of the blocks R_(k+1) R_k.
+    a = -sigma tanh(2 sigma tau),  c = -a,  s = sigma sech(2 sigma tau)
+
+at time tau in the frame (Knill, "Isospectral deformations of the Dirac
+operator"), so a sampled state is these triples at its time and nothing is
+computed between samples.  A flowed state carries its clock, the whole
+number of steps of dt from the frame's origin, and tau is that count times
+dt; a restart from it at the same dt goes on counting in the same frame, so
+it repeats the later states of the uninterrupted run bit for bit.  The field
+commutes with orthogonal changes of basis within a degree, so the sampled
+states do not depend on how a degree's basis is ordered or signed.  Any
+other start, or a frame that does not reproduce its blocks to FRAME_TOL,
+flows by fixed-step classical Runge-Kutta of the dense, exactly symmetric
+matrix under the field that ``bracket_field`` returns.
+
+A flowed state of a Dirac start keeps its triples, and its matrix is
+written only when read.  Its diagnostics row comes from the triples: the
+spectrum is the sorted union of the 2 x 2 spectra
+(a + c)/2 +- hypot((a - c)/2, s) and a zero for every other basis element,
+the middle-part norm ||M||_F is sqrt(sum a^2 + sum c^2), and the nilpotency
+defect ||R^2||_F has the blocks diag(s) C_k diag(s) with C_k = V_(k+1)^T U_k,
+zero up to the frame's rounding.  The first row (the input, and the
+reference of the drift) and the last row (the check of the written matrix)
+come from the dense matrices, as does every row of an RK4 run: eigvalsh, and
+the Frobenius norms of M and of the blocks R_(k+1) R_k.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
+import sys
 
 import numpy as np
 
@@ -70,8 +76,8 @@ FRAME_TOL = 1e-12
 # JSON report and CSV)
 REPORT_ROW_BYTES, REPORT_VALUE_BYTES = 2048, 200
 CSV_ROW_BYTES, CSV_VALUE_BYTES = 1024, 68
-# A step's interpreter time, about 30 us whatever n, in operations of the
-# band's n**3 product, about 0.33 ns each
+# An RK4 step's interpreter time, about 30 us whatever n, in operations of
+# the band's n**3 product, about 0.33 ns each; the closed form takes none
 STEP_OPERATIONS = 10 ** 5
 
 
@@ -130,14 +136,6 @@ def _band_field(x: np.ndarray, sign, outside) -> np.ndarray:
     return np.where(outside, 0.0, p + p.T)
 
 
-def _pair_field(x: np.ndarray) -> np.ndarray:
-    """The field of a flat (a, c, s) vector, one triple per singular pair of
-    d: a' = -2 s^2, c' = 2 s^2, s' = s (a - c)."""
-    a, c, s = x.reshape(3, -1)
-    square = s * s
-    return np.concatenate([-2.0 * square, 2.0 * square, (a - c) * s])
-
-
 def _singular_frame(blocks: list, dims) -> list | None:
     """(U_k, sigma_k, V_k) with R_k = U_k diag(sigma_k) V_k^T for every
     raising block, from ``spectral.gram_pairs`` of its Gram matrix on the
@@ -168,18 +166,28 @@ def _singular_frame(blocks: list, dims) -> list | None:
 
 
 class _Frame:
-    """The singular frame of a Dirac start, built once per run: it writes a
-    flat (a, c, s) vector into a dense matrix and reads the spectrum, the
-    norms and the closed-form error of a state from the triples alone."""
+    """The singular frame of a Dirac start, built once per run: it gives
+    the flat (a, c, s) triples at a time in the frame, writes them into a
+    dense matrix and reads the spectrum and the norms of a state from the
+    triples alone."""
 
-    def __init__(self, blocks: list, basis: GradedBasis, t0: float):
-        self.blocks, self.basis, self.t0 = blocks, basis, t0
+    def __init__(self, blocks: list, basis: GradedBasis):
+        self.blocks, self.basis = blocks, basis
         cuts = np.cumsum([0] + [len(sigma) for _, sigma, _ in blocks])
         self.pairs = [slice(i, j) for i, j in zip(cuts, cuts[1:])]
         self.sigma = np.concatenate([np.zeros(0)] + [f[1] for f in blocks])
         # C_k = V_(k+1)^T U_k, zero up to rounding since im d_k lies in
         # ker d_(k+1): R_(k+1) R_k = U_(k+1) diag(s) C_k diag(s) V_k^T
         self.overlaps = [v.T @ u for (u, _, _), (_, _, v) in zip(blocks, blocks[1:])]
+
+    def triples(self, tau: float) -> np.ndarray:
+        """The flat (a, c, s) triples at time tau >= 0 in the frame:
+        a = -sigma tanh(2 sigma tau), c = -a, s = sigma sech(2 sigma tau)."""
+        x = 2.0 * self.sigma * tau
+        decay = np.exp(-x)  # sech x = 2 e^-x / (1 + e^-2x) cannot overflow
+        a = -self.sigma * np.tanh(x)
+        return np.concatenate([a, -a, self.sigma * 2.0 * decay
+                               / (1.0 + decay * decay)])
 
     def to_dense(self, state: np.ndarray) -> np.ndarray:
         """A fresh dense matrix: M_k = V_k diag(a) V_k^T
@@ -217,29 +225,6 @@ class _Frame:
                    in zip(self.overlaps, self.pairs, self.pairs[1:])]
         return _frobenius([a, c]), _frobenius(squares)
 
-    def closed_form_error(self, state: np.ndarray, t: float) -> float:
-        """Largest |RK4 - exact| over the triples at time t, against
-        a = -sigma tanh(2 sigma tau), c = -a, s = sigma sech(2 sigma tau)
-        with tau = t - t0."""
-        x = 2.0 * self.sigma * (t - self.t0)
-        decay = np.exp(-x)  # sech x = 2 e^-x / (1 + e^-2x) cannot overflow
-        a = -self.sigma * np.tanh(x)
-        s = self.sigma * 2.0 * decay / (1.0 + decay * decay)
-        return _max_abs(state - np.concatenate([a, -a, s]))
-
-
-def _stepper(m: np.ndarray, basis: GradedBasis, t0: float):
-    """(start, its field, its frame): the flat (a, c, s) triples of the
-    singular frame when it serves, else the dense band matrix m itself, with
-    no frame (None)."""
-    blocks = _singular_frame(_band_blocks(m, basis), basis.dims)
-    if blocks is None:
-        signs = _degree_signs(basis)  # once per run
-        return m, lambda x: _band_field(x, *signs), None
-    frame = _Frame(blocks, basis, t0)
-    start = np.concatenate([np.zeros(2 * frame.sigma.size), frame.sigma])
-    return start, _pair_field, frame
-
 
 def _max_abs(x: np.ndarray) -> float:
     return float(np.max(np.abs(x))) if x.size else 0.0
@@ -253,14 +238,19 @@ def _frobenius(blocks) -> float:
 class FlowState:
     """A symmetric matrix over a graded basis at one flow time.
 
-    A flowed state of a Dirac start holds its flat (a, c, s) triples and the
-    frame of its run: its matrix is written from them on first read and then
-    kept, and its spectrum and norms come from the triples alone."""
+    A flowed state of a Dirac start holds the frame of its run and its clock
+    (origin, steps, dt), at time origin + steps * dt in the frame, with the
+    flat (a, c, s) triples there: its matrix is written from them on first
+    read and then kept, and its spectrum and norms come from the triples
+    alone."""
 
     def __init__(self, matrix: np.ndarray | None, t: float, basis: GradedBasis,
-                 triples: np.ndarray | None = None, frame: _Frame | None = None):
+                 frame: _Frame | None = None, clock: tuple | None = None):
         self._matrix, self.t, self.basis = matrix, t, basis
-        self.triples, self.frame = triples, frame
+        self.frame, self.clock, self.triples = frame, clock, None
+        if frame is not None:
+            origin, steps, dt = clock
+            self.triples = frame.triples(origin + steps * dt)
 
     @property
     def matrix(self) -> np.ndarray:
@@ -320,13 +310,13 @@ def bracket_field(state: FlowState) -> np.ndarray:
                        *_degree_signs(state.basis))
 
 
-def _rk4_step(m: np.ndarray, field, dt: float) -> np.ndarray:
-    """m + dt/6 (k1 + 2 k2 + 2 k3 + k4) for a state array m, summed in that
-    order, with ``field`` the field of a state."""
-    k1 = field(m)
-    k2 = field(m + 0.5 * dt * k1)
-    k3 = field(m + 0.5 * dt * k2)
-    k4 = field(m + dt * k3)
+def _rk4_step(m: np.ndarray, dt: float, signs) -> np.ndarray:
+    """m + dt/6 (k1 + 2 k2 + 2 k3 + k4) for a dense band matrix m, summed in
+    that order, with k the band field (``_band_field`` with ``signs``)."""
+    k1 = _band_field(m, *signs)
+    k2 = _band_field(m + 0.5 * dt * k1, *signs)
+    k3 = _band_field(m + 0.5 * dt * k2, *signs)
+    k4 = _band_field(m + dt * k3, *signs)
     return m + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
@@ -339,12 +329,12 @@ def report_row_bytes(n: int, csv: bool = False, matrices: bool = False) -> int:
 
 
 def flow_steps(n: int, t_end: float, dt: float, sample_every: int,
-               step_work: int = 0, state_bytes: int = 0,
+               step_work: int = 0, state_work: int = 0, state_bytes: int = 0,
                row_bytes: int | None = None) -> int:
     """Number of steps of a size-n flow, once its arguments pass and the
-    budgets hold: ``STEP_OPERATIONS`` and ``step_work`` a step, n**3 and
-    8 n**2 bytes a dense end state, and ``row_bytes`` (by default a JSON
-    report row) and ``state_bytes`` a state."""
+    budgets hold: ``step_work`` operations a step and ``state_work`` a
+    sampled state, n**3 and 8 n**2 bytes a dense end state, and ``row_bytes``
+    (by default a JSON report row) and ``state_bytes`` a sampled state."""
     if not 0 < dt < math.inf:
         raise InvalidInputError("dt must be positive and finite")
     if not 0 <= t_end < math.inf:
@@ -352,11 +342,14 @@ def flow_steps(n: int, t_end: float, dt: float, sample_every: int,
     if not (isinstance(sample_every, numbers.Integral) and sample_every >= 1):
         raise InvalidInputError("sample_every must be a positive integer")
     ratio = t_end / dt
-    work = ratio * (STEP_OPERATIONS + step_work) + 2 * n ** 3
-    budget.require(work, budget.MAX_FLOW_WORK, f"flow needs about {work:.3g} "
-                   f"operations (t_end/dt = {ratio:.3g} steps of size {n})")
+    # the step count is formed only once it is finite (a subnormal dt)
+    budget.require(ratio, sys.float_info.max,
+                   f"flow needs t_end/dt = {ratio:.3g} steps")
     steps = int(round(ratio))
     states = 1 - (-steps // sample_every)  # each reported as a row
+    work = ratio * step_work + states * state_work + 2 * n ** 3
+    budget.require(work, budget.MAX_FLOW_WORK, f"flow needs about {work:.3g} "
+                   f"operations (t_end/dt = {ratio:.3g} steps of size {n})")
     if row_bytes is None:
         row_bytes = report_row_bytes(n)
     size = 16 * n * n + states * (row_bytes + state_bytes)
@@ -365,26 +358,30 @@ def flow_steps(n: int, t_end: float, dt: float, sample_every: int,
     return steps
 
 
-# a diverging flow overflows quietly: its finiteness checks raise instead
+# a diverging RK4 flow overflows quietly: its finiteness checks raise
+# instead; past the float range the closed form reads its limit (-sigma,
+# sigma, 0)
 @np.errstate(over="ignore", invalid="ignore")
 def integrate(initial: GradedOperator | FlowState, t_end: float, dt: float,
               sample_every: int = 1, row_bytes: int | None = None) -> list[FlowState]:
-    """Fixed-step trajectory of the commutator flow.
+    """Trajectory of the commutator flow, sampled every ``sample_every``
+    steps of dt and at the last step.
 
-    Returns sampled states including the initial and final ones; raises with
-    the last good state attached if the integration leaves the finite range.
-    Every state is exactly symmetric, with exact zeros between degrees more
-    than one apart; a matrix with an entry there raises InvalidInputError.
-    A Dirac start flows as one 2 x 2 flow per singular pair of d, and a
-    flowed Dirac state goes on from its triples in the frame of its run; any
-    other start flows as the dense matrix under the band field (see the
-    module docstring).  The first state is the given matrix, rebuilt from
-    its upper triangle, on every path.  Raises ResourceLimitError before the
-    dense copy when what every path spends is over budget (``flow_steps``),
-    and before the first step when the path's steps and states are: n**3 and
-    8 n**2 bytes on the band, 3 and 24 bytes a singular pair in the frame.
-    Each sampled state is also charged ``row_bytes``, by default its JSON
-    report row (``report_row_bytes``).
+    Returns sampled states including the initial and final ones.  Every
+    state is exactly symmetric, with exact zeros between degrees more than
+    one apart; a matrix with an entry there raises InvalidInputError.  A
+    Dirac start's states are the closed form of its singular pairs at the
+    sampled times, and a flowed Dirac state goes on counting steps in the
+    frame of its run; any other start flows by RK4 of the dense matrix under
+    the band field, and raises with the last good state attached if it
+    leaves the finite range (see the module docstring).  The first state is
+    the given matrix, rebuilt from its upper triangle, on every path.
+    Raises ResourceLimitError before the dense copy when what every path
+    spends is over budget (``flow_steps``), and before the first state when
+    the path's own cost is: ``STEP_OPERATIONS`` + n**3 operations a step and
+    8 n**2 bytes a state for RK4, 3 operations and 24 bytes a singular pair
+    and state in the frame.  Each sampled state is also charged
+    ``row_bytes``, by default its JSON report row (``report_row_bytes``).
     """
     basis, n = initial.basis, len(initial.basis)
     steps = flow_steps(n, t_end, dt, sample_every, row_bytes=row_bytes)
@@ -396,34 +393,34 @@ def integrate(initial: GradedOperator | FlowState, t_end: float, dt: float,
     states = [FlowState(m, t0, basis)]
     if not steps:
         return states
-    if frame is None:
-        current, field, frame = _stepper(m, basis, t0)
-    else:
-        current, field = initial.triples, _pair_field
-    flow_steps(n, t_end, dt, sample_every,  # the path's, once it is known
-               current.size * (n if frame is None else 1), 8 * current.size,
-               row_bytes)
+    if frame is not None:  # a restart counts on in the frame of its run
+        origin, first, step = initial.clock
+        if step != dt:  # a new clock, from the time the old one reads
+            origin, first = origin + first * step, 0
+    elif (blocks := _singular_frame(_band_blocks(m, basis),
+                                    basis.dims)) is not None:
+        frame, origin, first = _Frame(blocks, basis), 0.0, 0
+    if frame is not None:
+        pairs = frame.sigma.size
+        flow_steps(n, t_end, dt, sample_every, 0, 3 * pairs, 24 * pairs,
+                   row_bytes)
+        samples = [*range(sample_every, steps + 1, sample_every)]
+        if steps % sample_every:
+            samples.append(steps)
+        return states + [FlowState(None, t0 + i * dt, basis, frame,
+                                   (origin, first + i, dt)) for i in samples]
+    flow_steps(n, t_end, dt, sample_every, STEP_OPERATIONS + n ** 3, 0,
+               8 * n * n, row_bytes)
+    signs = _degree_signs(basis)  # once per run
     for i in range(1, steps + 1):
-        current = _rk4_step(current, field, dt)
-        if not np.isfinite(current).all():
+        m = _rk4_step(m, dt, signs)
+        if not np.isfinite(m).all():
             raise DivergenceError(
                 f"flow diverged at step {i} (t = {t0 + i * dt:.6g})",
                 last_state=states[-1])
         if i % sample_every == 0 or i == steps:
-            t = t0 + i * dt
-            states.append(FlowState(current, t, basis) if frame is None
-                          else FlowState(None, t, basis, current, frame))
+            states.append(FlowState(m, t0 + i * dt, basis))
     return states
-
-
-def closed_form_error(states: list[FlowState]) -> float | None:
-    """Largest |RK4 - exact| over the triples of the states that flowed in
-    the singular frame, against the closed form of each 2 x 2 flow (see the
-    module docstring); None when no state did, as for a band-path start,
-    which has no closed form."""
-    errors = [s.frame.closed_form_error(s.triples, s.t)
-              for s in states if s.frame is not None]
-    return max(errors) if errors else None
 
 
 def spectral_drift(s0: FlowState, s1: FlowState) -> float:

@@ -448,6 +448,46 @@ class TestCli:
         assert len(states[0]["matrix"]) == 8
         assert states[0]["b_norm"] == 0.0
 
+    def test_lax_on_a_40_spoke_wheel_passes(self, tmp_path, capsys):
+        # RK4 at the default dt = 0.01 drifted 1.8e-6 here, past the 1e-6
+        # bound; the closed form drifts by rounding only
+        wheel = tmp_path / "wheel40.txt"
+        wheel.write_text(serialize_facets(generate("wheel", 40)))
+        code, out, _ = run_cli(["lax", "--input", str(wheel)], capsys)
+        assert code == 0
+        results = json.loads(out)["results"]
+        assert results["spectral_drift"] < 1e-12
+        assert results["isospectral_within_tolerance"] is True
+        assert results["nilpotency_within_tolerance"] is True
+
+    @pytest.mark.parametrize("argv", [
+        ["report"], ["lax", "--t-end", "0.2", "--dt", "0.1", "--matrices"]])
+    def test_report_is_one_line_of_strict_json(self, k3_file, capsys,
+                                               monkeypatch, argv):
+        """The report is one line; read back and indented, as the report
+        was written before, it holds the same values in the same order."""
+        from simhodge import cli
+
+        reports, dumps = [], json.dumps
+
+        def keeping_dumps(report, **kwargs):
+            reports.append(report)
+            return dumps(report, **kwargs)
+
+        def reject(name):
+            raise ValueError(f"non-finite {name}")
+
+        monkeypatch.setattr(cli.json, "dumps", keeping_dumps)
+        code, out, _ = run_cli([argv[0], "--input", k3_file, "--format",
+                                "edges", *argv[1:]], capsys)
+        assert code == 0 and len(reports) == 1
+        assert out.count("\n") == 1 and out.endswith("}\n")
+        parsed = json.loads(out, parse_constant=reject)
+        indented = dumps(reports[0], sort_keys=True, indent=2,
+                         allow_nan=False, default=cli._json_default)
+        assert parsed["results"] == json.loads(indented)["results"]
+        assert out == dumps(json.loads(indented)) + "\n"
+
     @pytest.fixture()
     def lax_calls(self, monkeypatch):
         """Count FlowState.eigenvalues calls and keep the integrated states."""
@@ -518,7 +558,7 @@ class TestCli:
         # first and one for the last state, and only the last state written
         assert solver_calls == {"eigh": 2, "eigvalsh": 2}
         assert len(written) == 1
-        assert 0.0 < results["closed_form_error"] < 1e-6
+        assert "closed_form_error" not in results
         assert results["isospectral_within_tolerance"] is True
         assert results["nilpotency_within_tolerance"] is True
 
@@ -754,8 +794,6 @@ class TestHostileInputs:
     @pytest.mark.parametrize("flags", [
         ["--t-end", "1e12", "--dt", "1e-3"],
         ["--dt", "5e-324"],
-        # 1e8 steps of about 30 us: refused by the steps' fixed cost
-        ["--t-end", "1000", "--dt", "1e-5"],
     ])
     def test_unbounded_lax_is_four(self, k3_file, capsys, monkeypatch, flags):
         import time
@@ -777,6 +815,29 @@ class TestHostileInputs:
         assert code == 4
         assert out == ""
         assert err.startswith("resource limit: ")
+
+    def test_hundred_million_closed_form_steps_run(self, k3_file, capsys,
+                                                   monkeypatch):
+        """--t-end 1000 --dt 1e-5 is 1e8 steps, some 50 minutes of RK4, but
+        a Dirac start samples its 10001 states from the closed form."""
+        import time
+
+        from simhodge import lax
+
+        def step(*args):
+            raise AssertionError("a Dirac start took an RK4 step")
+
+        monkeypatch.setattr(lax, "_rk4_step", step)
+        started = time.perf_counter()
+        code, out, err = run_cli(["lax", "--input", k3_file, "--format",
+                                  "edges", "--t-end", "1000", "--dt", "1e-5"],
+                                 capsys)
+        assert time.perf_counter() - started < 1.0
+        assert (code, err) == (0, "")
+        results = json.loads(out)["results"]
+        assert len(results["trajectory"]["states"]) == 10001
+        assert results["t_end"] == pytest.approx(1000.0)
+        assert results["isospectral_within_tolerance"] is True
 
     def test_ten_thousand_lax_steps_run(self, k3_file, capsys):
         code, out, _ = run_cli(["lax", "--input", k3_file, "--format", "edges",
@@ -1079,19 +1140,23 @@ def test_one_17_vertex_facet_in_a_bounded_child(tmp_path, argv, code):
         assert json.loads(done.stdout)["results"]["total_matches_characteristic"]
 
 
-@pytest.mark.parametrize("name, flags, where", [
-    ("octahedron", ["--dt", "1", "--t-end", "100"], "step 3 (t = 3)"),
-    ("octahedron", ["--dt", "1e200", "--t-end", "1e200"], "step 1 (t = 1e+200)"),
-    ("wheel", ["--dt", "1", "--t-end", "100"], "step 3 (t = 3)")],
+@pytest.mark.parametrize("name, flags", [
+    ("octahedron", ["--dt", "1", "--t-end", "100"]),
+    ("octahedron", ["--dt", "1e200", "--t-end", "1e200"]),
+    ("wheel", ["--dt", "1", "--t-end", "100"])],
     ids=["octahedron", "octahedron-1e200", "wheel6"])
-def test_diverging_flow_warns_nothing(tmp_path, name, flags, where):
-    """A flow that leaves the float range exits 3 with its one line on
-    stderr, without numpy's overflow warnings from the steps before."""
+def test_diverging_flow_warns_nothing(tmp_path, name, flags):
+    """Steps on which RK4 left the float range (at step 3, or 1 at
+    t = 1e200) sample the closed form of a Dirac start instead: exit 0,
+    every check true, and no numpy warning on stderr.  The library's
+    exit-3 path for a diverging RK4 flow is ``DivergenceError``."""
     (tmp_path / "c.txt").write_text(serialize_facets(
         generate(name, 6 if name == "wheel" else None)))
     done = _run_child(["lax", "--input", "c.txt", *flags], tmp_path)
-    assert done.returncode == 3
-    assert done.stderr == f"contract violation: flow diverged at {where}\n"
+    assert (done.returncode, done.stderr) == (0, "")
+    results = json.loads(done.stdout)["results"]
+    assert [key for key, value in results.items() if value is False] == []
+    assert results["t_end"] == float(flags[-1])
 
 
 @pytest.mark.parametrize("argv", [["heat"],

@@ -2,6 +2,7 @@
 complexes, and parser robustness on arbitrary text."""
 
 import hashlib
+import json
 from fractions import Fraction
 
 import numpy as np
@@ -13,6 +14,7 @@ from simhodge import (InvalidInputError, IndexTriple, betti,
                       connection_derivative, downward_closure,
                       exterior_derivative, generate, multilinear_curvature,
                       spectrum_report, wu_characteristic)
+from simhodge import cli
 from simhodge.io import (parse_facets, parse_permutation,
                          parse_vertex_function, serialize_facets, sha256_hex)
 from simhodge.spectral import singular_frame
@@ -85,6 +87,23 @@ def test_curvature_totals_are_the_characteristic(c, order):
     """The blocked vertex spread adds up to the tuple count's alternating sum."""
     total = sum(multilinear_curvature(c, order).values(), Fraction(0))
     assert total == wu_characteristic(c, order)
+
+
+@settings(max_examples=40)
+@given(small_complexes, st.sampled_from([0.5, 0.1, 0.01]),
+       st.sampled_from([1.0, 2.0]))
+def test_lax_checks_hold_at_any_step(tmp_path_factory, c, dt, t_end):
+    """Every check of ``lax`` holds whatever --dt: a Dirac start samples the
+    closed form, so the step sets only the sampled times."""
+    path = tmp_path_factory.mktemp("lax") / "c.txt"
+    path.write_text(serialize_facets(c))
+    args = cli._build_parser().parse_args(
+        ["lax", "--input", str(path), "--t-end", str(t_end), "--dt", str(dt)])
+    results = json.loads(cli.run(args))["results"]
+    assert results["t_end"] == pytest.approx(t_end)
+    for check in ("isospectral_within_tolerance",
+                  "nilpotency_within_tolerance", "symmetry_within_tolerance"):
+        assert results[check] is True, check
 
 
 PARSER_TEXT = st.one_of(
