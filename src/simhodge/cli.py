@@ -12,14 +12,14 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import numbers
 import os
 import sys
 import time
 from fractions import Fraction
 
-import numpy as np
-
 from . import __version__, budget
+from . import _np as np
 from .complexes import (barycentric_operator, barycentric_refinement,
                         euler_characteristic, f_matrix, f_vector, skeleton)
 from .errors import (ContractViolationError, InvalidInputError,
@@ -92,22 +92,27 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _derivative_for(c, order, vectors=None):
-    """The order's derivative, refused first when it is over budget; unless
+def _check_derivative(c, order, vectors=None):
+    """Refuse the order's derivative when it is over budget; unless
     ``vectors`` is None, also when its singular frame, with or without
     vectors, is too wide (``require_frame`` on its degree counts)."""
     counts = require_connection_budget(c, order)
     if vectors is not None:
         require_frame(counts or connection_degree_counts(c, order), vectors)
+
+
+def _derivative_for(c, order, vectors=None):
+    """The order's derivative, once ``_check_derivative`` passes."""
+    _check_derivative(c, order, vectors)
     if order == 1:
         return exterior_derivative(c)
     return connection_derivative(c, order)
 
 
 def _cmd_report(c, args):
-    # both orders pass their budgets before any other work
-    derivatives = {order: _derivative_for(c, order, False)
-                   for order in (1, 2)}
+    for order in (1, 2):  # both orders pass their budgets before any other work
+        _check_derivative(c, order, False)
+    derivatives = {order: _derivative_for(c, order) for order in (1, 2)}
     payload = {
         "f_vector": list(f_vector(c)),
         "f_matrix": f_matrix(c).tolist(),
@@ -205,9 +210,10 @@ def _cmd_ph(c, args):
 
 
 def _cmd_lefschetz(c, args):
+    times = _parse_times(args.t)
     t = check_automorphism(c, parse_permutation(read_text(args.perm), c))
     report = lefschetz_report(c, t, _derivative_for(c, 1, True))
-    heats = {str(x): report.heat_trace(x) for x in _parse_times(args.t)}
+    heats = {str(x): report.heat_trace(x) for x in times}
     payload = report.to_payload()
     payload["heat_trace"] = heats
     payload["heat_trace_constant"] = bool(
@@ -223,9 +229,10 @@ def _parse_times(text: str):
 
 
 def _cmd_heat(c, args):
+    times = _parse_times(args.t)
     spectra = hodge_spectra(_derivative_for(c, 1, False))
     chi = euler_characteristic(c)
-    values = {str(x): heat_supertrace(spectra, x) for x in _parse_times(args.t)}
+    values = {str(x): heat_supertrace(spectra, x) for x in times}
     deviation = max((abs(v - chi) for v in values.values()), default=0.0)
     return {
         "euler_characteristic": chi,
@@ -379,9 +386,9 @@ def run(args) -> str:
 def _json_default(value):
     if isinstance(value, Fraction):
         return fraction_payload(value)
-    if isinstance(value, (np.integer,)):
+    if isinstance(value, numbers.Integral):
         return int(value)
-    if isinstance(value, (np.floating,)):
+    if isinstance(value, numbers.Real):
         return float(value)
     raise TypeError(f"not serializable: {type(value)!r}")
 

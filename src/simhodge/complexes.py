@@ -12,10 +12,10 @@ from __future__ import annotations
 
 import itertools
 import math
-
-import numpy as np
+import numbers
 
 from . import budget
+from . import _np as np
 from .errors import InvalidInputError
 
 Simplex = tuple[int, ...]
@@ -27,7 +27,7 @@ def as_simplex(vertices) -> Simplex:
     if not s:
         raise InvalidInputError("a simplex must contain at least one vertex")
     for v in s:
-        if not isinstance(v, (int, np.integer)) or v < 0:
+        if not isinstance(v, numbers.Integral) or v < 0:
             raise InvalidInputError(f"vertex ids must be non-negative integers, got {v!r}")
     return tuple(int(v) for v in s)
 
@@ -173,7 +173,8 @@ def graphical_complex(vertices, edges) -> Complex:
 
     Edge i of the sorted edge list becomes vertex i of the output; a set of
     edges is a simplex when it contains no cycle.  Labels record the original
-    edge endpoints.
+    edge endpoints.  Refused once the forests pass SIMPLEX_LIMIT, before
+    more are grown.
     """
     vset, eset = _check_simple_graph(vertices, edges)
     edge_list = sorted(eset)
@@ -199,6 +200,8 @@ def graphical_complex(vertices, edges) -> Complex:
 
     def grow(current):
         forests.append(tuple(current))
+        budget.require(len(forests), budget.SIMPLEX_LIMIT,
+                       f"the graph has at least {len(forests)} forests")
         last = current[-1] if current else -1
         for i in range(last + 1, m):
             if acyclic(current + [i]):

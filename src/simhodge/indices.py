@@ -13,9 +13,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from . import budget
+from . import _np as np
 from .complexes import (Complex, f_matrix, f_vector, simplex_weight, tuple_fold,
                         unit_sphere)
 from .errors import InvalidInputError
@@ -67,7 +66,9 @@ def valuation_evaluate(coefficients, c: Complex, sub: Complex = None):
 
 
 def wu_intersection(a: Complex, b: Complex) -> int:
-    """Sum of weight products over ordered intersecting pairs (x in a, y in b)."""
+    """Sum of weight products over ordered intersecting pairs (x in a, y in b),
+    refused over PRODUCT_PAIR_LIMIT pairs before the first."""
+    budget.require_pairs(len(a) * len(b))
     total = 0
     b_items = [(set(y), simplex_weight(y)) for y in b.simplices]
     for x in a.simplices:

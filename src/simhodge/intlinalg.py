@@ -20,9 +20,8 @@ from __future__ import annotations
 import heapq
 import math
 
-import numpy as np
-
 from . import budget
+from . import _np as np
 from .errors import InvalidInputError
 
 

@@ -60,9 +60,8 @@ import math
 import numbers
 import sys
 
-import numpy as np
-
 from . import budget
+from . import _np as np
 from .errors import ContractViolationError, DivergenceError, InvalidInputError
 from .operators import GradedBasis, GradedOperator
 from .spectral import gram_pairs, narrow_side
@@ -73,8 +72,8 @@ SYMMETRY_TOL = 1e-10
 # degree's columns [U_(k-1) | V_k] against the identity.
 FRAME_TOL = 1e-12
 # Peak bytes of a reported state: a row, and each value in it (RSS of lax,
-# JSON report and CSV)
-REPORT_ROW_BYTES, REPORT_VALUE_BYTES = 2048, 200
+# JSON report and CSV, at 7 to 21462 values a row, up to the budget's edge)
+REPORT_ROW_BYTES, REPORT_VALUE_BYTES = 1536, 96
 CSV_ROW_BYTES, CSV_VALUE_BYTES = 1024, 68
 # An RK4 step's interpreter time, about 30 us whatever n, in operations of
 # the band's n**3 product, about 0.33 ns each; the closed form takes none
@@ -358,10 +357,6 @@ def flow_steps(n: int, t_end: float, dt: float, sample_every: int,
     return steps
 
 
-# a diverging RK4 flow overflows quietly: its finiteness checks raise
-# instead; past the float range the closed form reads its limit (-sigma,
-# sigma, 0)
-@np.errstate(over="ignore", invalid="ignore")
 def integrate(initial: GradedOperator | FlowState, t_end: float, dt: float,
               sample_every: int = 1, row_bytes: int | None = None) -> list[FlowState]:
     """Trajectory of the commutator flow, sampled every ``sample_every``
@@ -385,42 +380,46 @@ def integrate(initial: GradedOperator | FlowState, t_end: float, dt: float,
     """
     basis, n = initial.basis, len(initial.basis)
     steps = flow_steps(n, t_end, dt, sample_every, row_bytes=row_bytes)
-    if isinstance(initial, GradedOperator):
-        m, t0, frame = initial.to_dense(), 0.0, None
-    else:
-        m, t0, frame = initial.matrix, initial.t, initial.frame
-    m = _symmetrized(m, basis)
-    states = [FlowState(m, t0, basis)]
-    if not steps:
+    # a diverging RK4 flow overflows quietly: its finiteness checks raise
+    # instead; past the float range the closed form reads its limit
+    # (-sigma, sigma, 0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if isinstance(initial, GradedOperator):
+            m, t0, frame = initial.to_dense(), 0.0, None
+        else:
+            m, t0, frame = initial.matrix, initial.t, initial.frame
+        m = _symmetrized(m, basis)
+        states = [FlowState(m, t0, basis)]
+        if not steps:
+            return states
+        if frame is not None:  # a restart counts on in the frame of its run
+            origin, first, step = initial.clock
+            if step != dt:  # a new clock, from the time the old one reads
+                origin, first = origin + first * step, 0
+        elif (blocks := _singular_frame(_band_blocks(m, basis),
+                                        basis.dims)) is not None:
+            frame, origin, first = _Frame(blocks, basis), 0.0, 0
+        if frame is not None:
+            pairs = frame.sigma.size
+            flow_steps(n, t_end, dt, sample_every, 0, 3 * pairs, 24 * pairs,
+                       row_bytes)
+            samples = [*range(sample_every, steps + 1, sample_every)]
+            if steps % sample_every:
+                samples.append(steps)
+            return states + [FlowState(None, t0 + i * dt, basis, frame,
+                                       (origin, first + i, dt)) for i in samples]
+        flow_steps(n, t_end, dt, sample_every, STEP_OPERATIONS + n ** 3, 0,
+                   8 * n * n, row_bytes)
+        signs = _degree_signs(basis)  # once per run
+        for i in range(1, steps + 1):
+            m = _rk4_step(m, dt, signs)
+            if not np.isfinite(m).all():
+                raise DivergenceError(
+                    f"flow diverged at step {i} (t = {t0 + i * dt:.6g})",
+                    last_state=states[-1])
+            if i % sample_every == 0 or i == steps:
+                states.append(FlowState(m, t0 + i * dt, basis))
         return states
-    if frame is not None:  # a restart counts on in the frame of its run
-        origin, first, step = initial.clock
-        if step != dt:  # a new clock, from the time the old one reads
-            origin, first = origin + first * step, 0
-    elif (blocks := _singular_frame(_band_blocks(m, basis),
-                                    basis.dims)) is not None:
-        frame, origin, first = _Frame(blocks, basis), 0.0, 0
-    if frame is not None:
-        pairs = frame.sigma.size
-        flow_steps(n, t_end, dt, sample_every, 0, 3 * pairs, 24 * pairs,
-                   row_bytes)
-        samples = [*range(sample_every, steps + 1, sample_every)]
-        if steps % sample_every:
-            samples.append(steps)
-        return states + [FlowState(None, t0 + i * dt, basis, frame,
-                                   (origin, first + i, dt)) for i in samples]
-    flow_steps(n, t_end, dt, sample_every, STEP_OPERATIONS + n ** 3, 0,
-               8 * n * n, row_bytes)
-    signs = _degree_signs(basis)  # once per run
-    for i in range(1, steps + 1):
-        m = _rk4_step(m, dt, signs)
-        if not np.isfinite(m).all():
-            raise DivergenceError(
-                f"flow diverged at step {i} (t = {t0 + i * dt:.6g})",
-                last_state=states[-1])
-        if i % sample_every == 0 or i == steps:
-            states.append(FlowState(m, t0 + i * dt, basis))
-    return states
 
 
 def spectral_drift(s0: FlowState, s1: FlowState) -> float:

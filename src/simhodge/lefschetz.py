@@ -12,8 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-import numpy as np
-
+from . import _np as np
 from .complexes import Complex, simplex_weight
 from .errors import ContractViolationError, InvalidInputError
 from .indices import vertex_spread

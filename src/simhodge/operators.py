@@ -16,9 +16,8 @@ from __future__ import annotations
 
 import itertools
 
-import numpy as np
-
 from . import budget
+from . import _np as np
 # intersection_masks stays bound here: perfbench's tracer wraps it by this name
 from .complexes import (Complex, intersection_masks,
                         iter_bits, layer_fold, tuple_fold)

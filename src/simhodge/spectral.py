@@ -26,9 +26,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from . import budget
+from . import _np as np
 from .errors import InvalidInputError
 from .intlinalg import IntMatrix, exact_rank
 from .operators import (GradedOperator, alternating_sum, require_nilpotent,

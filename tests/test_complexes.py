@@ -132,6 +132,16 @@ class TestGraphical:
     def test_no_edges_gives_empty(self):
         assert len(graphical_complex(range(3), [])) == 0
 
+    def test_refused_once_forests_pass_the_simplex_limit(self, monkeypatch):
+        from simhodge import budget
+
+        monkeypatch.setattr(budget, "SIMPLEX_LIMIT", 100)
+        with pytest.raises(ResourceLimitError, match=(
+                "^the graph has at least 101 forests, limit is 100$")):
+            graphical_complex(range(5), itertools.combinations(range(5), 2))
+        k4 = graphical_complex(range(4), itertools.combinations(range(4), 2))
+        assert len(k4) == 6 + 15 + 16  # edges, edge pairs, spanning trees
+
 
 class TestSkeleton:
     def test_circle_from_disc(self, k3):

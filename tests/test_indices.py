@@ -127,6 +127,22 @@ class TestValuations:
             assert lhs == rhs
 
 
+def test_wu_intersection_refused_over_the_pair_budget(monkeypatch):
+    from simhodge import budget
+
+    def weight(s):
+        raise AssertionError("a pair was weighed before the budget")
+
+    facet = downward_closure([range(4)])  # 15 simplices
+    monkeypatch.setattr(budget, "PRODUCT_PAIR_LIMIT", 15 * 15)
+    assert wu_intersection(facet, facet) == wu_characteristic(facet, 2) == -1
+    monkeypatch.setattr(budget, "PRODUCT_PAIR_LIMIT", 15 * 15 - 1)
+    monkeypatch.setattr(indices, "simplex_weight", weight)
+    with pytest.raises(ResourceLimitError, match=(
+            "^product needs 225 entry pairs, limit is 224$")):
+        wu_intersection(facet, facet)
+
+
 class TestWuCharacteristic:
     def test_full_simplexes(self):
         for n in range(1, 6):

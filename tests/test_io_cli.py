@@ -816,6 +816,35 @@ class TestHostileInputs:
         assert out == ""
         assert err.startswith("resource limit: ")
 
+    @pytest.mark.parametrize("argv, code, message", [
+        (["report", "--input", "random40.txt"], 4,
+         "resource limit: degree-2 block is 7463 wide for a dense eigensolve, "
+         "limit is 4096\n"),
+        (["heat", "--input", "octahedron.txt", "--t", "abc"], 2,
+         "error: unreadable time list 'abc'\n"),
+        (["lefschetz", "--input", "octahedron.txt", "--perm", "swap.txt",
+          "--t", "0,x"], 2, "error: unreadable time list '0,x'\n"),
+    ], ids=["report-order-two-frame", "heat-times", "lefschetz-times"])
+    def test_refused_before_the_first_derivative(self, tmp_path, capsys,
+                                                 monkeypatch, argv, code,
+                                                 message):
+        """``report`` checks both orders' budgets, and ``heat`` and
+        ``lefschetz`` read their time lists, before any derivative is built."""
+        from simhodge import cli
+
+        def build(*args):
+            raise AssertionError("a derivative was built before every check")
+
+        for name in ("exterior_derivative", "connection_derivative"):
+            monkeypatch.setattr(cli, name, build)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "random40.txt").write_text(serialize_facets(
+            generate("random", 40, seed=1, edge_prob=0.3)))
+        (tmp_path / "octahedron.txt").write_text(
+            serialize_facets(generate("octahedron")))
+        (tmp_path / "swap.txt").write_text("(0 1)\n")
+        assert run_cli(argv, capsys) == (code, "", message)
+
     def test_hundred_million_closed_form_steps_run(self, k3_file, capsys,
                                                    monkeypatch):
         """--t-end 1000 --dt 1e-5 is 1e8 steps, some 50 minutes of RK4, but
@@ -880,7 +909,7 @@ class TestHostileInputs:
                                   "500", "--dt", "0.01", "--matrices"], capsys)
         assert (code, out) == (4, "")
         assert err == ("resource limit: 5001 sampled states of size 146 need "
-                       "21476875504 bytes, limit is 268435456\n")
+                       "10311842944 bytes, limit is 268435456\n")
 
     def test_hodge_export_budget_before_dirac(self, k3_file, capsys, monkeypatch):
         """export --operator hodge counts the pairs of (d + d*)^2 from d alone,
@@ -1157,6 +1186,22 @@ def test_diverging_flow_warns_nothing(tmp_path, name, flags):
     results = json.loads(done.stdout)["results"]
     assert [key for key, value in results.items() if value is False] == []
     assert results["t_end"] == float(flags[-1])
+
+
+def test_refined_octahedron_flow_of_10001_json_rows_runs(tmp_path):
+    """``lax --t-end 1000 --dt 0.1`` on the refined octahedron: 10001 report
+    rows of 146 eigenvalues, charged about what they peak at, fit the
+    trajectory budget (at 2048 + 200 bytes a value they were refused)."""
+    from simhodge import barycentric_refinement
+
+    (tmp_path / "refined.txt").write_text(
+        serialize_facets(barycentric_refinement(generate("octahedron"))))
+    done = _run_child(["lax", "--input", "refined.txt", "--t-end", "1000",
+                       "--dt", "0.1"], tmp_path)
+    assert (done.returncode, done.stderr) == (0, "")
+    results = json.loads(done.stdout)["results"]
+    assert len(results["trajectory"]["states"]) == 10001
+    assert [key for key, value in results.items() if value is False] == []
 
 
 @pytest.mark.parametrize("argv", [["heat"],

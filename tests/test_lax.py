@@ -586,7 +586,7 @@ class TestBudget:
 
     def test_too_many_sampled_bytes_refused(self, c4, no_steps):
         # 600,000 steps of an 8 x 8 band flow are cheap, but keeping and
-        # reporting every state would need about 2.5 GB
+        # reporting every state would need about 1.7 GB
         with pytest.raises(ResourceLimitError, match=" sampled states of size 8 "):
             integrate(band_start(c4), 6000.0, 0.01, sample_every=1)
 
@@ -611,9 +611,9 @@ class TestBudget:
                 r"of size 146\), limit is 100000000000$")):
             lax.flow_steps(146, 500.0, 0.01, 10, *self.band)
         # lax --t-end 15000 --dt 0.1 is cheap in the frame, but its 150001
-        # report rows would need about 4.9 GB
+        # report rows would need about 2.6 GB
         with pytest.raises(ResourceLimitError, match=(
-                "^150001 sampled states of size 146 need 4946774032 bytes, "
+                "^150001 sampled states of size 146 need 2592358336 bytes, "
                 "limit is 268435456$")):
             lax.flow_steps(146, 15000.0, 0.1, 1, *self.frame)
 
@@ -647,13 +647,14 @@ class TestBudget:
 
     def test_csv_rows_charged_what_csv_costs(self):
         # lax --t-end 2000 --dt 0.1 --out x.csv on the refined octahedron:
-        # 20001 states peak at 224 MiB as a process, the JSON report at 611 MiB
+        # 20001 states peak at 224 MiB as a process; their JSON report rows
+        # are charged 346 MB
         csv_row = lax.report_row_bytes(146, csv=True)
         assert csv_row == lax.CSV_ROW_BYTES + 146 * lax.CSV_VALUE_BYTES
         assert lax.flow_steps(146, 2000.0, 0.1, 1, *self.frame,
                               row_bytes=csv_row) == 20000
         with pytest.raises(ResourceLimitError, match=(
-                "^20001 sampled states of size 146 need 659894032 bytes, "
+                "^20001 sampled states of size 146 need 345958336 bytes, "
                 "limit is 268435456$")):
             lax.flow_steps(146, 2000.0, 0.1, 1, *self.frame)
 
