@@ -4,8 +4,7 @@ __version__ = "0.1.0"
 
 from .complexes import (Complex, barycentric_operator, barycentric_refinement,
                         downward_closure, euler_characteristic, f_matrix,
-                        f_vector, generate, graphical_complex,
-                        random_subcomplex, skeleton, stirling2, unit_sphere,
+                        f_vector, generate, skeleton, stirling2,
                         whitney_complex)
 from .errors import (ContractViolationError, DivergenceError,
                      InvalidInputError, ParseError, ResourceLimitError,
@@ -13,12 +12,11 @@ from .errors import (ContractViolationError, DivergenceError,
 from .indices import (ExpectationResult, IndexTriple, analytic_index,
                       cohomological_index, index_expectation,
                       index_theorem_report, multilinear_curvature,
-                      poincare_hopf, sphere_curvature, valuation_evaluate,
-                      vertex_spread, wu_characteristic, wu_intersection)
+                      poincare_hopf, valuation_evaluate, vertex_spread,
+                      wu_characteristic, wu_intersection)
 from .intlinalg import IntMatrix, exact_nullity, exact_rank
-from .lax import (FlowState, bracket_field, deformed_stokes_probe, integrate,
-                  spectral_drift, split_by_degree, trajectory_to_csv,
-                  trajectory_to_json)
+from .lax import (FlowState, bracket_field, integrate, spectral_drift,
+                  split_by_degree, trajectory_to_csv, trajectory_to_json)
 from .lefschetz import (Automorphism, LefschetzReport, check_automorphism,
                         fixed_point_indices, heat_lefschetz, induced_map,
                         lefschetz_number, lefschetz_report)

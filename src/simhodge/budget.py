@@ -13,8 +13,9 @@ from math import isqrt
 from .errors import ResourceLimitError
 
 MEMORY_BYTES = 2 ** 27
-# simplices of a complex, a refinement or an order-2 basis, and tuple-fold
-# extensions; at the limit a complex takes about 100 MB, a refinement 210 MB
+# simplices of a complex, a refinement or an order-2 basis, tuple-fold
+# extensions, and the vertex pairs of a random complex, each a possible edge;
+# at the limit a complex takes about 100 MB, a refinement 210 MB
 SIMPLEX_LIMIT = 2 ** 18
 CONNECTION_TUPLE_LIMIT = 2000  # tuples of a basis of order 3 or more
 # entry pairs of one product, or of the vertex spread's last slot; a product

@@ -334,9 +334,9 @@ _COMMANDS = {
 }
 
 
-def _write_output(text: str, out_path):
+def _write_output(parts, out_path):
     if out_path is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(parts)
         return
     base_dir = os.environ.get("SIMHODGE_OUT_DIR")
     if base_dir and not os.path.isabs(out_path):
@@ -345,24 +345,26 @@ def _write_output(text: str, out_path):
     handle = open(tmp, "w", encoding="utf-8")  # from here on tmp is ours
     try:
         with handle:
-            handle.write(text)
+            handle.writelines(parts)
         os.replace(tmp, out_path)
     except OSError:
         os.remove(tmp)
         raise
 
 
-def run(args) -> str:
-    """Execute one parsed command and return the serialized report.
+def run(args) -> tuple[str, ...]:
+    """Execute one parsed command and return its output as the strings to
+    write in order: the JSON report, then its newline, kept apart so that a
+    large report is never copied to append one.
 
     ``lax`` with an ``--out`` path ending in ``.csv`` returns the trajectory
-    CSV instead.
+    CSV alone instead.
     """
     with open(args.input, "rb") as handle:
         raw = handle.read()
     c = parse_input(args.input, args.format, raw)
     if args.command == "lax" and args.out and args.out.endswith(".csv"):
-        return trajectory_to_csv(_lax_states(c, args, csv=True))
+        return (trajectory_to_csv(_lax_states(c, args, csv=True)),)
     started = time.monotonic()
     results = _COMMANDS[args.command](c, args)
     elapsed_ms = 1000.0 * (time.monotonic() - started)
@@ -380,7 +382,7 @@ def run(args) -> str:
                           default=_json_default)
     except ValueError as err:  # NaN or an infinity reached the report
         raise ContractViolationError(f"results are not strict JSON: {err}") from None
-    return text + "\n"
+    return text, "\n"
 
 
 def _json_default(value):

@@ -168,51 +168,6 @@ def whitney_complex(vertices, edges, labels=None) -> Complex:
     return downward_closure(_maximal_cliques(adjacency), labels=labels)
 
 
-def graphical_complex(vertices, edges) -> Complex:
-    """Complex of all non-empty forests of a graph, over edge ids.
-
-    Edge i of the sorted edge list becomes vertex i of the output; a set of
-    edges is a simplex when it contains no cycle.  Labels record the original
-    edge endpoints.  Refused once the forests pass SIMPLEX_LIMIT, before
-    more are grown.
-    """
-    vset, eset = _check_simple_graph(vertices, edges)
-    edge_list = sorted(eset)
-    m = len(edge_list)
-    forests = []
-
-    def acyclic(edge_ids):
-        parent = {}
-
-        def find(u):
-            while parent.setdefault(u, u) != u:
-                parent[u] = parent[parent[u]]
-                u = parent[u]
-            return u
-
-        for i in edge_ids:
-            a, b = edge_list[i]
-            ra, rb = find(a), find(b)
-            if ra == rb:
-                return False
-            parent[ra] = rb
-        return True
-
-    def grow(current):
-        forests.append(tuple(current))
-        budget.require(len(forests), budget.SIMPLEX_LIMIT,
-                       f"the graph has at least {len(forests)} forests")
-        last = current[-1] if current else -1
-        for i in range(last + 1, m):
-            if acyclic(current + [i]):
-                grow(current + [i])
-
-    for i in range(m):
-        grow([i])
-    labels = {i: f"{a}-{b}" for i, (a, b) in enumerate(edge_list)}
-    return Complex(forests, labels=labels, validate=False)
-
-
 def skeleton(c: Complex, k: int) -> Complex:
     """Subcomplex of all simplices of dimension at most k."""
     if k < 0:
@@ -238,15 +193,6 @@ def barycentric_refinement(c: Complex) -> Complex:
              for k in range(1, len(s)) for face in itertools.combinations(s, k)]
     labels = {i: ".".join(c.label_of(v) for v in s) for i, s in enumerate(order)}
     return whitney_complex(range(len(order)), edges, labels=labels)
-
-
-def unit_sphere(c: Complex, v: int) -> Complex:
-    """The link of a vertex: simplices not containing v whose join with v is in c."""
-    if v not in c.base:
-        raise InvalidInputError(f"vertex {v} is not in the complex")
-    keep = [s for s in c.simplices
-            if v not in s and tuple(sorted(s + (v,))) in c.simplices]
-    return Complex(keep, labels=c.labels, validate=False)
 
 
 def f_vector(c: Complex) -> tuple[int, ...]:
@@ -368,15 +314,14 @@ def barycentric_operator(d: int) -> np.ndarray:
     """Matrix S mapping f-vectors to refined f-vectors, S_ij = i! * S2(j, i).
 
     Indices run over 1..d+1 and land in rows/columns 0..d.  The transpose
-    fixes the alternating vector (1, -1, 1, ...), the Euler valuation.
+    fixes the alternating vector (1, -1, 1, ...), the Euler valuation.  The
+    entries are exact Python integers (an object array): from d = 18 on some
+    pass the int64 range.
     """
     if d < 0:
         raise InvalidInputError("dimension must be non-negative")
-    s = np.zeros((d + 1, d + 1), dtype=np.int64)
-    for i in range(1, d + 2):
-        for j in range(1, d + 2):
-            s[i - 1, j - 1] = math.factorial(i) * stirling2(j, i)
-    return s
+    return np.array([[math.factorial(i) * stirling2(j, i) for j in range(1, d + 2)]
+                     for i in range(1, d + 2)], dtype=object)
 
 
 _FAMILIES = ("simplex", "cycle", "path", "wheel", "star", "octahedron", "random")
@@ -417,14 +362,13 @@ def generate(family: str, n: int | None = None, seed: int | None = None,
         rim = [(i, i % n + 1) for i in range(1, n + 1)]
         spokes = [(0, i) for i in range(1, n + 1)]
         return whitney_complex(range(n + 1), rim + spokes)
-    # random: Whitney complex of G(n, p)
+    # random: Whitney complex of G(n, p); each vertex pair draws one coin and
+    # may become an edge, a simplex, so the pairs are charged as simplices
+    pairs = n * (n - 1) // 2
+    budget.require(pairs, budget.SIMPLEX_LIMIT,
+                   f"random({n}) draws a coin for each of {pairs} vertex pairs")
     rng = np.random.default_rng(seed)
     edges = [(i, j) for i in range(n) for j in range(i + 1, n)
              if rng.random() < edge_prob]
     return whitney_complex(range(n), edges)
 
-
-def random_subcomplex(c: Complex, rng, keep_prob: float = 0.5) -> Complex:
-    """Downward closure of a random subset of simplices; always a subcomplex."""
-    chosen = [s for s in c if rng.random() < keep_prob]
-    return downward_closure(chosen, labels=c.labels)

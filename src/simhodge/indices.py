@@ -15,8 +15,7 @@ from fractions import Fraction
 
 from . import budget
 from . import _np as np
-from .complexes import (Complex, f_matrix, f_vector, simplex_weight, tuple_fold,
-                        unit_sphere)
+from .complexes import Complex, f_matrix, f_vector, simplex_weight, tuple_fold
 from .errors import InvalidInputError
 from .io import fraction_payload
 from .operators import (GradedOperator, alternating_sum, connection_degree_counts,
@@ -85,19 +84,6 @@ def wu_characteristic(c: Complex, k: int = 2) -> int:
     product is (-1)^(total degree): an alternating sum of the degree counts.
     """
     return alternating_sum(connection_degree_counts(c, k))
-
-
-def sphere_curvature(c: Complex) -> dict[int, Fraction]:
-    """The same curvature from link counts: 1 - V_0/2 + V_1/3 - V_2/4 + ...
-
-    V_k(v) counts the k-simplices of the unit sphere of v.  Agrees with
-    multilinear_curvature(c, 1) vertex by vertex.
-    """
-    out = {}
-    for v in sorted(c.base):
-        counts = (1,) + f_vector(unit_sphere(c, v))  # 1, V_0, V_1, ...
-        out[v] = alternating_sum(Fraction(n, i + 1) for i, n in enumerate(counts))
-    return out
 
 
 def vertex_spread(c: Complex, k: int, weights) -> dict[int, Fraction]:

@@ -430,30 +430,6 @@ def spectral_drift(s0: FlowState, s1: FlowState) -> float:
     return _max_abs(e1 - e0)
 
 
-def deformed_stokes_probe(state: FlowState, form: dict, chain: dict,
-                          reference: FlowState = None):
-    """Pair the deformed derivative of a form against a chain.
-
-    For a vertex function and a closed loop the undeformed value telescopes
-    to zero; along the flow it generally does not.  Returns the value at the
-    probed state and, when a reference state is given, the value there too.
-    """
-    def value(s: FlowState) -> float:
-        f = np.zeros(len(s.basis))
-        a = np.zeros(len(s.basis))
-        for vector, coefficients in ((f, form), (a, chain)):
-            for element, coefficient in coefficients.items():
-                if element not in s.basis.index:
-                    raise InvalidInputError(
-                        f"element {element!r} is not in the basis")
-                vector[s.basis.index[element]] = coefficient
-        raising, _, _ = s.split()
-        return float((raising @ f) @ a)
-
-    probed = value(state)
-    return probed, (value(reference) if reference is not None else None)
-
-
 def _diagnostics(states: list[FlowState]) -> list[dict]:
     """Per sampled state: time, sorted spectrum, middle-part norm, nilpotency
     defect and spectral drift from the first state; one spectrum each.  The

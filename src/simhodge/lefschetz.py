@@ -19,7 +19,7 @@ from .indices import vertex_spread
 from .intlinalg import IntMatrix, as_integer
 from .io import field_payload
 from .operators import GradedBasis, GradedOperator, alternating_sum
-from .spectral import _heat_trace, _super_trace, singular_frame
+from .spectral import _heat_trace, _super_trace, hodge_eigenvectors
 
 SNAP_TOL = 1e-7
 
@@ -130,18 +130,15 @@ class LefschetzReport:
 def _action_pairs(u: GradedOperator, d: GradedOperator) -> list:
     """Per degree k, the eigenvalues λ of L_k and the weights diag(W^T U_k W)
     of the action u over the eigenvectors W = [V_k | U_(k-1)] of
-    ``singular_frame``, led by the kernel as one λ = 0 of weight tr(U_k) less
+    ``hodge_eigenvectors``, led by the kernel as one λ = 0 of weight tr(U_k) less
     the others.  u is orthogonal, so u d = d u makes it commute with d*, L."""
     _require_commuting(u, d)
-    frame, pairs = singular_frame(d, vectors=True), []
-    for k, n in enumerate(d.basis.dims):
-        right, left = frame[k:k + 1], frame[max(k - 1, 0):k]  # d_k, d_(k-1)
-        w = np.concatenate([[0.0]] + [f[0] for f in right + left])
-        vectors = np.hstack([np.zeros((n, 0))] + [f[2] for f in right]
-                            + [f[1] for f in left])
+    pairs = []
+    for k, (w, vectors) in enumerate(hodge_eigenvectors(d)):
         block = u.diag_block(k)
         h = np.einsum("ij,ij->j", vectors, block @ vectors)
-        pairs.append((w, np.concatenate([[np.trace(block) - np.sum(h)], h])))
+        pairs.append((np.concatenate([[0.0], w]),
+                      np.concatenate([[np.trace(block) - np.sum(h)], h])))
     return pairs
 
 

@@ -196,6 +196,20 @@ def singular_frame(d: GradedOperator, vectors: bool = False) -> list:
     return frame
 
 
+def hodge_eigenvectors(d: GradedOperator) -> list:
+    """Per degree k, the non-zero eigenvalues of L_k and an orthonormal set
+    of their eigenvectors, the columns of W = [V_k | U_(k-1)], from
+    ``singular_frame(d, vectors=True)``; the kernel of L_k is orthogonal
+    to W."""
+    frame, out = singular_frame(d, vectors=True), []
+    for k, n in enumerate(d.basis.dims):
+        right, left = frame[k:k + 1], frame[max(k - 1, 0):k]  # d_k, d_(k-1)
+        out.append((np.concatenate([np.zeros(0)] + [f[0] for f in right + left]),
+                    np.hstack([np.zeros((n, 0))] + [f[2] for f in right]
+                              + [f[1] for f in left])))
+    return out
+
+
 def hodge_spectra(d: GradedOperator) -> list[np.ndarray]:
     """Ascending eigenvalues of each block L_k of L = (d + d*)^2, without L:
     the σ² of ``singular_frame`` in degrees k and k+1 of each d_k, and zeros
@@ -273,11 +287,14 @@ def supersymmetry_check(spectra, even_degrees=None,
     return SupersymmetryReport(even, odd, max_mismatch, abs(len(even) - len(odd)))
 
 
-def harmonic_projector(L: GradedOperator, k: int) -> np.ndarray:
-    """Orthogonal projector onto the kernel of the degree-k Hodge block."""
-    eigenvalues, vectors = L.eigensystem(k)
-    kernel = vectors[:, kernel_mask(eigenvalues)]
-    return kernel @ kernel.T
+def harmonic_projector(d: GradedOperator, k: int) -> np.ndarray:
+    """Orthogonal projector onto the harmonic k-forms of d, the kernel of
+    L_k: I - W W^T over the eigenvectors W of ``hodge_eigenvectors``.  Its
+    trace is the Betti number b_k."""
+    if not 0 <= k < len(d.basis.dims):
+        raise InvalidInputError(f"degree {k} is not a degree of the basis")
+    _, vectors = hodge_eigenvectors(d)[k]
+    return np.eye(len(vectors)) - vectors @ vectors.T
 
 
 def hodge_traces(d: GradedOperator) -> list[int]:

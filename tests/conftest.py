@@ -7,9 +7,11 @@ import pytest
 from hypothesis import settings
 from scipy import sparse
 
-from simhodge import (barycentric_refinement, dirac, generate, hodge, skeleton,
-                      whitney_complex)
+from simhodge import (Complex, InvalidInputError, barycentric_refinement,
+                      dirac, downward_closure, f_vector, generate, hodge,
+                      skeleton, whitney_complex)
 from simhodge.complexes import simplex_weight
+from simhodge.operators import alternating_sum
 from simhodge.spectral import kernel_mask
 
 # Property tests draw the same examples on every run and have no per-example
@@ -35,6 +37,33 @@ def gauss_bonnet_curvature(c) -> dict:
         for v in s:
             curvature[v] += share
     return curvature
+
+
+def unit_sphere(c, v: int) -> Complex:
+    """The link of a vertex: simplices not containing v whose join with v is in c."""
+    if v not in c.base:
+        raise InvalidInputError(f"vertex {v} is not in the complex")
+    keep = [s for s in c.simplices
+            if v not in s and tuple(sorted(s + (v,))) in c.simplices]
+    return Complex(keep, labels=c.labels, validate=False)
+
+
+def sphere_curvature(c) -> dict:
+    """Oracle for the order-1 curvature from link counts:
+    1 - V_0/2 + V_1/3 - V_2/4 + ..., where V_k(v) counts the k-simplices of
+    the unit sphere of v.  Agrees with multilinear_curvature(c, 1) vertex by
+    vertex."""
+    out = {}
+    for v in sorted(c.base):
+        counts = (1,) + f_vector(unit_sphere(c, v))  # 1, V_0, V_1, ...
+        out[v] = alternating_sum(Fraction(n, i + 1) for i, n in enumerate(counts))
+    return out
+
+
+def random_subcomplex(c, rng, keep_prob: float = 0.5) -> Complex:
+    """Downward closure of a random subset of simplices; always a subcomplex."""
+    chosen = [s for s in c if rng.random() < keep_prob]
+    return downward_closure(chosen, labels=c.labels)
 
 
 def full_hodge_spectra(d) -> list:

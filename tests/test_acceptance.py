@@ -12,7 +12,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from conftest import full_hodge_spectra, gauss_bonnet_curvature
+from conftest import (full_hodge_spectra, gauss_bonnet_curvature,
+                      random_subcomplex)
 
 from simhodge import (Complex, FlowState, barycentric_operator,
                       barycentric_refinement, betti, check_automorphism,
@@ -21,8 +22,8 @@ from simhodge import (Complex, FlowState, barycentric_operator,
                       generate, heat_lefschetz, heat_supertrace, hodge,
                       hodge_spectra, index_expectation, integrate,
                       lefschetz_number, multilinear_curvature, poincare_hopf,
-                      random_subcomplex, spectral_drift, spectrum_report,
-                      supersymmetry_check, whitney_complex, wu_characteristic)
+                      spectral_drift, spectrum_report, supersymmetry_check,
+                      whitney_complex, wu_characteristic)
 from simhodge.cli import main
 
 HEAT_TIMES = (0.0, 0.1, 0.5, 1.0, 5.0, 10.0)

@@ -6,12 +6,12 @@ import random
 
 import numpy as np
 import pytest
+from conftest import random_subcomplex, unit_sphere
 
 from simhodge import (Complex, InvalidInputError, ResourceLimitError,
                       barycentric_operator, barycentric_refinement,
                       downward_closure, euler_characteristic, f_matrix,
-                      f_vector, generate, graphical_complex,
-                      random_subcomplex, skeleton, stirling2, unit_sphere,
+                      f_vector, generate, skeleton, stirling2,
                       whitney_complex)
 
 
@@ -111,36 +111,6 @@ class TestWhitney:
     def test_isolated_vertices_kept(self):
         c = whitney_complex(range(3), [(0, 1)])
         assert (2,) in c.simplices
-
-
-class TestGraphical:
-    def test_triangle_forests(self):
-        edges = [(1, 2), (2, 3), (1, 3)]
-        c = graphical_complex(range(1, 4), edges)
-        # oracle: check all 7 non-empty edge subsets by hand, reject the 3-cycle
-        assert f_vector(c) == (3, 3)
-        assert euler_characteristic(c) == 0
-
-    def test_single_edge(self):
-        c = graphical_complex([0, 1], [(0, 1)])
-        assert f_vector(c) == (1,)
-
-    def test_two_edge_path_is_full_simplex(self):
-        c = graphical_complex(range(3), [(0, 1), (1, 2)])
-        assert f_vector(c) == (2, 1)
-
-    def test_no_edges_gives_empty(self):
-        assert len(graphical_complex(range(3), [])) == 0
-
-    def test_refused_once_forests_pass_the_simplex_limit(self, monkeypatch):
-        from simhodge import budget
-
-        monkeypatch.setattr(budget, "SIMPLEX_LIMIT", 100)
-        with pytest.raises(ResourceLimitError, match=(
-                "^the graph has at least 101 forests, limit is 100$")):
-            graphical_complex(range(5), itertools.combinations(range(5), 2))
-        k4 = graphical_complex(range(4), itertools.combinations(range(4), 2))
-        assert len(k4) == 6 + 15 + 16  # edges, edge pairs, spanning trees
 
 
 class TestSkeleton:
@@ -256,6 +226,17 @@ class TestBarycentric:
                 for j in range(1, d + 2):
                     assert s[i - 1, j - 1] == math.factorial(i) * stirling2_oracle(j, i)
 
+    def test_operator_is_exact_past_int64(self):
+        d = 18  # from here on some i! * S2(j, i) pass the int64 range
+        s = barycentric_operator(d)
+        assert max(map(max, s.tolist())) >= 2 ** 63
+        fv = [math.comb(d + 1, j) for j in range(1, d + 2)]  # the full d-simplex
+        expected = [sum(math.factorial(i) * stirling2_oracle(j, i) * fv[j - 1]
+                        for j in range(1, d + 2)) for i in range(1, d + 2)]
+        assert (s @ np.array(fv, dtype=np.int64)).tolist() == expected
+        alternating = [(-1) ** i for i in range(d + 1)]
+        assert (s.T @ np.array(alternating)).tolist() == alternating
+
     def test_operator_maps_f_vectors(self, k3):
         s = barycentric_operator(2)
         assert tuple(s @ np.array([3, 3, 1])) == (7, 12, 6)
@@ -355,6 +336,19 @@ class TestGenerate:
 
     def test_octahedron_needs_no_size(self):
         assert f_vector(generate("octahedron")) == (6, 12, 8)
+
+    def test_random_pairs_charged_before_the_first_draw(self, monkeypatch):
+        from simhodge import budget
+
+        def never(*args, **kwargs):
+            raise AssertionError("the rng was drawn before the budget was checked")
+
+        monkeypatch.setattr(budget, "SIMPLEX_LIMIT", 27)  # 8 vertices, 28 pairs
+        monkeypatch.setattr(np.random, "default_rng", never)
+        with pytest.raises(ResourceLimitError, match=(
+                r"^random\(8\) draws a coin for each of 28 vertex pairs, "
+                r"limit is 27$")):
+            generate("random", 8, seed=7)
 
 
 class TestValuationAxiom:

@@ -6,17 +6,17 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from conftest import gauss_bonnet_curvature
+from conftest import (gauss_bonnet_curvature, random_subcomplex,
+                      sphere_curvature, unit_sphere)
 
 from simhodge import (InvalidInputError, ResourceLimitError, analytic_index,
                       barycentric_refinement, betti, cohomological_index,
                       connection_derivative, downward_closure,
                       euler_characteristic, f_vector, generate,
                       index_expectation, index_theorem_report,
-                      multilinear_curvature, poincare_hopf,
-                      random_subcomplex, skeleton, sphere_curvature,
-                      unit_sphere, valuation_evaluate, vertex_spread,
-                      wu_characteristic, wu_intersection)
+                      multilinear_curvature, poincare_hopf, skeleton,
+                      valuation_evaluate, vertex_spread, wu_characteristic,
+                      wu_intersection)
 from simhodge import indices
 from simhodge.complexes import intersection_masks, simplex_weight
 

@@ -206,6 +206,34 @@ def run_cli(argv, capsys):
 
 
 class TestCli:
+    def test_output_bytes(self, tmp_path, monkeypatch, capsysbinary):
+        """A report is compact sorted JSON and exactly one newline, the same
+        bytes on stdout and in an --out file; a trajectory CSV is written as
+        it is, ending in its one newline."""
+        from simhodge import cli
+
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(cli.time, "monotonic", lambda: 0.0)
+        (tmp_path / "k3.txt").write_text("1 2 3\n")
+        expected = (
+            b'{"command": "skeleton", "input": {"format": "facets", "path": '
+            b'"k3.txt", "sha256": "1def07dbe06eeb097aafec8a40329937cd20c93a83'
+            b'634b8221ea2b41a894310c"}, "results": {"euler_characteristic": 0, '
+            b'"f_vector": [3, 3], "facets": "1 2\\n1 3\\n2 3\\n", "order": 1}, '
+            b'"schema": "simhodge.report/1", "timing_ms": 0.0, '
+            b'"version": "0.1.0"}\n')
+        argv = ["skeleton", "--input", "k3.txt", "--order", "1"]
+        assert main(argv) == 0
+        assert capsysbinary.readouterr().out == expected
+        assert main(argv + ["--out", "report.json"]) == 0
+        assert (tmp_path / "report.json").read_bytes() == expected
+        assert main(["lax", "--input", "k3.txt", "--t-end", "0.2", "--dt", "0.1",
+                     "--out", "flow.csv"]) == 0
+        csv = (tmp_path / "flow.csv").read_bytes()
+        assert csv.startswith(b"t,eig_0,") and csv.count(b"\n") == 4
+        assert csv.endswith(b"\n") and not csv.endswith(b"\n\n")
+        assert capsysbinary.readouterr().out == b""
+
     def test_report_on_triangle(self, k3_file, capsys):
         code, out, _ = run_cli(["report", "--input", k3_file,
                                 "--format", "edges"], capsys)

@@ -9,11 +9,11 @@ from hypothesis import strategies as st
 
 from simhodge import (ContractViolationError, DivergenceError, FlowState,
                       InvalidInputError, ResourceLimitError,
-                      barycentric_refinement, bracket_field,
-                      deformed_stokes_probe, dirac, downward_closure,
-                      exterior_derivative, generate, graded_basis, integrate,
-                      spectral_drift, split_by_degree, trajectory_to_csv,
-                      trajectory_to_json, whitney_complex)
+                      barycentric_refinement, bracket_field, dirac,
+                      downward_closure, exterior_derivative, generate,
+                      graded_basis, integrate, spectral_drift,
+                      split_by_degree, trajectory_to_csv, trajectory_to_json,
+                      whitney_complex)
 from simhodge import budget, lax
 from simhodge.operators import GradedBasis
 
@@ -224,35 +224,6 @@ class TestSpectralDrift:
             drifts.append(spectral_drift(states[0], states[-1]))
         ratio = drifts[0] / drifts[1]
         assert 8.0 <= ratio <= 32.0
-
-
-class TestStokesProbe:
-    def loop_data(self, c4):
-        form = {(0,): 1.0, (1,): 2.0, (2,): -1.0, (3,): 0.5}
-        loop = {(0, 1): 1, (1, 2): 1, (2, 3): 1, (0, 3): -1}
-        return form, loop
-
-    def test_closed_loop_vanishes_undeformed(self, c4):
-        big_d = initial_dirac(c4)
-        state = FlowState(big_d.to_dense(), 0.0, big_d.basis)
-        form, loop = self.loop_data(c4)
-        value, _ = deformed_stokes_probe(state, form, loop)
-        assert abs(value) < 1e-12
-
-    def test_deformed_value_reported(self, c4):
-        states = integrate(initial_dirac(c4), 1.0, 0.01, sample_every=100)
-        form, loop = self.loop_data(c4)
-        value, reference = deformed_stokes_probe(states[-1], form, loop,
-                                                 reference=states[0])
-        assert np.isfinite(value)
-        assert abs(reference) < 1e-12
-
-    def test_zero_form_always_zero(self, c4):
-        states = integrate(initial_dirac(c4), 0.5, 0.01, sample_every=50)
-        _, loop = self.loop_data(c4)
-        for s in states:
-            value, _ = deformed_stokes_probe(s, {}, loop)
-            assert value == 0.0
 
 
 class TestCsvExport:

@@ -99,7 +99,7 @@ def test_lax_checks_hold_at_any_step(tmp_path_factory, c, dt, t_end):
     path.write_text(serialize_facets(c))
     args = cli._build_parser().parse_args(
         ["lax", "--input", str(path), "--t-end", str(t_end), "--dt", str(dt)])
-    results = json.loads(cli.run(args))["results"]
+    results = json.loads(cli.run(args)[0])["results"]
     assert results["t_end"] == pytest.approx(t_end)
     for check in ("isospectral_within_tolerance",
                   "nilpotency_within_tolerance", "symmetry_within_tolerance"):

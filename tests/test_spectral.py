@@ -83,7 +83,7 @@ class TestSpectrum:
         with pytest.raises(ContractViolationError):
             GradedOperator(m, basis).eigenvalues(0)
         with pytest.raises(ContractViolationError):  # the path with vectors
-            harmonic_projector(GradedOperator(m, basis), 0)
+            GradedOperator(m, basis).eigensystem(0)
 
     def test_nonzero_even_odd_spectra_match(self, k3):
         report = supersymmetry_check(de_rham_spectra(k3))
@@ -161,22 +161,50 @@ class TestSupersymmetry:
 
 
 class TestHarmonicProjector:
+    def test_matches_the_dense_kernel_projector(self, suite):
+        """I - W W^T from the frame equals K K^T over the kernel K of the
+        formed L_k (the dense oracle), and its trace is b_k; order 2 runs
+        through the swap-sector lift."""
+        for name, c in suite.items():
+            for d in (exterior_derivative(c), connection_derivative(c, 2)):
+                L, b = hodge(dirac(d)), betti(d)
+                for k in range(len(d.basis.dims)):
+                    w, vectors = L.eigensystem(k)
+                    kernel = vectors[:, spectral.kernel_mask(w)]
+                    p = harmonic_projector(d, k)
+                    assert np.max(np.abs(p - kernel @ kernel.T),
+                                  initial=0.0) < 1e-9, (name, k)
+                    assert round(np.trace(p)) == b[k], (name, k)
+
     def test_connected_constants(self, c4):
-        _, L = de_rham_hodge(c4)
-        p = harmonic_projector(L, 0)
+        p = harmonic_projector(exterior_derivative(c4), 0)
         assert np.linalg.matrix_rank(p) == 1
         assert np.allclose(p @ np.ones(4), np.ones(4) * p[0].sum())
 
     def test_trivial_kernel_gives_zero(self, k3):
-        _, L = de_rham_hodge(k3)
-        assert np.max(np.abs(harmonic_projector(L, 1))) < 1e-9
+        assert np.max(np.abs(harmonic_projector(exterior_derivative(k3), 1))) < 1e-9
 
     def test_idempotent(self, suite):
         for name in ("wheel4", "octahedron"):
-            _, L = de_rham_hodge(suite[name])
-            for k in range(L.basis.max_degree + 1):
-                p = harmonic_projector(L, k)
+            d = exterior_derivative(suite[name])
+            for k in range(len(d.basis.dims)):
+                p = harmonic_projector(d, k)
                 assert np.max(np.abs(p @ p - p)) < 1e-9
+
+    def test_degree_outside_the_basis_rejected(self, k3):
+        for k in (-1, 3):
+            with pytest.raises(InvalidInputError, match=f"degree {k} "):
+                harmonic_projector(exterior_derivative(k3), k)
+
+    def test_every_degree_charged_before_any_solve(self, monkeypatch,
+                                                    solver_calls):
+        from simhodge import budget
+
+        d = exterior_derivative(generate("octahedron"))  # widths 6, 12, 8
+        monkeypatch.setattr(budget, "MEMORY_BYTES", 8 * 11 ** 2)  # 11 wide
+        with pytest.raises(ResourceLimitError, match="degree-1 block is 12 wide"):
+            harmonic_projector(d, 0)  # degree 0 alone would fit
+        assert solver_calls == {"eigh": 0, "eigvalsh": 0}
 
 
 class TestConnectionSupersymmetry:
@@ -293,7 +321,6 @@ class TestEigenvalueOnlySolves:
         _, L = de_rham_hodge(generate("octahedron"))
         w, _ = L.eigensystem(1)
         assert L.eigenvalues(1) is w
-        assert harmonic_projector(L, 1).shape == (12, 12)
         assert solver_calls == {"eigh": 1, "eigvalsh": 0}
 
     def test_block_width_checked_before_the_block_is_built(self, monkeypatch):
