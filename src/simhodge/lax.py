@@ -38,9 +38,11 @@ dt; a restart from it at the same dt goes on counting in the same frame, so
 it repeats the later states of the uninterrupted run bit for bit.  The field
 commutes with orthogonal changes of basis within a degree, so the sampled
 states do not depend on how a degree's basis is ordered or signed.  Any
-other start, or a frame that does not reproduce its blocks to FRAME_TOL,
-flows by fixed-step classical Runge-Kutta of the dense, exactly symmetric
-matrix under the field that ``bracket_field`` returns.
+other start flows by fixed-step classical Runge-Kutta of the dense, exactly
+symmetric matrix under the field that ``bracket_field`` returns, and so
+does a start whose frame misses FRAME_TOL; the frame of
+``spectral.gram_pairs`` is orthonormal by construction, so only a float
+start far off scale (by 1e-5 or 1e200) misses it.
 
 A flowed state of a Dirac start keeps its triples, and its matrix is
 written only when read.  Its diagnostics row comes from the triples: the
@@ -64,7 +66,7 @@ from . import budget
 from . import _np as np
 from .errors import ContractViolationError, DivergenceError, InvalidInputError
 from .operators import GradedBasis, GradedOperator
-from .spectral import gram_pairs, narrow_side
+from .spectral import degree_frames, gram_pairs, narrow_side
 
 SYMMETRY_TOL = 1e-10
 # Largest entry error of a singular frame: of U_k diag(sigma) V_k^T against
@@ -136,48 +138,44 @@ def _band_field(x: np.ndarray, sign, outside) -> np.ndarray:
 
 
 def _singular_frame(blocks: list, dims) -> list | None:
-    """(U_k, sigma_k, V_k) with R_k = U_k diag(sigma_k) V_k^T for every
-    raising block, from ``spectral.gram_pairs`` of its Gram matrix on the
-    narrower side; None unless every M_k and every R_(k+1) R_k is exactly
-    zero, every Gram matrix is finite and the frame is within FRAME_TOL."""
+    """(sigma^2, U_k, V_k) with R_k = U_k diag(sigma) V_k^T for every
+    raising block, from ``spectral.gram_pairs``; None unless every M_k and
+    every R_(k+1) R_k is exactly zero, every Gram matrix is finite and, to
+    FRAME_TOL, each R_k is reproduced and each ``degree_frames`` orthonormal."""
     middles, raisings = blocks[:len(dims)], blocks[len(dims):]
     if (any(m.any() for m in middles)
             or any((b @ a).any() for a, b in zip(raisings, raisings[1:]))):
         return None
-    frame, columns = [], [[np.zeros((n, 0))] for n in dims]
+    frame = []
     for k, r in enumerate(raisings):
         on_source = narrow_side(dims, k) == k
         gram = r.T @ r if on_source else r @ r.T
         if not np.isfinite(gram).all():
             return None
-        w, u, v = gram_pairs([(gram, None)], r, on_source)
-        sigma = np.sqrt(w)
-        if _max_abs((u * sigma) @ v.T - r) > FRAME_TOL * _max_abs(r):
+        w, u, v = gram_pairs(gram, r, on_source)
+        if _max_abs((u * np.sqrt(w)) @ v.T - r) > FRAME_TOL * _max_abs(r):
             return None
-        frame.append((u, sigma, v))
-        columns[k].append(v)
-        columns[k + 1].append(u)
-    for parts in columns:
-        w = np.hstack(parts)
-        if _max_abs(w.T @ w - np.eye(w.shape[1])) > FRAME_TOL:
-            return None
+        frame.append((w, u, v))
+    if any(_max_abs(w.T @ w - np.eye(w.shape[1])) > FRAME_TOL
+           for _, w in degree_frames(frame, dims)):
+        return None
     return frame
 
 
 class _Frame:
-    """The singular frame of a Dirac start, built once per run: it gives
-    the flat (a, c, s) triples at a time in the frame, writes them into a
-    dense matrix and reads the spectrum and the norms of a state from the
-    triples alone."""
+    """The singular frame of a Dirac start, built once per run from the
+    (sigma^2, U, V) of each raising block: it gives the flat (a, c, s)
+    triples at a time in the frame, writes them into a dense matrix and
+    reads the spectrum and the norms of a state from the triples alone."""
 
     def __init__(self, blocks: list, basis: GradedBasis):
         self.blocks, self.basis = blocks, basis
-        cuts = np.cumsum([0] + [len(sigma) for _, sigma, _ in blocks])
+        cuts = np.cumsum([0] + [len(w) for w, _, _ in blocks])
         self.pairs = [slice(i, j) for i, j in zip(cuts, cuts[1:])]
-        self.sigma = np.concatenate([np.zeros(0)] + [f[1] for f in blocks])
+        self.sigma = np.sqrt(np.concatenate([np.zeros(0)] + [f[0] for f in blocks]))
         # C_k = V_(k+1)^T U_k, zero up to rounding since im d_k lies in
         # ker d_(k+1): R_(k+1) R_k = U_(k+1) diag(s) C_k diag(s) V_k^T
-        self.overlaps = [v.T @ u for (u, _, _), (_, _, v) in zip(blocks, blocks[1:])]
+        self.overlaps = [v.T @ u for (_, u, _), (_, _, v) in zip(blocks, blocks[1:])]
 
     def triples(self, tau: float) -> np.ndarray:
         """The flat (a, c, s) triples at time tau >= 0 in the frame:
@@ -196,7 +194,7 @@ class _Frame:
         slices, levels = _block_slices(basis), len(basis.dims)
         a, c, s = state.reshape(3, -1)
         dense = np.zeros((len(basis), len(basis)))
-        for k, ((u, _, v), p) in enumerate(zip(self.blocks, self.pairs)):
+        for k, ((_, u, v), p) in enumerate(zip(self.blocks, self.pairs)):
             dense[slices[k]] += (v * a[p]) @ v.T
             dense[slices[k + 1]] += (u * c[p]) @ u.T
             rows, cols = slices[levels + k]

@@ -7,13 +7,14 @@ min(dim_k, dim_{k+1}) wide.  An eigenvalue counts as zero under 1e-7 times
 the top eigenvalue of its solved block.
 
 A derivative that records a swap tau (a signed involution of its basis that
-commutes with d: the order-2 connection derivative) is solved one tau-sector
-at a time.  Each degree splits into the tau = +1 and tau = -1 eigenspaces,
-spanned by e_i + tau e_i for each pair {i, tau i} and by e_i for each fixed
-i; d maps each sector into the same sector, so each Gram matrix splits into
-two blocks, each built as an exact integer product and scaled by the basis
-norms (sqrt 2 for a pair) only as it becomes float.  The sector eigenvalues
-of a block are joined before its kernel threshold is taken.
+commutes with d: the order-2 connection derivative) has its values solved
+one tau-sector at a time.  Each degree splits into the tau = +1 and
+tau = -1 eigenspaces, spanned by e_i + tau e_i for each pair {i, tau i} and
+by e_i for each fixed i; d maps each sector into the same sector, so each
+Gram matrix splits into two blocks, each built as an exact integer product
+and scaled by the basis norms (sqrt 2 for a pair) only as it becomes float.
+The sector eigenvalues of a block are joined before its kernel threshold is
+taken.  Vectors come from the whole Gram matrix and a QR (``gram_pairs``).
 
 ``spectrum_report`` checks the non-zero spectrum against an exact number:
 tr(L_k), the sum of the eigenvalues of degree k, equals the sum of v^2 over
@@ -80,38 +81,26 @@ def require_frame(dims, vectors: bool = False) -> list:
     return sides
 
 
-def gram_pairs(sectors, block=None, on_source: bool = True):
-    """(σ², U, V) for one block b of d from the float Gram matrices of its
-    sectors, b^T b restricted to each when ``on_source``, else b b^T, each
-    paired with the map that lifts its eigenvectors into the full basis
-    (None: the sector is the full basis).  The eigenvalues σ² of all sectors
-    joined, ascending, above their ``kernel_mask``, from one ``eigvalsh`` per
-    sector; given the dense b, also b = U diag(σ) V^T from one ``eigh`` per
-    sector and one product, else None twice."""
-    if block is None:
-        w, _ = _join([(np.linalg.eigvalsh(gram), None) for gram, _ in sectors])
-        return w[~kernel_mask(w)], None, None
-    parts = []
-    for gram, lift in sectors:
-        w, vectors = np.linalg.eigh(gram)
-        parts.append((w, vectors if lift is None else lift(vectors)))
-    w, vectors = _join(parts)
+def gram_values(grams) -> np.ndarray:
+    """The σ² of one block b of d from the float Gram matrices of its
+    sectors on the narrower side: one ``eigvalsh`` per sector, joined
+    ascending, above their ``kernel_mask``."""
+    w = np.sort(np.concatenate([np.linalg.eigvalsh(gram) for gram in grams]))
+    return w[~kernel_mask(w)]
+
+
+def gram_pairs(gram: np.ndarray, block: np.ndarray, on_source: bool):
+    """(σ², U, V) with the dense block b = U diag(σ) V^T: one ``eigh`` of
+    its Gram matrix on the narrower side (b^T b when ``on_source``, else
+    b b^T) gives one side above its ``kernel_mask``, and the other is the
+    orthonormal factor of a QR of b V (or b^T U), signed as b V / σ, so it
+    is orthonormal to rounding however widely σ spreads."""
+    w, vectors = np.linalg.eigh(gram)
     keep = ~kernel_mask(w)
     w, vectors = w[keep], vectors[:, keep]
-    other = (block if on_source else block.T) @ vectors / np.sqrt(w)
+    q, r = np.linalg.qr((block if on_source else block.T) @ vectors)
+    other = q * np.copysign(1.0, np.diagonal(r))
     return (w, other, vectors) if on_source else (w, vectors, other)
-
-
-def _join(parts):
-    """One (w, vectors) of the sector solves, ascending in w; a lone solve
-    is returned as it is."""
-    if len(parts) == 1:
-        return parts[0]
-    w = np.concatenate([p[0] for p in parts])
-    order = np.argsort(w, kind="stable")
-    if parts[0][1] is None:
-        return w[order], None
-    return w[order], np.hstack([p[1] for p in parts])[:, order]
 
 
 def swap_sectors(d: GradedOperator) -> list:
@@ -146,27 +135,20 @@ def swap_sectors(d: GradedOperator) -> list:
     return sectors
 
 
-def _sector_gram(b, source, target):
+def _sector_gram(b, source, target) -> np.ndarray:
     """The float Gram matrix b^T b of block b (source to target degree) on
-    one source sector, with the lift of its eigenvectors into the full
-    basis; for the whole degree (None), b^T b itself and no lift.
+    one source sector; for the whole degree (None), b^T b itself.
 
     In the orthonormal sector bases b is N_t B N_s^-1, with B = R_t b U_s and
     N the square roots of the norms; so b^T b = N_s^-1 (B^T diag(norms_t) B)
     N_s^-1, exact integers until the last scaling."""
     if source is None:
-        return _dense(b.T @ b, 1.0), None
+        return _dense(b.T @ b, 1.0)
     (u, _, norms), (_, r, target_norms) = source, target
     part = r @ b @ u
     gram = part.T @ IntMatrix(part.row, part.col,
                               part.data * target_norms[part.row], part.shape)
-    roots = np.sqrt(norms)
-
-    def lift(vectors):
-        full = np.zeros((u.shape[0], vectors.shape[1]))
-        full[u.row] = vectors[u.col] * (u.data / roots[u.col])[:, None]
-        return full
-    return _dense(gram, np.sqrt(norms[gram.row] * norms[gram.col])), lift
+    return _dense(gram, np.sqrt(norms[gram.row] * norms[gram.col]))
 
 
 def _dense(m: IntMatrix, scale) -> np.ndarray:
@@ -177,46 +159,54 @@ def _dense(m: IntMatrix, scale) -> np.ndarray:
 
 
 def singular_frame(d: GradedOperator, vectors: bool = False) -> list:
-    """``gram_pairs`` of each block d_k on the exact Gram matrices of its
-    narrower side, one per ``swap_sectors`` sector, once ``require_frame``
-    charged them.  L_k has the σ² of d_(k-1) and d_k, with the columns of
-    U_(k-1) and V_k, and zero on what is orthogonal to both (McKean-Singer)."""
+    """(σ², U, V) of each block d_k from its exact Gram matrix on the
+    narrower side, once ``require_frame`` charged it: ``gram_values`` one
+    ``swap_sectors`` sector at a time (U, V None), or with ``vectors`` the
+    ``gram_pairs`` of the whole matrix.  L_k has the σ² of d_(k-1) and d_k,
+    with the columns of U_(k-1) and V_k, and zero on what is orthogonal to
+    both (McKean-Singer)."""
     require_nilpotent(d)
     basis, dims = d.basis, d.basis.dims
     sides = require_frame(dims, vectors)
-    sectors = swap_sectors(d)
+    # vectors solve one sector, the whole degree (None), so ``*grams`` is one
+    sectors = [[None]] * len(dims) if vectors else swap_sectors(d)
     frame = []
     for k, side in enumerate(sides):
         block = d.matrix.block(basis.degree_slice(k + 1), basis.degree_slice(k))
         b, other = (block, k + 1) if side == k else (block.T, k)
         # a generator: one sector's dense Gram matrix is alive at a time
         grams = (_sector_gram(b, *pair) for pair in zip(sectors[side], sectors[other]))
-        frame.append(gram_pairs(grams, block.toarray() if vectors else None,
-                                side == k))
+        frame.append(gram_pairs(*grams, block.toarray(), side == k) if vectors
+                     else (gram_values(grams), None, None))
     return frame
 
 
-def hodge_eigenvectors(d: GradedOperator) -> list:
-    """Per degree k, the non-zero eigenvalues of L_k and an orthonormal set
-    of their eigenvectors, the columns of W = [V_k | U_(k-1)], from
-    ``singular_frame(d, vectors=True)``; the kernel of L_k is orthogonal
-    to W."""
-    frame, out = singular_frame(d, vectors=True), []
-    for k, n in enumerate(d.basis.dims):
+def degree_frames(frame: list, dims) -> list:
+    """Per degree k of a ``singular_frame``, (λ, W): the non-zero
+    eigenvalues of L_k, the σ² of d_k and then of d_(k-1), and the columns
+    of their eigenvectors W = [V_k | U_(k-1)], orthonormal, with the kernel
+    of L_k orthogonal to them; W is None for a frame of values alone."""
+    out = []
+    for k, n in enumerate(dims):
         right, left = frame[k:k + 1], frame[max(k - 1, 0):k]  # d_k, d_(k-1)
+        columns = [f[2] for f in right] + [f[1] for f in left]
         out.append((np.concatenate([np.zeros(0)] + [f[0] for f in right + left]),
-                    np.hstack([np.zeros((n, 0))] + [f[2] for f in right]
-                              + [f[1] for f in left])))
+                    None if any(c is None for c in columns)
+                    else np.hstack([np.zeros((n, 0))] + columns)))
     return out
+
+
+def hodge_eigenvectors(d: GradedOperator) -> list:
+    """``degree_frames`` of ``singular_frame(d, vectors=True)``."""
+    return degree_frames(singular_frame(d, vectors=True), d.basis.dims)
 
 
 def hodge_spectra(d: GradedOperator) -> list[np.ndarray]:
     """Ascending eigenvalues of each block L_k of L = (d + d*)^2, without L:
-    the σ² of ``singular_frame`` in degrees k and k+1 of each d_k, and zeros
-    up to each degree's dimension."""
-    squares = [np.zeros(0)] + [w for w, _, _ in singular_frame(d)]
-    return [np.sort(np.concatenate([np.zeros(n - len(a) - len(b)), a, b]))
-            for n, a, b in zip(d.basis.dims, squares, squares[1:] + [np.zeros(0)])]
+    the σ² of ``degree_frames`` and zeros up to each degree's dimension."""
+    dims = d.basis.dims
+    return [np.sort(np.concatenate([np.zeros(n - len(w)), w]))
+            for (w, _), n in zip(degree_frames(singular_frame(d), dims), dims)]
 
 
 def _super_trace(pairs, f) -> tuple[float, list[float]]:

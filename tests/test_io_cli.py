@@ -488,6 +488,24 @@ class TestCli:
         assert results["isospectral_within_tolerance"] is True
         assert results["nilpotency_within_tolerance"] is True
 
+    def test_lax_on_a_400_vertex_path_takes_no_rk4_step(self, tmp_path,
+                                                        capsys, monkeypatch):
+        # sigma spreads widely on a long path; its frame still passes
+        # FRAME_TOL, so the flow takes the closed form
+        from simhodge import lax
+
+        def refuse(*args):
+            raise AssertionError("an RK4 step was taken")
+
+        monkeypatch.setattr(lax, "_rk4_step", refuse)
+        path = tmp_path / "path400.txt"
+        path.write_text(serialize_facets(generate("path", 400)))
+        code, out, err = run_cli(["lax", "--input", str(path)], capsys)
+        assert code == 0, err
+        results = json.loads(out)["results"]
+        flags = [v for v in results.values() if isinstance(v, bool)]
+        assert flags and all(flags), results
+
     @pytest.mark.parametrize("argv", [
         ["report"], ["lax", "--t-end", "0.2", "--dt", "0.1", "--matrices"]])
     def test_report_is_one_line_of_strict_json(self, k3_file, capsys,

@@ -82,6 +82,21 @@ def test_swap_sectors_match_the_whole_gram_solves(c):
 
 
 @settings(max_examples=60)
+@given(small_complexes, st.sampled_from([1, 2]))
+def test_vectors_frame_is_orthonormal_and_reproduces_d(c, order):
+    """Every block b of ``singular_frame(d, vectors=True)``: U^T U and V^T V
+    within 1e-12 of I, and U diag(σ) V^T within 1e-12 of b's largest entry."""
+    d = exterior_derivative(c) if order == 1 else connection_derivative(c, order)
+    for k, (w, u, v) in enumerate(singular_frame(d, vectors=True)):
+        block = d.block(k + 1, k)
+        for side in (u, v):
+            assert np.max(np.abs(side.T @ side - np.eye(side.shape[1])),
+                          initial=0.0) <= 1e-12
+        assert np.max(np.abs((u * np.sqrt(w)) @ v.T - block), initial=0.0) \
+            <= 1e-12 * np.max(np.abs(block), initial=0.0)
+
+
+@settings(max_examples=60)
 @given(small_complexes, st.sampled_from([1, 2, 3]))
 def test_curvature_totals_are_the_characteristic(c, order):
     """The blocked vertex spread adds up to the tuple count's alternating sum."""

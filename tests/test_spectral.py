@@ -163,8 +163,8 @@ class TestSupersymmetry:
 class TestHarmonicProjector:
     def test_matches_the_dense_kernel_projector(self, suite):
         """I - W W^T from the frame equals K K^T over the kernel K of the
-        formed L_k (the dense oracle), and its trace is b_k; order 2 runs
-        through the swap-sector lift."""
+        formed L_k (the dense oracle), and its trace is b_k; order 2 solves
+        whole Gram matrices, as order 1 does."""
         for name, c in suite.items():
             for d in (exterior_derivative(c), connection_derivative(c, 2)):
                 L, b = hodge(dirac(d)), betti(d)
@@ -175,6 +175,17 @@ class TestHarmonicProjector:
                     assert np.max(np.abs(p - kernel @ kernel.T),
                                   initial=0.0) < 1e-9, (name, k)
                     assert round(np.trace(p)) == b[k], (name, k)
+
+    def test_order_two_solves_each_whole_gram_once(self, suite, solver_widths):
+        """One ``eigh`` per block of d at its whole narrower Gram width: the
+        octahedron's order-2 degrees are 6, 48, 132, 144 and 56 wide, and
+        its swap sectors 6/0, 24/24, 60/72, 72/72 and 32/24."""
+        d = connection_derivative(suite["octahedron"], 2)
+        for k in range(len(d.basis.dims)):
+            harmonic_projector(d, k)
+            assert solver_widths["eigh"] == [6, 48, 132, 56], k
+            solver_widths["eigh"].clear()
+        assert solver_widths["eigvalsh"] == []
 
     def test_connected_constants(self, c4):
         p = harmonic_projector(exterior_derivative(c4), 0)
@@ -410,7 +421,10 @@ class TestSingularFrameOracle:
 
     def test_frame_against_d_and_the_dense_blocks(self, derivatives):
         empty = exterior_derivative(downward_closure([]))
-        cases = {**derivatives, ("empty", 1): empty}
+        # long paths and cycles spread sigma widely; W stays orthonormal
+        spread = {("path200", 1): exterior_derivative(generate("path", 200)),
+                  ("cycle800", 1): exterior_derivative(generate("cycle", 800))}
+        cases = {**derivatives, ("empty", 1): empty, **spread}
         assert ("simplex1", 1) in cases  # a single vertex: no block either
         for key, d in cases.items():
             assert (d.swap is not None) == (key[1] == 2), key  # sector solves
@@ -420,7 +434,8 @@ class TestSingularFrameOracle:
                 block = d.block(k + 1, k)
                 assert _max_abs((u * np.sqrt(w)) @ v.T - block) \
                     <= 1e-12 * max(_max_abs(block), 1.0), (key, k)
-            L = hodge(dirac(d)) if key[0] != "refined_octahedron" else None
+            dense = key[0] != "refined_octahedron" and key not in spread
+            L = hodge(dirac(d)) if dense else None
             for k, (n, b) in enumerate(zip(dims, betti(d))):
                 parts = ([(w, v) for w, _, v in frame[k:k + 1]]
                          + [(w, u) for w, u, _ in frame[max(k - 1, 0):k]])
