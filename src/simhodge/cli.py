@@ -270,7 +270,6 @@ def _cmd_lax(c, args):
         "max_nilpotency_defect": defect,
         "isospectral_within_tolerance": drift < 1e-6,
         "nilpotency_within_tolerance": defect < 1e-8,
-        "symmetry_within_tolerance": True,  # else trajectory_to_json raised
         "trajectory": trajectory,
     }
 

@@ -327,13 +327,15 @@ def barycentric_operator(d: int) -> np.ndarray:
 _FAMILIES = ("simplex", "cycle", "path", "wheel", "star", "octahedron", "random")
 
 
-def generate(family: str, n: int | None = None, seed: int | None = None,
+def generate(family: str, n: int | None = None, seed: int = 0,
              edge_prob: float = 0.5) -> Complex:
     """Deterministic test-corpus complexes.
 
     Families: full simplex on n vertices, the discrete circle (n >= 4), the
     path, the wheel over an n-cycle rim (n >= 4), the n-pointed star, the
-    octahedron, and the Whitney complex of a seeded Erdos-Renyi graph.
+    octahedron, and the Whitney complex of an Erdos-Renyi graph drawn from
+    ``seed``, 0 unless given, so every call with the same arguments gives
+    the same complex.
     """
     if family not in _FAMILIES:
         raise InvalidInputError(f"unknown family {family!r}; choose from {_FAMILIES}")

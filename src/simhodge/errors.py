@@ -30,14 +30,3 @@ class ContractViolationError(SimhodgeError):
 
 class ResourceLimitError(SimhodgeError):
     """The requested computation exceeds a desk-scale limit of ``budget``."""
-
-
-class DivergenceError(ContractViolationError):
-    """Numerical integration produced non-finite values.
-
-    The last finite state is attached for post-mortem inspection.
-    """
-
-    def __init__(self, message, last_state=None):
-        super().__init__(message)
-        self.last_state = last_state

@@ -17,10 +17,10 @@ from degree k to k + 1) and Q = RM - MR it is Q + Q^T + 2 (R R^T - R^T R),
 which has no entry between degrees more than one apart: there the product
 leaves only rounding, and the field has exact zeros.
 
-A Dirac start (every M_k zero and every R_(k+1) R_k zero, as for d + d*)
-flows in the singular frame of d, in closed form.  With
-R_k = U_k diag(sigma) V_k^T, the columns [U_(k-1) | V_k] of each degree are
-orthonormal, and the flow keeps the form
+The flow starts on the Dirac set (every M_k zero and every R_(k+1) R_k
+zero, as for d + d*) and stays in the singular frame of d, in closed form.
+With R_k = U_k diag(sigma) V_k^T, the columns [U_(k-1) | V_k] of each degree
+are orthonormal, and the flow keeps the form
 M_k = V_k diag(a) V_k^T + U_(k-1) diag(c) U_(k-1)^T, R_k = U_k diag(s) V_k^T:
 every singular pair of d is one 2 x 2 flow
 
@@ -37,23 +37,22 @@ number of steps of dt from the frame's origin, and tau is that count times
 dt; a restart from it at the same dt goes on counting in the same frame, so
 it repeats the later states of the uninterrupted run bit for bit.  The field
 commutes with orthogonal changes of basis within a degree, so the sampled
-states do not depend on how a degree's basis is ordered or signed.  Any
-other start flows by fixed-step classical Runge-Kutta of the dense, exactly
-symmetric matrix under the field that ``bracket_field`` returns, and so
-does a start whose frame misses FRAME_TOL; the frame of
-``spectral.gram_pairs`` is orthonormal by construction, so only a float
-start far off scale (by 1e-5 or 1e200) misses it.
+states do not depend on how a degree's basis is ordered or signed.  A start
+off the Dirac set is refused as invalid input, and a Dirac start whose frame
+misses FRAME_TOL as a broken contract; the frame of ``spectral.gram_pairs``
+is orthonormal by construction, so only a float start far off scale (by
+1e-5 or 1e200) misses it.
 
-A flowed state of a Dirac start keeps its triples, and its matrix is
-written only when read.  Its diagnostics row comes from the triples: the
-spectrum is the sorted union of the 2 x 2 spectra
-(a + c)/2 +- hypot((a - c)/2, s) and a zero for every other basis element,
-the middle-part norm ||M||_F is sqrt(sum a^2 + sum c^2), and the nilpotency
-defect ||R^2||_F has the blocks diag(s) C_k diag(s) with C_k = V_(k+1)^T U_k,
-zero up to the frame's rounding.  The first row (the input, and the
-reference of the drift) and the last row (the check of the written matrix)
-come from the dense matrices, as does every row of an RK4 run: eigvalsh, and
-the Frobenius norms of M and of the blocks R_(k+1) R_k.
+A flowed state keeps its triples, and its matrix is written only when read.
+Its diagnostics row comes from the triples: the spectrum is the sorted union
+of the 2 x 2 spectra (a + c)/2 +- hypot((a - c)/2, s) and a zero for every
+other basis element, the middle-part norm ||M||_F is
+sqrt(sum a^2 + sum c^2), and the nilpotency defect ||R^2||_F has the blocks
+diag(s) C_k diag(s) with C_k = V_(k+1)^T U_k, zero up to the frame's
+rounding.  The first row (the input, and the reference of the drift) and
+the last row (the check of the written matrix) come from the dense
+matrices: eigvalsh, and the Frobenius norms of M and of the blocks
+R_(k+1) R_k.
 """
 
 from __future__ import annotations
@@ -64,7 +63,7 @@ import sys
 
 from . import budget
 from . import _np as np
-from .errors import ContractViolationError, DivergenceError, InvalidInputError
+from .errors import ContractViolationError, InvalidInputError
 from .operators import GradedBasis, GradedOperator
 from .spectral import degree_frames, gram_pairs, narrow_side
 
@@ -77,25 +76,16 @@ FRAME_TOL = 1e-12
 # JSON report and CSV, at 7 to 21462 values a row, up to the budget's edge)
 REPORT_ROW_BYTES, REPORT_VALUE_BYTES = 1536, 96
 CSV_ROW_BYTES, CSV_VALUE_BYTES = 1024, 68
-# An RK4 step's interpreter time, about 30 us whatever n, in operations of
-# the band's n**3 product, about 0.33 ns each; the closed form takes none
-STEP_OPERATIONS = 10 ** 5
-
-
-def _degree_signs(basis: GradedBasis) -> tuple[np.ndarray, np.ndarray]:
-    """(S, outside): S is +1 on raising entries, -1 on lowering entries and
-    0 within a degree; outside marks the entries between degrees more than
-    one apart."""
-    degrees = np.asarray(basis.degrees, dtype=float)
-    gaps = degrees[:, None] - degrees[None, :]
-    return np.sign(gaps), np.abs(gaps) > 1
 
 
 def _symmetric(matrix, basis: GradedBasis) -> np.ndarray:
-    """The matrix as floats, once its shape and symmetry are checked."""
+    """The matrix as floats, once its shape, finiteness and symmetry are
+    checked."""
     m = np.asarray(matrix, dtype=float)
     if m.shape != (len(basis), len(basis)):
         raise InvalidInputError("matrix shape does not match basis size")
+    if not np.isfinite(m).all():
+        raise InvalidInputError("matrix has a non-finite entry")
     if m.size and float(np.max(np.abs(m - m.T))) >= SYMMETRY_TOL:
         raise ContractViolationError("matrix is not symmetric")
     return m
@@ -130,35 +120,45 @@ def _symmetrized(matrix, basis: GradedBasis) -> np.ndarray:
     return m
 
 
-def _band_field(x: np.ndarray, sign, outside) -> np.ndarray:
-    """The field BX + (BX)^T of a dense band matrix x, B = sign * x, with
-    exact zeros outside the band (``_degree_signs``)."""
-    p = (sign * x) @ x
-    return np.where(outside, 0.0, p + p.T)
+def _off_dirac(block: str) -> InvalidInputError:
+    return InvalidInputError(f"the flow starts on the Dirac set only: {block} "
+                             "is not zero")
 
 
-def _singular_frame(blocks: list, dims) -> list | None:
+def _frame_missed(k: int) -> ContractViolationError:
+    return ContractViolationError("the singular frame of the Dirac start "
+                                  f"misses FRAME_TOL in degree {k}")
+
+
+def _singular_frame(blocks: list, basis: GradedBasis) -> list:
     """(sigma^2, U_k, V_k) with R_k = U_k diag(sigma) V_k^T for every
-    raising block, from ``spectral.gram_pairs``; None unless every M_k and
-    every R_(k+1) R_k is exactly zero, every Gram matrix is finite and, to
-    FRAME_TOL, each R_k is reproduced and each ``degree_frames`` orthonormal."""
+    raising block, from ``spectral.gram_pairs``.  Raises InvalidInputError
+    off the Dirac set, for a non-zero M_k or R_(k+1) R_k, and
+    ContractViolationError when, to FRAME_TOL, an R_k is not reproduced or
+    a ``degree_frames`` is not orthonormal; also when an entry of R_k is
+    past sqrt(max float / n), where its products could overflow."""
+    dims = basis.dims
     middles, raisings = blocks[:len(dims)], blocks[len(dims):]
-    if (any(m.any() for m in middles)
-            or any((b @ a).any() for a, b in zip(raisings, raisings[1:]))):
-        return None
+    for k, m in enumerate(middles):
+        if m.any():
+            raise _off_dirac(f"M_{k}")
+    bound = math.sqrt(sys.float_info.max / max(len(basis), 1))
+    for k, r in enumerate(raisings):
+        if _max_abs(r) > bound:
+            raise _frame_missed(k)
+    for k, (a, b) in enumerate(zip(raisings, raisings[1:])):
+        if (b @ a).any():
+            raise _off_dirac(f"R_{k + 1} R_{k}")
     frame = []
     for k, r in enumerate(raisings):
         on_source = narrow_side(dims, k) == k
-        gram = r.T @ r if on_source else r @ r.T
-        if not np.isfinite(gram).all():
-            return None
-        w, u, v = gram_pairs(gram, r, on_source)
+        w, u, v = gram_pairs(r.T @ r if on_source else r @ r.T, r, on_source)
         if _max_abs((u * np.sqrt(w)) @ v.T - r) > FRAME_TOL * _max_abs(r):
-            return None
+            raise _frame_missed(k)
         frame.append((w, u, v))
-    if any(_max_abs(w.T @ w - np.eye(w.shape[1])) > FRAME_TOL
-           for _, w in degree_frames(frame, dims)):
-        return None
+    for k, (_, w) in enumerate(degree_frames(frame, dims)):
+        if _max_abs(w.T @ w - np.eye(w.shape[1])) > FRAME_TOL:
+            raise _frame_missed(k)
     return frame
 
 
@@ -179,8 +179,11 @@ class _Frame:
 
     def triples(self, tau: float) -> np.ndarray:
         """The flat (a, c, s) triples at time tau >= 0 in the frame:
-        a = -sigma tanh(2 sigma tau), c = -a, s = sigma sech(2 sigma tau)."""
-        x = 2.0 * self.sigma * tau
+        a = -sigma tanh(2 sigma tau), c = -a, s = sigma sech(2 sigma tau);
+        past the float range x reads inf, and the triples their limit
+        (-sigma, sigma, 0)."""
+        with np.errstate(over="ignore"):
+            x = 2.0 * self.sigma * tau
         decay = np.exp(-x)  # sech x = 2 e^-x / (1 + e^-2x) cannot overflow
         a = -self.sigma * np.tanh(x)
         return np.concatenate([a, -a, self.sigma * 2.0 * decay
@@ -235,7 +238,7 @@ def _frobenius(blocks) -> float:
 class FlowState:
     """A symmetric matrix over a graded basis at one flow time.
 
-    A flowed state of a Dirac start holds the frame of its run and its clock
+    A flowed state holds the frame of its run and its clock
     (origin, steps, dt), at time origin + steps * dt in the frame, with the
     flat (a, c, s) triples there: its matrix is written from them on first
     read and then kept, and its spectrum and norms come from the triples
@@ -254,10 +257,6 @@ class FlowState:
         if self._matrix is None:
             self._matrix = self.frame.to_dense(self.triples)
         return self._matrix
-
-    def split(self):
-        """(raising, preserving, lowering) parts; they add back to the matrix."""
-        return split_by_degree(self.matrix, self.basis)
 
     def raising_norm_squared(self) -> float:
         """||R^2||_F, the Frobenius norm of the square of the raising part
@@ -288,33 +287,16 @@ def _norms(state: FlowState) -> tuple[float, float]:
             _frobenius([b @ a for a, b in zip(raisings, raisings[1:])]))
 
 
-def split_by_degree(matrix: np.ndarray, basis: GradedBasis):
-    """Split a symmetric matrix into degree-raising, -preserving and -lowering parts.
-
-    Raising collects every entry that maps a degree into any strictly higher
-    degree; the flow keeps only adjacent degrees (see the module docstring).
-    """
-    m = _symmetric(matrix, basis)
-    sign, _ = _degree_signs(basis)
-    return m * (sign > 0), m * (sign == 0), m * (sign < 0)
-
-
 def bracket_field(state: FlowState) -> np.ndarray:
-    """Commutator field steering the flow; exactly symmetric, and zero
+    """Commutator field BX + (BX)^T steering the flow, B = S o X with S the
+    sign of the degree difference; exactly symmetric, and with exact zeros
     outside the band.  Raises InvalidInputError for a matrix with an entry
     between degrees more than one apart."""
-    return _band_field(_symmetrized(state.matrix, state.basis),
-                       *_degree_signs(state.basis))
-
-
-def _rk4_step(m: np.ndarray, dt: float, signs) -> np.ndarray:
-    """m + dt/6 (k1 + 2 k2 + 2 k3 + k4) for a dense band matrix m, summed in
-    that order, with k the band field (``_band_field`` with ``signs``)."""
-    k1 = _band_field(m, *signs)
-    k2 = _band_field(m + 0.5 * dt * k1, *signs)
-    k3 = _band_field(m + 0.5 * dt * k2, *signs)
-    k4 = _band_field(m + dt * k3, *signs)
-    return m + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    x = _symmetrized(state.matrix, state.basis)
+    degrees = np.asarray(state.basis.degrees, dtype=float)
+    gaps = degrees[:, None] - degrees[None, :]
+    p = (np.sign(gaps) * x) @ x
+    return np.where(np.abs(gaps) > 1, 0.0, p + p.T)
 
 
 def report_row_bytes(n: int, csv: bool = False, matrices: bool = False) -> int:
@@ -326,12 +308,12 @@ def report_row_bytes(n: int, csv: bool = False, matrices: bool = False) -> int:
 
 
 def flow_steps(n: int, t_end: float, dt: float, sample_every: int,
-               step_work: int = 0, state_work: int = 0, state_bytes: int = 0,
+               state_work: int = 0, state_bytes: int = 0,
                row_bytes: int | None = None) -> int:
     """Number of steps of a size-n flow, once its arguments pass and the
-    budgets hold: ``step_work`` operations a step and ``state_work`` a
-    sampled state, n**3 and 8 n**2 bytes a dense end state, and ``row_bytes``
-    (by default a JSON report row) and ``state_bytes`` a sampled state."""
+    budgets hold: ``state_work`` operations a sampled state, n**3 and
+    8 n**2 bytes a dense end state, and ``row_bytes`` (by default a JSON
+    report row) and ``state_bytes`` a sampled state."""
     if not 0 < dt < math.inf:
         raise InvalidInputError("dt must be positive and finite")
     if not 0 <= t_end < math.inf:
@@ -344,7 +326,7 @@ def flow_steps(n: int, t_end: float, dt: float, sample_every: int,
                    f"flow needs t_end/dt = {ratio:.3g} steps")
     steps = int(round(ratio))
     states = 1 - (-steps // sample_every)  # each reported as a row
-    work = ratio * step_work + states * state_work + 2 * n ** 3
+    work = states * state_work + 2 * n ** 3
     budget.require(work, budget.MAX_FLOW_WORK, f"flow needs about {work:.3g} "
                    f"operations (t_end/dt = {ratio:.3g} steps of size {n})")
     if row_bytes is None:
@@ -357,75 +339,45 @@ def flow_steps(n: int, t_end: float, dt: float, sample_every: int,
 
 def integrate(initial: GradedOperator | FlowState, t_end: float, dt: float,
               sample_every: int = 1, row_bytes: int | None = None) -> list[FlowState]:
-    """Trajectory of the commutator flow, sampled every ``sample_every``
-    steps of dt and at the last step.
+    """Trajectory of the commutator flow from a Dirac start, sampled every
+    ``sample_every`` steps of dt and at the last step.
 
-    Returns sampled states including the initial and final ones.  Every
-    state is exactly symmetric, with exact zeros between degrees more than
-    one apart; a matrix with an entry there raises InvalidInputError.  A
-    Dirac start's states are the closed form of its singular pairs at the
-    sampled times, and a flowed Dirac state goes on counting steps in the
-    frame of its run; any other start flows by RK4 of the dense matrix under
-    the band field, and raises with the last good state attached if it
-    leaves the finite range (see the module docstring).  The first state is
-    the given matrix, rebuilt from its upper triangle, on every path.
-    Raises ResourceLimitError before the dense copy when what every path
-    spends is over budget (``flow_steps``), and before the first state when
-    the path's own cost is: ``STEP_OPERATIONS`` + n**3 operations a step and
-    8 n**2 bytes a state for RK4, 3 operations and 24 bytes a singular pair
-    and state in the frame.  Each sampled state is also charged
-    ``row_bytes``, by default its JSON report row (``report_row_bytes``).
+    Returns sampled states including the initial and final ones: the first
+    is the given matrix, rebuilt from its upper triangle, and the others are
+    the closed form of its singular pairs at the sampled times; a flowed
+    state goes on counting steps in the frame of its run (see the module
+    docstring).  Every state is exactly symmetric, with exact zeros between
+    degrees more than one apart.  Before the first state it raises
+    InvalidInputError for a matrix with an entry there, a non-finite entry
+    or a start off the Dirac set, and ContractViolationError for a Dirac
+    start whose frame misses FRAME_TOL.  Raises ResourceLimitError before
+    the dense copy when the states are over budget (``flow_steps``), and
+    before the first state when its 3 operations and 24 bytes a singular
+    pair and state are.  Each sampled state is also charged ``row_bytes``,
+    by default its JSON report row (``report_row_bytes``).
     """
     basis, n = initial.basis, len(initial.basis)
     steps = flow_steps(n, t_end, dt, sample_every, row_bytes=row_bytes)
-    # a diverging RK4 flow overflows quietly: its finiteness checks raise
-    # instead; past the float range the closed form reads its limit
-    # (-sigma, sigma, 0)
-    with np.errstate(over="ignore", invalid="ignore"):
-        if isinstance(initial, GradedOperator):
-            m, t0, frame = initial.to_dense(), 0.0, None
-        else:
-            m, t0, frame = initial.matrix, initial.t, initial.frame
-        m = _symmetrized(m, basis)
-        states = [FlowState(m, t0, basis)]
-        if not steps:
-            return states
-        if frame is not None:  # a restart counts on in the frame of its run
-            origin, first, step = initial.clock
-            if step != dt:  # a new clock, from the time the old one reads
-                origin, first = origin + first * step, 0
-        elif (blocks := _singular_frame(_band_blocks(m, basis),
-                                        basis.dims)) is not None:
-            frame, origin, first = _Frame(blocks, basis), 0.0, 0
-        if frame is not None:
-            pairs = frame.sigma.size
-            flow_steps(n, t_end, dt, sample_every, 0, 3 * pairs, 24 * pairs,
-                       row_bytes)
-            samples = [*range(sample_every, steps + 1, sample_every)]
-            if steps % sample_every:
-                samples.append(steps)
-            return states + [FlowState(None, t0 + i * dt, basis, frame,
-                                       (origin, first + i, dt)) for i in samples]
-        flow_steps(n, t_end, dt, sample_every, STEP_OPERATIONS + n ** 3, 0,
-                   8 * n * n, row_bytes)
-        signs = _degree_signs(basis)  # once per run
-        for i in range(1, steps + 1):
-            m = _rk4_step(m, dt, signs)
-            if not np.isfinite(m).all():
-                raise DivergenceError(
-                    f"flow diverged at step {i} (t = {t0 + i * dt:.6g})",
-                    last_state=states[-1])
-            if i % sample_every == 0 or i == steps:
-                states.append(FlowState(m, t0 + i * dt, basis))
-        return states
-
-
-def spectral_drift(s0: FlowState, s1: FlowState) -> float:
-    """Largest displacement between the sorted spectra of two states."""
-    e0, e1 = s0.eigenvalues(), s1.eigenvalues()
-    if e0.shape != e1.shape:
-        raise InvalidInputError("states have different dimensions")
-    return _max_abs(e1 - e0)
+    if isinstance(initial, GradedOperator):
+        m, t0, frame = initial.to_dense(), 0.0, None
+    else:
+        m, t0, frame = initial.matrix, initial.t, initial.frame
+    m = _symmetrized(m, basis)
+    if frame is not None:  # a restart counts on in the frame of its run
+        origin, first, step = initial.clock
+        if step != dt:  # a new clock, from the time the old one reads
+            origin, first = origin + first * step, 0
+    else:
+        frame = _Frame(_singular_frame(_band_blocks(m, basis), basis), basis)
+        origin, first = 0.0, 0
+    pairs = frame.sigma.size
+    flow_steps(n, t_end, dt, sample_every, 3 * pairs, 24 * pairs, row_bytes)
+    samples = [*range(sample_every, steps + 1, sample_every)]
+    if steps % sample_every:
+        samples.append(steps)
+    return [FlowState(m, t0, basis)] + [
+        FlowState(None, t0 + i * dt, basis, frame, (origin, first + i, dt))
+        for i in samples]
 
 
 def _diagnostics(states: list[FlowState]) -> list[dict]:

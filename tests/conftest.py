@@ -11,6 +11,7 @@ from simhodge import (Complex, InvalidInputError, barycentric_refinement,
                       dirac, downward_closure, f_vector, generate, hodge,
                       skeleton, whitney_complex)
 from simhodge.complexes import simplex_weight
+from simhodge.lax import _symmetric
 from simhodge.operators import alternating_sum
 from simhodge.spectral import kernel_mask
 
@@ -83,6 +84,48 @@ def dense_gram_values(d) -> list:
         w = np.linalg.eigvalsh(b.T @ b if dims[k] <= dims[k + 1] else b @ b.T)
         values.append(w[~kernel_mask(w)])
     return values
+
+
+def split_by_degree(matrix, basis):
+    """(raising, preserving, lowering) parts of a symmetric matrix over a
+    graded basis: its entries from a degree into any strictly higher one,
+    within a degree, and into a lower one.  They add back to the matrix."""
+    m = _symmetric(matrix, basis)
+    degrees = np.asarray(basis.degrees)
+    gaps = degrees[:, None] - degrees[None, :]
+    return m * (gaps > 0), m * (gaps == 0), m * (gaps < 0)
+
+
+def spectral_drift(s0, s1) -> float:
+    """Largest displacement between the sorted spectra of two flow states."""
+    e0, e1 = s0.eigenvalues(), s1.eigenvalues()
+    if e0.shape != e1.shape:
+        raise InvalidInputError("states have different dimensions")
+    return float(np.max(np.abs(e1 - e0), initial=0.0))
+
+
+def two_product_field(x, basis):
+    """The commutator [B, X] as written: B = raising - lowering, BX - XB."""
+    raising, _, lowering = split_by_degree(x, basis)
+    b = raising - lowering
+    return b @ x - x @ b
+
+
+def reference_rk4(m, basis, t_end, dt, sample_every):
+    """Oracle of the closed-form flow: classical RK4 of the dense matrix m
+    under the two-product field, sampled like ``integrate``."""
+    steps = int(round(t_end / dt))
+    samples = [m]
+    for i in range(1, steps + 1):
+        k1 = two_product_field(m, basis)
+        k2 = two_product_field(m + 0.5 * dt * k1, basis)
+        k3 = two_product_field(m + 0.5 * dt * k2, basis)
+        k4 = two_product_field(m + dt * k3, basis)
+        m = m + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        m = 0.5 * (m + m.T)
+        if i % sample_every == 0 or i == steps:
+            samples.append(m)
+    return samples
 
 
 def k3_whitney():

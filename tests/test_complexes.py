@@ -326,6 +326,26 @@ class TestGenerate:
         assert a == b
         Complex(a.simplices)  # closure holds
 
+    def test_random_default_seed_is_fixed_across_processes(self):
+        # with no seed, two fresh interpreters draw the same complex
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import simhodge
+
+        src = str(Path(simhodge.__file__).resolve().parent.parent)
+        code = ("from simhodge import generate; "
+                "print(sorted(generate('random', 60).simplices))")
+        outputs = {subprocess.run(
+            [sys.executable, "-c", code], check=True, capture_output=True,
+            text=True, env=dict(os.environ, PYTHONPATH=src,
+                                PYTHONHASHSEED=seed)).stdout
+            for seed in ("1", "2")}
+        assert len(outputs) == 1
+        assert generate("random", 60) == generate("random", 60, seed=0)
+
     def test_cycle_needs_four_vertices(self):
         with pytest.raises(InvalidInputError):
             generate("cycle", 3)

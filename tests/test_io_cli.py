@@ -437,7 +437,6 @@ class TestCli:
         results = json.loads(out)["results"]
         assert results["isospectral_within_tolerance"] is True
         assert results["nilpotency_within_tolerance"] is True
-        assert results["symmetry_within_tolerance"] is True
 
     def test_out_file_written_atomically(self, k3_file, tmp_path, capsys):
         out_path = tmp_path / "report.json"
@@ -489,15 +488,9 @@ class TestCli:
         assert results["nilpotency_within_tolerance"] is True
 
     def test_lax_on_a_400_vertex_path_takes_no_rk4_step(self, tmp_path,
-                                                        capsys, monkeypatch):
+                                                        capsys):
         # sigma spreads widely on a long path; its frame still passes
-        # FRAME_TOL, so the flow takes the closed form
-        from simhodge import lax
-
-        def refuse(*args):
-            raise AssertionError("an RK4 step was taken")
-
-        monkeypatch.setattr(lax, "_rk4_step", refuse)
+        # FRAME_TOL, else the flow would exit 3
         path = tmp_path / "path400.txt"
         path.write_text(serialize_facets(generate("path", 400)))
         code, out, err = run_cli(["lax", "--input", str(path)], capsys)
@@ -844,15 +837,11 @@ class TestHostileInputs:
     def test_unbounded_lax_is_four(self, k3_file, capsys, monkeypatch, flags):
         import time
 
-        from simhodge import cli, lax
-
-        def step(*args):
-            raise AssertionError("a step ran before the budget was checked")
+        from simhodge import cli
 
         def build(*args):
             raise AssertionError("an operator was built before the budget was checked")
 
-        monkeypatch.setattr(lax, "_rk4_step", step)
         monkeypatch.setattr(cli, "exterior_derivative", build)
         started = time.perf_counter()
         code, out, err = run_cli(["lax", "--input", k3_file,
@@ -891,18 +880,11 @@ class TestHostileInputs:
         (tmp_path / "swap.txt").write_text("(0 1)\n")
         assert run_cli(argv, capsys) == (code, "", message)
 
-    def test_hundred_million_closed_form_steps_run(self, k3_file, capsys,
-                                                   monkeypatch):
-        """--t-end 1000 --dt 1e-5 is 1e8 steps, some 50 minutes of RK4, but
-        a Dirac start samples its 10001 states from the closed form."""
+    def test_hundred_million_closed_form_steps_run(self, k3_file, capsys):
+        """--t-end 1000 --dt 1e-5 is 1e8 steps, but the flow computes only
+        its 10001 sampled states, from the closed form."""
         import time
 
-        from simhodge import lax
-
-        def step(*args):
-            raise AssertionError("a Dirac start took an RK4 step")
-
-        monkeypatch.setattr(lax, "_rk4_step", step)
         started = time.perf_counter()
         code, out, err = run_cli(["lax", "--input", k3_file, "--format",
                                   "edges", "--t-end", "1000", "--dt", "1e-5"],
@@ -1220,11 +1202,11 @@ def test_one_17_vertex_facet_in_a_bounded_child(tmp_path, argv, code):
     ("octahedron", ["--dt", "1e200", "--t-end", "1e200"]),
     ("wheel", ["--dt", "1", "--t-end", "100"])],
     ids=["octahedron", "octahedron-1e200", "wheel6"])
-def test_diverging_flow_warns_nothing(tmp_path, name, flags):
-    """Steps on which RK4 left the float range (at step 3, or 1 at
-    t = 1e200) sample the closed form of a Dirac start instead: exit 0,
-    every check true, and no numpy warning on stderr.  The library's
-    exit-3 path for a diverging RK4 flow is ``DivergenceError``."""
+def test_far_future_flow_warns_nothing(tmp_path, name, flags):
+    """At t = 100 every sech(2 sigma t) is far below rounding, and at
+    t = 1e200 the product 2 sigma t is past the float range; the closed form
+    reads its limit there: exit 0, every check true, and no numpy warning on
+    stderr."""
     (tmp_path / "c.txt").write_text(serialize_facets(
         generate(name, 6 if name == "wheel" else None)))
     done = _run_child(["lax", "--input", "c.txt", *flags], tmp_path)

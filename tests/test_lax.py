@@ -4,16 +4,16 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from conftest import (reference_rk4, spectral_drift, split_by_degree,
+                      two_product_field)
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from simhodge import (ContractViolationError, DivergenceError, FlowState,
-                      InvalidInputError, ResourceLimitError,
-                      barycentric_refinement, bracket_field, dirac,
-                      downward_closure, exterior_derivative, generate,
-                      graded_basis, integrate, spectral_drift,
-                      split_by_degree, trajectory_to_csv, trajectory_to_json,
-                      whitney_complex)
+from simhodge import (ContractViolationError, FlowState, InvalidInputError,
+                      ResourceLimitError, barycentric_refinement,
+                      bracket_field, dirac, downward_closure,
+                      exterior_derivative, generate, graded_basis, integrate,
+                      trajectory_to_csv, trajectory_to_json)
 from simhodge import budget, lax
 from simhodge.operators import GradedBasis
 
@@ -24,7 +24,7 @@ def initial_dirac(c):
 
 def band_start(c):
     """d + d* plus the middle part diag(linspace(0, 0.1)): a start off the
-    Dirac set, which flows by RK4 of the dense band matrix."""
+    Dirac set, which the flow refuses."""
     big_d = initial_dirac(c)
     m = big_d.matrix.toarray() + np.diag(np.linspace(0.0, 0.1, len(big_d.basis)))
     return FlowState(m, 0.0, big_d.basis)
@@ -80,7 +80,7 @@ class TestBracketField:
         field = bracket_field(state)
         assert field.any()
         assert np.max(np.abs(field - field.T)) < 1e-12
-        raising, _, lowering = state.split()
+        raising, _, lowering = split_by_degree(state.matrix, state.basis)
         b = raising - lowering
         assert np.max(np.abs(b + b.T)) < 1e-12
 
@@ -112,12 +112,13 @@ class TestBandContract:
         m = np.diag([1.0, 2.0, 3.0, 4.0, 5.0])
         m[0, 1] = m[1, 0] = 0.5
         m[3, 4] = m[4, 3] = -0.25
-        # with no raising block the field is zero and the flow stands still
-        states = integrate(FlowState(m, 0.0, basis), 1.0, 0.1)
-        assert all(np.array_equal(s.matrix, m) for s in states)
-        assert not bracket_field(states[-1]).any()
+        # with no raising block the field is zero; the middle part puts the
+        # start off the Dirac set, which the flow refuses
+        assert not bracket_field(FlowState(m, 0.0, basis)).any()
+        with pytest.raises(InvalidInputError, match="M_0 is not zero"):
+            integrate(FlowState(m, 0.0, basis), 1.0, 0.1)
         m[1, 2] = m[2, 1] = 1.0  # degree 0 to degree 2
-        with pytest.raises(InvalidInputError):
+        with pytest.raises(InvalidInputError, match="between degree 2"):
             integrate(FlowState(m, 0.0, basis), 1.0, 0.1)
         with pytest.raises(InvalidInputError):
             bracket_field(FlowState(m, 0.0, basis))
@@ -193,14 +194,6 @@ class TestIntegrate:
         with pytest.raises(InvalidInputError):
             integrate(initial_dirac(c4), 1.0, 0.1, sample_every=sample_every)
 
-    def test_divergence_reports_last_state(self, c4):
-        big_d = initial_dirac(c4)
-        huge = FlowState(big_d.to_dense() * 1e200, 0.0, big_d.basis)
-        with pytest.raises(DivergenceError) as info:
-            integrate(huge, 1.0, 0.5)
-        assert info.value.last_state is not None
-        assert np.all(np.isfinite(info.value.last_state.matrix))
-
 
 class TestSpectralDrift:
     def test_same_state_zero(self, c4):
@@ -216,12 +209,16 @@ class TestSpectralDrift:
                            FlowState(b.to_dense(), 0.0, b.basis))
 
     def test_fourth_order_convergence(self, k3):
-        # RK4 runs only off the Dirac set; measured: ratio 24.0
-        start = band_start(k3)
+        # the spectrum of the closed form's end state, from its triples,
+        # against that of the oracle's RK4; measured: 1.5e-3 and 6.4e-5,
+        # ratio 24.0
+        big_d = initial_dirac(k3)
         drifts = []
         for dt in (0.2, 0.1):
-            states = integrate(start, 5.0, dt, sample_every=10 ** 9)
-            drifts.append(spectral_drift(states[0], states[-1]))
+            exact = integrate(big_d, 5.0, dt, sample_every=10 ** 9)[-1]
+            rk4 = reference_rk4(big_d.to_dense(), big_d.basis, 5.0, dt,
+                                10 ** 9)[-1]
+            drifts.append(spectral_drift(exact, FlowState(rk4, 5.0, big_d.basis)))
         ratio = drifts[0] / drifts[1]
         assert 8.0 <= ratio <= 32.0
 
@@ -237,13 +234,6 @@ class TestCsvExport:
         assert text.endswith("\n")
 
 
-def two_product_field(x, basis):
-    """The commutator [B, X] as written: B = raising - lowering, BX - XB."""
-    raising, _, lowering = split_by_degree(x, basis)
-    b = raising - lowering
-    return b @ x - x @ b
-
-
 def block_field(x, basis):
     """The same commutator as Q + Q^T + 2 (R R^T - R^T R), Q = RM - MR, whose
     terms have no entry between degrees more than one apart."""
@@ -252,55 +242,21 @@ def block_field(x, basis):
     return q + q.T + 2.0 * (r @ r.T - r.T @ r)
 
 
-def reference_rk4(m, basis, t_end, dt, sample_every):
-    """Classical RK4 on the two-product field, sampled like integrate."""
-    steps = int(round(t_end / dt))
-    samples = [m]
-    for i in range(1, steps + 1):
-        k1 = two_product_field(m, basis)
-        k2 = two_product_field(m + 0.5 * dt * k1, basis)
-        k3 = two_product_field(m + 0.5 * dt * k2, basis)
-        k4 = two_product_field(m + dt * k3, basis)
-        m = m + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        m = 0.5 * (m + m.T)
-        if i % sample_every == 0 or i == steps:
-            samples.append(m)
-    return samples
-
-
 class TestKernel:
-    """RK4 of the band field against RK4 of the commutator as written, on
-    band starts, the one path that still steps."""
-
-    def check_against_reference(self, c, t_end, dt, sample_every):
-        start = band_start(c)
-        states = integrate(start, t_end, dt, sample_every=sample_every)
-        expected = reference_rk4(start.matrix, start.basis, t_end, dt,
-                                 sample_every)
-        assert len(states) == len(expected)
-        for s, m in zip(states, expected):
-            assert np.array_equal(s.matrix, s.matrix.T)
-            if m.size:
-                assert np.max(np.abs(s.matrix - m)) <= 1e-12
+    """The flow against RK4 of the commutator as written: the closed form
+    on every suite complex, and ``bracket_field``, the Lax field it solves,
+    on the flowed states."""
 
     def test_matches_two_product_rk4_on_suite(self, suite):
-        for c in suite.values():
-            self.check_against_reference(c, 1.0, 0.05, 5)
-
-    def test_matches_two_product_rk4_on_refined_octahedron(self):
-        refined = barycentric_refinement(generate("octahedron"))
-        self.check_against_reference(refined, 0.3, 0.01, 10)
-
-    def test_matches_two_product_rk4_on_refined_octahedron_at_t3(self):
-        # measured: 0 at t = 1, 2 and 3 (one BLAS thread); the rounding
-        # differences of the two kernels may grow along the flow
-        refined = barycentric_refinement(generate("octahedron"))
-        start = band_start(refined)
-        states = integrate(start, 3.0, 0.01, sample_every=100)
-        expected = reference_rk4(start.matrix, start.basis, 3.0, 0.01, 100)
-        assert [s.t for s in states] == [0.0, 1.0, 2.0, 3.0]
-        for s, m in zip(states, expected):
-            assert np.max(np.abs(s.matrix - m)) <= 1e-12, s.t
+        # measured: at most 8.1e-5 over the suite, on refined_simplex3
+        for name, c in suite.items():
+            big_d = initial_dirac(c)
+            states = integrate(big_d, 1.0, 0.05, sample_every=5)
+            expected = reference_rk4(big_d.to_dense(), big_d.basis, 1.0, 0.05, 5)
+            assert len(states) == len(expected), name
+            for s, m in zip(states, expected):
+                assert np.array_equal(s.matrix, s.matrix.T), name
+                assert np.max(np.abs(s.matrix - m), initial=0.0) <= 2e-4, name
 
     def test_bracket_field_matches_two_products(self, suite):
         cases = dict(suite, empty=downward_closure([]))
@@ -338,48 +294,22 @@ def test_band_field_and_norms_match_dense_products(state):
     for expected in (two_product_field(state.matrix, state.basis),
                      block_field(state.matrix, state.basis)):
         assert np.max(np.abs(field - expected), initial=0.0) <= 1e-12
-    raising, middle, _ = state.split()
+    raising, middle, _ = split_by_degree(state.matrix, state.basis)
     for norm, dense in ((state.preserving_norm(), np.linalg.norm(middle)),
                         (state.raising_norm_squared(),
                          np.linalg.norm(raising @ raising))):
         assert abs(norm - dense) <= 1e-12 * max(dense, 1.0)
 
 
-@settings(max_examples=40)
-@given(band_matrices())
-def test_band_path_matches_two_product_rk4(state):
-    _, middle, _ = state.split()
-    assume(middle.any())
-    states = integrate(state, 0.5, 0.05, sample_every=2)
-    expected = reference_rk4(state.matrix, state.basis, 0.5, 0.05, 2)
-    degrees = np.asarray(state.basis.degrees)
-    assert len(states) == len(expected)
-    for s, m in zip(states, expected):
-        assert np.array_equal(s.matrix, s.matrix.T), s.t
-        assert not out_of_band(s.matrix, degrees).any(), s.t
-        assert np.max(np.abs(s.matrix - m), initial=0.0) <= 1e-12, s.t
-
-
-class BandKernelBuilt(Exception):
+class FieldEvaluated(Exception):
     pass
 
 
 @pytest.fixture()
-def no_band_kernel(monkeypatch):
+def no_field(monkeypatch):
     def refuse(*args):
-        raise BandKernelBuilt
-    monkeypatch.setattr(lax, "_band_field", refuse)
-
-
-class RK4Ran(Exception):
-    pass
-
-
-@pytest.fixture()
-def no_rk4(monkeypatch):
-    def refuse(*args):
-        raise RK4Ran
-    monkeypatch.setattr(lax, "_rk4_step", refuse)
+        raise FieldEvaluated
+    monkeypatch.setattr(lax, "bracket_field", refuse)
 
 
 def signed_relabeling(basis, seed):
@@ -398,18 +328,17 @@ def signed_relabeling(basis, seed):
 class TestSingularFrame:
     """A Dirac start flows as the closed form of one 2 x 2 flow per singular
     pair of d, and a restart from one of its flowed states goes on in the
-    same frame; every other start flows by RK4 of the dense matrix under the
-    band field."""
+    same frame; every other start is refused before its first state."""
 
-    def test_dirac_starts_never_build_the_band_kernel(self, suite,
-                                                      no_band_kernel):
+    def test_dirac_starts_never_build_the_band_kernel(self, suite, no_field):
         cases = dict(suite, empty=downward_closure([]))
         for name, c in cases.items():
             states = integrate(initial_dirac(c), 0.2, 0.05, sample_every=2)
             assert len(states) == 3, name
 
-    def test_dirac_starts_never_step(self, suite, no_rk4):
-        # long paths spread sigma widely; their frames still pass FRAME_TOL
+    def test_dirac_starts_never_step(self, suite):
+        # long paths spread sigma widely; their frames still pass FRAME_TOL,
+        # else the flow would raise ContractViolationError
         cases = dict(suite, empty=downward_closure([]),
                      path200=generate("path", 200), path300=generate("path", 300))
         for name, c in cases.items():
@@ -419,25 +348,38 @@ class TestSingularFrame:
             again = integrate(states[5], 1.0, 0.001, sample_every=7)
             assert len(again) == 1 + 143, name
 
-    def test_other_starts_build_the_band_kernel(self, c4, no_band_kernel):
+    def test_other_starts_are_refused_before_any_state(self, c4,
+                                                        monkeypatch):
         big_d = initial_dirac(c4)
         m = big_d.to_dense()
-        with pytest.raises(BandKernelBuilt):
-            integrate(band_start(c4), 0.1, 0.05)
         # R_1 R_0 != 0 with no middle
         basis = GradedBasis(list(range(6)), [0, 0, 1, 1, 2, 2])
         r = np.zeros((6, 6))
         r[2:4, 0:2] = [[1.0, 2.0], [0.5, -1.0]]
         r[4:6, 2:4] = [[1.0, 0.0], [3.0, 1.0]]
-        with pytest.raises(BandKernelBuilt):
-            integrate(FlowState(r + r.T, 0.0, basis), 0.1, 0.05)
-        # every squared singular value under the kernel threshold: the
-        # frame would drop them all and fails its check
-        with pytest.raises(BandKernelBuilt):
-            integrate(FlowState(1e-5 * m, 0.0, big_d.basis), 0.1, 0.05)
-        # the Gram matrix overflows, so no eigh runs on it
-        with pytest.raises(BandKernelBuilt):
-            integrate(FlowState(1e200 * m, 0.0, big_d.basis), 0.1, 0.05)
+        nan = m.copy()
+        nan[0, 4] = nan[4, 0] = np.nan
+        off = [(band_start(c4), "M_0 is not zero"),
+               (FlowState(r + r.T, 0.0, basis), "R_1 R_0 is not zero"),
+               (FlowState(nan, 0.0, big_d.basis), "non-finite entry")]
+        # every squared singular value under the kernel threshold: the frame
+        # drops them all and fails its check; past 1e154 the Gram matrix
+        # would overflow, so no product is formed
+        missed = [FlowState(scale * m, 0.0, big_d.basis) for scale in (1e-5, 1e200)]
+
+        def never(*args):
+            raise AssertionError("a state was made before the start was checked")
+        monkeypatch.setattr(lax, "FlowState", never)
+        for start, message in off:
+            with pytest.raises(InvalidInputError, match=message):
+                integrate(start, 0.1, 0.05)
+        for start in missed:
+            with pytest.raises(ContractViolationError, match=(
+                    "^the singular frame of the Dirac start misses FRAME_TOL "
+                    "in degree 0$")):
+                integrate(start, 0.1, 0.05)
+        with pytest.raises(InvalidInputError, match="M_0 is not zero"):
+            integrate(band_start(c4), 0.0, 0.05)  # refused at any horizon
 
     @staticmethod
     def check_restarts(c, t_end, dt, sample_every):
@@ -454,14 +396,14 @@ class TestSingularFrame:
                 assert np.array_equal(s.triples, r.triples), (j, s.t)
                 assert np.array_equal(s.matrix, r.matrix), (j, s.t)
 
-    def test_restarts_repeat_the_uninterrupted_run(self, suite, no_rk4):
+    def test_restarts_repeat_the_uninterrupted_run(self, suite):
         self.check_restarts(suite["octahedron"], 2.0, 0.05, 4)
 
-    def test_restarts_on_refined_octahedron(self, no_rk4):
+    def test_restarts_on_refined_octahedron(self):
         refined = barycentric_refinement(generate("octahedron"))
         self.check_restarts(refined, 10.0, 0.01, 200)
 
-    def test_restart_at_another_dt_goes_on_from_its_time(self, suite, no_rk4):
+    def test_restart_at_another_dt_goes_on_from_its_time(self, suite):
         run = integrate(initial_dirac(suite["octahedron"]), 2.0, 0.05,
                         sample_every=4)
         again = integrate(run[5], 1.0, 0.025, sample_every=8)
@@ -472,7 +414,7 @@ class TestSingularFrame:
             assert s.frame is run[5].frame
             assert np.max(np.abs(s.triples - r.triples)) <= 1e-15, s.t
 
-    def test_zero_singular_pairs(self, no_band_kernel):
+    def test_zero_singular_pairs(self, no_field):
         starts = [initial_dirac(downward_closure(f))
                   for f in ([], [{0}], [(0,), (1,), (2,)])]
         basis = GradedBasis(["a", "b", "x", "y", "z"], [0, 0, 2, 2, 2])
@@ -485,9 +427,7 @@ class TestSingularFrame:
                        for s in states)
 
     def test_signed_relabeling_within_degrees(self):
-        # measured: at most 3.6e-15 at every sampled state up to t = 10; the
-        # band kernel gives 8.8e-5 at t = 10, its rounding differences
-        # growing about twentyfold per unit of time
+        # measured: at most 3.6e-15 at every sampled state up to t = 10
         refined = barycentric_refinement(generate("octahedron"))
         big_d = initial_dirac(refined)
         basis = big_d.basis
@@ -522,11 +462,11 @@ class TestClosedForm:
 
     @pytest.mark.parametrize("name", ["wheel6", "octahedron"])
     @pytest.mark.parametrize("t", [1.0, 3.0])
-    def test_rk4_matches_qr_closed_form(self, suite, name, t, monkeypatch):
+    def test_rk4_matches_qr_closed_form(self, suite, name, t):
         # measured, the frame's closed form: 1.8e-15 and 4.0e-14 on wheel6,
         # 6.7e-15 and 5.8e-11 on the octahedron at t = 1 and 3; the QR of
         # expm(-tD), whose entries span e^(+-t sigma_max), carries that
-        # rounding.  RK4 at dt = 0.01 (the frame refused) is within 1e-7.
+        # rounding.  The oracle's RK4 at dt = 0.01 is within 1e-7.
         from scipy.linalg import expm, qr
 
         big_d = initial_dirac(suite[name])
@@ -535,8 +475,7 @@ class TestClosedForm:
         closed = q.T @ d0 @ q
         degrees = np.asarray(big_d.basis.degrees)
         frame = integrate(big_d, t, 0.01, sample_every=10 ** 9)[-1].matrix
-        monkeypatch.setattr(lax, "_singular_frame", lambda *args: None)
-        rk4 = integrate(big_d, t, 0.01, sample_every=10 ** 9)[-1].matrix
+        rk4 = reference_rk4(d0, big_d.basis, t, 0.01, 10 ** 9)[-1]
         for flowed, tol in ((frame, 1e-9), (rk4, 1e-7)):
             for a, b in zip(self.block_invariants(flowed, degrees),
                             self.block_invariants(closed, degrees)):
@@ -545,44 +484,47 @@ class TestClosedForm:
 
 class TestBudget:
     @pytest.fixture()
-    def no_steps(self, monkeypatch):
+    def no_dense_copy(self, monkeypatch):
         def never(*args):
-            raise AssertionError("a step or the dense copy ran before the budget "
-                                 "was checked")
-        monkeypatch.setattr(lax, "_rk4_step", never)
+            raise AssertionError("the dense copy ran before the budget was checked")
         monkeypatch.setattr(lax.GradedOperator, "to_dense", never)
 
     @pytest.mark.parametrize("t_end, dt", [(1e12, 1e-3), (1e300, 1e-300)])
-    def test_too_many_steps_refused(self, c4, no_steps, t_end, dt):
+    def test_too_many_steps_refused(self, c4, no_dense_copy, t_end, dt):
         with pytest.raises(ResourceLimitError):
             integrate(initial_dirac(c4), t_end, dt)
 
-    def test_too_many_sampled_bytes_refused(self, c4, no_steps):
-        # 600,000 steps of an 8 x 8 band flow are cheap, but keeping and
-        # reporting every state would need about 1.7 GB
+    def test_too_many_sampled_bytes_refused(self, c4, no_dense_copy):
+        # 600,000 steps of an 8 x 8 flow cost nothing in the closed form, but
+        # keeping and reporting every state would need about 1.4 GB
         with pytest.raises(ResourceLimitError, match=" sampled states of size 8 "):
-            integrate(band_start(c4), 6000.0, 0.01, sample_every=1)
+            integrate(initial_dirac(c4), 6000.0, 0.01, sample_every=1)
 
-    def test_refined_octahedron_long_horizon_refused(self, no_steps):
-        # 100,000 steps of a 146 x 146 band product each; its 1001 reported
-        # states would fit
-        refined = barycentric_refinement(generate("octahedron"))
-        with pytest.raises(ResourceLimitError, match="^flow needs about 3.21e"):
-            integrate(band_start(refined), 1000.0, 0.01, sample_every=100)
+    def test_refined_octahedron_long_horizon_refused(self, no_dense_copy):
+        # 100,000 steps of a 146 x 146 flow; their 1001 reported states would
+        # fit, but reporting every one would need about 1.6 GB
+        big_d = initial_dirac(barycentric_refinement(generate("octahedron")))
+        assert lax.flow_steps(146, 1000.0, 0.01, 100) == 100000
+        with pytest.raises(ResourceLimitError, match=(
+                "^100001 sampled states of size 146 need 1555556608 bytes, "
+                "limit is 268435456$")):
+            integrate(big_d, 1000.0, 0.01, sample_every=1)
 
-    # (step_work, state_work, state_bytes) of the refined octahedron: its
-    # Dirac start takes no steps and samples 72 singular pairs, 216 floats a
-    # state; an RK4 step on the band is its fixed cost and one 146^3 product
-    frame = (0, 3 * 72, 24 * 72)
-    band = (lax.STEP_OPERATIONS + 146 ** 3, 0, 8 * 146 ** 2)
+    def test_dense_solves_of_a_large_start_refused(self, no_dense_copy):
+        # a 2000-vertex path has 3999 basis elements: the dense solves of its
+        # first and last states need 2 * 3999^3 operations
+        with pytest.raises(ResourceLimitError, match=(
+                r"^flow needs about 1.28e\+11 operations \(t_end/dt = 100 "
+                r"steps of size 3999\), limit is 100000000000$")):
+            integrate(initial_dirac(generate("path", 2000)), 1.0, 0.01)
+
+    # (state_work, state_bytes) of the refined octahedron: its Dirac start
+    # samples 72 singular pairs, 216 floats a state
+    frame = (3 * 72, 24 * 72)
 
     def test_frame_flow_charged_by_its_pairs(self):
         # lax --t-end 500 --dt 0.01: 5001 reported states of 146 eigenvalues
         assert lax.flow_steps(146, 500.0, 0.01, 10, *self.frame) == 50000
-        with pytest.raises(ResourceLimitError, match=(
-                r"^flow needs about 1.61e\+11 operations \(t_end/dt = 5e\+04 steps "
-                r"of size 146\), limit is 100000000000$")):
-            lax.flow_steps(146, 500.0, 0.01, 10, *self.band)
         # lax --t-end 15000 --dt 0.1 is cheap in the frame, but its 150001
         # report rows would need about 2.6 GB
         with pytest.raises(ResourceLimitError, match=(
@@ -592,9 +534,8 @@ class TestBudget:
 
     def test_benchmark_sized_flow_is_far_inside(self, monkeypatch):
         # lax --t-end 10 --dt 0.01 on the refined octahedron: 1000 steps of
-        # a 146 x 146 flow, 101 sampled states; ten times as long fits even
-        # on the band
-        assert lax.flow_steps(146, 100.0, 0.01, 10, *self.band) == 10000
+        # a 146 x 146 flow, 101 sampled states; ten times as long fits
+        assert lax.flow_steps(146, 100.0, 0.01, 10, *self.frame) == 10000
         # the benchmark's lax ops, that run and lax on wheel6 (25 simplices,
         # 12 singular pairs, the default --t-end 1 --dt 0.01), fit a tenth
         # of each budget
@@ -602,21 +543,7 @@ class TestBudget:
         monkeypatch.setattr(budget, "MAX_TRAJECTORY_BYTES",
                             budget.MAX_TRAJECTORY_BYTES // 10)
         assert lax.flow_steps(146, 10.0, 0.01, 10, *self.frame) == 1000
-        assert lax.flow_steps(25, 1.0, 0.01, 10, 0, 3 * 12, 24 * 12) == 100
-
-    def test_step_charged_its_fixed_cost(self):
-        # lax --t-end 1000 --dt 1e-5 on a triangle (7 simplices, 3 singular
-        # pairs): 1e8 RK4 steps of about 30 us each, some 50 minutes, but
-        # only 10001 sampled states of the closed form
-        assert lax.flow_steps(7, 1000.0, 1e-5, 10 ** 4, 0, 3 * 3,
-                              24 * 3) == 10 ** 8
-        with pytest.raises(ResourceLimitError, match=(
-                r"^flow needs about 1e\+13 operations \(t_end/dt = 1e\+08 steps "
-                r"of size 7\), limit is 100000000000$")):
-            lax.flow_steps(7, 1000.0, 1e-5, 10 ** 4,
-                           lax.STEP_OPERATIONS + 7 ** 3, 0, 8 * 7 ** 2)
-        assert lax.flow_steps(7, 10.0, 0.001, 100, lax.STEP_OPERATIONS
-                              + 7 ** 3, 0, 8 * 7 ** 2) == 10000
+        assert lax.flow_steps(25, 1.0, 0.01, 10, 3 * 12, 24 * 12) == 100
 
     def test_csv_rows_charged_what_csv_costs(self):
         # lax --t-end 2000 --dt 0.1 --out x.csv on the refined octahedron:
@@ -712,33 +639,32 @@ class TestFrameDiagnostics:
 
 
 class TestClosedFormError:
-    """a = -sigma tanh(2 sigma tau), c = -a, s = sigma sech(2 sigma tau) is
-    the oracle of RK4: a Dirac start whose frame is refused steps on the band
+    """a = -sigma tanh(2 sigma tau), c = -a, s = sigma sech(2 sigma tau)
+    against its oracle, RK4 of the commutator as written (``reference_rk4``):
     within O(dt^4) of the closed-form states."""
 
     @staticmethod
-    def rk4_error(c, t_end, dt, sample_every, monkeypatch):
-        """Largest entry of RK4 - closed form over the sampled states."""
+    def rk4_error(c, t_end, dt, sample_every):
+        """Largest entry of the oracle's RK4 - the closed form over the
+        sampled states."""
         big_d = initial_dirac(c)
         exact = integrate(big_d, t_end, dt, sample_every=sample_every)
-        with monkeypatch.context() as patch:
-            patch.setattr(lax, "_singular_frame", lambda *args: None)
-            rk4 = integrate(big_d, t_end, dt, sample_every=sample_every)
-        assert exact[-1].frame is not None and rk4[-1].frame is None
-        return max(lax._max_abs(r.matrix - e.matrix)
-                   for r, e in zip(rk4, exact))
+        rk4 = reference_rk4(big_d.to_dense(), big_d.basis, t_end, dt,
+                            sample_every)
+        assert len(rk4) == len(exact) and exact[-1].frame is not None
+        return max(lax._max_abs(r - e.matrix) for r, e in zip(rk4, exact))
 
-    def test_refined_octahedron_at_the_benchmark_step(self, monkeypatch):
+    def test_refined_octahedron_at_the_benchmark_step(self):
         # measured: 3.6e-7 over t <= 1, early on the largest singular value
-        # 3.28; 2.2e-5 over t <= 10, as the band kernel's rounding grows
+        # 3.28
         refined = barycentric_refinement(generate("octahedron"))
-        error = self.rk4_error(refined, 1.0, 0.01, 10, monkeypatch)
+        error = self.rk4_error(refined, 1.0, 0.01, 10)
         assert 0.0 < error < 1e-6
 
-    def test_fourth_order_in_dt(self, suite, monkeypatch):
+    def test_fourth_order_in_dt(self, suite):
         # measured at t = 5: 1.5e-3 and 6.4e-5, ratio 24.0
-        errors = [self.rk4_error(suite["simplex3"], 5.0, dt, 10 ** 9,
-                                 monkeypatch) for dt in (0.2, 0.1)]
+        errors = [self.rk4_error(suite["simplex3"], 5.0, dt, 10 ** 9)
+                  for dt in (0.2, 0.1)]
         assert 8.0 <= errors[0] / errors[1] <= 32.0
 
     def test_no_overflow_at_large_times(self, c4):
@@ -753,7 +679,9 @@ class TestClosedFormError:
             [-sigma, sigma, np.zeros(sigma.size)]))
 
     def test_none_without_a_frame_state(self, c4):
-        # only the flowed states of a Dirac start have a closed form
-        for states in (integrate(band_start(c4), 0.2, 0.1),
-                       integrate(initial_dirac(c4), 0.0, 0.1)):
-            assert all(s.frame is None and s.triples is None for s in states)
+        # only flowed states have a closed form: not a state made by hand,
+        # nor the first state of a run
+        big_d = initial_dirac(c4)
+        states = [FlowState(big_d.to_dense(), 0.0, big_d.basis),
+                  integrate(big_d, 0.2, 0.1)[0], *integrate(big_d, 0.0, 0.1)]
+        assert all(s.frame is None and s.triples is None for s in states)

@@ -117,7 +117,7 @@ def test_lax_checks_hold_at_any_step(tmp_path_factory, c, dt, t_end):
     results = json.loads(cli.run(args)[0])["results"]
     assert results["t_end"] == pytest.approx(t_end)
     for check in ("isospectral_within_tolerance",
-                  "nilpotency_within_tolerance", "symmetry_within_tolerance"):
+                  "nilpotency_within_tolerance"):
         assert results[check] is True, check
 
 
