@@ -341,6 +341,11 @@ def _write_output(parts, out_path):
     base_dir = os.environ.get("SIMHODGE_OUT_DIR")
     if base_dir and not os.path.isabs(out_path):
         out_path = os.path.join(base_dir, out_path)
+    if os.path.exists(out_path) and not os.path.isfile(out_path):
+        # a FIFO or a device is written into, never replaced by a file
+        with open(out_path, "w", encoding="utf-8") as handle:
+            handle.writelines(parts)
+        return
     tmp = f"{out_path}.tmp"
     handle = open(tmp, "w", encoding="utf-8")  # from here on tmp is ours
     try:

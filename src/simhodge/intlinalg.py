@@ -25,14 +25,33 @@ from . import _np as np
 from .errors import InvalidInputError
 
 
+def _largest(data: np.ndarray) -> int:
+    """max |entry| as a Python integer, which |-2**63| also is."""
+    return max(int(data.max()), -int(data.min())) if data.size else 0
+
+
+def _require_int64(bound: int, what: str):
+    """InvalidInputError when ``bound``, a Python integer bounding every
+    entry of a result, reaches 2**63, where int64 arithmetic would wrap."""
+    if bound >= 2 ** 63:
+        raise InvalidInputError(f"an integer matrix {what} could pass the "
+                                f"int64 range (bound {bound})")
+
+
 class IntMatrix:
     """The one sparse form of every operator: int64 ``row``, ``col`` and
     ``data`` arrays sorted row-major, with repeated cells summed and zeros
-    dropped, so equal matrices have equal triplets."""
+    dropped, so equal matrices have equal triplets.  ``@`` and ``+`` refuse
+    a result whose entries could pass the int64 range, never wrapping."""
 
     def __init__(self, row, col, data, shape):
         self.shape = rows, cols = (int(shape[0]), int(shape[1]))
-        row, col, data = (np.asarray(x, dtype=np.int64) for x in (row, col, data))
+        try:
+            row, col, data = (np.asarray(x, dtype=np.int64)
+                              for x in (row, col, data))
+        except OverflowError:
+            raise InvalidInputError("an integer matrix entry is past the "
+                                    "int64 range") from None
         keys, inverse = np.unique(row * cols + col, return_inverse=True)
         sums = np.zeros(len(keys), dtype=np.int64)
         np.add.at(sums, inverse, data)
@@ -62,6 +81,7 @@ class IntMatrix:
                          self.data[keep], shape)
 
     def __add__(self, other: IntMatrix) -> IntMatrix:
+        _require_int64(_largest(self.data) + _largest(other.data), "sum")
         return IntMatrix(np.concatenate([self.row, other.row]),
                          np.concatenate([self.col, other.col]),
                          np.concatenate([self.data, other.data]), self.shape)
@@ -72,6 +92,8 @@ class IntMatrix:
         A run holds about a 64th of PRODUCT_PAIR_LIMIT, or one longer row."""
         if self.shape[1] != other.shape[0]:
             raise ValueError(f"shapes {self.shape} and {other.shape} do not chain")
+        _require_int64(_largest(self.data) * _largest(other.data)
+                       * self.shape[1], "product")
         shape = (self.shape[0], other.shape[1])
         starts = np.searchsorted(other.row, np.arange(other.shape[0] + 1))
         counts = starts[self.col + 1] - starts[self.col]

@@ -32,16 +32,14 @@ from (0, 0, sigma).  Since a + c and a^2 + s^2 are conserved, it is
 
 at time tau in the frame (Knill, "Isospectral deformations of the Dirac
 operator"), so a sampled state is these triples at its time and nothing is
-computed between samples.  A flowed state carries its clock, the whole
-number of steps of dt from the frame's origin, and tau is that count times
-dt; a restart from it at the same dt goes on counting in the same frame, so
-it repeats the later states of the uninterrupted run bit for bit.  The field
+computed between samples.  The start is an integer operator, as d + d* is;
+its time is 0, so a flowed state's time is its time in the frame.  The field
 commutes with orthogonal changes of basis within a degree, so the sampled
 states do not depend on how a degree's basis is ordered or signed.  A start
 off the Dirac set is refused as invalid input, and a Dirac start whose frame
 misses FRAME_TOL as a broken contract; the frame of ``spectral.gram_pairs``
-is orthonormal by construction, so only a float start far off scale (by
-1e-5 or 1e200) misses it.
+is orthonormal by construction, so only singular values far apart in scale
+miss it (R_0 = diag(10^4, 1) does).
 
 A flowed state keeps its triples, and its matrix is written only when read.
 Its diagnostics row comes from the triples: the spectrum is the sorted union
@@ -130,17 +128,12 @@ def _singular_frame(blocks: list, basis: GradedBasis) -> list:
     raising block, from ``spectral.gram_pairs``.  Raises InvalidInputError
     off the Dirac set, for a non-zero M_k or R_(k+1) R_k, and
     ContractViolationError when, to FRAME_TOL, an R_k is not reproduced or
-    a ``degree_frames`` is not orthonormal; also when an entry of R_k is
-    past sqrt(max float / n), where its products could overflow."""
+    a ``degree_frames`` is not orthonormal."""
     dims = basis.dims
     middles, raisings = blocks[:len(dims)], blocks[len(dims):]
     for k, m in enumerate(middles):
         if m.any():
             raise _off_dirac(f"M_{k}")
-    bound = math.sqrt(sys.float_info.max / max(len(basis), 1))
-    for k, r in enumerate(raisings):
-        if _max_abs(r) > bound:
-            raise _frame_missed(k)
     for k, (a, b) in enumerate(zip(raisings, raisings[1:])):
         if (b @ a).any():
             raise _off_dirac(f"R_{k + 1} R_{k}")
@@ -233,19 +226,14 @@ def _frobenius(blocks) -> float:
 class FlowState:
     """A symmetric matrix over a graded basis at one flow time.
 
-    A flowed state holds the frame of its run and its clock
-    (origin, steps, dt), at time origin + steps * dt in the frame, with the
-    flat (a, c, s) triples there: its matrix is written from them on first
-    read and then kept, and its spectrum and norms come from the triples
-    alone."""
+    A flowed state holds the frame of its run and the flat (a, c, s) triples
+    at its time t there: its matrix is written from them on first read and
+    then kept, and its spectrum and norms come from the triples alone."""
 
     def __init__(self, matrix: np.ndarray | None, t: float, basis: GradedBasis,
-                 frame: _Frame | None = None, clock: tuple | None = None):
-        self._matrix, self.t, self.basis = matrix, t, basis
-        self.frame, self.clock, self.triples = frame, clock, None
-        if frame is not None:
-            origin, steps, dt = clock
-            self.triples = frame.triples(origin + steps * dt)
+                 frame: _Frame | None = None):
+        self._matrix, self.t, self.basis, self.frame = matrix, t, basis, frame
+        self.triples = None if frame is None else frame.triples(t)
 
     @property
     def matrix(self) -> np.ndarray:
@@ -335,44 +323,41 @@ def flow_steps(dims, t_end: float, dt: float, sample_every: int,
     return steps
 
 
-def integrate(initial: GradedOperator | FlowState, t_end: float, dt: float,
+def integrate(start: GradedOperator, t_end: float, dt: float,
               sample_every: int = 1, row_bytes: int | None = None) -> list[FlowState]:
-    """Trajectory of the commutator flow from a Dirac start, sampled every
-    ``sample_every`` steps of dt and at the last step.
+    """Trajectory of the commutator flow from the integer Dirac operator
+    ``start``, sampled every ``sample_every`` steps of dt and at the last
+    step.
 
     Returns sampled states including the initial and final ones: the first
-    is the given matrix, rebuilt from its upper triangle, and the others are
-    the closed form of its singular pairs at the sampled times; a flowed
-    state goes on counting steps in the frame of its run (see the module
-    docstring).  Every state is exactly symmetric, with exact zeros between
-    degrees more than one apart.  Raises ResourceLimitError before the
-    dense copy when the flow is over budget: ``flow_steps`` on the basis's
-    degree widths, each sampled state charged ``row_bytes`` (by default its
-    JSON report row).  Then, before the first state, it raises
-    InvalidInputError for a matrix with an entry between degrees more than
-    one apart, a non-finite entry or a start off the Dirac set, and
-    ContractViolationError for a Dirac start whose frame misses FRAME_TOL.
+    is the start as floats, and the others are the closed form of its
+    singular pairs at the sampled times i * dt, the last at t_end when the
+    steps reach it to a few ulps.  Every state is exactly symmetric, with
+    exact zeros between degrees more than one apart.  Raises
+    InvalidInputError before any work for a start that is not a
+    GradedOperator, and ResourceLimitError before the dense copy when the
+    flow is over budget: ``flow_steps`` on the basis's degree widths, each
+    sampled state charged ``row_bytes`` (by default its JSON report row).
+    Then, before the first state, it raises InvalidInputError for an entry
+    between degrees more than one apart or a start off the Dirac set,
+    ContractViolationError for an asymmetric start, and for a Dirac start
+    whose frame misses FRAME_TOL.
     """
-    basis = initial.basis
+    if not isinstance(start, GradedOperator):
+        raise InvalidInputError("the flow starts from an integer Dirac "
+                                f"operator, not a {type(start).__name__}")
+    basis = start.basis
     steps = flow_steps(basis.dims, t_end, dt, sample_every, row_bytes)
-    if isinstance(initial, GradedOperator):
-        m, t0, frame = initial.to_dense(), 0.0, None
-    else:
-        m, t0, frame = initial.matrix, initial.t, initial.frame
-    m, blocks = _band(m, basis)
-    if frame is not None:  # a restart counts on in the frame of its run
-        origin, first, step = initial.clock
-        if step != dt:  # a new clock, from the time the old one reads
-            origin, first = origin + first * step, 0
-    else:
-        frame = _Frame(_singular_frame(blocks, basis), basis)
-        origin, first = 0.0, 0
+    m, blocks = _band(start.to_dense(), basis)
+    frame = _Frame(_singular_frame(blocks, basis), basis)
     samples = [*range(sample_every, steps + 1, sample_every)]
     if steps % sample_every:
         samples.append(steps)
-    return [FlowState(m, t0, basis)] + [
-        FlowState(None, t0 + i * dt, basis, frame, (origin, first + i, dt))
-        for i in samples]
+    times = [i * dt for i in samples]
+    if times and abs(times[-1] - t_end) <= 4 * math.ulp(t_end):
+        times[-1] = t_end
+    return [FlowState(m, 0.0, basis)] + [FlowState(None, t, basis, frame)
+                                         for t in times]
 
 
 def _diagnostics(states: list[FlowState]) -> list[dict]:

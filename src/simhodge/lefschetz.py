@@ -18,7 +18,7 @@ from .errors import ContractViolationError, InvalidInputError
 from .indices import vertex_spread
 from .intlinalg import IntMatrix, as_integer
 from .io import field_payload
-from .operators import GradedBasis, GradedOperator, alternating_sum
+from .operators import GradedBasis, GradedOperator, alternating_sum, commutes
 from .spectral import _heat_trace, _super_trace, hodge_eigenvectors
 
 SNAP_TOL = 1e-7
@@ -78,9 +78,7 @@ def induced_map(t: Automorphism, basis: GradedBasis) -> GradedOperator:
 
 
 def _require_commuting(u: GradedOperator, d: GradedOperator):
-    a, b = (np.stack([m.row, m.col, m.data]) for m in
-            (u.matrix @ d.matrix, d.matrix @ u.matrix))
-    if not np.array_equal(a, b):
+    if not commutes(u.matrix, d.matrix):
         raise ContractViolationError("induced map does not commute with the derivative")
 
 

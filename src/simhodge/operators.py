@@ -158,21 +158,26 @@ def require_nilpotent(d: GradedOperator):
     d._nilpotent = True
 
 
+def commutes(u: IntMatrix, d: IntMatrix) -> bool:
+    """Whether u d = d u exactly: both products have equal canonical
+    triplets."""
+    a, b = u @ d, d @ u
+    return all(np.array_equal(x, y) for x, y in
+               zip((a.row, a.col, a.data), (b.row, b.col, b.data)))
+
+
 def require_swap_commutes(d: GradedOperator):
     """Raise ContractViolationError unless d's recorded swap tau is a
-    degree-preserving involution with tau d = d tau exactly (as tau d and
-    tau (tau d^T)^T); once per d."""
+    degree-preserving involution with tau d = d tau exactly; once per d."""
     if d.swap is None or d._swap_commutes:
         return
     partner, sign = d.swap
     index, degrees = np.arange(len(partner)), np.array(d.basis.degrees)
     tau = IntMatrix(partner, index, sign, d.matrix.shape)
-    left, right = tau @ d.matrix, (tau @ d.matrix.T).T
     if not (np.array_equal(partner[partner], index)
             and np.array_equal(sign * sign[partner], np.ones_like(sign))
             and np.array_equal(degrees[partner], degrees)
-            and all(np.array_equal(a, b) for a, b in zip(
-                (left.row, left.col, left.data), (right.row, right.col, right.data)))):
+            and commutes(tau, d.matrix)):
         raise ContractViolationError("d's swap is not a commuting involution")
     d._swap_commutes = True
 

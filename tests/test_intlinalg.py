@@ -8,7 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 
-from simhodge import IntMatrix, ResourceLimitError, exact_nullity, exact_rank
+from simhodge import (GradedBasis, GradedOperator, IntMatrix,
+                      InvalidInputError, ResourceLimitError, betti,
+                      exact_nullity, exact_rank, exterior_derivative,
+                      graded_basis)
+from simhodge.operators import require_nilpotent
 
 
 def fraction_rank(matrix):
@@ -208,3 +212,44 @@ def test_products_formed_in_runs_of_rows_match_scipy(data):
         patch.setattr(budget, "PRODUCT_PAIR_LIMIT", 256)
         product = a @ b
     assert_same(product, sa.tocsr() @ sb.tocsr())
+
+
+class TestInt64Range:
+    """IntMatrix arithmetic refuses a result whose entries could pass the
+    int64 range, where numpy would wrap them."""
+
+    def test_sum_past_int64_refused(self):
+        big = IntMatrix([0], [0], [2 ** 62], (1, 1))
+        with pytest.raises(InvalidInputError, match="sum could pass"):
+            big + big  # wraps to -2**63 in int64
+        below = IntMatrix([0], [0], [2 ** 62 - 1], (1, 1)) + big
+        assert below.data.tolist() == [2 ** 63 - 1]
+        low = IntMatrix([0], [0], [-2 ** 63], (1, 1))
+        with pytest.raises(InvalidInputError, match="sum could pass"):
+            low + IntMatrix([0], [0], [0], (1, 1))
+
+    def test_product_past_int64_refused(self):
+        # max|a| * max|b| * inner dimension: 2**31 * 2**31 * 2 = 2**63
+        a = IntMatrix([0, 0], [0, 1], [2 ** 31, 1], (1, 2))
+        with pytest.raises(InvalidInputError, match="product could pass"):
+            a @ a.T
+        one = IntMatrix([0], [0], [2 ** 31], (1, 1))
+        assert (one @ one).data.tolist() == [2 ** 62]
+
+    def test_entry_past_int64_refused(self):
+        with pytest.raises(InvalidInputError, match="past the int64 range"):
+            IntMatrix([0], [0], [2 ** 70], (1, 1))
+        with pytest.raises(InvalidInputError, match="past the int64 range"):
+            GradedOperator(np.array([[2 ** 70]], dtype=object),
+                           GradedBasis(["a"], [0]))
+
+    def test_scaled_derivative_is_not_passed_as_nilpotent(self, k3):
+        # a triangle's d with entries 2**32: d @ d has 2**64-sized products,
+        # which wrapped to 0, so the derivative passed and betti was (2, 1, 0)
+        d = exterior_derivative(k3).matrix
+        scaled = GradedOperator(IntMatrix(d.row, d.col, d.data * 2 ** 32, d.shape),
+                                graded_basis(k3), shift=1)
+        with pytest.raises(InvalidInputError, match="product could pass"):
+            require_nilpotent(scaled)
+        with pytest.raises(InvalidInputError, match="product could pass"):
+            betti(scaled)

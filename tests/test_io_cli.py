@@ -465,6 +465,32 @@ class TestCli:
         assert code == 0
         assert (tmp_path / "fromenv.json").exists()
 
+    def test_out_fifo_is_written_into(self, k3_file, tmp_path, capsys):
+        """An --out path that exists and is not a regular file, here a FIFO,
+        gets the report and stays what it is."""
+        import os
+        import stat
+        import threading
+
+        fifo = tmp_path / "report.fifo"
+        os.mkfifo(fifo)
+        received = []
+
+        def read():
+            with open(fifo, "rb") as handle:
+                received.append(handle.read())
+
+        reader = threading.Thread(target=read, daemon=True)
+        reader.start()
+        code, out, err = run_cli(["heat", "--input", k3_file, "--format", "edges",
+                                  "--out", str(fifo)], capsys)
+        assert (code, out, err) == (0, "", "")
+        assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+        assert list(tmp_path.glob("*.tmp")) == []
+        reader.join(timeout=10)
+        assert not reader.is_alive()
+        assert json.loads(received[0])["command"] == "heat"
+
     def test_lax_json_trajectory_with_matrices(self, c4_file, capsys):
         code, out, _ = run_cli(["lax", "--input", c4_file, "--format", "edges",
                                 "--t-end", "0.2", "--dt", "0.1", "--matrices"],
@@ -893,7 +919,7 @@ class TestHostileInputs:
         assert (code, err) == (0, "")
         results = json.loads(out)["results"]
         assert len(results["trajectory"]["states"]) == 10001
-        assert results["t_end"] == pytest.approx(1000.0)
+        assert results["t_end"] == 1000.0  # not 1e8 * 1e-5, one ulp past it
         assert results["isospectral_within_tolerance"] is True
 
     def test_ten_thousand_lax_steps_run(self, k3_file, capsys):
@@ -1091,7 +1117,7 @@ class TestHostileInputs:
         from simhodge import cli
         from simhodge.intlinalg import IntMatrix
 
-        derivatives, left = [], []
+        derivatives, pairs = [], []
         derivative_for, matmul = cli._derivative_for, IntMatrix.__matmul__
 
         def recording_derivative_for(*args):
@@ -1099,7 +1125,7 @@ class TestHostileInputs:
             return derivatives[-1]
 
         def recording_matmul(self, other):
-            left.append(self)
+            pairs.append((self, other))
             return matmul(self, other)
 
         monkeypatch.setattr(cli, "_derivative_for", recording_derivative_for)
@@ -1108,7 +1134,9 @@ class TestHostileInputs:
                              capsys)
         assert code == 0
         assert len(derivatives) == 2
-        assert sum(any(m is d.matrix for d in derivatives) for m in left) == 2
+        # each d @ d once; the order-2 swap check's d @ tau also has d on the left
+        assert sum(any(a is b is d.matrix for d in derivatives)
+                   for a, b in pairs) == 2
 
 
 def _run_child(argv, tmp_path, hash_seed="0", address_space=None, timeout=120):

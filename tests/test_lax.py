@@ -15,7 +15,7 @@ from simhodge import (ContractViolationError, FlowState, InvalidInputError,
                       exterior_derivative, generate, graded_basis, integrate,
                       trajectory_to_csv, trajectory_to_json)
 from simhodge import budget, lax
-from simhodge.operators import GradedBasis
+from simhodge.operators import GradedBasis, GradedOperator
 
 
 def initial_dirac(c):
@@ -23,11 +23,11 @@ def initial_dirac(c):
 
 
 def band_start(c):
-    """d + d* plus the middle part diag(linspace(0, 0.1)): a start off the
-    Dirac set, which the flow refuses."""
+    """d + d* plus the middle part diag(0, 1, ..., n - 1): an integer start
+    off the Dirac set, which the flow refuses."""
     big_d = initial_dirac(c)
-    m = big_d.matrix.toarray() + np.diag(np.linspace(0.0, 0.1, len(big_d.basis)))
-    return FlowState(m, 0.0, big_d.basis)
+    m = big_d.matrix.toarray() + np.diag(np.arange(len(big_d.basis)))
+    return GradedOperator(m, big_d.basis)
 
 
 class TestSplit:
@@ -84,6 +84,16 @@ class TestBracketField:
         b = raising - lowering
         assert np.max(np.abs(b + b.T)) < 1e-12
 
+    def test_non_finite_entry_refused(self, c4):
+        big_d = initial_dirac(c4)
+        m = big_d.to_dense()
+        m[0, 4] = m[4, 0] = np.nan
+        state = FlowState(m, 0.0, big_d.basis)
+        with pytest.raises(InvalidInputError, match="non-finite entry"):
+            bracket_field(state)
+        with pytest.raises(InvalidInputError, match="non-finite entry"):
+            trajectory_to_json([state])
+
 
 def out_of_band(m, degrees):
     """The entries of m between degrees more than one apart."""
@@ -96,11 +106,11 @@ class TestBandContract:
 
     def test_entry_between_degrees_zero_and_two_refused(self, k3):
         big_d = initial_dirac(k3)
-        m = big_d.to_dense()
-        m[0, 6] = m[6, 0] = 1.0  # a vertex and the triangle
+        m = big_d.matrix.toarray()
+        m[0, 6] = m[6, 0] = 1  # a vertex and the triangle
         state = FlowState(m, 0.0, big_d.basis)
         with pytest.raises(InvalidInputError):
-            integrate(state, 1.0, 0.1)
+            integrate(GradedOperator(m, big_d.basis), 1.0, 0.1)
         with pytest.raises(InvalidInputError):
             bracket_field(state)
         with pytest.raises(InvalidInputError):
@@ -109,17 +119,17 @@ class TestBandContract:
     def test_empty_middle_degree(self):
         basis = GradedBasis(["a", "b", "x", "y", "z"], [0, 0, 2, 2, 2])
         assert basis.dims == (2, 0, 3)
-        m = np.diag([1.0, 2.0, 3.0, 4.0, 5.0])
-        m[0, 1] = m[1, 0] = 0.5
-        m[3, 4] = m[4, 3] = -0.25
+        m = np.diag([1, 2, 3, 4, 5])
+        m[0, 1] = m[1, 0] = 1
+        m[3, 4] = m[4, 3] = -2
         # with no raising block the field is zero; the middle part puts the
         # start off the Dirac set, which the flow refuses
         assert not bracket_field(FlowState(m, 0.0, basis)).any()
         with pytest.raises(InvalidInputError, match="M_0 is not zero"):
-            integrate(FlowState(m, 0.0, basis), 1.0, 0.1)
-        m[1, 2] = m[2, 1] = 1.0  # degree 0 to degree 2
+            integrate(GradedOperator(m, basis), 1.0, 0.1)
+        m[1, 2] = m[2, 1] = 1  # degree 0 to degree 2
         with pytest.raises(InvalidInputError, match="between degree 2"):
-            integrate(FlowState(m, 0.0, basis), 1.0, 0.1)
+            integrate(GradedOperator(m, basis), 1.0, 0.1)
         with pytest.raises(InvalidInputError):
             bracket_field(FlowState(m, 0.0, basis))
 
@@ -188,6 +198,18 @@ class TestIntegrate:
                           (float("inf"), 0.1), (float("nan"), 0.1)):
             with pytest.raises(InvalidInputError):
                 integrate(big_d, t_end, dt)
+
+    def test_last_sample_is_t_end(self, c4):
+        # 3 * 0.1 and 7 * 0.1 round one ulp past 0.3 and 0.7; 0.25 is not
+        # reached by whole steps of 0.1, so its last sample stays at 0.2
+        big_d = initial_dirac(c4)
+        for t_end, times in ((0.3, [0.0, 0.1, 0.2, 0.3]),
+                             (0.7, [0.0, 0.5, 0.7]), (0.25, [0.0, 0.1, 0.2])):
+            sample_every = 5 if t_end == 0.7 else 1
+            states = integrate(big_d, t_end, 0.1, sample_every)
+            assert [s.t for s in states] == times, t_end
+        last = states[-1]
+        assert np.array_equal(last.triples, last.frame.triples(last.t))
 
     @pytest.mark.parametrize("sample_every", [0, -1, -10, 1.5])
     def test_sample_every_must_be_positive_integer(self, c4, sample_every):
@@ -327,8 +349,7 @@ def signed_relabeling(basis, seed):
 
 class TestSingularFrame:
     """A Dirac start flows as the closed form of one 2 x 2 flow per singular
-    pair of d, and a restart from one of its flowed states goes on in the
-    same frame; every other start is refused before its first state."""
+    pair of d; every other start is refused before its first state."""
 
     def test_dirac_starts_never_build_the_band_kernel(self, suite, no_field):
         cases = dict(suite, empty=downward_closure([]))
@@ -345,27 +366,22 @@ class TestSingularFrame:
             states = integrate(initial_dirac(c), 2.0, 0.01, sample_every=10)
             assert [s.t for s in states] == [0.0] + [
                 i * 0.01 for i in range(10, 201, 10)], name
-            again = integrate(states[5], 1.0, 0.001, sample_every=7)
-            assert len(again) == 1 + 143, name
 
     def test_other_starts_are_refused_before_any_state(self, c4,
                                                         monkeypatch):
-        big_d = initial_dirac(c4)
-        m = big_d.to_dense()
         # R_1 R_0 != 0 with no middle
         basis = GradedBasis(list(range(6)), [0, 0, 1, 1, 2, 2])
-        r = np.zeros((6, 6))
-        r[2:4, 0:2] = [[1.0, 2.0], [0.5, -1.0]]
-        r[4:6, 2:4] = [[1.0, 0.0], [3.0, 1.0]]
-        nan = m.copy()
-        nan[0, 4] = nan[4, 0] = np.nan
+        r = np.zeros((6, 6), dtype=int)
+        r[2:4, 0:2] = [[1, 2], [1, -1]]
+        r[4:6, 2:4] = [[1, 0], [3, 1]]
         off = [(band_start(c4), "M_0 is not zero"),
-               (FlowState(r + r.T, 0.0, basis), "R_1 R_0 is not zero"),
-               (FlowState(nan, 0.0, big_d.basis), "non-finite entry")]
-        # every squared singular value under the kernel threshold: the frame
-        # drops them all and fails its check; past 1e154 the Gram matrix
-        # would overflow, so no product is formed
-        missed = [FlowState(scale * m, 0.0, big_d.basis) for scale in (1e-5, 1e200)]
+               (GradedOperator(r + r.T, basis), "R_1 R_0 is not zero")]
+        # sigma^2 = 1e8 and 1: the Gram solve of R_0 = diag(10^4, 1) does
+        # not reproduce it to FRAME_TOL
+        pair = GradedBasis(list(range(4)), [0, 0, 1, 1])
+        r = np.zeros((4, 4), dtype=int)
+        r[2:4, 0:2] = np.diag([10 ** 4, 1])
+        missed = GradedOperator(r + r.T, pair)
 
         def never(*args):
             raise AssertionError("a state was made before the start was checked")
@@ -373,52 +389,34 @@ class TestSingularFrame:
         for start, message in off:
             with pytest.raises(InvalidInputError, match=message):
                 integrate(start, 0.1, 0.05)
-        for start in missed:
-            with pytest.raises(ContractViolationError, match=(
-                    "^the singular frame of the Dirac start misses FRAME_TOL "
-                    "in degree 0$")):
-                integrate(start, 0.1, 0.05)
+        with pytest.raises(ContractViolationError, match=(
+                "^the singular frame of the Dirac start misses FRAME_TOL "
+                "in degree 0$")):
+            integrate(missed, 0.1, 0.05)
         with pytest.raises(InvalidInputError, match="M_0 is not zero"):
             integrate(band_start(c4), 0.0, 0.05)  # refused at any horizon
 
-    @staticmethod
-    def check_restarts(c, t_end, dt, sample_every):
-        run = integrate(initial_dirac(c), t_end, dt, sample_every=sample_every)
-        for j, start in enumerate(run[1:], 1):
-            again = integrate(start, t_end - start.t, dt,
-                              sample_every=sample_every)
-            assert len(again) == len(run) - j
-            assert again[0].frame is None
-            assert np.array_equal(again[0].matrix, start.matrix)
-            for s, r in zip(again[1:], run[j + 1:]):
-                assert s.frame is start.frame, (j, s.t)
-                assert s.t == pytest.approx(r.t, abs=1e-12)
-                assert np.array_equal(s.triples, r.triples), (j, s.t)
-                assert np.array_equal(s.matrix, r.matrix), (j, s.t)
+    def test_only_an_integer_operator_starts_a_flow(self, suite,
+                                                    monkeypatch):
+        # a flowed state, or a float state of the same matrix, is refused
+        # before the flow is charged
+        big_d = initial_dirac(suite["octahedron"])
+        run = integrate(big_d, 2.0, 0.05, sample_every=4)
 
-    def test_restarts_repeat_the_uninterrupted_run(self, suite):
-        self.check_restarts(suite["octahedron"], 2.0, 0.05, 4)
-
-    def test_restarts_on_refined_octahedron(self):
-        refined = barycentric_refinement(generate("octahedron"))
-        self.check_restarts(refined, 10.0, 0.01, 200)
-
-    def test_restart_at_another_dt_goes_on_from_its_time(self, suite):
-        run = integrate(initial_dirac(suite["octahedron"]), 2.0, 0.05,
-                        sample_every=4)
-        again = integrate(run[5], 1.0, 0.025, sample_every=8)
-        assert run[5].clock == (0.0, 20, 0.05)
-        assert [s.clock for s in again[1:]] == [(1.0, i, 0.025)
-                                                for i in range(8, 41, 8)]
-        for s, r in zip(again[1:], run[6:]):
-            assert s.frame is run[5].frame
-            assert np.max(np.abs(s.triples - r.triples)) <= 1e-15, s.t
+        def never(*args):
+            raise AssertionError("a float start was charged")
+        monkeypatch.setattr(lax, "flow_steps", never)
+        for start in (run[5], run[0], FlowState(big_d.to_dense(), 0.0, big_d.basis)):
+            with pytest.raises(InvalidInputError, match=(
+                    "^the flow starts from an integer Dirac operator, not a "
+                    "FlowState$")):
+                integrate(start, 1.0, 0.05)
 
     def test_zero_singular_pairs(self, no_field):
         starts = [initial_dirac(downward_closure(f))
                   for f in ([], [{0}], [(0,), (1,), (2,)])]
         basis = GradedBasis(["a", "b", "x", "y", "z"], [0, 0, 2, 2, 2])
-        starts.append(FlowState(np.zeros((5, 5)), 0.0, basis))
+        starts.append(GradedOperator(np.zeros((5, 5), dtype=int), basis))
         for start in starts:
             n = len(start.basis)
             states = integrate(start, 1.0, 0.1, sample_every=5)
@@ -434,7 +432,7 @@ class TestSingularFrame:
         p = signed_relabeling(basis, 15)
         d0 = big_d.to_dense()
         states = integrate(big_d, 10.0, 0.01, sample_every=100)
-        relabeled = integrate(FlowState(p.T @ d0 @ p, 0.0, basis), 10.0, 0.01,
+        relabeled = integrate(GradedOperator(p.T @ d0 @ p, basis), 10.0, 0.01,
                               sample_every=100)
         assert len(states) == len(relabeled) == 11
         for s, r in zip(states, relabeled):

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from conftest import as_scipy
 
-from simhodge import (InvalidInputError, ResourceLimitError,
+from simhodge import (ContractViolationError, GradedOperator, IntMatrix,
+                      InvalidInputError, ResourceLimitError,
                       check_automorphism, dirac,
                       downward_closure, euler_characteristic,
                       exterior_derivative, fixed_point_indices, generate,
@@ -90,6 +91,18 @@ class TestInducedMap:
                 gap = um @ m - m @ um
                 gap.eliminate_zeros()
                 assert gap.count_nonzero() == 0, (name, label)
+
+    def test_map_that_does_not_commute_is_refused(self, c4):
+        # one sign of d flipped: the rotation's action no longer commutes
+        d = exterior_derivative(c4).matrix
+        data = d.data.copy()
+        data[0] *= -1
+        bent = GradedOperator(IntMatrix(d.row, d.col, data, d.shape),
+                              graded_basis(c4), shift=1)
+        t = check_automorphism(c4, rotation(4))
+        with pytest.raises(ContractViolationError, match=(
+                "^induced map does not commute with the derivative$")):
+            lefschetz_number(t, bent)
 
 
 class TestLefschetzNumber:
