@@ -253,8 +253,8 @@ def _lax_states(c, args, csv=False):
     row_bytes = report_row_bytes(len(c), csv, args.matrices)
     # the charge integrate makes, on the same widths, before any operator
     flow_steps(f_vector(c), args.t_end, args.dt, sample_every, row_bytes)
-    big_d = dirac(exterior_derivative(c))
-    return integrate(big_d, args.t_end, args.dt, sample_every, row_bytes)
+    return integrate(exterior_derivative(c), args.t_end, args.dt, sample_every,
+                     row_bytes)
 
 
 def _cmd_lax(c, args):

@@ -41,8 +41,10 @@ def _require_int64(bound: int, what: str):
 class IntMatrix:
     """The one sparse form of every operator: int64 ``row``, ``col`` and
     ``data`` arrays sorted row-major, with repeated cells summed and zeros
-    dropped, so equal matrices have equal triplets.  ``@`` and ``+`` refuse
-    a result whose entries could pass the int64 range, never wrapping."""
+    dropped, so equal matrices have equal triplets.  Construction, ``@`` and
+    ``+`` refuse a result whose entries could pass the int64 range, never
+    wrapping: repeated cells are checked in Python integers, when the
+    largest entry times the most entries of a cell reaches 2**63."""
 
     def __init__(self, row, col, data, shape):
         self.shape = rows, cols = (int(shape[0]), int(shape[1]))
@@ -52,7 +54,14 @@ class IntMatrix:
         except OverflowError:
             raise InvalidInputError("an integer matrix entry is past the "
                                     "int64 range") from None
-        keys, inverse = np.unique(row * cols + col, return_inverse=True)
+        keys, inverse, counts = np.unique(row * cols + col, return_inverse=True,
+                                          return_counts=True)
+        most = int(counts.max(initial=0))
+        if most > 1 and _largest(data) * most >= 2 ** 63:
+            shared = counts[inverse] > 1
+            totals = np.zeros(len(keys), dtype=object)
+            np.add.at(totals, inverse[shared], np.abs(data[shared].astype(object)))
+            _require_int64(int(totals.max()), "cell sum")
         sums = np.zeros(len(keys), dtype=np.int64)
         np.add.at(sums, inverse, data)
         keep = sums != 0

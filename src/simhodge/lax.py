@@ -17,9 +17,10 @@ from degree k to k + 1) and Q = RM - MR it is Q + Q^T + 2 (R R^T - R^T R),
 which has no entry between degrees more than one apart: there the product
 leaves only rounding, and the field has exact zeros.
 
-The flow starts on the Dirac set (every M_k zero and every R_(k+1) R_k
-zero, as for d + d*) and stays in the singular frame of d, in closed form.
-With R_k = U_k diag(sigma) V_k^T, the columns [U_(k-1) | V_k] of each degree
+The flow starts at D = d + d* of an integer derivative d, so on the Dirac
+set (every M_k zero and every R_(k+1) R_k zero) by construction, and stays
+in the singular frame of d, in closed form.
+With d_k = U_k diag(sigma) V_k^T, the columns [U_(k-1) | V_k] of each degree
 are orthonormal, and the flow keeps the form
 M_k = V_k diag(a) V_k^T + U_(k-1) diag(c) U_(k-1)^T, R_k = U_k diag(s) V_k^T:
 every singular pair of d is one 2 x 2 flow
@@ -32,14 +33,15 @@ from (0, 0, sigma).  Since a + c and a^2 + s^2 are conserved, it is
 
 at time tau in the frame (Knill, "Isospectral deformations of the Dirac
 operator"), so a sampled state is these triples at its time and nothing is
-computed between samples.  The start is an integer operator, as d + d* is;
-its time is 0, so a flowed state's time is its time in the frame.  The field
-commutes with orthogonal changes of basis within a degree, so the sampled
-states do not depend on how a degree's basis is ordered or signed.  A start
-off the Dirac set is refused as invalid input, and a Dirac start whose frame
-misses FRAME_TOL as a broken contract; the frame of ``spectral.gram_pairs``
-is orthonormal by construction, so only singular values far apart in scale
-miss it (R_0 = diag(10^4, 1) does).
+computed between samples.  The start's time is 0, so a flowed state's time
+is its time in the frame.  The field commutes with orthogonal changes of
+basis within a degree, so the sampled states do not depend on how a
+degree's basis is ordered or signed.  The frame is
+``spectral.singular_frame(d, vectors=True)``, which first refuses a d that
+is not graded and nilpotent (``operators.require_nilpotent``); a frame that
+misses FRAME_TOL is refused as a broken contract.  It is orthonormal by
+construction, so only singular values far apart in scale miss it
+(d_0 = diag(10^4, 1) does).
 
 A flowed state keeps its triples, and its matrix is written only when read.
 Its diagnostics row comes from the triples: the spectrum is the sorted union
@@ -62,12 +64,12 @@ import sys
 from . import budget
 from . import _np as np
 from .errors import ContractViolationError, InvalidInputError
-from .operators import GradedBasis, GradedOperator
-from .spectral import degree_frames, gram_pairs, narrow_side
+from .operators import GradedBasis, GradedOperator, dirac
+from .spectral import degree_frames, singular_frame
 
 SYMMETRY_TOL = 1e-10
 # Largest entry error of a singular frame: of U_k diag(sigma) V_k^T against
-# R_k, relative to the largest entry of R_k, and of the Gram matrix of each
+# d_k, relative to the largest entry of d_k, and of the Gram matrix of each
 # degree's columns [U_(k-1) | V_k] against the identity.
 FRAME_TOL = 1e-12
 # Peak bytes of a reported state: a row, and each value in it (RSS of lax,
@@ -113,48 +115,28 @@ def _band(matrix, basis: GradedBasis) -> tuple:
     return m, [m[rows, cols] for rows, cols in _block_slices(basis)]
 
 
-def _off_dirac(block: str) -> InvalidInputError:
-    return InvalidInputError(f"the flow starts on the Dirac set only: {block} "
-                             "is not zero")
-
-
-def _frame_missed(k: int) -> ContractViolationError:
-    return ContractViolationError("the singular frame of the Dirac start "
-                                  f"misses FRAME_TOL in degree {k}")
-
-
-def _singular_frame(blocks: list, basis: GradedBasis) -> list:
-    """(sigma^2, U_k, V_k) with R_k = U_k diag(sigma) V_k^T for every
-    raising block, from ``spectral.gram_pairs``.  Raises InvalidInputError
-    off the Dirac set, for a non-zero M_k or R_(k+1) R_k, and
-    ContractViolationError when, to FRAME_TOL, an R_k is not reproduced or
-    a ``degree_frames`` is not orthonormal."""
-    dims = basis.dims
-    middles, raisings = blocks[:len(dims)], blocks[len(dims):]
-    for k, m in enumerate(middles):
-        if m.any():
-            raise _off_dirac(f"M_{k}")
-    for k, (a, b) in enumerate(zip(raisings, raisings[1:])):
-        if (b @ a).any():
-            raise _off_dirac(f"R_{k + 1} R_{k}")
-    frame = []
-    for k, r in enumerate(raisings):
-        on_source = narrow_side(dims, k) == k
-        w, u, v = gram_pairs(r.T @ r if on_source else r @ r.T, r, on_source)
-        if _max_abs((u * np.sqrt(w)) @ v.T - r) > FRAME_TOL * _max_abs(r):
-            raise _frame_missed(k)
-        frame.append((w, u, v))
-    for k, (_, w) in enumerate(degree_frames(frame, dims)):
-        if _max_abs(w.T @ w - np.eye(w.shape[1])) > FRAME_TOL:
-            raise _frame_missed(k)
+def _checked_frame(d: GradedOperator) -> list:
+    """``spectral.singular_frame(d, vectors=True)``, the (sigma^2, U_k, V_k)
+    with d_k = U_k diag(sigma) V_k^T of every block; ContractViolationError
+    when, to FRAME_TOL, a d_k is not reproduced or a ``degree_frames`` is
+    not orthonormal."""
+    frame = singular_frame(d, vectors=True)
+    blocks = [d.block(k + 1, k) for k in range(len(frame))]
+    missed = [k for k, ((w, u, v), r) in enumerate(zip(frame, blocks))
+              if _max_abs((u * np.sqrt(w)) @ v.T - r) > FRAME_TOL * _max_abs(r)]
+    missed += [k for k, (_, w) in enumerate(degree_frames(frame, d.basis.dims))
+               if _max_abs(w.T @ w - np.eye(w.shape[1])) > FRAME_TOL]
+    if missed:
+        raise ContractViolationError("the singular frame of the Dirac start "
+                                     f"misses FRAME_TOL in degree {missed[0]}")
     return frame
 
 
 class _Frame:
-    """The singular frame of a Dirac start, built once per run from the
-    (sigma^2, U, V) of each raising block: it gives the flat (a, c, s)
-    triples at a time in the frame, writes them into a dense matrix and
-    reads the spectrum and the norms of a state from the triples alone."""
+    """The singular frame of d, built once per run from the (sigma^2, U, V)
+    of each block d_k: it gives the flat (a, c, s) triples at a time in the
+    frame, writes them into a dense matrix and reads the spectrum and the
+    norms of a state from the triples alone."""
 
     def __init__(self, blocks: list, basis: GradedBasis):
         self.blocks, self.basis = blocks, basis
@@ -323,41 +305,39 @@ def flow_steps(dims, t_end: float, dt: float, sample_every: int,
     return steps
 
 
-def integrate(start: GradedOperator, t_end: float, dt: float,
+def integrate(d: GradedOperator, t_end: float, dt: float,
               sample_every: int = 1, row_bytes: int | None = None) -> list[FlowState]:
-    """Trajectory of the commutator flow from the integer Dirac operator
-    ``start``, sampled every ``sample_every`` steps of dt and at the last
-    step.
+    """Trajectory of the commutator flow from D = d + d* of the integer
+    derivative ``d``, sampled every ``sample_every`` steps of dt and at the
+    last step.
 
     Returns sampled states including the initial and final ones: the first
-    is the start as floats, and the others are the closed form of its
-    singular pairs at the sampled times i * dt, the last at t_end when the
-    steps reach it to a few ulps.  Every state is exactly symmetric, with
-    exact zeros between degrees more than one apart.  Raises
-    InvalidInputError before any work for a start that is not a
-    GradedOperator, and ResourceLimitError before the dense copy when the
-    flow is over budget: ``flow_steps`` on the basis's degree widths, each
-    sampled state charged ``row_bytes`` (by default its JSON report row).
-    Then, before the first state, it raises InvalidInputError for an entry
-    between degrees more than one apart or a start off the Dirac set,
-    ContractViolationError for an asymmetric start, and for a Dirac start
-    whose frame misses FRAME_TOL.
+    is D as floats, and the others are the closed form of the singular pairs
+    of d at the sampled times i * dt, the last at t_end when the steps reach
+    it to a few ulps.  Every state is exactly symmetric, with exact zeros
+    between degrees more than one apart.  Raises InvalidInputError before
+    any work for a ``d`` that is not a GradedOperator, and
+    ResourceLimitError before the frame is solved when the flow is over
+    budget: ``flow_steps`` on the basis's degree widths, each sampled state
+    charged ``row_bytes`` (by default its JSON report row).  Then, before
+    the first state, it raises ContractViolationError for a d that is not
+    graded and nilpotent (``operators.require_nilpotent``), and for a frame
+    that misses FRAME_TOL.
     """
-    if not isinstance(start, GradedOperator):
-        raise InvalidInputError("the flow starts from an integer Dirac "
-                                f"operator, not a {type(start).__name__}")
-    basis = start.basis
+    if not isinstance(d, GradedOperator):
+        raise InvalidInputError("the flow starts from an integer derivative, "
+                                f"not a {type(d).__name__}")
+    basis = d.basis
     steps = flow_steps(basis.dims, t_end, dt, sample_every, row_bytes)
-    m, blocks = _band(start.to_dense(), basis)
-    frame = _Frame(_singular_frame(blocks, basis), basis)
+    frame = _Frame(_checked_frame(d), basis)
     samples = [*range(sample_every, steps + 1, sample_every)]
     if steps % sample_every:
         samples.append(steps)
     times = [i * dt for i in samples]
     if times and abs(times[-1] - t_end) <= 4 * math.ulp(t_end):
         times[-1] = t_end
-    return [FlowState(m, 0.0, basis)] + [FlowState(None, t, basis, frame)
-                                         for t in times]
+    return [FlowState(dirac(d).to_dense(), 0.0, basis)] + [
+        FlowState(None, t, basis, frame) for t in times]
 
 
 def _diagnostics(states: list[FlowState]) -> list[dict]:

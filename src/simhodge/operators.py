@@ -15,6 +15,7 @@ integer representation; chain actions run on Python integers.
 from __future__ import annotations
 
 import itertools
+import numbers
 
 from . import budget
 from . import _np as np
@@ -29,12 +30,17 @@ class GradedBasis:
     """Ordered basis elements with a degree for each.
 
     Elements are sorted degree-major then lexicographically, so each degree
-    occupies one contiguous index range.
+    occupies one contiguous index range.  Degrees are non-negative integers.
     """
 
     __slots__ = ("elements", "degrees", "index", "dims", "offsets")
 
     def __init__(self, elements, degrees):
+        elements, degrees = list(elements), list(degrees)
+        if len(degrees) != len(elements) or not all(
+                isinstance(k, numbers.Integral) and k >= 0 for k in degrees):
+            raise InvalidInputError("a basis needs one non-negative integer "
+                                    "degree per element")
         pairs = sorted(zip(degrees, elements))
         self.elements = tuple(e for _, e in pairs)
         self.degrees = tuple(d for d, _ in pairs)
@@ -152,8 +158,18 @@ def exterior_derivative(c: Complex) -> GradedOperator:
 
 
 def require_nilpotent(d: GradedOperator):
-    """Raise ContractViolationError unless d @ d vanishes exactly; once per d."""
-    if not d._nilpotent and (d.matrix @ d.matrix).nnz:
+    """Raise ContractViolationError unless every entry of d raises the degree
+    by exactly one and d @ d vanishes exactly; once per d."""
+    if d._nilpotent:
+        return
+    rows, cols = (np.array(d.basis.degrees, dtype=np.int64)[x]
+                  for x in (d.matrix.row, d.matrix.col))
+    off = np.flatnonzero(rows != cols + 1)
+    if off.size:
+        raise ContractViolationError(
+            f"d has an entry from degree {cols[off[0]]} to degree "
+            f"{rows[off[0]]}; it must raise the degree by exactly one")
+    if (d.matrix @ d.matrix).nnz:
         raise ContractViolationError("d is not nilpotent: d @ d has non-zero entries")
     d._nilpotent = True
 

@@ -64,18 +64,12 @@ def kernel_mask(eigenvalues: np.ndarray) -> np.ndarray:
     return eigenvalues < kernel_threshold(eigenvalues)
 
 
-def narrow_side(dims, k: int) -> int:
-    """The degree, k or k + 1, on whose side the Gram matrix of d_k is the
-    narrower one; k when both sides are equally wide."""
-    return k if dims[k] <= dims[k + 1] else k + 1
-
-
 def require_frame(dims, vectors: bool = False) -> list:
-    """The narrower side of each d_k, once the dense blocks a
-    ``singular_frame`` on degrees ``dims`` wide builds are charged: those
-    sides for values alone, and with ``vectors`` every degree, as
-    W_k = [V_k | U_(k-1)] is degree-wide."""
-    sides = [narrow_side(dims, k) for k in range(len(dims) - 1)]
+    """The narrower side of each d_k, the degree k or k + 1 (k when both are
+    equally wide), once the dense blocks a ``singular_frame`` on degrees
+    ``dims`` wide builds are charged: those sides for values alone, and
+    with ``vectors`` every degree, as W_k = [V_k | U_(k-1)] is degree-wide."""
+    sides = [k if dims[k] <= dims[k + 1] else k + 1 for k in range(len(dims) - 1)]
     for k in range(len(dims)) if vectors else sides:
         budget.require_dense(k, dims[k])
     return sides

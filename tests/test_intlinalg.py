@@ -236,6 +236,18 @@ class TestInt64Range:
         one = IntMatrix([0], [0], [2 ** 31], (1, 1))
         assert (one @ one).data.tolist() == [2 ** 62]
 
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_repeated_cell_past_int64_refused(self, n):
+        # summed in int64, two entries 2**62 wrapped to -2**63, and four to
+        # 0, which dropped the cell
+        with pytest.raises(InvalidInputError, match="cell sum could pass"):
+            IntMatrix([0] * n, [0] * n, [2 ** 62] * n, (1, 1))
+        # what + and @ admit still constructs: |entries| up to 2**63 - 1
+        below = IntMatrix([0] * 2, [0] * 2, [2 ** 62, 2 ** 62 - 1], (1, 1))
+        assert below.data.tolist() == [2 ** 63 - 1]
+        ones = IntMatrix([0] * n, [0] * n, [1] * n, (1, 1))
+        assert ones.data.tolist() == [n]
+
     def test_entry_past_int64_refused(self):
         with pytest.raises(InvalidInputError, match="past the int64 range"):
             IntMatrix([0], [0], [2 ** 70], (1, 1))

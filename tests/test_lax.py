@@ -14,7 +14,7 @@ from simhodge import (ContractViolationError, FlowState, InvalidInputError,
                       bracket_field, dirac, downward_closure,
                       exterior_derivative, generate, graded_basis, integrate,
                       trajectory_to_csv, trajectory_to_json)
-from simhodge import budget, lax
+from simhodge import budget, lax, spectral
 from simhodge.operators import GradedBasis, GradedOperator
 
 
@@ -22,12 +22,13 @@ def initial_dirac(c):
     return dirac(exterior_derivative(c))
 
 
-def band_start(c):
-    """d + d* plus the middle part diag(0, 1, ..., n - 1): an integer start
-    off the Dirac set, which the flow refuses."""
-    big_d = initial_dirac(c)
-    m = big_d.matrix.toarray() + np.diag(np.arange(len(big_d.basis)))
-    return GradedOperator(m, big_d.basis)
+def with_entry(c, row, col):
+    """d of c plus 1 at (row, col): an integer start whose grading the flow
+    refuses unless basis element ``row`` is one degree above ``col``."""
+    d = exterior_derivative(c)
+    m = d.matrix.toarray()
+    m[row, col] += 1
+    return GradedOperator(m, d.basis)
 
 
 class TestSplit:
@@ -102,15 +103,18 @@ def out_of_band(m, degrees):
 
 class TestBandContract:
     """The flow is defined on the band of adjacent degrees; an entry between
-    degrees two or more apart is refused, never silently dropped."""
+    degrees two or more apart is refused, never silently dropped: in a
+    start d as a grading refusal, in a float state as invalid input."""
 
     def test_entry_between_degrees_zero_and_two_refused(self, k3):
+        # a vertex and the triangle
+        with pytest.raises(ContractViolationError,
+                           match="from degree 0 to degree 2;"):
+            integrate(with_entry(k3, 6, 0), 1.0, 0.1)
         big_d = initial_dirac(k3)
         m = big_d.matrix.toarray()
-        m[0, 6] = m[6, 0] = 1  # a vertex and the triangle
+        m[0, 6] = m[6, 0] = 1
         state = FlowState(m, 0.0, big_d.basis)
-        with pytest.raises(InvalidInputError):
-            integrate(GradedOperator(m, big_d.basis), 1.0, 0.1)
         with pytest.raises(InvalidInputError):
             bracket_field(state)
         with pytest.raises(InvalidInputError):
@@ -122,21 +126,24 @@ class TestBandContract:
         m = np.diag([1, 2, 3, 4, 5])
         m[0, 1] = m[1, 0] = 1
         m[3, 4] = m[4, 3] = -2
-        # with no raising block the field is zero; the middle part puts the
-        # start off the Dirac set, which the flow refuses
+        # with no raising block the field is zero
         assert not bracket_field(FlowState(m, 0.0, basis)).any()
-        with pytest.raises(InvalidInputError, match="M_0 is not zero"):
-            integrate(GradedOperator(m, basis), 1.0, 0.1)
+        # with degree 1 empty, every entry of a start d is off its grade
+        for (row, col), degrees in (((1, 0), "0 to degree 0"),
+                                    ((2, 1), "0 to degree 2")):
+            d = np.zeros((5, 5), dtype=int)
+            d[row, col] = 1
+            with pytest.raises(ContractViolationError,
+                               match=f"from degree {degrees};"):
+                integrate(GradedOperator(d, basis), 1.0, 0.1)
         m[1, 2] = m[2, 1] = 1  # degree 0 to degree 2
         with pytest.raises(InvalidInputError, match="between degree 2"):
-            integrate(GradedOperator(m, basis), 1.0, 0.1)
-        with pytest.raises(InvalidInputError):
             bracket_field(FlowState(m, 0.0, basis))
 
     def test_flowed_states_are_zero_outside_the_band(self, suite):
-        big_d = initial_dirac(suite["simplex5"])
-        degrees = np.asarray(big_d.basis.degrees)
-        for s in integrate(big_d, 1.0, 0.05, sample_every=5):
+        d = exterior_derivative(suite["simplex5"])
+        degrees = np.asarray(d.basis.degrees)
+        for s in integrate(d, 1.0, 0.05, sample_every=5):
             assert np.array_equal(s.matrix, s.matrix.T)
             assert not out_of_band(s.matrix, degrees).any()
             field = bracket_field(s)
@@ -146,38 +153,38 @@ class TestBandContract:
 
 class TestIntegrate:
     def test_zero_horizon(self, c4):
-        big_d = initial_dirac(c4)
-        states = integrate(big_d, 0.0, 0.01)
+        d = exterior_derivative(c4)
+        states = integrate(d, 0.0, 0.01)
         assert len(states) == 1
-        assert np.array_equal(states[0].matrix, big_d.to_dense())
+        assert np.array_equal(states[0].matrix, dirac(d).to_dense())
 
     def test_isospectral_drift_small(self, suite):
         for name in ("cycle4", "simplex3"):
-            big_d = initial_dirac(suite[name])
-            states = integrate(big_d, 10.0, 0.01, sample_every=200)
+            states = integrate(exterior_derivative(suite[name]), 10.0, 0.01,
+                               sample_every=200)
             assert spectral_drift(states[0], states[-1]) < 1e-6, name
 
     def test_nilpotency_persists(self, c4):
-        states = integrate(initial_dirac(c4), 1.0, 0.01, sample_every=10)
+        states = integrate(exterior_derivative(c4), 1.0, 0.01, sample_every=10)
         assert max(s.raising_norm_squared() for s in states) < 1e-8
 
     def test_middle_part_grows(self, c4):
-        states = integrate(initial_dirac(c4), 1.0, 0.01, sample_every=100)
+        states = integrate(exterior_derivative(c4), 1.0, 0.01, sample_every=100)
         assert states[0].preserving_norm() == 0.0
         assert states[-1].preserving_norm() > 1e-3
 
     def test_symmetry_maintained(self, k3):
-        for s in integrate(initial_dirac(k3), 2.0, 0.01, sample_every=50):
+        for s in integrate(exterior_derivative(k3), 2.0, 0.01, sample_every=50):
             assert np.max(np.abs(s.matrix - s.matrix.T)) < 1e-10
 
     def test_pure_vertex_complex_is_stationary(self):
         c = downward_closure([(0,), (1,), (2,)])
-        states = integrate(initial_dirac(c), 1.0, 0.1)
+        states = integrate(exterior_derivative(c), 1.0, 0.1)
         assert all(not s.matrix.any() for s in states)
 
     def test_trace_powers_conserved(self, suite):
         for name in ("cycle4", "simplex3"):
-            states = integrate(initial_dirac(suite[name]), 2.0, 0.005,
+            states = integrate(exterior_derivative(suite[name]), 2.0, 0.005,
                                sample_every=100)
             for m in (2, 3, 4):
                 base = np.trace(np.linalg.matrix_power(states[0].matrix, m))
@@ -186,27 +193,27 @@ class TestIntegrate:
                     assert abs(tr - base) < 1e-7, (name, m)
 
     def test_invalid_steps_rejected(self, c4):
-        big_d = initial_dirac(c4)
+        d = exterior_derivative(c4)
         with pytest.raises(InvalidInputError):
-            integrate(big_d, 1.0, 0.0)
+            integrate(d, 1.0, 0.0)
         with pytest.raises(InvalidInputError):
-            integrate(big_d, -1.0, 0.1)
+            integrate(d, -1.0, 0.1)
 
     def test_non_finite_steps_rejected(self, c4):
-        big_d = initial_dirac(c4)
+        d = exterior_derivative(c4)
         for t_end, dt in ((1.0, float("nan")), (1.0, float("inf")),
                           (float("inf"), 0.1), (float("nan"), 0.1)):
             with pytest.raises(InvalidInputError):
-                integrate(big_d, t_end, dt)
+                integrate(d, t_end, dt)
 
     def test_last_sample_is_t_end(self, c4):
         # 3 * 0.1 and 7 * 0.1 round one ulp past 0.3 and 0.7; 0.25 is not
         # reached by whole steps of 0.1, so its last sample stays at 0.2
-        big_d = initial_dirac(c4)
+        d = exterior_derivative(c4)
         for t_end, times in ((0.3, [0.0, 0.1, 0.2, 0.3]),
                              (0.7, [0.0, 0.5, 0.7]), (0.25, [0.0, 0.1, 0.2])):
             sample_every = 5 if t_end == 0.7 else 1
-            states = integrate(big_d, t_end, 0.1, sample_every)
+            states = integrate(d, t_end, 0.1, sample_every)
             assert [s.t for s in states] == times, t_end
         last = states[-1]
         assert np.array_equal(last.triples, last.frame.triples(last.t))
@@ -214,7 +221,7 @@ class TestIntegrate:
     @pytest.mark.parametrize("sample_every", [0, -1, -10, 1.5])
     def test_sample_every_must_be_positive_integer(self, c4, sample_every):
         with pytest.raises(InvalidInputError):
-            integrate(initial_dirac(c4), 1.0, 0.1, sample_every=sample_every)
+            integrate(exterior_derivative(c4), 1.0, 0.1, sample_every=sample_every)
 
 
 class TestSpectralDrift:
@@ -234,10 +241,11 @@ class TestSpectralDrift:
         # the spectrum of the closed form's end state, from its triples,
         # against that of the oracle's RK4; measured: 1.5e-3 and 6.4e-5,
         # ratio 24.0
-        big_d = initial_dirac(k3)
+        d = exterior_derivative(k3)
+        big_d = dirac(d)
         drifts = []
         for dt in (0.2, 0.1):
-            exact = integrate(big_d, 5.0, dt, sample_every=10 ** 9)[-1]
+            exact = integrate(d, 5.0, dt, sample_every=10 ** 9)[-1]
             rk4 = reference_rk4(big_d.to_dense(), big_d.basis, 5.0, dt,
                                 10 ** 9)[-1]
             drifts.append(spectral_drift(exact, FlowState(rk4, 5.0, big_d.basis)))
@@ -247,7 +255,7 @@ class TestSpectralDrift:
 
 class TestCsvExport:
     def test_header_and_rows(self, c4):
-        states = integrate(initial_dirac(c4), 0.2, 0.1)
+        states = integrate(exterior_derivative(c4), 0.2, 0.1)
         text = trajectory_to_csv(states)
         lines = text.strip().splitlines()
         assert lines[0].startswith("t,eig_0")
@@ -272,8 +280,9 @@ class TestKernel:
     def test_matches_two_product_rk4_on_suite(self, suite):
         # measured: at most 8.1e-5 over the suite, on refined_simplex3
         for name, c in suite.items():
-            big_d = initial_dirac(c)
-            states = integrate(big_d, 1.0, 0.05, sample_every=5)
+            d = exterior_derivative(c)
+            big_d = dirac(d)
+            states = integrate(d, 1.0, 0.05, sample_every=5)
             expected = reference_rk4(big_d.to_dense(), big_d.basis, 1.0, 0.05, 5)
             assert len(states) == len(expected), name
             for s, m in zip(states, expected):
@@ -283,8 +292,8 @@ class TestKernel:
     def test_bracket_field_matches_two_products(self, suite):
         cases = dict(suite, empty=downward_closure([]))
         for name, c in cases.items():
-            big_d = initial_dirac(c)
-            for s in integrate(big_d, 0.5, 0.05, sample_every=5):
+            for s in integrate(exterior_derivative(c), 0.5, 0.05,
+                               sample_every=5):
                 field = bracket_field(s)
                 assert np.array_equal(field, field.T), name
                 expected = two_product_field(s.matrix, s.basis)
@@ -348,13 +357,14 @@ def signed_relabeling(basis, seed):
 
 
 class TestSingularFrame:
-    """A Dirac start flows as the closed form of one 2 x 2 flow per singular
-    pair of d; every other start is refused before its first state."""
+    """D = d + d* flows as the closed form of one 2 x 2 flow per singular
+    pair of d; a d that is not graded and nilpotent, or whose frame misses
+    FRAME_TOL, is refused before its first state."""
 
     def test_dirac_starts_never_build_the_band_kernel(self, suite, no_field):
         cases = dict(suite, empty=downward_closure([]))
         for name, c in cases.items():
-            states = integrate(initial_dirac(c), 0.2, 0.05, sample_every=2)
+            states = integrate(exterior_derivative(c), 0.2, 0.05, sample_every=2)
             assert len(states) == 3, name
 
     def test_dirac_starts_never_step(self, suite):
@@ -363,57 +373,79 @@ class TestSingularFrame:
         cases = dict(suite, empty=downward_closure([]),
                      path200=generate("path", 200), path300=generate("path", 300))
         for name, c in cases.items():
-            states = integrate(initial_dirac(c), 2.0, 0.01, sample_every=10)
+            states = integrate(exterior_derivative(c), 2.0, 0.01, sample_every=10)
             assert [s.t for s in states] == [0.0] + [
                 i * 0.01 for i in range(10, 201, 10)], name
 
-    def test_other_starts_are_refused_before_any_state(self, c4,
+    def test_other_starts_are_refused_before_any_state(self, c4, k3,
                                                         monkeypatch):
-        # R_1 R_0 != 0 with no middle
+        grading = "^d has an entry from degree {}; it must raise the degree by exactly one$"
+        off = [(with_entry(c4, 1, 0), grading.format("0 to degree 0")),
+               (with_entry(k3, 6, 0), grading.format("0 to degree 2")),
+               (initial_dirac(c4), grading.format("1 to degree 0"))]
+        # graded, but R_1 R_0 != 0
         basis = GradedBasis(list(range(6)), [0, 0, 1, 1, 2, 2])
         r = np.zeros((6, 6), dtype=int)
         r[2:4, 0:2] = [[1, 2], [1, -1]]
         r[4:6, 2:4] = [[1, 0], [3, 1]]
-        off = [(band_start(c4), "M_0 is not zero"),
-               (GradedOperator(r + r.T, basis), "R_1 R_0 is not zero")]
+        off.append((GradedOperator(r, basis), "^d is not nilpotent"))
         # sigma^2 = 1e8 and 1: the Gram solve of R_0 = diag(10^4, 1) does
         # not reproduce it to FRAME_TOL
         pair = GradedBasis(list(range(4)), [0, 0, 1, 1])
         r = np.zeros((4, 4), dtype=int)
         r[2:4, 0:2] = np.diag([10 ** 4, 1])
-        missed = GradedOperator(r + r.T, pair)
+        off.append((GradedOperator(r, pair), (
+            "^the singular frame of the Dirac start misses FRAME_TOL in "
+            "degree 0$")))
 
         def never(*args):
             raise AssertionError("a state was made before the start was checked")
         monkeypatch.setattr(lax, "FlowState", never)
         for start, message in off:
-            with pytest.raises(InvalidInputError, match=message):
-                integrate(start, 0.1, 0.05)
-        with pytest.raises(ContractViolationError, match=(
-                "^the singular frame of the Dirac start misses FRAME_TOL "
-                "in degree 0$")):
-            integrate(missed, 0.1, 0.05)
-        with pytest.raises(InvalidInputError, match="M_0 is not zero"):
-            integrate(band_start(c4), 0.0, 0.05)  # refused at any horizon
+            for t_end in (0.1, 0.0):  # refused at any horizon
+                with pytest.raises(ContractViolationError, match=message):
+                    integrate(start, t_end, 0.05)
 
     def test_only_an_integer_operator_starts_a_flow(self, suite,
                                                     monkeypatch):
         # a flowed state, or a float state of the same matrix, is refused
         # before the flow is charged
-        big_d = initial_dirac(suite["octahedron"])
-        run = integrate(big_d, 2.0, 0.05, sample_every=4)
+        d = exterior_derivative(suite["octahedron"])
+        run = integrate(d, 2.0, 0.05, sample_every=4)
 
         def never(*args):
             raise AssertionError("a float start was charged")
         monkeypatch.setattr(lax, "flow_steps", never)
-        for start in (run[5], run[0], FlowState(big_d.to_dense(), 0.0, big_d.basis)):
+        for start in (run[5], run[0], FlowState(d.to_dense(), 0.0, d.basis)):
             with pytest.raises(InvalidInputError, match=(
-                    "^the flow starts from an integer Dirac operator, not a "
+                    "^the flow starts from an integer derivative, not a "
                     "FlowState$")):
                 integrate(start, 1.0, 0.05)
 
+    def test_frame_is_the_spectral_singular_frame(self, monkeypatch):
+        # one routine solves d's frame for the flow and for
+        # hodge_eigenvectors, one call each, with equal arrays
+        assert lax.singular_frame is spectral.singular_frame
+        original, frames = spectral.singular_frame, []
+
+        def recording(*args, **kwargs):
+            frames.append(original(*args, **kwargs))
+            return frames[-1]
+        monkeypatch.setattr(lax, "singular_frame", recording)
+        monkeypatch.setattr(spectral, "singular_frame", recording)
+        d = exterior_derivative(barycentric_refinement(generate("octahedron")))
+        frame = integrate(d, 1.0, 0.1)[-1].frame
+        assert len(frames) == 1 and frame.blocks is frames[0]
+        vectors = spectral.hodge_eigenvectors(d)
+        assert len(frames) == 2
+        for ours, theirs in zip(*frames):
+            assert all(map(np.array_equal, ours, theirs))
+        for (w, x), (v, y) in zip(spectral.degree_frames(frame.blocks,
+                                                         d.basis.dims), vectors):
+            assert np.array_equal(w, v) and np.array_equal(x, y)
+
     def test_zero_singular_pairs(self, no_field):
-        starts = [initial_dirac(downward_closure(f))
+        starts = [exterior_derivative(downward_closure(f))
                   for f in ([], [{0}], [(0,), (1,), (2,)])]
         basis = GradedBasis(["a", "b", "x", "y", "z"], [0, 0, 2, 2, 2])
         starts.append(GradedOperator(np.zeros((5, 5), dtype=int), basis))
@@ -427,13 +459,12 @@ class TestSingularFrame:
     def test_signed_relabeling_within_degrees(self):
         # measured: at most 3.6e-15 at every sampled state up to t = 10
         refined = barycentric_refinement(generate("octahedron"))
-        big_d = initial_dirac(refined)
-        basis = big_d.basis
+        d = exterior_derivative(refined)
+        basis = d.basis
         p = signed_relabeling(basis, 15)
-        d0 = big_d.to_dense()
-        states = integrate(big_d, 10.0, 0.01, sample_every=100)
-        relabeled = integrate(GradedOperator(p.T @ d0 @ p, basis), 10.0, 0.01,
-                              sample_every=100)
+        states = integrate(d, 10.0, 0.01, sample_every=100)
+        relabeled = integrate(GradedOperator(p.T @ d.to_dense() @ p, basis),
+                              10.0, 0.01, sample_every=100)
         assert len(states) == len(relabeled) == 11
         for s, r in zip(states, relabeled):
             assert np.max(np.abs(s.matrix - p @ r.matrix @ p.T)) <= 1e-12, s.t
@@ -467,12 +498,13 @@ class TestClosedForm:
         # rounding.  The oracle's RK4 at dt = 0.01 is within 1e-7.
         from scipy.linalg import expm, qr
 
-        big_d = initial_dirac(suite[name])
+        d = exterior_derivative(suite[name])
+        big_d = dirac(d)
         d0 = big_d.to_dense()
         q, _ = qr(expm(-t * d0))
         closed = q.T @ d0 @ q
         degrees = np.asarray(big_d.basis.degrees)
-        frame = integrate(big_d, t, 0.01, sample_every=10 ** 9)[-1].matrix
+        frame = integrate(d, t, 0.01, sample_every=10 ** 9)[-1].matrix
         rk4 = reference_rk4(d0, big_d.basis, t, 0.01, 10 ** 9)[-1]
         for flowed, tol in ((frame, 1e-9), (rk4, 1e-7)):
             for a, b in zip(self.block_invariants(flowed, degrees),
@@ -490,24 +522,24 @@ class TestBudget:
     @pytest.mark.parametrize("t_end, dt", [(1e12, 1e-3), (1e300, 1e-300)])
     def test_too_many_steps_refused(self, c4, no_dense_copy, t_end, dt):
         with pytest.raises(ResourceLimitError):
-            integrate(initial_dirac(c4), t_end, dt)
+            integrate(exterior_derivative(c4), t_end, dt)
 
     def test_too_many_sampled_bytes_refused(self, c4, no_dense_copy):
         # 600,000 steps of an 8 x 8 flow cost nothing in the closed form, but
         # keeping and reporting every state would need about 1.4 GB
         with pytest.raises(ResourceLimitError, match=" sampled states of size 8 "):
-            integrate(initial_dirac(c4), 6000.0, 0.01, sample_every=1)
+            integrate(exterior_derivative(c4), 6000.0, 0.01, sample_every=1)
 
     def test_refined_octahedron_long_horizon_refused(self, no_dense_copy):
         # 100,000 steps of a 146 x 146 flow; their 1001 reported states would
         # fit, but reporting every one would need about 1.7 GB
-        big_d = initial_dirac(barycentric_refinement(generate("octahedron")))
-        assert big_d.basis.dims == self.refined
+        d = exterior_derivative(barycentric_refinement(generate("octahedron")))
+        assert d.basis.dims == self.refined
         assert lax.flow_steps(self.refined, 1000.0, 0.01, 100) == 100000
         with pytest.raises(ResourceLimitError, match=(
                 "^100001 sampled states of size 146 need 1733158384 bytes, "
                 "limit is 268435456$")):
-            integrate(big_d, 1000.0, 0.01, sample_every=1)
+            integrate(d, 1000.0, 0.01, sample_every=1)
 
     def test_dense_solves_of_a_large_start_refused(self, no_dense_copy):
         # a 2000-vertex path has 3999 basis elements: the dense solves of its
@@ -515,7 +547,7 @@ class TestBudget:
         with pytest.raises(ResourceLimitError, match=(
                 r"^flow needs about 1.28e\+11 operations \(t_end/dt = 100 "
                 r"steps of size 3999\), limit is 100000000000$")):
-            integrate(initial_dirac(generate("path", 2000)), 1.0, 0.01)
+            integrate(exterior_derivative(generate("path", 2000)), 1.0, 0.01)
 
     # degree widths of the refined octahedron: each sampled state is charged
     # min(26, 72) + min(72, 48) = 74 singular pairs, where its Dirac start
@@ -571,7 +603,7 @@ class TestBudget:
 class TestDiagnostics:
     def test_json_and_csv_share_one_eigensolve_per_state(self, c4,
                                                         monkeypatch):
-        states = integrate(initial_dirac(c4), 0.5, 0.1)
+        states = integrate(exterior_derivative(c4), 0.5, 0.1)
         calls = []
         original = FlowState.eigenvalues
 
@@ -610,7 +642,7 @@ class TestFrameDiagnostics:
 
     @staticmethod
     def check_rows(c):
-        states = integrate(initial_dirac(c), 2.0, 0.05, sample_every=4)
+        states = integrate(exterior_derivative(c), 2.0, 0.05, sample_every=4)
         assert states[0].frame is None
         for s in states[1:]:
             assert s.frame is not None and s._matrix is None
@@ -633,7 +665,7 @@ class TestFrameDiagnostics:
         self.check_rows(barycentric_refinement(generate("octahedron")))
 
     def test_matrix_written_once_on_first_read(self, c4):
-        states = integrate(initial_dirac(c4), 0.2, 0.1)
+        states = integrate(exterior_derivative(c4), 0.2, 0.1)
         last = states[-1]
         assert last._matrix is None
         assert last.matrix is last.matrix
@@ -643,7 +675,7 @@ class TestFrameDiagnostics:
         # R_(k+1) R_k is zero in exact arithmetic; the frame keeps the
         # rounding of C_k = V_(k+1)^T U_k instead of a structural 0
         refined = barycentric_refinement(generate("octahedron"))
-        state = integrate(initial_dirac(refined), 1.0, 0.1)[-1]
+        state = integrate(exterior_derivative(refined), 1.0, 0.1)[-1]
         assert 0.0 < state.raising_norm_squared() < 1e-12
 
 
@@ -656,8 +688,9 @@ class TestClosedFormError:
     def rk4_error(c, t_end, dt, sample_every):
         """Largest entry of the oracle's RK4 - the closed form over the
         sampled states."""
-        big_d = initial_dirac(c)
-        exact = integrate(big_d, t_end, dt, sample_every=sample_every)
+        d = exterior_derivative(c)
+        big_d = dirac(d)
+        exact = integrate(d, t_end, dt, sample_every=sample_every)
         rk4 = reference_rk4(big_d.to_dense(), big_d.basis, t_end, dt,
                             sample_every)
         assert len(rk4) == len(exact) and exact[-1].frame is not None
@@ -677,7 +710,7 @@ class TestClosedFormError:
         assert 8.0 <= errors[0] / errors[1] <= 32.0
 
     def test_no_overflow_at_large_times(self, c4):
-        state = integrate(initial_dirac(c4), 0.2, 0.1)[-1]
+        state = integrate(exterior_derivative(c4), 0.2, 0.1)[-1]
         with np.errstate(over="raise", divide="raise", invalid="raise"):
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
@@ -690,7 +723,8 @@ class TestClosedFormError:
     def test_none_without_a_frame_state(self, c4):
         # only flowed states have a closed form: not a state made by hand,
         # nor the first state of a run
-        big_d = initial_dirac(c4)
+        d = exterior_derivative(c4)
+        big_d = dirac(d)
         states = [FlowState(big_d.to_dense(), 0.0, big_d.basis),
-                  integrate(big_d, 0.2, 0.1)[0], *integrate(big_d, 0.0, 0.1)]
+                  integrate(d, 0.2, 0.1)[0], *integrate(d, 0.0, 0.1)]
         assert all(s.frame is None and s.triples is None for s in states)

@@ -35,6 +35,16 @@ class TestGradedBasis:
         assert len(basis) == 0
         assert basis.max_degree == -1
 
+    @pytest.mark.parametrize("degrees", [[-1, 0], [0.5, 0], [0]])
+    def test_degrees_are_non_negative_integers(self, degrees):
+        # [-1, 0] gave dims (1,) over two elements, with the degree -1
+        # element in degree_slice(0); 0.5 raised a bare TypeError; [0]
+        # dropped "b"
+        with pytest.raises(InvalidInputError, match=(
+                "^a basis needs one non-negative integer degree per element$")):
+            GradedBasis(["a", "b"], degrees)
+        assert GradedBasis(["a", "b"], np.array([1, 0])).dims == (1, 1)
+
     def test_degree_slices_are_contiguous(self, suite):
         basis = graded_basis(suite["octahedron"])
         for k in range(basis.max_degree + 1):

@@ -7,8 +7,9 @@ from scipy import sparse
 from simhodge import (ContractViolationError, GradedBasis, GradedOperator,
                       InvalidInputError, ResourceLimitError,
                       barycentric_refinement, betti,
-                      cohomological_index, connection_derivative, dirac, downward_closure,
-                      euler_characteristic, exterior_derivative, generate,
+                      IntMatrix, cohomological_index, connection_derivative,
+                      dirac, downward_closure, euler_characteristic,
+                      exterior_derivative, generate, graded_basis,
                       harmonic_projector, heat_supertrace, hodge, hodge_spectra,
                       skeleton, spectrum_report, supersymmetry_check,
                       wu_characteristic)
@@ -47,6 +48,22 @@ class TestBetti:
         m = sparse.csr_array(np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0]]))
         with pytest.raises(ContractViolationError):
             betti(GradedOperator(m, basis, shift=1))
+
+    @pytest.mark.parametrize("check", [betti, spectrum_report])
+    def test_off_grade_entries_rejected(self, k3, check):
+        # betti read only the blocks (k + 1, k): it gave (2,) to a nilpotent
+        # d within degree 0, and (1, 0, 0) to a triangle's d plus an entry
+        # from a vertex to the triangle
+        within = GradedOperator(IntMatrix([1], [0], [1], (2, 2)),
+                                GradedBasis(["a", "b"], [0, 0]), shift=1)
+        d = exterior_derivative(k3).matrix
+        skipping = GradedOperator(d + IntMatrix([6], [0], [1], d.shape),
+                                  graded_basis(k3), shift=1)
+        for broken, degrees in ((within, "0 to degree 0"),
+                                (skipping, "0 to degree 2")):
+            with pytest.raises(ContractViolationError,
+                               match=f"^d has an entry from degree {degrees};"):
+                check(broken)
 
     def test_invariant_under_refinement(self, suite):
         for name, c in suite.items():
