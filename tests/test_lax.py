@@ -379,7 +379,8 @@ class TestSingularFrame:
 
     def test_other_starts_are_refused_before_any_state(self, c4, k3,
                                                         monkeypatch):
-        grading = "^d has an entry from degree {}; it must raise the degree by exactly one$"
+        grading = ("^d has an entry from degree {}; it must raise the degree "
+                   "by exactly one$")
         off = [(with_entry(c4, 1, 0), grading.format("0 to degree 0")),
                (with_entry(k3, 6, 0), grading.format("0 to degree 2")),
                (initial_dirac(c4), grading.format("1 to degree 0"))]
