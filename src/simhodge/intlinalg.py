@@ -44,7 +44,7 @@ class IntMatrix:
     dropped, so equal matrices have equal triplets.  Construction, ``@`` and
     ``+`` refuse a result whose entries could pass the int64 range, never
     wrapping: repeated cells are checked in Python integers, when the
-    largest entry times the most entries of a cell reaches 2**63."""
+    largest entry times the number of entries reaches 2**63."""
 
     def __init__(self, row, col, data, shape):
         self.shape = rows, cols = (int(shape[0]), int(shape[1]))
@@ -54,11 +54,9 @@ class IntMatrix:
         except OverflowError:
             raise InvalidInputError("an integer matrix entry is past the "
                                     "int64 range") from None
-        keys, inverse, counts = np.unique(row * cols + col, return_inverse=True,
-                                          return_counts=True)
-        most = int(counts.max(initial=0))
-        if most > 1 and _largest(data) * most >= 2 ** 63:
-            shared = counts[inverse] > 1
+        keys, inverse = np.unique(row * cols + col, return_inverse=True)
+        if _largest(data) * len(data) >= 2 ** 63:  # a cell's sum could wrap
+            shared = np.bincount(inverse)[inverse] > 1
             totals = np.zeros(len(keys), dtype=object)
             np.add.at(totals, inverse[shared], np.abs(data[shared].astype(object)))
             _require_int64(int(totals.max()), "cell sum")

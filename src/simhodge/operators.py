@@ -37,8 +37,8 @@ class GradedBasis:
 
     def __init__(self, elements, degrees):
         elements, degrees = list(elements), list(degrees)
-        if len(degrees) != len(elements) or not all(
-                isinstance(k, numbers.Integral) and k >= 0 for k in degrees):
+        integral = all(issubclass(t, numbers.Integral) for t in set(map(type, degrees)))
+        if not integral or len(degrees) != len(elements) or min(degrees, default=0) < 0:
             raise InvalidInputError("a basis needs one non-negative integer "
                                     "degree per element")
         pairs = sorted(zip(degrees, elements))

@@ -516,8 +516,10 @@ class TestClosedForm:
 class TestBudget:
     @pytest.fixture()
     def no_dense_copy(self, monkeypatch):
-        def never(*args):
-            raise AssertionError("the dense copy ran before the budget was checked")
+        # the frame solve and the dense first state follow the charge
+        def never(*args, **kwargs):
+            raise AssertionError("flow work ran before the budget was checked")
+        monkeypatch.setattr(lax, "singular_frame", never)
         monkeypatch.setattr(lax.GradedOperator, "to_dense", never)
 
     @pytest.mark.parametrize("t_end, dt", [(1e12, 1e-3), (1e300, 1e-300)])
