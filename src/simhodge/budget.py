@@ -22,8 +22,7 @@ CONNECTION_TUPLE_LIMIT = 2000  # tuples of a basis of order 3 or more
 # forms them a 64th of the limit at a time, at some 100 bytes a pair
 PRODUCT_PAIR_LIMIT = 2 ** 24
 MAX_INDEX_FIELD_WORK = 10 ** 8  # orderings times (vertices + link entries)
-MAX_FLOW_WORK = 10 ** 11  # operations of a flow's dense first and last states
-MAX_TRAJECTORY_BYTES = 2 ** 28  # the flow's dense end states and reported states
+MAX_TRAJECTORY_BYTES = 2 ** 28  # the flow's reported states
 
 
 def require(need, limit, what: str):

@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from . import __version__, budget
 from . import _np as np
-from .complexes import (barycentric_operator, barycentric_refinement,
+from .complexes import (barycentric_f_vector, barycentric_refinement,
                         euler_characteristic, f_matrix, f_vector, seeded_rng,
                         skeleton)
 from .errors import (ContractViolationError, InvalidInputError,
@@ -37,8 +37,8 @@ from .lefschetz import check_automorphism, lefschetz_report
 from .operators import (alternating_sum, connection_degree_counts,
                         connection_derivative, dirac, exterior_derivative,
                         hodge, require_connection_budget)
-from .spectral import (heat_supertrace, hodge_spectra, require_frame,
-                       spectrum_report)
+from .spectral import (TRACE_TOL, heat_supertrace, hodge_spectra,
+                       require_frame, spectrum_report)
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -260,6 +260,7 @@ def _lax_states(c, args, csv=False):
 def _cmd_lax(c, args):
     states = _lax_states(c, args)
     trajectory = trajectory_to_json(states, include_matrices=args.matrices)
+    residual = trajectory.pop("moment_residual")
     rows = trajectory["states"]
     drift = rows[-1]["drift"]
     defect = max(row["d_squared_norm"] for row in rows)
@@ -269,7 +270,8 @@ def _cmd_lax(c, args):
         "spectral_drift": drift,
         "final_middle_norm": rows[-1]["b_norm"],
         "max_nilpotency_defect": defect,
-        "isospectral_within_tolerance": drift < 1e-6,
+        "moment_residual": residual,
+        "isospectral_within_tolerance": residual <= TRACE_TOL and drift < 1e-6,
         "nilpotency_within_tolerance": defect < 1e-8,
         "trajectory": trajectory,
     }
@@ -277,11 +279,9 @@ def _cmd_lax(c, args):
 
 def _cmd_refine(c, args):
     refined = barycentric_refinement(c)
-    d = c.dimension
     fv = f_vector(c)
     fv1 = f_vector(refined)
-    predicted = ((barycentric_operator(d) @ np.array(fv, dtype=np.int64)).tolist()
-                 if d >= 0 else [])
+    predicted = barycentric_f_vector(fv)
     return {
         "f_vector": list(fv),
         "refined_f_vector": list(fv1),

@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 import math
 import numbers
+import operator
 
 from . import budget
 from . import _np as np
@@ -183,8 +184,7 @@ def barycentric_refinement(c: Complex) -> Complex:
     pairwise comparable set is totally ordered, so the refinement is the
     Whitney complex of the containment graph; its exact size is checked first.
     """
-    size = sum(n * math.factorial(i) * stirling2(j + 1, i)
-               for j, n in enumerate(f_vector(c)) for i in range(1, j + 2))
+    size = sum(barycentric_f_vector(f_vector(c)))
     budget.require(size, budget.SIMPLEX_LIMIT,
                    f"the refinement would have {size} simplices")
     order = list(c)
@@ -320,8 +320,18 @@ def barycentric_operator(d: int) -> np.ndarray:
     """
     if d < 0:
         raise InvalidInputError("dimension must be non-negative")
-    return np.array([[math.factorial(i) * stirling2(j, i) for j in range(1, d + 2)]
-                     for i in range(1, d + 2)], dtype=object)
+    return np.array(_barycentric_rows(d), dtype=object)
+
+
+def _barycentric_rows(d: int) -> list[list[int]]:
+    """The rows of ``barycentric_operator(d)``, Python integers; none for d = -1."""
+    return [[math.factorial(i) * stirling2(j, i) for j in range(1, d + 2)]
+            for i in range(1, d + 2)]
+
+
+def barycentric_f_vector(fv) -> list[int]:
+    """S fv, the f-vector of the refinement of a complex with f-vector ``fv``."""
+    return [sum(map(operator.mul, row, fv)) for row in _barycentric_rows(len(fv) - 1)]
 
 
 _FAMILIES = ("simplex", "cycle", "path", "wheel", "star", "octahedron", "random")

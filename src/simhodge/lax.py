@@ -32,27 +32,26 @@ from (0, 0, sigma).  Since a + c and a^2 + s^2 are conserved, it is
     a = -sigma tanh(2 sigma tau),  c = -a,  s = sigma sech(2 sigma tau)
 
 at time tau in the frame (Knill, "Isospectral deformations of the Dirac
-operator"), so a sampled state is these triples at its time and nothing is
-computed between samples.  The start's time is 0, so a flowed state's time
-is its time in the frame.  The field commutes with orthogonal changes of
-basis within a degree, so the sampled states do not depend on how a
-degree's basis is ordered or signed.  The frame is
-``spectral.singular_frame(d, vectors=True)``, which first refuses a d that
-is not graded and nilpotent (``operators.require_nilpotent``); a frame that
-misses FRAME_TOL is refused as a broken contract.  It is orthonormal by
-construction, so only singular values far apart in scale miss it
-(d_0 = diag(10^4, 1) does).
+operator"), so every sampled state, the start D at tau = 0 included, is
+these triples at its time and nothing is computed between samples.  The
+field commutes with orthogonal changes of basis within a degree, so the
+sampled states do not depend on how a degree's basis is ordered or signed.
+The frame is ``spectral.singular_frame(d, vectors=True)``, which first
+refuses a d that is not graded and nilpotent
+(``operators.require_nilpotent``); a frame that misses FRAME_TOL is refused
+as a broken contract.  It is orthonormal by construction, so only singular
+values far apart in scale miss it (d_0 = diag(10^4, 1) does).
 
-A flowed state keeps its triples, and its matrix is written only when read.
-Its diagnostics row comes from the triples: the spectrum is the sorted union
-of the 2 x 2 spectra (a + c)/2 +- hypot((a - c)/2, s) and a zero for every
-other basis element, the middle-part norm ||M||_F is
-sqrt(sum a^2 + sum c^2), and the nilpotency defect ||R^2||_F has the blocks
-diag(s) C_k diag(s) with C_k = V_(k+1)^T U_k, zero up to the frame's
-rounding.  The first row (the input, and the reference of the drift) and
-the last row (the check of the written matrix) come from the dense
-matrices: eigvalsh, and the Frobenius norms of M and of the blocks
-R_(k+1) R_k.
+A state keeps its triples, and its matrix is written only when read.  The
+diagnostics of a run are one array pass over the stack of its triples, one
+state a row: the spectrum is the sorted union of the 2 x 2 spectra
+(a + c)/2 +- hypot((a - c)/2, s) and a zero for every other basis element,
+the middle-part norm ||M||_F is sqrt(sum a^2 + sum c^2), and the nilpotency
+defect ||R^2||_F has the blocks diag(s) C_k diag(s) with C_k = V_(k+1)^T U_k,
+zero up to the frame's rounding.  Rows compared with one another cannot
+catch a wrong frame, so each row's spectrum is also checked against two
+exact integers of d: tr D^2 = sum_k tr L_k and tr D^4 = 2 sum_k
+||d_k^T d_k||_F^2, since D^2 = d d* + d* d and d d = 0.
 """
 
 from __future__ import annotations
@@ -64,8 +63,8 @@ import sys
 from . import budget
 from . import _np as np
 from .errors import ContractViolationError, InvalidInputError
-from .operators import GradedBasis, GradedOperator, dirac
-from .spectral import degree_frames, singular_frame
+from .operators import GradedBasis, GradedOperator
+from .spectral import degree_frames, hodge_traces, require_frame, singular_frame
 
 SYMMETRY_TOL = 1e-10
 # Largest entry error of a singular frame: of U_k diag(sigma) V_k^T against
@@ -76,6 +75,7 @@ FRAME_TOL = 1e-12
 # JSON report and CSV, at 7 to 21462 values a row, up to the budget's edge)
 REPORT_ROW_BYTES, REPORT_VALUE_BYTES = 1536, 96
 CSV_ROW_BYTES, CSV_VALUE_BYTES = 1024, 68
+ROW_KEYS = ("t", "eigenvalues", "b_norm", "d_squared_norm", "drift")
 
 
 def _symmetric(matrix, basis: GradedBasis) -> np.ndarray:
@@ -91,18 +91,10 @@ def _symmetric(matrix, basis: GradedBasis) -> np.ndarray:
     return m
 
 
-def _block_slices(basis: GradedBasis) -> list:
-    """(rows, columns) of the band blocks: every M_k, then every R_k (rows of
-    degree k + 1, columns of degree k)."""
-    s = [basis.degree_slice(k) for k in range(len(basis.dims))]
-    return list(zip(s, s)) + list(zip(s[1:], s))
-
-
-def _band(matrix, basis: GradedBasis) -> tuple:
-    """(m, blocks): the matrix as floats once ``_symmetric`` passes, made
-    exactly symmetric from its upper triangle, with the views of its band
-    blocks; refuses an entry between degrees more than one apart, which the
-    band field would drop."""
+def _band(matrix, basis: GradedBasis) -> np.ndarray:
+    """The matrix as floats once ``_symmetric`` passes, made exactly
+    symmetric from its upper triangle; refuses an entry between degrees more
+    than one apart, which the band field would drop."""
     m = _symmetric(matrix, basis)
     m = np.triu(m) + np.triu(m, 1).T
     cuts = basis.offsets
@@ -112,7 +104,7 @@ def _band(matrix, basis: GradedBasis) -> tuple:
             raise InvalidInputError(
                 f"matrix has entries between degree {k} and a degree below "
                 f"{k - 1}; the flow is defined on adjacent degrees only")
-    return m, [m[rows, cols] for rows, cols in _block_slices(basis)]
+    return m
 
 
 def _checked_frame(d: GradedOperator) -> list:
@@ -132,90 +124,104 @@ def _checked_frame(d: GradedOperator) -> list:
     return frame
 
 
+def _moments(d: GradedOperator) -> tuple[int, int]:
+    """(tr D^2, tr D^4) of D = d + d* for a graded nilpotent d, exact: as
+    d d = 0, D^2 = d d* + d* d and D^4 = (d d*)^2 + (d* d)^2, so tr D^2 is
+    the sum of ``hodge_traces`` and tr D^4 = 2 ||d* d||_F^2, the d_k^T d_k
+    being the diagonal blocks of d* d."""
+    gram = d.matrix.T @ d.matrix
+    return sum(hodge_traces(d)), 2 * sum(v * v for v in gram.data.tolist())
+
+
 class _Frame:
     """The singular frame of d, built once per run from the (sigma^2, U, V)
-    of each block d_k: it gives the flat (a, c, s) triples at a time in the
-    frame, writes them into a dense matrix and reads the spectrum and the
-    norms of a state from the triples alone."""
+    of each block d_k, with the exact (tr D^2, tr D^4) of its start: it
+    gives the flat (a, c, s) triples at the sampled times, writes one state
+    into a dense matrix, and reads the spectra and norms of a stack of
+    states, one state a row, from the triples alone."""
 
-    def __init__(self, blocks: list, basis: GradedBasis):
-        self.blocks, self.basis = blocks, basis
+    def __init__(self, blocks: list, basis: GradedBasis, moments: tuple):
+        self.blocks, self.basis, self.moments = blocks, basis, moments
         cuts = np.cumsum([0] + [len(w) for w, _, _ in blocks])
         self.pairs = [slice(i, j) for i, j in zip(cuts, cuts[1:])]
         self.sigma = np.sqrt(np.concatenate([np.zeros(0)] + [f[0] for f in blocks]))
-        # C_k = V_(k+1)^T U_k, zero up to rounding since im d_k lies in
-        # ker d_(k+1): R_(k+1) R_k = U_(k+1) diag(s) C_k diag(s) V_k^T
-        self.overlaps = [v.T @ u for (_, u, _), (_, _, v) in zip(blocks, blocks[1:])]
+        # C_k o C_k with C_k = V_(k+1)^T U_k, zero up to rounding since im d_k
+        # lies in ker d_(k+1): R_(k+1) R_k = U_(k+1) diag(s) C_k diag(s) V_k^T
+        self.overlaps = [(v.T @ u) ** 2 for (_, u, _), (_, _, v)
+                         in zip(blocks, blocks[1:])]
 
-    def triples(self, tau: float) -> np.ndarray:
-        """The flat (a, c, s) triples at time tau >= 0 in the frame:
+    def triples(self, times) -> np.ndarray:
+        """The flat (a, c, s) triples at each time tau >= 0 in the frame, a
+        row a time (one flat row for a single time):
         a = -sigma tanh(2 sigma tau), c = -a, s = sigma sech(2 sigma tau);
         past the float range x reads inf, and the triples their limit
         (-sigma, sigma, 0)."""
         with np.errstate(over="ignore"):
-            x = 2.0 * self.sigma * tau
+            x = 2.0 * self.sigma * np.asarray(times, dtype=float)[..., None]
         decay = np.exp(-x)  # sech x = 2 e^-x / (1 + e^-2x) cannot overflow
         a = -self.sigma * np.tanh(x)
-        return np.concatenate([a, -a, self.sigma * 2.0 * decay
-                               / (1.0 + decay * decay)])
+        s = self.sigma * 2.0 * decay / (1.0 + decay * decay)
+        return np.concatenate([a, -a, s], axis=-1)
 
     def to_dense(self, state: np.ndarray) -> np.ndarray:
         """A fresh dense matrix: M_k = V_k diag(a) V_k^T
         + U_(k-1) diag(c) U_(k-1)^T, exactly symmetric from its upper
         triangle, R_k = U_k diag(s) V_k^T and R_k^T."""
-        basis = self.basis
-        slices, levels = _block_slices(basis), len(basis.dims)
+        degree = [self.basis.degree_slice(k) for k in range(len(self.basis.dims))]
         a, c, s = state.reshape(3, -1)
-        dense = np.zeros((len(basis), len(basis)))
-        for k, ((_, u, v), p) in enumerate(zip(self.blocks, self.pairs)):
-            dense[slices[k]] += (v * a[p]) @ v.T
-            dense[slices[k + 1]] += (u * c[p]) @ u.T
-            rows, cols = slices[levels + k]
-            dense[rows, cols] = (u * s[p]) @ v.T
-            dense[cols, rows] = dense[rows, cols].T
-        for rows, cols in slices[:levels]:
-            m = dense[rows, cols]
-            m[...] = np.triu(m) + np.triu(m, 1).T
+        dense = np.zeros((len(self.basis), len(self.basis)))
+        for (_, u, v), p, low, high in zip(self.blocks, self.pairs, degree, degree[1:]):
+            dense[low, low] += (v * a[p]) @ v.T
+            dense[high, high] += (u * c[p]) @ u.T
+            dense[high, low] = (u * s[p]) @ v.T
+            dense[low, high] = dense[high, low].T
+        for k in degree:
+            dense[k, k] = np.triu(dense[k, k]) + np.triu(dense[k, k], 1).T
         return dense
 
-    def spectrum(self, state: np.ndarray) -> np.ndarray:
-        """The sorted union of the 2 x 2 spectra [[a, s], [s, c]] and a
-        zero for every basis element outside the pairs."""
-        a, c, s = state.reshape(3, -1)
+    def spectrum(self, states: np.ndarray) -> np.ndarray:
+        """Along each row, the sorted union of the 2 x 2 spectra
+        [[a, s], [s, c]] and a zero for every basis element outside the
+        pairs."""
+        a, c, s = np.split(states, 3, axis=-1)
         middle, radius = 0.5 * (a + c), np.hypot(0.5 * (a - c), s)
-        zeros = np.zeros(len(self.basis) - 2 * a.size)
-        return np.sort(np.concatenate([middle - radius, zeros, middle + radius]))
+        zeros = np.zeros(a.shape[:-1] + (len(self.basis) - 2 * a.shape[-1],))
+        return np.sort(np.concatenate([middle - radius, zeros, middle + radius],
+                                      axis=-1), axis=-1)
 
-    def norms(self, state: np.ndarray) -> tuple[float, float]:
-        """(||M||_F, ||R^2||_F): the columns of each degree are orthonormal,
-        so ||M||_F^2 = sum a^2 + sum c^2 and ||R_(k+1) R_k||_F is that of
-        diag(s_(k+1)) C_k diag(s_k)."""
-        a, c, s = state.reshape(3, -1)
-        squares = [s[q][:, None] * overlap * s[p] for overlap, p, q
-                   in zip(self.overlaps, self.pairs, self.pairs[1:])]
-        return _frobenius([a, c]), _frobenius(squares)
+    def norms(self, states: np.ndarray) -> tuple:
+        """(||M||_F, ||R^2||_F) along each row: the columns of each degree
+        are orthonormal, so ||M||_F^2 = sum a^2 + sum c^2, and
+        ||R_(k+1) R_k||_F^2 = sum_ij s_(k+1),i^2 C_k,ij^2 s_k,j^2."""
+        a, c, s = np.split(states, 3, axis=-1)
+        s = s * s
+        defect = sum((((s[..., q] @ overlap) * s[..., p]).sum(-1) for overlap, p, q
+                      in zip(self.overlaps, self.pairs, self.pairs[1:])),
+                     np.zeros(a.shape[:-1]))
+        return np.sqrt((a * a).sum(-1) + (c * c).sum(-1)), np.sqrt(defect)
+
+    def moment_residual(self, spectra: np.ndarray) -> float:
+        """The largest relative residual, over the rows, of sum lambda^2
+        against tr D^2 and of sum lambda^4 against tr D^4."""
+        squares = spectra * spectra
+        sums = (squares.sum(-1), (squares * squares).sum(-1))
+        return max(_max_abs(m - float(t)) / max(t, 1)
+                   for m, t in zip(sums, self.moments))
 
 
 def _max_abs(x: np.ndarray) -> float:
     return float(np.max(np.abs(x))) if x.size else 0.0
 
 
-def _frobenius(blocks) -> float:
-    """The Frobenius norm of the matrix whose blocks (or parts) these are."""
-    return math.hypot(*map(np.linalg.norm, blocks))
-
-
 class FlowState:
-    """A symmetric matrix over a graded basis at one flow time.
+    """One sampled state of a flow: the frame of its run and the flat
+    (a, c, s) triples at its time t there.  Its matrix is written from them
+    on first read and then kept; its spectrum and norms are those of a
+    one-row stack."""
 
-    A flowed state holds the frame of its run and the flat (a, c, s) triples
-    at its time t there: its matrix is written from them on first read and
-    then kept, and its spectrum and norms come from the triples alone."""
-
-    def __init__(self, matrix: np.ndarray | None, t: float, basis: GradedBasis,
-                 frame: _Frame | None = None):
-        self._matrix, self.t, self.basis, self.frame = matrix, t, basis, frame
-        self.triples = None if frame is None else frame.triples(t)
+    def __init__(self, t: float, frame: _Frame, triples: np.ndarray):
+        self.t, self.frame, self.triples = t, frame, triples
+        self.basis, self._matrix = frame.basis, None
 
     @property
     def matrix(self) -> np.ndarray:
@@ -226,39 +232,24 @@ class FlowState:
     def raising_norm_squared(self) -> float:
         """||R^2||_F, the Frobenius norm of the square of the raising part
         (not ||R||^2): the nilpotency defect, zero for a Dirac operator."""
-        return _norms(self)[1]
+        return float(self.frame.norms(self.triples)[1])
 
     def preserving_norm(self) -> float:
         """||M||_F, the Frobenius norm of the degree-preserving part."""
-        return _norms(self)[0]
+        return float(self.frame.norms(self.triples)[0])
 
     def eigenvalues(self) -> np.ndarray:
-        if self.frame is not None:
-            return self.frame.spectrum(self.triples)
-        return np.linalg.eigvalsh(self.matrix) if self.matrix.size else np.zeros(0)
+        return self.frame.spectrum(self.triples)
 
 
-def _norms(state: FlowState) -> tuple[float, float]:
-    """(Frobenius norm of the degree-preserving part, Frobenius norm of the
-    square of the raising part), from the triples of a frame state, else
-    from the band blocks of the matrix: the square of the raising part has
-    the blocks R_(k+1) R_k and no others."""
-    if state.frame is not None:
-        return state.frame.norms(state.triples)
-    blocks = _band(state.matrix, state.basis)[1]
-    levels = len(state.basis.dims)
-    middles, raisings = blocks[:levels], blocks[levels:]
-    return (_frobenius(middles),
-            _frobenius([b @ a for a, b in zip(raisings, raisings[1:])]))
-
-
-def bracket_field(state: FlowState) -> np.ndarray:
-    """Commutator field BX + (BX)^T steering the flow, B = S o X with S the
-    sign of the degree difference; exactly symmetric, and with exact zeros
-    outside the band.  Raises InvalidInputError for a matrix with an entry
-    between degrees more than one apart."""
-    x = _band(state.matrix, state.basis)[0]
-    degrees = np.asarray(state.basis.degrees, dtype=float)
+def bracket_field(matrix, basis: GradedBasis) -> np.ndarray:
+    """The Lax field of a dense symmetric matrix over ``basis``, the one the
+    closed form solves and the tests' RK4 oracle follows: BX + (BX)^T with
+    B = S o X, S the sign of the degree difference; exactly symmetric, and
+    with exact zeros outside the band.  Raises InvalidInputError for a
+    matrix with an entry between degrees more than one apart."""
+    x = _band(matrix, basis)
+    degrees = np.asarray(basis.degrees, dtype=float)
     gaps = degrees[:, None] - degrees[None, :]
     p = (np.sign(gaps) * x) @ x
     return np.where(np.abs(gaps) > 1, 0.0, p + p.T)
@@ -275,12 +266,11 @@ def report_row_bytes(n: int, csv: bool = False, matrices: bool = False) -> int:
 def flow_steps(dims, t_end: float, dt: float, sample_every: int,
                row_bytes: int | None = None) -> int:
     """Number of steps of a flow over degrees ``dims`` wide, once its
-    arguments pass and the budgets hold: with n = sum(dims), 2 n**3
-    operations and 16 n**2 bytes for the dense end states, and for each
-    sampled state ``row_bytes`` (by default a JSON report row) and 24 bytes
-    a singular pair, at most min(dims_k, dims_(k+1)) for each d_k.  (A
-    state's 3 operations a pair are, while its bytes pass, below 1e-3 of
-    MAX_FLOW_WORK.)"""
+    arguments pass and the budgets hold: its singular frame with vectors
+    passes ``spectral.require_frame`` (every degree at most 4096 wide),
+    which bounds the flow's work, and each sampled state is charged
+    ``row_bytes`` (by default a JSON report row) and 24 bytes a singular
+    pair, at most min(dims_k, dims_(k+1)) for each d_k."""
     if not 0 < dt < math.inf:
         raise InvalidInputError("dt must be positive and finite")
     if not 0 <= t_end < math.inf:
@@ -293,13 +283,11 @@ def flow_steps(dims, t_end: float, dt: float, sample_every: int,
                    f"flow needs t_end/dt = {ratio:.3g} steps")
     steps = int(round(ratio))
     states = 1 - (-steps // sample_every)  # each reported as a row
+    require_frame(dims, vectors=True)
     n, pairs = sum(dims), sum(map(min, dims, dims[1:]))
-    work = 2 * n ** 3
-    budget.require(work, budget.MAX_FLOW_WORK, f"flow needs about {work:.3g} "
-                   f"operations (t_end/dt = {ratio:.3g} steps of size {n})")
     if row_bytes is None:
         row_bytes = report_row_bytes(n)
-    size = 16 * n * n + states * (row_bytes + 24 * pairs)
+    size = states * (row_bytes + 24 * pairs)
     budget.require(size, budget.MAX_TRAJECTORY_BYTES, f"{states} sampled states "
                    f"of size {n} need {size} bytes")
     return steps
@@ -311,64 +299,64 @@ def integrate(d: GradedOperator, t_end: float, dt: float,
     derivative ``d``, sampled every ``sample_every`` steps of dt and at the
     last step.
 
-    Returns sampled states including the initial and final ones: the first
-    is D as floats, and the others are the closed form of the singular pairs
-    of d at the sampled times i * dt, the last at t_end when the steps reach
-    it to a few ulps.  Every state is exactly symmetric, with exact zeros
-    between degrees more than one apart.  Raises InvalidInputError before
-    any work for a ``d`` that is not a GradedOperator, and
-    ResourceLimitError before the frame is solved when the flow is over
-    budget: ``flow_steps`` on the basis's degree widths, each sampled state
-    charged ``row_bytes`` (by default its JSON report row).  Then, before
-    the first state, it raises ContractViolationError for a d that is not
-    graded and nilpotent (``operators.require_nilpotent``), and for a frame
-    that misses FRAME_TOL.
+    Returns sampled states including the initial and final ones, each the
+    closed form of the singular pairs of d at its time: the first is D at
+    time 0, with triples (0, 0, sigma), and the others are at the sampled
+    times i * dt, the last at t_end when the steps reach it to a few ulps;
+    one ``_Frame.triples`` call evaluates them all.  Every state is exactly
+    symmetric, with exact zeros between degrees more than one apart.
+    Raises InvalidInputError before any work for a ``d`` that is not a
+    GradedOperator, and ResourceLimitError before the frame is solved when
+    the flow is over budget: ``flow_steps`` on the basis's degree widths,
+    each sampled state charged ``row_bytes`` (by default its JSON report
+    row).  Then, before the first state, it raises ContractViolationError
+    for a d that is not graded and nilpotent
+    (``operators.require_nilpotent``), and for a frame that misses
+    FRAME_TOL.
     """
     if not isinstance(d, GradedOperator):
         raise InvalidInputError("the flow starts from an integer derivative, "
                                 f"not a {type(d).__name__}")
     basis = d.basis
     steps = flow_steps(basis.dims, t_end, dt, sample_every, row_bytes)
-    frame = _Frame(_checked_frame(d), basis)
+    frame = _Frame(_checked_frame(d), basis, _moments(d))
     samples = [*range(sample_every, steps + 1, sample_every)]
     if steps % sample_every:
         samples.append(steps)
-    times = [i * dt for i in samples]
-    if times and abs(times[-1] - t_end) <= 4 * math.ulp(t_end):
+    times = [0.0] + [i * dt for i in samples]
+    if samples and abs(times[-1] - t_end) <= 4 * math.ulp(t_end):
         times[-1] = t_end
-    return [FlowState(dirac(d).to_dense(), 0.0, basis)] + [
-        FlowState(None, t, basis, frame) for t in times]
+    return [FlowState(t, frame, row) for t, row in zip(times, frame.triples(times))]
 
 
-def _diagnostics(states: list[FlowState]) -> list[dict]:
-    """Per sampled state: time, sorted spectrum, middle-part norm, nilpotency
-    defect and spectral drift from the first state; one spectrum each.  The
-    first and last rows come from the dense matrices, the first as the drift
-    reference and the last as the check of the written matrix; the rows
-    between come from the triples of a frame state."""
-    rows = []
-    for i, s in enumerate(states):
-        if i in (0, len(states) - 1):
-            s = FlowState(s.matrix, s.t, s.basis)
-        b_norm, d_squared_norm = _norms(s)
-        eigs = s.eigenvalues()
-        base = rows[0]["eigenvalues"] if rows else eigs
-        rows.append({"t": float(s.t), "eigenvalues": eigs, "b_norm": b_norm,
-                     "d_squared_norm": d_squared_norm,
-                     "drift": _max_abs(eigs - base)})
-    return rows
+def _diagnostics(states: list[FlowState]) -> tuple[dict, float]:
+    """The rows of the states of one run, in one array pass over the stack
+    of their triples: time, sorted spectrum, middle-part norm, nilpotency
+    defect and spectral drift from the first state, each an array along the
+    states; and the run's ``_Frame.moment_residual``."""
+    frame = states[0].frame
+    stack = np.array([s.triples for s in states])
+    spectra = frame.spectrum(stack)
+    b_norm, d_squared_norm = frame.norms(stack)
+    drift = np.max(np.abs(spectra - spectra[0]), axis=-1, initial=0.0)
+    times = np.array([s.t for s in states], dtype=float)
+    return (dict(zip(ROW_KEYS, (times, spectra, b_norm, d_squared_norm, drift))),
+            frame.moment_residual(spectra))
 
 
 def trajectory_to_json(states: list[FlowState],
                        include_matrices: bool = False) -> dict:
-    """Diagnostics per sampled state; full matrices only on request."""
-    payload = []
-    for s, row in zip(states, _diagnostics(states)):
-        entry = dict(row, eigenvalues=row["eigenvalues"].tolist())
-        if include_matrices:
-            entry["matrix"] = np.asarray(s.matrix, dtype=float).tolist()
-        payload.append(entry)
-    return {"states": payload}
+    """Diagnostics per sampled state and the run's moment residual; full
+    matrices only on request."""
+    if not states:
+        return {"states": [], "moment_residual": 0.0}
+    rows, residual = _diagnostics(states)
+    payload = [dict(zip(ROW_KEYS, values))
+               for values in zip(*(rows[key].tolist() for key in ROW_KEYS))]
+    if include_matrices:
+        for entry, s in zip(payload, states):
+            entry["matrix"] = s.matrix.tolist()
+    return {"states": payload, "moment_residual": residual}
 
 
 def trajectory_to_csv(states: list[FlowState]) -> str:
@@ -379,8 +367,8 @@ def trajectory_to_csv(states: list[FlowState]) -> str:
     header = (["t"] + [f"eig_{i}" for i in range(n)]
               + ["b_norm", "d_squared_norm", "drift"])
     lines = [",".join(header)]
-    for row in _diagnostics(states):
-        lines.append(",".join(
-            [f"{row['t']:.10g}"] + [f"{x:.12g}" for x in row["eigenvalues"]]
-            + [f"{row[k]:.12g}" for k in ("b_norm", "d_squared_norm", "drift")]))
+    rows = _diagnostics(states)[0]
+    for t, eigs, *norms in zip(*(rows[key].tolist() for key in ROW_KEYS)):
+        lines.append(",".join([f"{t:.10g}"] + [f"{x:.12g}" for x in eigs]
+                              + [f"{x:.12g}" for x in norms]))
     return "\n".join(lines) + "\n"

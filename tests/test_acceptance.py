@@ -15,7 +15,7 @@ import pytest
 from conftest import (full_hodge_spectra, gauss_bonnet_curvature,
                       random_subcomplex, reference_rk4, spectral_drift)
 
-from simhodge import (Complex, FlowState, barycentric_operator,
+from simhodge import (Complex, barycentric_operator,
                       barycentric_refinement, betti, check_automorphism,
                       connection_derivative, dirac, euler_characteristic,
                       exterior_derivative, f_vector, fixed_point_indices,
@@ -210,7 +210,8 @@ def test_criterion_09_lax_flow(suite):
     for name in ("cycle4", "simplex3"):
         states = integrate(exterior_derivative(suite[name]), 10.0, 0.01,
                            sample_every=100)
-        assert spectral_drift(states[0], states[-1]) < 1e-6, name
+        assert spectral_drift(states[0].eigenvalues(),
+                              states[-1].eigenvalues()) < 1e-6, name
         assert max(s.raising_norm_squared() for s in states) < 1e-8, name
     # the flow is the closed form; RK4 of the commutator as written is its
     # oracle, fourth order in dt
@@ -221,7 +222,8 @@ def test_criterion_09_lax_flow(suite):
         exact = integrate(k3_d, 5.0, dt, sample_every=10 ** 9)[-1]
         rk4 = reference_rk4(k3_dirac.to_dense(), k3_dirac.basis, 5.0, dt,
                             10 ** 9)[-1]
-        drifts.append(spectral_drift(exact, FlowState(rk4, 5.0, k3_dirac.basis)))
+        drifts.append(spectral_drift(exact.eigenvalues(),
+                                     np.linalg.eigvalsh(rk4)))
     ratio = drifts[0] / drifts[1]
     assert 8.0 <= ratio <= 32.0
     c4_states = integrate(exterior_derivative(suite["cycle4"]), 1.0, 0.01,
@@ -290,7 +292,7 @@ def test_readme_tour_runs():
 
 def test_readme_budget_table_names_every_limit():
     """The README's budget table has one row per limit of ``budget``, with
-    its value (written as 2000, 2^27 or 10^11)."""
+    its value (written as 2000, 2^27 or 10^8)."""
     import re
     from pathlib import Path
 
@@ -302,5 +304,5 @@ def test_readme_budget_table_names_every_limit():
     table = {name: int(base) ** int(power or 1) for name, base, power in rows}
     limits = {name: value for name, value in vars(budget).items()
               if name.isupper() and isinstance(value, int)}
-    assert len(limits) == 7
+    assert len(limits) == 6
     assert table == limits

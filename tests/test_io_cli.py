@@ -555,12 +555,17 @@ class TestCli:
 
     @pytest.fixture()
     def lax_calls(self, monkeypatch):
-        """Count FlowState.eigenvalues calls and keep the integrated states."""
-        from simhodge import cli
-        from simhodge.lax import FlowState
+        """Count the spectra taken of a stack of states and of one state
+        (``FlowState.eigenvalues``), and keep the integrated states."""
+        from simhodge import cli, lax
 
-        seen = {"eigenvalues": 0, "states": None}
-        eigenvalues, integrate = FlowState.eigenvalues, cli.integrate
+        seen = {"spectrum": 0, "eigenvalues": 0, "states": None}
+        eigenvalues, integrate = lax.FlowState.eigenvalues, cli.integrate
+        spectrum = lax._Frame.spectrum
+
+        def counting_spectrum(frame, stack):
+            seen["spectrum"] += 1
+            return spectrum(frame, stack)
 
         def counting_eigenvalues(state):
             seen["eigenvalues"] += 1
@@ -570,7 +575,8 @@ class TestCli:
             seen["states"] = integrate(*args, **kwargs)
             return seen["states"]
 
-        monkeypatch.setattr(FlowState, "eigenvalues", counting_eigenvalues)
+        monkeypatch.setattr(lax._Frame, "spectrum", counting_spectrum)
+        monkeypatch.setattr(lax.FlowState, "eigenvalues", counting_eigenvalues)
         monkeypatch.setattr(cli, "integrate", keeping_integrate)
         return seen
 
@@ -579,8 +585,9 @@ class TestCli:
                                 "--t-end", "1", "--dt", "0.05"], capsys)
         assert code == 0
         results = json.loads(out)["results"]
-        states = lax_calls["states"]
-        assert lax_calls["eigenvalues"] == len(states) == 11
+        # one spectrum of the stack of all 11 states, none of a state alone
+        assert len(lax_calls["states"]) == 11
+        assert (lax_calls["spectrum"], lax_calls["eigenvalues"]) == (1, 0)
         assert "csv" not in results
         rows = results["trajectory"]["states"]
         assert results["spectral_drift"] == rows[-1]["drift"]
@@ -596,7 +603,8 @@ class TestCli:
                                 "--out", str(out_path)], capsys)
         assert code == 0 and out == ""
         states = lax_calls["states"]
-        assert lax_calls["eigenvalues"] == len(states) == 11
+        assert len(states) == 11
+        assert (lax_calls["spectrum"], lax_calls["eigenvalues"]) == (1, 0)
         assert out_path.read_text() == trajectory_to_csv(states)
 
     def test_lax_dense_work_is_the_first_and_last_state(
@@ -619,10 +627,11 @@ class TestCli:
         assert code == 0
         results = json.loads(out)["results"]
         assert len(results["trajectory"]["states"]) == 101
-        # one eigh per block of d for the frame, one dense eigvalsh for the
-        # first and one for the last state, and only the last state written
-        assert solver_calls == {"eigh": 2, "eigvalsh": 2}
-        assert len(written) == 1
+        # one eigh per block of d for the frame is all the dense work: every
+        # state, the first and the last too, is read from the frame, and
+        # none is written without --matrices
+        assert solver_calls == {"eigh": 2, "eigvalsh": 0}
+        assert written == []
         assert "closed_form_error" not in results
         assert results["isospectral_within_tolerance"] is True
         assert results["nilpotency_within_tolerance"] is True
@@ -963,7 +972,7 @@ class TestHostileInputs:
                                   "500", "--dt", "0.01", "--matrices"], capsys)
         assert (code, out) == (4, "")
         assert err == ("resource limit: 5001 sampled states of size 146 need "
-                       "10320724720 bytes, limit is 268435456\n")
+                       "10320383664 bytes, limit is 268435456\n")
 
     def test_hodge_export_budget_before_dirac(self, k3_file, capsys, monkeypatch):
         """export --operator hodge counts the pairs of (d + d*)^2 from d alone,

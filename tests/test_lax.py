@@ -1,5 +1,6 @@
 """Commutator-flow integration: splitting, isospectrality, convergence."""
 
+import json
 import warnings
 
 import numpy as np
@@ -9,12 +10,14 @@ from conftest import (reference_rk4, spectral_drift, split_by_degree,
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from simhodge import (ContractViolationError, FlowState, InvalidInputError,
+from simhodge import (ContractViolationError, InvalidInputError,
                       ResourceLimitError, barycentric_refinement,
                       bracket_field, dirac, downward_closure,
                       exterior_derivative, generate, graded_basis, integrate,
                       trajectory_to_csv, trajectory_to_json)
 from simhodge import budget, lax, spectral
+from simhodge.cli import main
+from simhodge.io import parse_facets, serialize_facets
 from simhodge.operators import GradedBasis, GradedOperator
 
 
@@ -66,22 +69,19 @@ class TestSplit:
 
 class TestBracketField:
     def test_zero_is_fixed_point(self, c4):
-        basis = graded_basis(c4)
-        state = FlowState(np.zeros((8, 8)), 0.0, basis)
-        assert not bracket_field(state).any()
+        assert not bracket_field(np.zeros((8, 8)), graded_basis(c4)).any()
 
     def test_single_vertex(self):
         c = downward_closure([{0}])
-        state = FlowState(np.zeros((1, 1)), 0.0, graded_basis(c))
-        assert bracket_field(state).tolist() == [[0.0]]
+        assert bracket_field(np.zeros((1, 1)), graded_basis(c)).tolist() == [[0.0]]
 
     def test_initial_field_symmetric_nonzero(self, c4):
         big_d = initial_dirac(c4)
-        state = FlowState(big_d.to_dense(), 0.0, big_d.basis)
-        field = bracket_field(state)
+        m = big_d.to_dense()
+        field = bracket_field(m, big_d.basis)
         assert field.any()
         assert np.max(np.abs(field - field.T)) < 1e-12
-        raising, _, lowering = split_by_degree(state.matrix, state.basis)
+        raising, _, lowering = split_by_degree(m, big_d.basis)
         b = raising - lowering
         assert np.max(np.abs(b + b.T)) < 1e-12
 
@@ -89,11 +89,8 @@ class TestBracketField:
         big_d = initial_dirac(c4)
         m = big_d.to_dense()
         m[0, 4] = m[4, 0] = np.nan
-        state = FlowState(m, 0.0, big_d.basis)
         with pytest.raises(InvalidInputError, match="non-finite entry"):
-            bracket_field(state)
-        with pytest.raises(InvalidInputError, match="non-finite entry"):
-            trajectory_to_json([state])
+            bracket_field(m, big_d.basis)
 
 
 def out_of_band(m, degrees):
@@ -104,7 +101,7 @@ def out_of_band(m, degrees):
 class TestBandContract:
     """The flow is defined on the band of adjacent degrees; an entry between
     degrees two or more apart is refused, never silently dropped: in a
-    start d as a grading refusal, in a float state as invalid input."""
+    start d as a grading refusal, in a float matrix as invalid input."""
 
     def test_entry_between_degrees_zero_and_two_refused(self, k3):
         # a vertex and the triangle
@@ -114,11 +111,8 @@ class TestBandContract:
         big_d = initial_dirac(k3)
         m = big_d.matrix.toarray()
         m[0, 6] = m[6, 0] = 1
-        state = FlowState(m, 0.0, big_d.basis)
         with pytest.raises(InvalidInputError):
-            bracket_field(state)
-        with pytest.raises(InvalidInputError):
-            trajectory_to_json([state])
+            bracket_field(m, big_d.basis)
 
     def test_empty_middle_degree(self):
         basis = GradedBasis(["a", "b", "x", "y", "z"], [0, 0, 2, 2, 2])
@@ -127,7 +121,7 @@ class TestBandContract:
         m[0, 1] = m[1, 0] = 1
         m[3, 4] = m[4, 3] = -2
         # with no raising block the field is zero
-        assert not bracket_field(FlowState(m, 0.0, basis)).any()
+        assert not bracket_field(m, basis).any()
         # with degree 1 empty, every entry of a start d is off its grade
         for (row, col), degrees in (((1, 0), "0 to degree 0"),
                                     ((2, 1), "0 to degree 2")):
@@ -138,7 +132,7 @@ class TestBandContract:
                 integrate(GradedOperator(d, basis), 1.0, 0.1)
         m[1, 2] = m[2, 1] = 1  # degree 0 to degree 2
         with pytest.raises(InvalidInputError, match="between degree 2"):
-            bracket_field(FlowState(m, 0.0, basis))
+            bracket_field(m, basis)
 
     def test_flowed_states_are_zero_outside_the_band(self, suite):
         d = exterior_derivative(suite["simplex5"])
@@ -146,7 +140,7 @@ class TestBandContract:
         for s in integrate(d, 1.0, 0.05, sample_every=5):
             assert np.array_equal(s.matrix, s.matrix.T)
             assert not out_of_band(s.matrix, degrees).any()
-            field = bracket_field(s)
+            field = bracket_field(s.matrix, s.basis)
             assert np.array_equal(field, field.T)
             assert not out_of_band(field, degrees).any()
 
@@ -155,14 +149,15 @@ class TestIntegrate:
     def test_zero_horizon(self, c4):
         d = exterior_derivative(c4)
         states = integrate(d, 0.0, 0.01)
-        assert len(states) == 1
-        assert np.array_equal(states[0].matrix, dirac(d).to_dense())
+        assert len(states) == 1 and states[0].t == 0.0
+        assert np.max(np.abs(states[0].matrix - dirac(d).to_dense())) <= lax.FRAME_TOL
 
     def test_isospectral_drift_small(self, suite):
         for name in ("cycle4", "simplex3"):
             states = integrate(exterior_derivative(suite[name]), 10.0, 0.01,
                                sample_every=200)
-            assert spectral_drift(states[0], states[-1]) < 1e-6, name
+            assert spectral_drift(states[0].eigenvalues(),
+                                  states[-1].eigenvalues()) < 1e-6, name
 
     def test_nilpotency_persists(self, c4):
         states = integrate(exterior_derivative(c4), 1.0, 0.01, sample_every=10)
@@ -226,16 +221,13 @@ class TestIntegrate:
 
 class TestSpectralDrift:
     def test_same_state_zero(self, c4):
-        big_d = initial_dirac(c4)
-        s = FlowState(big_d.to_dense(), 0.0, big_d.basis)
-        assert spectral_drift(s, s) == 0.0
+        s = integrate(exterior_derivative(c4), 1.0, 0.1)[-1]
+        assert spectral_drift(s.eigenvalues(), s.eigenvalues()) == 0.0
 
     def test_dimension_mismatch(self, c4, k3):
-        a = initial_dirac(c4)
-        b = initial_dirac(k3)
+        a, b = (integrate(exterior_derivative(c), 0.0, 0.1)[0] for c in (c4, k3))
         with pytest.raises(InvalidInputError):
-            spectral_drift(FlowState(a.to_dense(), 0.0, a.basis),
-                           FlowState(b.to_dense(), 0.0, b.basis))
+            spectral_drift(a.eigenvalues(), b.eigenvalues())
 
     def test_fourth_order_convergence(self, k3):
         # the spectrum of the closed form's end state, from its triples,
@@ -248,7 +240,8 @@ class TestSpectralDrift:
             exact = integrate(d, 5.0, dt, sample_every=10 ** 9)[-1]
             rk4 = reference_rk4(big_d.to_dense(), big_d.basis, 5.0, dt,
                                 10 ** 9)[-1]
-            drifts.append(spectral_drift(exact, FlowState(rk4, 5.0, big_d.basis)))
+            drifts.append(spectral_drift(exact.eigenvalues(),
+                                         np.linalg.eigvalsh(rk4)))
         ratio = drifts[0] / drifts[1]
         assert 8.0 <= ratio <= 32.0
 
@@ -294,7 +287,7 @@ class TestKernel:
         for name, c in cases.items():
             for s in integrate(exterior_derivative(c), 0.5, 0.05,
                                sample_every=5):
-                field = bracket_field(s)
+                field = bracket_field(s.matrix, s.basis)
                 assert np.array_equal(field, field.T), name
                 expected = two_product_field(s.matrix, s.basis)
                 assert field.shape == expected.shape, name
@@ -313,23 +306,18 @@ def band_matrices(draw):
     m = rng.standard_normal((len(degrees), len(degrees)))
     deg = np.asarray(degrees)
     m[np.abs(deg[:, None] - deg[None, :]) > 1] = 0.0
-    return FlowState(np.triu(m) + np.triu(m, 1).T, 0.0, basis)
+    return np.triu(m) + np.triu(m, 1).T, basis
 
 
 @settings(max_examples=80)
 @given(band_matrices())
-def test_band_field_and_norms_match_dense_products(state):
-    field = bracket_field(state)
+def test_band_field_matches_dense_products(band):
+    m, basis = band
+    field = bracket_field(m, basis)
     assert np.array_equal(field, field.T)
-    assert not out_of_band(field, np.asarray(state.basis.degrees)).any()
-    for expected in (two_product_field(state.matrix, state.basis),
-                     block_field(state.matrix, state.basis)):
+    assert not out_of_band(field, np.asarray(basis.degrees)).any()
+    for expected in (two_product_field(m, basis), block_field(m, basis)):
         assert np.max(np.abs(field - expected), initial=0.0) <= 1e-12
-    raising, middle, _ = split_by_degree(state.matrix, state.basis)
-    for norm, dense in ((state.preserving_norm(), np.linalg.norm(middle)),
-                        (state.raising_norm_squared(),
-                         np.linalg.norm(raising @ raising))):
-        assert abs(norm - dense) <= 1e-12 * max(dense, 1.0)
 
 
 class FieldEvaluated(Exception):
@@ -417,11 +405,13 @@ class TestSingularFrame:
         def never(*args):
             raise AssertionError("a float start was charged")
         monkeypatch.setattr(lax, "flow_steps", never)
-        for start in (run[5], run[0], FlowState(d.to_dense(), 0.0, d.basis)):
+        for start in (run[5], run[0]):
             with pytest.raises(InvalidInputError, match=(
                     "^the flow starts from an integer derivative, not a "
                     "FlowState$")):
                 integrate(start, 1.0, 0.05)
+        with pytest.raises(InvalidInputError, match="not a ndarray$"):
+            integrate(d.to_dense(), 1.0, 0.05)
 
     def test_frame_is_the_spectral_singular_frame(self, monkeypatch):
         # one routine solves d's frame for the flow and for
@@ -516,7 +506,7 @@ class TestClosedForm:
 class TestBudget:
     @pytest.fixture()
     def no_dense_copy(self, monkeypatch):
-        # the frame solve and the dense first state follow the charge
+        # the frame solve follows the charge, and no dense D is ever built
         def never(*args, **kwargs):
             raise AssertionError("flow work ran before the budget was checked")
         monkeypatch.setattr(lax, "singular_frame", never)
@@ -540,17 +530,19 @@ class TestBudget:
         assert d.basis.dims == self.refined
         assert lax.flow_steps(self.refined, 1000.0, 0.01, 100) == 100000
         with pytest.raises(ResourceLimitError, match=(
-                "^100001 sampled states of size 146 need 1733158384 bytes, "
+                "^100001 sampled states of size 146 need 1732817328 bytes, "
                 "limit is 268435456$")):
             integrate(d, 1000.0, 0.01, sample_every=1)
 
-    def test_dense_solves_of_a_large_start_refused(self, no_dense_copy):
-        # a 2000-vertex path has 3999 basis elements: the dense solves of its
-        # first and last states need 2 * 3999^3 operations
+    def test_a_start_wider_than_the_frame_limit_refused(self, no_dense_copy):
+        # the frame's width limit bounds a flow's work: a 4096-vertex path
+        # fits, and the 4100 vertices of a longer one are refused before its
+        # frame is solved
+        assert lax.flow_steps((4096, 4095), 1.0, 0.01, 1) == 100
         with pytest.raises(ResourceLimitError, match=(
-                r"^flow needs about 1.28e\+11 operations \(t_end/dt = 100 "
-                r"steps of size 3999\), limit is 100000000000$")):
-            integrate(exterior_derivative(generate("path", 2000)), 1.0, 0.01)
+                "^degree-0 block is 4100 wide for a dense eigensolve, "
+                "limit is 4096$")):
+            integrate(exterior_derivative(generate("path", 4100)), 1.0, 0.01)
 
     # degree widths of the refined octahedron: each sampled state is charged
     # min(26, 72) + min(72, 48) = 74 singular pairs, where its Dirac start
@@ -563,18 +555,18 @@ class TestBudget:
         # lax --t-end 15000 --dt 0.1 is cheap in the frame, but its 150001
         # report rows would need about 2.6 GB
         with pytest.raises(ResourceLimitError, match=(
-                "^150001 sampled states of size 146 need 2599558384 bytes, "
+                "^150001 sampled states of size 146 need 2599217328 bytes, "
                 "limit is 268435456$")):
             lax.flow_steps(self.refined, 15000.0, 0.1, 1)
 
     def test_largest_admitted_run_on_the_refined_octahedron(self):
-        # lax --t-end 1547 --dt 0.1 samples 15471 states and fits; 1548
-        # samples 15481, and the 74 pairs charged a state push it over
-        assert lax.flow_steps(self.refined, 1547.0, 0.1, 1) == 15470
+        # lax --t-end 1549 --dt 0.1 samples 15491 states and fits; 1550
+        # samples 15501, and the 74 pairs charged a state push it over
+        assert lax.flow_steps(self.refined, 1549.0, 0.1, 1) == 15490
         with pytest.raises(ResourceLimitError, match=(
-                "^15481 sampled states of size 146 need 268595824 bytes, "
+                "^15501 sampled states of size 146 need 268601328 bytes, "
                 "limit is 268435456$")):
-            lax.flow_steps(self.refined, 1548.0, 0.1, 1)
+            lax.flow_steps(self.refined, 1550.0, 0.1, 1)
 
     def test_benchmark_sized_flow_is_far_inside(self, monkeypatch):
         # lax --t-end 10 --dt 0.01 on the refined octahedron: 1000 steps of
@@ -583,7 +575,6 @@ class TestBudget:
         # the benchmark's lax ops, that run and lax on wheel6 (degree widths
         # 7, 12 and 6, the default --t-end 1 --dt 0.01), fit a tenth of each
         # budget
-        monkeypatch.setattr(budget, "MAX_FLOW_WORK", budget.MAX_FLOW_WORK // 10)
         monkeypatch.setattr(budget, "MAX_TRAJECTORY_BYTES",
                             budget.MAX_TRAJECTORY_BYTES // 10)
         assert lax.flow_steps(self.refined, 10.0, 0.01, 10) == 1000
@@ -598,7 +589,7 @@ class TestBudget:
         assert lax.flow_steps(self.refined, 2000.0, 0.1, 1,
                               row_bytes=csv_row) == 20000
         with pytest.raises(ResourceLimitError, match=(
-                "^20001 sampled states of size 146 need 346918384 bytes, "
+                "^20001 sampled states of size 146 need 346577328 bytes, "
                 "limit is 268435456$")):
             lax.flow_steps(self.refined, 2000.0, 0.1, 1)
 
@@ -606,58 +597,62 @@ class TestBudget:
 class TestDiagnostics:
     def test_json_and_csv_share_one_eigensolve_per_state(self, c4,
                                                         monkeypatch):
+        # each writer takes the spectra of all states in one call on the
+        # stack of their triples (c4: 3 singular pairs), and its rows are
+        # those of each state alone
         states = integrate(exterior_derivative(c4), 0.5, 0.1)
         calls = []
-        original = FlowState.eigenvalues
+        spectrum = lax._Frame.spectrum
 
-        def counting(self):
-            calls.append(self.t)
-            return original(self)
+        def counting(frame, stack):
+            calls.append(stack.shape)
+            return spectrum(frame, stack)
 
-        monkeypatch.setattr(FlowState, "eigenvalues", counting)
-        rows = trajectory_to_json(states)["states"]
-        assert len(calls) == len(states)
-        # the first and last rows come from the dense matrices
-        expected = [dense_copy(states[0]), *states[1:-1], dense_copy(states[-1])]
-        assert rows[-1]["drift"] == spectral_drift(states[0], expected[-1])
+        monkeypatch.setattr(lax._Frame, "spectrum", counting)
+        trajectory = trajectory_to_json(states)
+        assert calls == [(len(states), 9)]
+        rows = trajectory["states"]
+        assert [r["eigenvalues"] for r in rows] == [
+            s.eigenvalues().tolist() for s in states]
+        assert rows[-1]["drift"] == spectral_drift(states[0].eigenvalues(),
+                                                   states[-1].eigenvalues())
         assert [r["b_norm"] for r in rows] == [s.preserving_norm()
-                                               for s in expected]
+                                               for s in states]
         assert [r["d_squared_norm"] for r in rows] == [
-            s.raising_norm_squared() for s in expected]
+            s.raising_norm_squared() for s in states]
+        assert 0.0 <= trajectory["moment_residual"] <= spectral.TRACE_TOL
         calls.clear()
         trajectory_to_csv(states)
-        assert len(calls) == len(states)
+        assert len(calls) == 1
 
     def test_empty_trajectory(self):
-        assert trajectory_to_json([]) == {"states": []}
+        assert trajectory_to_json([]) == {"states": [], "moment_residual": 0.0}
         assert trajectory_to_csv([]) == ""
 
 
-def dense_copy(state):
-    """The same matrix as a plain dense state, whose spectrum and norms come
-    from the matrix."""
-    return FlowState(state.matrix, state.t, state.basis)
+def dense_row(m, basis):
+    """(spectrum, ||M||_F, ||R^2||_F) of a dense state, the oracle of a
+    diagnostics row."""
+    raising, middle, _ = split_by_degree(m, basis)
+    eigs = np.linalg.eigvalsh(m) if m.size else np.zeros(0)
+    return eigs, np.linalg.norm(middle), np.linalg.norm(raising @ raising)
 
 
 class TestFrameDiagnostics:
-    """A frame state's spectrum and norms come from its (a, c, s) triples;
-    they agree with the same row recomputed from its dense matrix."""
+    """A state's spectrum and norms come from its (a, c, s) triples; they
+    agree with the same row recomputed from its dense matrix."""
 
     @staticmethod
     def check_rows(c):
         states = integrate(exterior_derivative(c), 2.0, 0.05, sample_every=4)
-        assert states[0].frame is None
-        for s in states[1:]:
-            assert s.frame is not None and s._matrix is None
-            dense = dense_copy(s)
-            eigs = dense.eigenvalues()
+        for s in states:
+            assert s._matrix is None
+            eigs, middle, square = dense_row(s.matrix, s.basis)
             scale = max(np.max(np.abs(eigs), initial=0.0), 1.0)
             assert np.max(np.abs(s.eigenvalues() - eigs),
                           initial=0.0) <= 1e-12 * scale, s.t
-            assert abs(s.preserving_norm()
-                       - dense.preserving_norm()) <= 1e-12 * scale, s.t
-            assert abs(s.raising_norm_squared()
-                       - dense.raising_norm_squared()) <= 1e-12 * scale ** 2, s.t
+            assert abs(s.preserving_norm() - middle) <= 1e-12 * scale, s.t
+            assert abs(s.raising_norm_squared() - square) <= 1e-12 * scale ** 2, s.t
 
     def test_frame_rows_match_dense_rows_on_suite(self, suite):
         cases = dict(suite, empty=downward_closure([]))
@@ -680,6 +675,55 @@ class TestFrameDiagnostics:
         refined = barycentric_refinement(generate("octahedron"))
         state = integrate(exterior_derivative(refined), 1.0, 0.1)[-1]
         assert 0.0 < state.raising_norm_squared() < 1e-12
+
+
+MOMENT_CASES = {"triangle": "1 2 3\n",
+                "octahedron": serialize_facets(generate("octahedron")),
+                "refined": serialize_facets(
+                    barycentric_refinement(generate("octahedron")))}
+
+
+def lax_results(tmp_path, capsys, text, *flags):
+    (tmp_path / "c.txt").write_text(text)
+    assert main(["lax", "--input", str(tmp_path / "c.txt"), *flags]) == 0
+    return json.loads(capsys.readouterr().out)["results"]
+
+
+class TestMomentCheck:
+    """``isospectral_within_tolerance`` compares each row's spectrum with
+    the exact tr D^2 and tr D^4 of d, so a wrong frame fails it even though
+    its rows agree with one another."""
+
+    @pytest.mark.parametrize("name", MOMENT_CASES)
+    def test_scaled_sigma_fails_the_isospectral_check(self, tmp_path, capsys,
+                                                      monkeypatch, name):
+        results = lax_results(tmp_path, capsys, MOMENT_CASES[name])
+        assert results["isospectral_within_tolerance"] is True
+        init = lax._Frame.__init__
+
+        def scaled(frame, *args):
+            init(frame, *args)
+            frame.sigma[np.argmax(frame.sigma)] *= 1 + 1e-6
+
+        monkeypatch.setattr(lax._Frame, "__init__", scaled)
+        results = lax_results(tmp_path, capsys, MOMENT_CASES[name])
+        assert results["isospectral_within_tolerance"] is False
+
+    def test_first_state_is_d_at_time_zero(self, tmp_path, capsys):
+        # the t = 0 row is the frame at tau = 0: its spectrum is that of the
+        # dense D, and its written matrix is D to the frame's tolerance
+        for name, text in MOMENT_CASES.items():
+            d = exterior_derivative(parse_facets(text))
+            dense = dirac(d).to_dense()
+            first = integrate(d, 0.0, 0.1)[0]
+            assert np.max(np.abs(first.eigenvalues()
+                                 - np.linalg.eigvalsh(dense))) <= 1e-12, name
+            results = lax_results(tmp_path, capsys, text, "--t-end", "0.1",
+                                  "--dt", "0.1", "--matrices")
+            matrix = np.array(results["trajectory"]["states"][0]["matrix"])
+            assert np.max(np.abs(matrix - dense)) <= lax.FRAME_TOL * np.max(
+                np.abs(d.to_dense())), name
+            assert results["moment_residual"] <= spectral.TRACE_TOL, name
 
 
 class TestClosedFormError:
@@ -724,10 +768,13 @@ class TestClosedFormError:
             [-sigma, sigma, np.zeros(sigma.size)]))
 
     def test_none_without_a_frame_state(self, c4):
-        # only flowed states have a closed form: not a state made by hand,
-        # nor the first state of a run
+        # every state is a frame state, the first one too: at time 0 its
+        # triples are (0, 0, sigma), at any horizon
         d = exterior_derivative(c4)
-        big_d = dirac(d)
-        states = [FlowState(big_d.to_dense(), 0.0, big_d.basis),
-                  integrate(d, 0.2, 0.1)[0], *integrate(d, 0.0, 0.1)]
-        assert all(s.frame is None and s.triples is None for s in states)
+        for states in (integrate(d, 0.2, 0.1), integrate(d, 0.0, 0.1)):
+            first, sigma = states[0], states[0].frame.sigma
+            assert first.t == 0.0 and sigma.size == 3
+            assert np.array_equal(first.triples, np.concatenate(
+                [np.zeros(2 * sigma.size), sigma]))
+            assert all(np.array_equal(s.triples, s.frame.triples(s.t))
+                       for s in states)

@@ -79,6 +79,7 @@ def inputs(tmp_path_factory):
         "malformed.txt": "0 2 4 0\n" + serialize_facets(generate("octahedron")),
         "random40.txt": serialize_facets(
             generate("random", 40, seed=1, edge_prob=0.3)),
+        "path4100.txt": serialize_facets(generate("path", 4100)),
         "octahedron.perm": "(0 1)\n",
     }
     for name, text in texts.items():
@@ -98,8 +99,13 @@ def inputs(tmp_path_factory):
     # charged its 74 singular pairs a state, from the f-vector, before
     # numpy loads or any Gram matrix is solved
     (["lax", "--t-end", "1600", "--dt", "0.1", "--input", "refined.txt"], 4,
-     "resource limit: 16001 sampled states of size 146 need 277606384 bytes, "
+     "resource limit: 16001 sampled states of size 146 need 277265328 bytes, "
      "limit is 268435456"),
+    # the frame's width limit, which bounds a flow's work, from the f-vector
+    (["lax", "--input", "path4100.txt"], 4,
+     "resource limit: degree-0 block is 4100 wide for a dense eigensolve, "
+     "limit is 4096"),
+    (["refine", "--input", "octahedron.txt"], 0, ""),
     (["report", "--input", "random40.txt"], 4,
      "resource limit: degree-2 block is 7463 wide for a dense eigensolve, "
      "limit is 4096"),
@@ -108,7 +114,8 @@ def inputs(tmp_path_factory):
     (["lefschetz", "--t", "0,x", "--perm", "octahedron.perm",
       "--input", "octahedron.txt"], 2, "error: unreadable time list '0,x'"),
 ], ids=["version", "skeleton", "malformed", "order3-guard", "lax-budget",
-        "lax-refined-pairs", "report-random40", "heat-bad-t", "lefschetz-bad-t"])
+        "lax-refined-pairs", "lax-path4100", "refine", "report-random40",
+        "heat-bad-t", "lefschetz-bad-t"])
 def test_processes_that_compute_no_floats_load_no_numpy(inputs, argv, code,
                                                         message):
     got, out, err, loaded = _main(argv, inputs)
