@@ -367,8 +367,8 @@ def trajectory_to_csv(states: list[FlowState]) -> str:
     header = (["t"] + [f"eig_{i}" for i in range(n)]
               + ["b_norm", "d_squared_norm", "drift"])
     lines = [",".join(header)]
-    rows = _diagnostics(states)[0]
-    for t, eigs, *norms in zip(*(rows[key].tolist() for key in ROW_KEYS)):
-        lines.append(",".join([f"{t:.10g}"] + [f"{x:.12g}" for x in eigs]
+    rows = _diagnostics(states)[0]  # formatted a row at a time, as they are charged
+    for t, eigs, *norms in zip(*(rows[key] for key in ROW_KEYS)):
+        lines.append(",".join([f"{t:.10g}"] + [f"{x:.12g}" for x in eigs.tolist()]
                               + [f"{x:.12g}" for x in norms]))
     return "\n".join(lines) + "\n"

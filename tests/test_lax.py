@@ -573,8 +573,8 @@ class TestBudget:
         # a 146 x 146 flow, 101 sampled states; ten times as long fits
         assert lax.flow_steps(self.refined, 100.0, 0.01, 10) == 10000
         # the benchmark's lax ops, that run and lax on wheel6 (degree widths
-        # 7, 12 and 6, the default --t-end 1 --dt 0.01), fit a tenth of each
-        # budget
+        # 7, 12 and 6, the default --t-end 1 --dt 0.01), fit a tenth of the
+        # trajectory budget
         monkeypatch.setattr(budget, "MAX_TRAJECTORY_BYTES",
                             budget.MAX_TRAJECTORY_BYTES // 10)
         assert lax.flow_steps(self.refined, 10.0, 0.01, 10) == 1000
@@ -582,7 +582,7 @@ class TestBudget:
 
     def test_csv_rows_charged_what_csv_costs(self):
         # lax --t-end 2000 --dt 0.1 --out x.csv on the refined octahedron:
-        # 20001 states peak at 212.7 MiB as a process; their JSON report rows
+        # 20001 states peak at 205 MiB as a process; their JSON report rows
         # are charged 347 MB
         csv_row = lax.report_row_bytes(146, csv=True)
         assert csv_row == lax.CSV_ROW_BYTES + 146 * lax.CSV_VALUE_BYTES
