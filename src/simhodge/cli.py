@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import numbers
 import os
 import sys
 import time
@@ -171,7 +170,6 @@ def _cmd_curvature(c, args):
 
 
 def _cmd_ph(c, args):
-    chi = euler_characteristic(c)
     if args.mode:
         if args.mode == "exhaustive":
             result = index_expectation(c, mode="exhaustive")
@@ -200,7 +198,7 @@ def _cmd_ph(c, args):
         ranks = seeded_rng(args.seed).permutation(len(c.base)).tolist()
         f = dict(zip(sorted(c.base), ranks))
     indices = poincare_hopf(c, f)
-    total = sum(indices.values())
+    total, chi = sum(indices.values()), euler_characteristic(c)
     return {
         "function": {c.label_of(v): f[v] for v in sorted(f)},
         "indices": field_payload(c, indices),
@@ -383,21 +381,10 @@ def run(args) -> tuple[str, ...]:
         "timing_ms": elapsed_ms,
     }
     try:
-        text = json.dumps(report, sort_keys=True, allow_nan=False,
-                          default=_json_default)
-    except ValueError as err:  # NaN or an infinity reached the report
+        text = json.dumps(report, sort_keys=True, allow_nan=False)
+    except (TypeError, ValueError) as err:  # a non-JSON type, NaN or an infinity
         raise ContractViolationError(f"results are not strict JSON: {err}") from None
     return text, "\n"
-
-
-def _json_default(value):
-    if isinstance(value, Fraction):
-        return fraction_payload(value)
-    if isinstance(value, numbers.Integral):
-        return int(value)
-    if isinstance(value, numbers.Real):
-        return float(value)
-    raise TypeError(f"not serializable: {type(value)!r}")
 
 
 def main(argv=None) -> int:

@@ -11,6 +11,7 @@ ignored; a non-comment line without tokens is a parse error.
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 
 try:  # CPython's builtin SHA-256, so no process maps OpenSSL to stamp its input
@@ -166,7 +167,10 @@ def parse_permutation(text: str, c: Complex) -> dict:
                 raise ParseError("expected exactly 'a -> b'", line=number)
             assign(resolve(parts[0]), resolve(parts[1]), number)
         elif body.startswith("("):
-            for chunk in body.replace("(", " ").split(")"):
+            if not re.fullmatch(r"(\s*\([^()]*\))+\s*", body):
+                raise ParseError("every label of a cycle line must lie inside one "
+                                 "pair of parentheses", line=number)
+            for chunk in re.findall(r"\(([^()]*)\)", body):
                 ids = [resolve(name) for name in chunk.split()]
                 for i, src in enumerate(ids):
                     assign(src, ids[(i + 1) % len(ids)], number)

@@ -38,9 +38,10 @@ field commutes with orthogonal changes of basis within a degree, so the
 sampled states do not depend on how a degree's basis is ordered or signed.
 The frame is ``spectral.singular_frame(d, vectors=True)``, which first
 refuses a d that is not graded and nilpotent
-(``operators.require_nilpotent``); a frame that misses FRAME_TOL is refused
-as a broken contract.  It is orthonormal by construction, so only singular
-values far apart in scale miss it (d_0 = diag(10^4, 1) does).
+(``operators.require_nilpotent``); a frame that misses FRAME_TOL, block by
+block, is refused as a broken contract.  It is orthonormal by construction,
+so only singular values far apart in scale miss it (d_0 = diag(10^4, 1)
+does).
 
 A state keeps its triples, and its matrix is written only when read.  The
 diagnostics of a run are one array pass over the stack of its triples, one
@@ -50,7 +51,7 @@ the middle-part norm ||M||_F is sqrt(sum a^2 + sum c^2), and the nilpotency
 defect ||R^2||_F has the blocks diag(s) C_k diag(s) with C_k = V_(k+1)^T U_k,
 zero up to the frame's rounding.  Rows compared with one another cannot
 catch a wrong frame, so each row's spectrum is also checked against two
-exact integers of d: tr D^2 = sum_k tr L_k and tr D^4 = 2 sum_k
+exact integers of d: tr D^2 = 2 ||d||_F^2 and tr D^4 = 2 sum_k
 ||d_k^T d_k||_F^2, since D^2 = d d* + d* d and d d = 0.
 """
 
@@ -64,7 +65,7 @@ from . import budget
 from . import _np as np
 from .errors import ContractViolationError, InvalidInputError
 from .operators import GradedBasis, GradedOperator
-from .spectral import degree_frames, hodge_traces, require_frame, singular_frame
+from .spectral import require_frame, singular_frame
 
 SYMMETRY_TOL = 1e-10
 # Largest entry error of a singular frame: of U_k diag(sigma) V_k^T against
@@ -107,30 +108,13 @@ def _band(matrix, basis: GradedBasis) -> np.ndarray:
     return m
 
 
-def _checked_frame(d: GradedOperator) -> list:
-    """``spectral.singular_frame(d, vectors=True)``, the (sigma^2, U_k, V_k)
-    with d_k = U_k diag(sigma) V_k^T of every block; ContractViolationError
-    when, to FRAME_TOL, a d_k is not reproduced or a ``degree_frames`` is
-    not orthonormal."""
-    frame = singular_frame(d, vectors=True)
-    blocks = [d.block(k + 1, k) for k in range(len(frame))]
-    missed = [k for k, ((w, u, v), r) in enumerate(zip(frame, blocks))
-              if _max_abs((u * np.sqrt(w)) @ v.T - r) > FRAME_TOL * _max_abs(r)]
-    missed += [k for k, (_, w) in enumerate(degree_frames(frame, d.basis.dims))
-               if _max_abs(w.T @ w - np.eye(w.shape[1])) > FRAME_TOL]
-    if missed:
-        raise ContractViolationError("the singular frame of the Dirac start "
-                                     f"misses FRAME_TOL in degree {missed[0]}")
-    return frame
-
-
 def _moments(d: GradedOperator) -> tuple[int, int]:
     """(tr D^2, tr D^4) of D = d + d* for a graded nilpotent d, exact: as
-    d d = 0, D^2 = d d* + d* d and D^4 = (d d*)^2 + (d* d)^2, so tr D^2 is
-    the sum of ``hodge_traces`` and tr D^4 = 2 ||d* d||_F^2, the d_k^T d_k
-    being the diagonal blocks of d* d."""
+    d d = 0, D^2 = d d* + d* d and D^4 = (d d*)^2 + (d* d)^2, so tr D^2 =
+    2 ||d||_F^2 and tr D^4 = 2 ||d* d||_F^2, the d_k^T d_k being the
+    diagonal blocks of d* d."""
     gram = d.matrix.T @ d.matrix
-    return sum(hodge_traces(d)), 2 * sum(v * v for v in gram.data.tolist())
+    return tuple(2 * sum(v * v for v in m.data.tolist()) for m in (d.matrix, gram))
 
 
 class _Frame:
@@ -178,6 +162,23 @@ class _Frame:
         for k in degree:
             dense[k, k] = np.triu(dense[k, k]) + np.triu(dense[k, k], 1).T
         return dense
+
+    def require_fit(self, d: GradedOperator):
+        """ContractViolationError, naming the lowest degree, when to
+        FRAME_TOL a block's U_k diag(sigma) V_k^T does not reproduce d_k, its
+        U_k^T U_k or V_k^T V_k is not the identity, or a cross term
+        V_(k+1)^T U_k, whose squares are ``overlaps``, is not zero."""
+        missed = [k + 1 for k, overlap in enumerate(self.overlaps)
+                  if _max_abs(overlap) > FRAME_TOL ** 2]
+        for k, (w, u, v) in enumerate(self.blocks):
+            r = d.block(k + 1, k)
+            if _max_abs((u * np.sqrt(w)) @ v.T - r) > FRAME_TOL * _max_abs(r):
+                missed.append(k)
+            missed += [j for j, x in ((k, v), (k + 1, u))
+                       if _max_abs(x.T @ x - np.eye(x.shape[1])) > FRAME_TOL]
+        if missed:
+            raise ContractViolationError("the singular frame of the Dirac start "
+                                         f"misses FRAME_TOL in degree {min(missed)}")
 
     def spectrum(self, states: np.ndarray) -> np.ndarray:
         """Along each row, the sorted union of the 2 x 2 spectra
@@ -319,7 +320,8 @@ def integrate(d: GradedOperator, t_end: float, dt: float,
                                 f"not a {type(d).__name__}")
     basis = d.basis
     steps = flow_steps(basis.dims, t_end, dt, sample_every, row_bytes)
-    frame = _Frame(_checked_frame(d), basis, _moments(d))
+    frame = _Frame(singular_frame(d, vectors=True), basis, _moments(d))
+    frame.require_fit(d)
     samples = [*range(sample_every, steps + 1, sample_every)]
     if steps % sample_every:
         samples.append(steps)

@@ -18,7 +18,8 @@ from .errors import ContractViolationError, InvalidInputError
 from .indices import vertex_spread
 from .intlinalg import IntMatrix, as_integer
 from .io import field_payload
-from .operators import GradedBasis, GradedOperator, alternating_sum, commutes
+from .operators import (GradedBasis, GradedOperator, alternating_sum, commutes,
+                        graded_basis)
 from .spectral import _heat_trace, _super_trace, hodge_eigenvectors
 
 SNAP_TOL = 1e-7
@@ -55,25 +56,20 @@ def check_automorphism(c: Complex, permutation: dict) -> Automorphism:
     return Automorphism(tuple(sorted(mapping.items())))
 
 
-def _signed_image(mapping: dict, s) -> tuple[tuple, int]:
-    """Sorted image of a simplex and the parity of the permutation sorting it."""
-    image = [mapping[v] for v in s]
-    inversions = sum(a > b for a, b in itertools.combinations(image, 2))
-    return tuple(sorted(image)), (-1) ** inversions
-
-
 def induced_map(t: Automorphism, basis: GradedBasis) -> GradedOperator:
     """Signed permutation action of an automorphism on a simplex basis."""
     mapping = t.as_dict()
     n = len(basis)
     rows, vals = [], []  # column i holds the image of basis element i
     for s in basis.elements:
-        target, sign = _signed_image(mapping, s)
+        image = [mapping[v] for v in s]
+        target = tuple(sorted(image))
         if target not in basis.index:
             raise InvalidInputError(
                 f"automorphism does not preserve the basis element {s}")
         rows.append(basis.index[target])
-        vals.append(sign)
+        # the sign is the parity of the permutation sorting the image
+        vals.append((-1) ** sum(a > b for a, b in itertools.combinations(image, 2)))
     return GradedOperator(IntMatrix(rows, range(n), vals, (n, n)), basis, shift=0)
 
 
@@ -82,10 +78,10 @@ def _require_commuting(u: GradedOperator, d: GradedOperator):
         raise ContractViolationError("induced map does not commute with the derivative")
 
 
-def snap_integer(x: float, tol: float = SNAP_TOL) -> int:
+def snap_integer(x: float) -> int:
     nearest = round(x)
-    if abs(x - nearest) >= tol:
-        raise ContractViolationError(f"{x} is not within {tol} of an integer")
+    if abs(x - nearest) >= SNAP_TOL:
+        raise ContractViolationError(f"{x} is not within {SNAP_TOL} of an integer")
     return int(nearest)
 
 
@@ -140,10 +136,11 @@ def _action_pairs(u: GradedOperator, d: GradedOperator) -> list:
     return pairs
 
 
-def _harmonic_side(t: Automorphism, d: GradedOperator):
+def _harmonic_side(u: GradedOperator, d: GradedOperator):
     """Lefschetz number, per-degree harmonic traces and the pairs behind
-    them; each trace tr(U | H^k) is an integer and is snapped as one."""
-    pairs = _action_pairs(induced_map(t, d.basis), d)
+    them, for the action u; each trace tr(U | H^k) is an integer and is
+    snapped as one."""
+    pairs = _action_pairs(u, d)
     traces = [snap_integer(x) for x in _super_trace(pairs, lambda w: w == 0)[1]]
     return alternating_sum(traces), dict(enumerate(traces)), pairs
 
@@ -153,24 +150,27 @@ def lefschetz_number(t: Automorphism, d: GradedOperator) -> tuple[int, dict]:
 
     Returns the number together with the per-degree harmonic traces.
     """
-    return _harmonic_side(t, d)[:2]
+    return _harmonic_side(induced_map(t, d.basis), d)[:2]
+
+
+def _fixed_side(u: GradedOperator, c: Complex):
+    """Fixed simplices with their indices, and the vertex spread of those
+    indices, from the diagonal of the action u on the simplices of c: x is
+    fixed when U_xx is not zero, and its index is (-1)^dim x * U_xx."""
+    m, elements = u.matrix, u.basis.elements
+    indices = [0] * len(elements)  # 0 on a simplex that is not fixed
+    on = m.row == m.col
+    for i, value in zip(m.row[on].tolist(), m.data[on].tolist()):
+        indices[i] = simplex_weight(elements[i]) * value
+    fixed = [(s, index) for s, index in zip(elements, indices) if index]
+    return fixed, vertex_spread(c, 1, indices)
 
 
 def fixed_point_indices(t: Automorphism, c: Complex):
-    """Fixed simplices with their indices, and the vertex-localized field.
-
-    A simplex is fixed when its image equals it as a set; its index is
-    (-1)^dim times the sign of the permutation induced on its vertices,
-    exactly the diagonal entry of the induced map in the super trace.  The
-    vertex field is the vertex spread of those indices.
-    """
-    mapping = t.as_dict()
-    indices = []  # 0 on a simplex that is not fixed
-    for s in c:
-        image, sign = _signed_image(mapping, s)
-        indices.append(simplex_weight(s) * sign if image == s else 0)
-    fixed = [(s, index) for s, index in zip(c, indices) if index]
-    return fixed, vertex_spread(c, 1, indices)
+    """Fixed simplices with their indices, and the vertex-localized field:
+    the signed diagonal of the induced map on the simplices of c, the
+    fixed-point side of the super trace at heat time 0."""
+    return _fixed_side(induced_map(t, graded_basis(c)), c)
 
 
 def heat_lefschetz(t: Automorphism, d: GradedOperator, time: float) -> float:
@@ -184,7 +184,13 @@ def heat_lefschetz(t: Automorphism, d: GradedOperator, time: float) -> float:
 
 def lefschetz_report(c: Complex, t: Automorphism,
                      d: GradedOperator) -> LefschetzReport:
-    """Bundle the cohomological and fixed-point sides for one automorphism."""
-    number, traces, pairs = _harmonic_side(t, d)
-    fixed, vertex_indices = fixed_point_indices(t, c)
+    """Bundle the cohomological and fixed-point sides for one automorphism,
+    both read from one induced map; InvalidInputError for a d whose basis
+    is not the simplices of c."""
+    if d.basis.elements != tuple(c):
+        raise InvalidInputError("the derivative's basis is not the simplices "
+                                "of the complex")
+    u = induced_map(t, d.basis)
+    number, traces, pairs = _harmonic_side(u, d)
+    fixed, vertex_indices = _fixed_side(u, c)
     return LefschetzReport(number, traces, fixed, vertex_indices, c, pairs)

@@ -315,6 +315,11 @@ class TestGenerate:
     def test_simplex(self):
         assert f_vector(generate("simplex", 3)) == (3, 3, 1)
 
+    def test_path_of_one_vertex_is_a_point(self):
+        c = generate("path", 1)
+        assert c.simplices == {(0,)}
+        assert f_vector(c) == (1,) and euler_characteristic(c) == 1
+
     def test_wheel_is_disc(self):
         c = generate("wheel", 4)
         assert f_vector(c) == (5, 8, 4)

@@ -75,6 +75,12 @@ class TestEdgeFormat:
         with pytest.raises(ParseError):
             parse_edges("w a\n")
 
+    def test_empty_edge_list_is_the_empty_complex(self):
+        for text in ("", "# no vertices\n"):
+            c = parse_edges(text)
+            assert c == downward_closure([]) and len(c) == 0
+            assert f_vector(c) == ()
+
     def test_round_trip_through_facets(self):
         c = parse_edges(C4_EDGES)
         assert parse_facets(serialize_facets(c)) == c
@@ -97,6 +103,26 @@ class TestPermutationsAndFunctions:
         p = parse_permutation("(a c)(b d)\n", c)
         q = parse_permutation("a->c\nc->a\nb->d\nd->b\n", c)
         assert p == q
+        assert parse_permutation(" ( a c )   (b d) \n", c) == p
+
+    @pytest.mark.parametrize("line", [
+        "(0 1) 2 3", "2 (0 1)(3 4)", "(0 1)(2 3) 4", "(0 (1 2))", "((0 1))",
+        "(0 1", "(0 1)(2 3", "(0 1))", "(0 1)) (2 3)"])
+    def test_malformed_cycles_refused(self, line, tmp_path, capsys):
+        """A label outside a cycle's parentheses, nested parentheses and
+        unbalanced ones are refused, naming the line; exit 2 from the CLI."""
+        octahedron = generate("octahedron")
+        text = f"# swap\n{line}\n"
+        with pytest.raises(ParseError) as err:
+            parse_permutation(text, octahedron)
+        assert err.value.line == 2
+        complex_file, perm = tmp_path / "octahedron.txt", tmp_path / "perm.txt"
+        complex_file.write_text(serialize_facets(octahedron))
+        perm.write_text(text)
+        code, out, err = run_cli(["lefschetz", "--input", str(complex_file),
+                                  "--perm", str(perm)], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("error: line 2: ") and "Traceback" not in err
 
     def test_unmentioned_vertices_fixed(self):
         c = parse_edges(C4_EDGES)
@@ -416,6 +442,35 @@ class TestCli:
         results = json.loads(out)["results"]
         assert results["exact_numeric_agreement"] is True
 
+    @pytest.mark.parametrize("order", [1, 2])
+    @pytest.mark.parametrize("operator, shift", [("derivative", 1), ("hodge", 0)])
+    def test_export_json(self, k3_file, capsys, order, operator, shift):
+        """The JSON export carries the shape, the degrees and the basis,
+        labelled per order: a simplex at order 1, a tuple of simplices at
+        order 2; the grading shift is 1 for d and 0 for L."""
+        from simhodge import connection_basis, graded_basis
+
+        code, out, _ = run_cli(["export", "--input", k3_file, "--format",
+                                "edges", "--operator", operator, "--order",
+                                str(order), "--kind", "json"], capsys)
+        assert code == 0
+        results = json.loads(out)["results"]
+        assert (results["operator"], results["order"]) == (operator, order)
+        payload = results["json"]
+        k3 = parse_edges(K3_EDGES)
+        basis = graded_basis(k3) if order == 1 else connection_basis(k3, order)
+        n = len(basis)
+        assert payload["shape"] == [n, n] and payload["degrees"] == list(basis.degrees)
+        assert payload["grading_shift"] == shift
+        if order == 1:
+            assert payload["basis"] == [[k3.label_of(v) for v in s]
+                                        for s in basis.elements]
+        else:
+            assert payload["basis"] == [[[k3.label_of(v) for v in s] for s in e]
+                                        for e in basis.elements]
+        assert all(0 <= r < n and 0 <= col < n and v
+                   for r, col, v in payload["entries"])
+
     def test_export_triplets(self, c4_file, capsys):
         code, out, _ = run_cli(["export", "--input", c4_file, "--format", "edges",
                                 "--operator", "dirac"], capsys)
@@ -456,6 +511,21 @@ class TestCli:
         assert err.startswith("error: ") and "Traceback" not in err
         assert list(tmp_path.rglob("*.tmp")) == []
         assert list((tmp_path / "adir").iterdir()) == []
+
+    def test_failed_replace_removes_the_temporary_file(self, k3_file, tmp_path,
+                                                        capsys, monkeypatch):
+        from simhodge import cli
+
+        def refuse(src, dst):
+            raise PermissionError(f"cannot replace {dst}")
+
+        monkeypatch.setattr(cli.os, "replace", refuse)
+        out_path = tmp_path / "report.json"
+        code, out, err = run_cli(["heat", "--input", k3_file, "--format", "edges",
+                                  "--out", str(out_path)], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("error: cannot replace ") and "Traceback" not in err
+        assert list(tmp_path.iterdir()) == [tmp_path / "k3.txt"]
 
     def test_out_dir_environment_variable(self, k3_file, tmp_path, capsys,
                                           monkeypatch):
@@ -549,9 +619,47 @@ class TestCli:
         assert out.count("\n") == 1 and out.endswith("}\n")
         parsed = json.loads(out, parse_constant=reject)
         indented = dumps(reports[0], sort_keys=True, indent=2,
-                         allow_nan=False, default=cli._json_default)
+                         allow_nan=False)
         assert parsed["results"] == json.loads(indented)["results"]
         assert out == dumps(json.loads(indented)) + "\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["report"], ["betti"], ["betti", "--order", "2"], ["curvature"],
+        ["curvature", "--order", "2"], ["ph"], ["ph", "--function", "f.txt"],
+        ["ph", "--mode", "exhaustive"], ["ph", "--mode", "sampled:50"],
+        ["lefschetz", "--perm", "perm.txt"], ["heat"],
+        ["lax", "--t-end", "0.2", "--matrices"], ["refine"], ["skeleton"],
+        ["export"], ["export", "--operator", "hodge", "--kind", "json"]])
+    def test_results_are_json_native(self, tmp_path, capsys, monkeypatch,
+                                     argv):
+        """Every command hands the encoder dicts with str keys, lists, str,
+        int, float, bool and None only: no tuple, Fraction or numpy scalar
+        that an encoder would have to convert."""
+        from simhodge import cli
+
+        def native(value):
+            if type(value) is dict:
+                return all(type(k) is str and native(v) for k, v in value.items())
+            if type(value) is list:
+                return all(map(native, value))
+            return type(value) in (str, int, float, bool, type(None))
+
+        reports, dumps = [], json.dumps
+
+        def keeping_dumps(report, **kwargs):
+            reports.append(report)
+            return dumps(report, **kwargs)
+
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "octahedron.txt").write_text(
+            serialize_facets(generate("octahedron")))
+        (tmp_path / "perm.txt").write_text("(0 1)(2 3)\n")
+        (tmp_path / "f.txt").write_text("".join(f"{v} {v * v}\n" for v in range(6)))
+        monkeypatch.setattr(cli.json, "dumps", keeping_dumps)
+        code, _, err = run_cli([argv[0], "--input", "octahedron.txt", *argv[1:]],
+                               capsys)
+        assert code == 0, err
+        assert native(reports[0]["results"])
 
     @pytest.fixture()
     def lax_calls(self, monkeypatch):
@@ -1038,6 +1146,19 @@ class TestHostileInputs:
         assert code == 3
         assert out == "" and "NaN" not in err
         assert err.startswith("contract violation: ")
+
+    def test_non_json_result_is_three(self, k3_file, capsys, monkeypatch):
+        from fractions import Fraction
+
+        from simhodge import cli
+
+        monkeypatch.setitem(cli._COMMANDS, "heat",
+                            lambda c, args: {"value": Fraction(1, 2)})
+        code, out, err = run_cli(["heat", "--input", k3_file,
+                                  "--format", "edges"], capsys)
+        assert code == 3 and out == ""
+        assert err.startswith("contract violation: results are not strict "
+                              "JSON: ") and "Traceback" not in err
 
     def test_input_read_once_and_hashed(self, k3_file, capsys, monkeypatch):
         import builtins

@@ -395,6 +395,34 @@ class TestSingularFrame:
                 with pytest.raises(ContractViolationError, match=message):
                     integrate(start, t_end, 0.05)
 
+    @pytest.mark.parametrize("part, degree", [("u", 1), ("v", 0),
+                                              ("overlap", 1)])
+    def test_frame_is_checked_block_by_block(self, k3, monkeypatch, part,
+                                             degree):
+        """A frame that reproduces every d_k but whose U_0 or V_0 is not
+        orthonormal, or whose cross term V_1^T U_0 is not zero, is refused
+        in the degree those columns span."""
+        solve, init = lax.singular_frame, lax._Frame.__init__
+
+        def scaled(*args, **kwargs):
+            (w, u, v), *rest = solve(*args, **kwargs)
+            if part == "u":
+                return [(w / 4, 2 * u, v), *rest]
+            if part == "v":
+                return [(w / 4, u, 2 * v), *rest]
+            return [(w, u, v), *rest]
+
+        def crossed(frame, *args):
+            init(frame, *args)
+            frame.overlaps[0] = frame.overlaps[0] + 1e-20  # a cross term of 1e-10
+
+        monkeypatch.setattr(lax, "singular_frame", scaled)
+        if part == "overlap":
+            monkeypatch.setattr(lax._Frame, "__init__", crossed)
+        with pytest.raises(ContractViolationError,
+                           match=f"misses FRAME_TOL in degree {degree}$"):
+            integrate(exterior_derivative(k3), 0.1, 0.05)
+
     def test_only_an_integer_operator_starts_a_flow(self, suite,
                                                     monkeypatch):
         # a flowed state, or a float state of the same matrix, is refused

@@ -223,6 +223,21 @@ class TestLefschetzReport:
         assert report.consistent
         assert report.number == 1  # only the hub stays put
 
+    def test_derivative_of_another_complex_refused(self, c4, suite):
+        """The fixed simplices are read off the diagonal of U over the basis
+        of d, so that basis must be the simplices of c, in their order."""
+        from simhodge import connection_derivative
+
+        t = check_automorphism(c4, rotation(4))
+        others = [exterior_derivative(generate("cycle", 5)),
+                  exterior_derivative(suite["refined_cycle4"]),
+                  connection_derivative(c4, 2)]
+        for d in others:
+            with pytest.raises(InvalidInputError, match=(
+                    "^the derivative's basis is not the simplices of the "
+                    "complex$")):
+                lefschetz_report(c4, t, d)
+
     def test_payload_fields(self, c4, c4_ops):
         d, L = c4_ops
         t = check_automorphism(c4, {0: 0, 1: 3, 2: 2, 3: 1})
