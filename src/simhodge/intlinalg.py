@@ -13,6 +13,15 @@ outside the pivot row; so the pivot rows are in echelon form and their count
 is the rank over the rationals.  Python integers cannot overflow, so the
 result is exact for any entry size.  Boundary-type blocks (a few +-1 entries
 per row) stay sparse under this pivot order.
+
+``exact_rank`` can leave rows out and report its pivot columns, which is
+all that clearing needs (Chen & Kerber, "Persistent homology computation
+with a twist", 2011; Bauer, Kerber & Reininghaus, "Clear and compress",
+2014).  The pivot rows of a block d_k lie in its row space and are
+triangular on its pivot columns J.  When d_k d_(k-1) = 0 they are
+orthogonal to every column of d_(k-1), so no non-zero combination of those
+columns lives on the rows J alone, and leaving the rows J of d_(k-1) out
+keeps its rank.  ``spectral.betti`` clears from the top degree down.
 """
 
 from __future__ import annotations
@@ -139,11 +148,17 @@ def as_integer(value) -> int:
     raise InvalidInputError(f"{value!r} is not an integer")
 
 
-def exact_rank(matrix) -> int:
+def exact_rank(matrix, skip=(), pivots=None) -> int:
     """Rank over the rationals of a 2-d integer matrix: an IntMatrix, any
     sparse array whose ``tocoo()`` has ``row``, ``col`` and ``data``, or an
-    array-like with entries of any size.  ValueError for non-integer entries."""
-    return _pivot_count(_row_dicts(matrix))
+    array-like with entries of any size.  ValueError for non-integer entries.
+
+    The rows listed in ``skip`` are left out.  When ``pivots`` is a list,
+    the column of each pivot is appended to it, in elimination order."""
+    columns = _pivot_columns(_row_dicts(matrix, skip))
+    if pivots is not None:
+        pivots.extend(columns)
+    return len(columns)
 
 
 def exact_nullity(matrix) -> int:
@@ -165,9 +180,13 @@ def _triplets(matrix):
     return rows, cols, m[rows, cols], m.shape
 
 
-def _row_dicts(matrix) -> list[dict[int, int]]:
-    """The non-zero rows of a 2-d integer matrix as {column: int} dicts."""
+def _row_dicts(matrix, skip=()) -> list[dict[int, int]]:
+    """The non-zero rows of a 2-d integer matrix, but for the rows listed
+    in ``skip``, as {column: int} dicts."""
     rows, cols, values, _ = _triplets(matrix)
+    if len(skip):
+        keep = ~np.isin(rows, np.asarray(skip, dtype=np.int64))
+        rows, cols, values = rows[keep], cols[keep], values[keep]
     out: dict[int, dict[int, int]] = {}
     for i, j, v in zip(rows.tolist(), cols.tolist(), _integers(values)):
         row = out.setdefault(i, {})
@@ -182,26 +201,26 @@ def _integers(values: np.ndarray) -> list[int]:
     return values.tolist() if ints else [as_integer(v) for v in values.tolist()]
 
 
-def _pivot_count(rows: list[dict[int, int]]) -> int:
-    """Eliminate the rows in place; return the number of pivots."""
+def _pivot_columns(rows: list[dict[int, int]]) -> list[int]:
+    """Eliminate the rows in place; return the pivot columns in order."""
     holders: dict[int, set[int]] = {}  # column -> rows with an entry there
     for i, row in enumerate(rows):
         for j in row:
             holders.setdefault(j, set()).add(i)
     queue = [(len(row), i) for i, row in enumerate(rows)]
     heapq.heapify(queue)
-    rank = 0
+    pivots = []
     while queue:
         size, i = heapq.heappop(queue)
         pivot_row = rows[i]
         if pivot_row is None or len(pivot_row) != size:
             continue  # eliminated, or a stale queue entry
         rows[i] = None
-        rank += 1
         for j in pivot_row:
             holders[j].discard(i)
         col = min(pivot_row,
                   key=lambda j: (abs(pivot_row[j]) != 1, len(holders[j])))
+        pivots.append(col)
         p = pivot_row[col]
         for t in holders.pop(col):
             row = rows[t]
@@ -230,4 +249,4 @@ def _pivot_count(rows: list[dict[int, int]]) -> int:
                 for j in row:
                     row[j] //= content
             heapq.heappush(queue, (len(row), t))
-    return rank
+    return pivots

@@ -137,24 +137,29 @@ def graded_basis(c: Complex) -> GradedBasis:
     return GradedBasis(elements, [len(s) - 1 for s in elements])
 
 
+def face_table(c: Complex) -> np.ndarray:
+    """The codimension-one faces of c as a 3 x f int64 array of columns
+    (simplex, face, j), positions in c's order, sorted by simplex: the face
+    drops the j-th vertex of the simplex and enters its boundary with sign
+    (-1)^j.  A vertex has none (its empty face is no simplex)."""
+    index = {s: i for i, s in enumerate(c)}
+    table = [(i, index[s[:j] + s[j + 1:]], j)
+             for i, s in enumerate(c) if len(s) > 1 for j in range(len(s))]
+    return np.array(table, dtype=np.int64).reshape(-1, 3).T
+
+
 def exterior_derivative(c: Complex) -> GradedOperator:
     """Signed incidence operator d with d(d(f)) = 0.
 
-    (df)(x) sums (-1)^i f(x with its i-th vertex removed) over the vertices
-    of x in increasing order.
+    (df)(x) sums (-1)^j f(x with its j-th vertex removed) over the vertices
+    of x in increasing order: the ``face_table`` of c, whose positions are
+    the de Rham basis indices.
     """
     basis = graded_basis(c)
-    rows, cols, vals = [], [], []
-    for i, s in enumerate(basis.elements):
-        if len(s) == 1:
-            continue
-        for j in range(len(s)):
-            face = s[:j] + s[j + 1:]
-            rows.append(i)
-            cols.append(basis.index[face])
-            vals.append(1 if j % 2 == 0 else -1)
+    simplex, face, j = face_table(c)
     n = len(basis)
-    return GradedOperator(IntMatrix(rows, cols, vals, (n, n)), basis, shift=1)
+    return GradedOperator(IntMatrix(simplex, face, 1 - 2 * (j & 1), (n, n)),
+                          basis, shift=1)
 
 
 def require_nilpotent(d: GradedOperator):
@@ -297,6 +302,36 @@ def require_connection_budget(c: Complex, k: int):
     return counts
 
 
+class _TupleIndex:
+    """Row lookup in an m x k int array of distinct rows, entries below n.
+
+    Ranked prefix by prefix, so every key is exact at every k: level t
+    holds the sorted distinct keys (rank of the t-prefix) * n + entry t of
+    the (t+1)-prefixes, all below m n, where a mixed-radix key of the whole
+    row would pass int64 once n^k does."""
+
+    def __init__(self, tuples: np.ndarray, n: int):
+        self.n = n
+        self.levels, self.ranks = [], [np.zeros(len(tuples), dtype=np.int64)]
+        for column in tuples.T:
+            keys, rank = np.unique(self.ranks[-1] * n + column, return_inverse=True)
+            self.levels.append(keys)
+            self.ranks.append(rank)
+        self.rows = np.empty(len(tuples), dtype=np.int64)
+        self.rows[self.ranks[-1]] = np.arange(len(tuples))
+
+    def find(self, rank: np.ndarray, columns: np.ndarray, start: int = 0):
+        """The row of each tuple whose ``start``-prefix has level rank
+        ``rank`` and whose later entries are the row of ``columns``, or -1
+        where there is no such row."""
+        found = np.ones(len(rank), dtype=bool)
+        for keys, column in zip(self.levels[start:], columns.T):
+            key = rank * self.n + column
+            rank = np.minimum(np.searchsorted(keys, key), len(keys) - 1)
+            found &= keys[rank] == key
+        return np.where(found, self.rows[rank], -1)
+
+
 def connection_derivative(c: Complex, k: int) -> GradedOperator:
     """Derivative on the order-k connection basis.
 
@@ -308,25 +343,38 @@ def connection_derivative(c: Complex, k: int) -> GradedOperator:
     quotient complex and squares to zero for every order.  Order 1
     reproduces the exterior derivative.  Order 2 records its swap
     tau(x, y) = (-1)^(dim x dim y) (y, x), which commutes with d.
+
+    The basis is an m x k array of simplex positions in c; per slot, each
+    element meets the ``face_table`` rows of its simplex there, and one
+    ``_TupleIndex`` search finds the face tuples (and the swap partners).
     """
     basis = connection_basis(c, k)
+    position = {s: i for i, s in enumerate(c)}
+    tuples = np.fromiter((position[s] for element in basis.elements for s in element),
+                         dtype=np.int64, count=len(basis) * k).reshape(len(basis), k)
+    dims = np.array([len(s) - 1 for s in c], dtype=np.int64)[tuples]
+    before = np.cumsum(dims, axis=1) - dims  # dimensions before each slot
+    simplex, face, j = face_table(c)
+    first = np.searchsorted(simplex, np.arange(len(c) + 1))  # each simplex's faces
+    index = _TupleIndex(tuples, len(c))
     rows, cols, vals = [], [], []
-    for i, element in enumerate(basis.elements):
-        prefix = 0
-        for slot, simplex in enumerate(element):
-            for j in range(len(simplex)):  # a vertex's empty face is in no tuple
-                face = simplex[:j] + simplex[j + 1:]
-                col = basis.index.get(element[:slot] + (face,) + element[slot + 1:])
-                if col is not None:
-                    rows.append(i)
-                    cols.append(col)
-                    vals.append((-1) ** (prefix + j))
-            prefix += len(simplex) - 1
+    for slot in range(k):
+        counts = np.diff(first)[tuples[:, slot]]
+        source = np.repeat(np.arange(len(basis)), counts)
+        # a term's face table row: its simplex's first, plus its place among them
+        entry = (first[tuples[source, slot]] + np.arange(len(source))
+                 - np.repeat(np.cumsum(counts) - counts, counts))
+        target = index.find(index.ranks[slot][source],
+                            np.column_stack([face[entry], tuples[source, slot + 1:]]),
+                            slot)
+        keep = target >= 0
+        rows.append(source[keep])
+        cols.append(target[keep])
+        vals.append(1 - 2 * ((before[source, slot] + j[entry]) & 1)[keep])
     n = len(basis)
-    d = GradedOperator(IntMatrix(rows, cols, vals, (n, n)), basis, shift=1)
+    d = GradedOperator(IntMatrix(*map(np.concatenate, (rows, cols, vals)), (n, n)),
+                       basis, shift=1)
     if k == 2:
-        d.swap = (np.array([basis.index[(y, x)] for x, y in basis.elements],
-                           dtype=np.int64),
-                  np.array([(-1) ** ((len(x) - 1) * (len(y) - 1))
-                            for x, y in basis.elements], dtype=np.int64))
+        d.swap = (index.find(index.ranks[0], tuples[:, ::-1]),
+                  1 - 2 * ((dims[:, 0] * dims[:, 1]) & 1))
     return d

@@ -43,15 +43,21 @@ def betti(d: GradedOperator) -> tuple[int, ...]:
     """Exact Betti numbers of a nilpotent derivative.
 
     b_k = dim_k - rank(d_k) - rank(d_{k-1}), each rank over the rationals by
-    sparse fraction-free integer elimination.
+    sparse fraction-free integer elimination, from the top degree down with
+    clearing: the pivot columns of d_k are degree-k indices, and the rows of
+    d_(k-1) at them are left out, which keeps its rank (see ``intlinalg``).
     """
     require_nilpotent(d)
-    top = d.basis.max_degree
-    ranks = [exact_rank(d.matrix.block(d.basis.degree_slice(k + 1),
-                                       d.basis.degree_slice(k)))
-             for k in range(top + 1)]
-    return tuple(d.basis.dimension_of(k) - ranks[k] - (ranks[k - 1] if k else 0)
-                 for k in range(top + 1))
+    basis = d.basis
+    ranks, cleared = [0] * (basis.max_degree + 2), []  # ranks[-1]: below degree 0
+    for k in range(basis.max_degree, -1, -1):
+        pivots = []
+        ranks[k] = exact_rank(d.matrix.block(basis.degree_slice(k + 1),
+                                             basis.degree_slice(k)),
+                              skip=cleared, pivots=pivots)
+        cleared = pivots
+    return tuple(basis.dims[k] - ranks[k] - ranks[k - 1]
+                 for k in range(basis.max_degree + 1))
 
 
 def kernel_threshold(eigenvalues: np.ndarray) -> float:

@@ -8,8 +8,8 @@ from hypothesis import settings
 from scipy import sparse
 
 from simhodge import (Complex, InvalidInputError, barycentric_refinement,
-                      dirac, downward_closure, f_vector, generate, hodge,
-                      skeleton, whitney_complex)
+                      betti, dirac, downward_closure, exact_rank, f_vector,
+                      generate, hodge, skeleton, whitney_complex)
 from simhodge.complexes import simplex_weight
 from simhodge.lax import _symmetric
 from simhodge.operators import alternating_sum
@@ -84,6 +84,27 @@ def dense_gram_values(d) -> list:
         w = np.linalg.eigvalsh(b.T @ b if dims[k] <= dims[k + 1] else b @ b.T)
         values.append(w[~kernel_mask(w)])
     return values
+
+
+def check_clearing(d):
+    """Oracle for the clearing in ``betti``: its Betti numbers against those
+    from a plain ``exact_rank`` of each whole block d_k; and from the top
+    block down, the pivot columns that ``exact_rank`` reports are distinct,
+    the block on them has full rank, and leaving out the rows at the pivot
+    columns of the block above keeps the block's rank."""
+    dims = d.basis.dims
+    blocks = [d.matrix.block(d.basis.degree_slice(k + 1), d.basis.degree_slice(k))
+              for k in range(len(dims))]
+    ranks = [exact_rank(block) for block in blocks]
+    assert betti(d) == tuple(dims[k] - ranks[k] - (ranks[k - 1] if k else 0)
+                             for k in range(len(dims)))
+    above = []
+    for block, rank in zip(blocks[::-1], ranks[::-1]):
+        pivots = []
+        assert exact_rank(block, skip=above, pivots=pivots) == rank
+        assert len(set(pivots)) == len(pivots) == rank
+        assert exact_rank(as_scipy(block)[:, pivots]) == rank
+        above = pivots
 
 
 def split_by_degree(matrix, basis):

@@ -9,8 +9,8 @@ from conftest import as_scipy, gauss_bonnet_curvature
 from scipy import sparse
 
 from simhodge import (ContractViolationError, GradedBasis, GradedOperator,
-                      InvalidInputError, ResourceLimitError, boundary_chain,
-                      connection_basis, connection_degree_counts,
+                      InvalidInputError, ResourceLimitError, betti,
+                      boundary_chain, connection_basis, connection_degree_counts,
                       connection_derivative, connection_tuple_count, dirac,
                       downward_closure, euler_characteristic,
                       exterior_derivative, f_matrix, f_vector, generate,
@@ -410,14 +410,38 @@ def vmask_derivative(c, k):
     return IntMatrix(rows, cols, vals, (len(basis), len(basis)))
 
 
+def assert_same_triplets(got, expected, *where):
+    for field in ("row", "col", "data"):
+        assert np.array_equal(getattr(got, field), getattr(expected, field)), \
+            (*where, field)
+
+
 class TestConnectionDerivative:
-    @pytest.mark.parametrize("k", [2, 3])
+    @pytest.mark.parametrize("k", [1, 2, 3])
     def test_basis_membership_is_the_vertex_mask_rule(self, suite, k):
+        for name, c in {**suite, "empty": downward_closure([])}.items():
+            assert_same_triplets(connection_derivative(c, k).matrix,
+                                 vmask_derivative(c, k), name, k)
+
+    @pytest.mark.parametrize("top, k", [(141, 9), (127, 11)])
+    def test_keys_past_the_int64_range(self, top, k):
+        # the edge (0, 1) and isolated vertices up to top - 1: a mixed-radix
+        # key |c|^k passes 2^63, and at 128 = 2^7 simplices and order 11
+        # int64 wrapping would drop the first slot (128^10 = 2^70)
+        c = downward_closure([(0, 1)] + [(v,) for v in range(2, top)])
+        assert len(c) ** k > 2 ** 63
+        d = connection_derivative(c, k)
+        assert_same_triplets(d.matrix, vmask_derivative(c, k), k)
+        assert betti(d) == (top - 2,) + (0,) * (k - 2) + (1, 0)
+
+    def test_swap_partners(self, suite):
         for name, c in suite.items():
-            expected, got = vmask_derivative(c, k), connection_derivative(c, k).matrix
-            for field in ("row", "col", "data"):
-                assert np.array_equal(getattr(got, field), getattr(expected, field)), \
-                    (name, k, field)
+            d = connection_derivative(c, 2)
+            partner, sign = d.swap
+            assert partner.tolist() == [d.basis.index[(y, x)]
+                                        for x, y in d.basis.elements], name
+            assert sign.tolist() == [(-1) ** ((len(x) - 1) * (len(y) - 1))
+                                     for x, y in d.basis.elements], name
 
     def test_order_one_is_exterior_derivative(self, suite):
         for name in ("wheel4", "circle3", "random2"):

@@ -21,7 +21,7 @@ from simhodge.io import (parse_facets, parse_permutation,
                          parse_vertex_function, serialize_facets, sha256_hex)
 from simhodge.spectral import singular_frame
 
-from conftest import dense_gram_values
+from conftest import check_clearing, dense_gram_values
 
 # Numerically equal labels ("1", "01", "+1", "1" in Arabic-Indic digits) must
 # still intern to distinct, reproducible ids.
@@ -67,6 +67,15 @@ def test_index_identities_and_kernels(c, order):
     report = spectrum_report(d)
     assert report.kernel_counts == exact
     assert report.supersymmetry.symmetric
+
+
+@settings(max_examples=60)
+@given(small_complexes, st.sampled_from([1, 2]))
+def test_cleared_betti_is_the_whole_block_betti(c, order):
+    """Clearing from the top degree down against a plain exact rank of each
+    whole block, with distinct full-rank pivot columns (``check_clearing``)."""
+    check_clearing(exterior_derivative(c) if order == 1
+                   else connection_derivative(c, order))
 
 
 @settings(max_examples=60)

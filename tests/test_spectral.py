@@ -9,7 +9,7 @@ from simhodge import (ContractViolationError, GradedBasis, GradedOperator,
                       barycentric_refinement, betti,
                       IntMatrix, cohomological_index, connection_derivative,
                       dirac, downward_closure, euler_characteristic,
-                      exterior_derivative, generate, graded_basis,
+                      exact_rank, exterior_derivative, generate, graded_basis,
                       harmonic_projector, heat_supertrace, hodge, hodge_spectra,
                       skeleton, spectrum_report, supersymmetry_check,
                       wu_characteristic)
@@ -18,7 +18,8 @@ from simhodge.operators import alternating_sum
 from simhodge.spectral import (TRACE_TOL, hodge_traces, singular_frame,
                                swap_sectors)
 
-from conftest import as_scipy, dense_gram_values, full_hodge_spectra
+from conftest import (as_scipy, check_clearing, dense_gram_values,
+                      full_hodge_spectra)
 
 
 def de_rham_hodge(c):
@@ -70,6 +71,19 @@ class TestBetti:
             if len(c) <= 30:
                 assert betti(exterior_derivative(barycentric_refinement(c))) == \
                     betti(exterior_derivative(c)), name
+
+    def test_clearing_at_order_three(self, suite):
+        for name, c in suite.items():
+            check_clearing(connection_derivative(c, 3))
+
+    def test_clearing_leaves_the_rows_at_pivot_columns_out(self):
+        # d_1 of a triangle has its pivot in column 0, the edge (0, 1); d_0
+        # without that edge's row keeps its rank 2
+        d = exterior_derivative(downward_closure([(0, 1, 2)]))
+        pivots = []
+        assert exact_rank(d.block(2, 1), pivots=pivots) == 1 and pivots == [0]
+        assert exact_rank(d.block(1, 0), skip=pivots) == 2
+        assert exact_rank(np.eye(3, dtype=int), skip=[0, 2]) == 1
 
     def test_order_two_index_on_a_large_random_complex(self):
         # blocks up to 2194 wide: cheap only with sparse elimination
