@@ -4,28 +4,30 @@ Three pipelines compute the same number for an elliptic complex: dimension
 counts (analytic), exact Betti alternating sums (cohomological), and vertex
 curvature sums (topological).  Curvatures and indices are exact rationals;
 floats appear only in sampled expectations.
+
+The order-k curvature K(v) sums w / |U| over the pairwise intersecting
+ordered k-tuples of weight product w whose union U contains v (Knill 2016).
+At order 2, K(v) = 2 sum_{x ni v} w(x) T(x) - sum_{S ni v} P(S) over faces S
+(``_pair_tallies``): no pair is listed, and the curvature total and the
+characteristic, a tuple fold, come from independent routes.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import budget
 from . import _np as np
-from .complexes import (Complex, f_matrix, f_vector, seeded_rng,
-                        simplex_weight, tuple_fold)
+from .complexes import (Complex, f_matrix, f_vector, intersection_masks,
+                        iter_bits, seeded_rng, simplex_weight, tuple_fold)
 from .errors import InvalidInputError
+from .intlinalg import as_integer
 from .io import fraction_payload
 from .operators import (GradedOperator, alternating_sum, connection_degree_counts,
                         connection_derivative, exterior_derivative)
 from .spectral import betti
-
-# Scratch bytes per block of the vertex spread: one per simplex for each prefix,
-# and about 64 per (prefix, last simplex) pair and vertex slot of that simplex.
-SPREAD_BLOCK_BYTES = 2 ** 21
 
 
 def analytic_index(e_dims, f_dims) -> int:
@@ -91,51 +93,119 @@ def vertex_spread(c: Complex, k: int, weights) -> dict[int, Fraction]:
     """Push integer per-simplex weights onto the vertices.
 
     Every pairwise intersecting ordered k-tuple carries the product of its
-    members' weights, shared equally among the vertices of their union.  The
-    last slot runs over blocks of (prefix, last simplex) pairs: each pair's
-    weight goes to the vertices it adds, each prefix's pair totals to its own.
-    More than PRODUCT_PAIR_LIMIT pairs are refused before the first block.
+    members' weights, shared equally among the vertices of their union U:
+    K(v) = sum of w / |U| over the tuples with v in U.  Each vertex tallies
+    exact numerators by union size in one packed integer (``_unpack``).
+    Order 1 spreads each simplex over itself, order 2 counts from faces
+    (``_pair_tallies``), and higher orders fold the first k-1 slots with
+    ``tuple_fold`` and enumerate the last.  The (prefix, last simplex) pairs,
+    at order 2 the meet-mask bits, are charged against PRODUCT_PAIR_LIMIT
+    before other work.
     """
-    vertices = sorted(c.base)
-    n, nv, width = len(c), len(vertices), max(c.dimension + 1, 1)
-    column = {v: j for j, v in enumerate(vertices)}
-    vmasks = [sum(1 << column[v] for v in s) for s in c]
-    prefixes = tuple_fold(c, k, weights, 0, lambda acc, i: acc | vmasks[i])
-    pairs = sum(allowed.bit_count() for allowed, _ in prefixes)
+    weights, vertices = [as_integer(w) for w in weights], sorted(c.base)
+    if k == 1:
+        pairs = len(c)
+    elif k == 2:
+        pairs = sum(meet.bit_count() for meet in intersection_masks(c))
+    else:
+        column = {v: j for j, v in enumerate(vertices)}
+        vmasks = [sum(1 << column[v] for v in s) for s in c]
+        prefixes = tuple_fold(c, k, weights, 0, lambda acc, i: acc | vmasks[i])
+        pairs = sum(allowed.bit_count() for allowed, _ in prefixes)
     budget.require(pairs, budget.PRODUCT_PAIR_LIMIT, f"order {k} vertex spread "
                    f"needs {pairs} (prefix, last simplex) pairs")
-    members = np.full((n, width), nv, dtype=np.min_scalar_type(nv))  # nv pads
-    for i, s in enumerate(c):
-        members[i, :len(s)] = [column[v] for v in s]
-    big = sum(map(abs, prefixes.values())) * sum(map(abs, weights)) >= 2 ** 63
-    dtype = object if big else np.int64  # int64 unless a tally could overflow
-    last_weight = np.array(weights, dtype=dtype)
-    tallies = np.zeros((nv + 1, min(nv, k * width) + 1), dtype=dtype)  # vertex, size
-    step, row_bytes = max(1, SPREAD_BLOCK_BYTES // (64 * width)), (n + nv + 8) // 8
-    spent = itertools.accumulate(n + 64 * width * a.bit_count() for a, _ in prefixes)
-    for _, group in itertools.groupby(zip(prefixes, spent),
-                                      lambda e: e[1] // SPREAD_BLOCK_BYTES):
-        block = [key for key, _ in group]
-        # per prefix: allowed simplices, then union vertices and the pad nv
-        raw = b"".join((a | (u | 1 << nv) << n).to_bytes(row_bytes, "little")
-                       for a, u in block)
-        bits = np.unpackbits(np.frombuffer(raw, np.uint8).reshape(len(block), -1),
-                             axis=1, count=n + nv + 1, bitorder="little").view(bool)
-        (rows, last), inside = np.nonzero(bits[:, :n]), bits[:, n:]
-        prefix_size = inside.sum(axis=1) - 1
-        prefix_weight = np.array([prefixes[key] for key in block], dtype=dtype)
-        totals = np.zeros((len(block), tallies.shape[1]), dtype=dtype)
-        for at in range(0, len(rows), step):
-            p, x = rows[at:at + step], last[at:at + step]
-            new = ~inside[p[:, None], members[x]]
-            union = prefix_size[p] + new.sum(axis=1)
-            w = prefix_weight[p] * last_weight[x]
-            np.add.at(totals, (p, union), w)
-            j, slot = np.nonzero(new)
-            np.add.at(tallies, (members[x[j], slot], union[j]), w[j])
-        tallies += inside.T.astype(dtype) @ totals
-    return {v: sum((Fraction(w, s) for s, w in enumerate(t.tolist()) if w), Fraction(0))
-            for v, t in zip(vertices, tallies)}
+    # an entry sums weight products of distinct tuples: |entry| <= (sum |w|)^k
+    bits = k * sum(map(abs, weights)).bit_length() + 2
+    if k == 1:
+        tallies = _union_tallies(c, zip(c, weights), bits)
+    elif k == 2:
+        tallies = _pair_tallies(c, weights, bits)
+    else:
+        totals = {}  # by union mask: each allowed last simplex i joins vmasks[i]
+        for (allowed, union), w in prefixes.items():
+            for i in iter_bits(allowed):
+                key = union | vmasks[i]
+                totals[key] = totals.get(key, 0) + w * weights[i]
+        tallies = _union_tallies(c, (([vertices[j] for j in iter_bits(union)], w)
+                                     for union, w in totals.items()), bits)
+    scale = math.lcm(*range(1, k * (c.dimension + 1) + 1))  # of every union size
+    return {v: Fraction(sum(n * (scale // size) for size, n
+                            in enumerate(_unpack(tallies[v], bits)) if n), scale)
+            for v in vertices}
+
+
+def _unpack(packed: int, bits: int) -> list[int]:
+    """The entries n_0, n_1, ... of the packed vector sum n_i 2^(bits i).
+
+    Sums, integer multiples and shifts of packed vectors are those of the
+    vectors, and a product of two is their convolution.  The entries are
+    read back exactly while each lies in [-2^(bits-1), 2^(bits-1)).
+    """
+    half, mask, entries = 1 << bits - 1, (1 << bits) - 1, []
+    while packed:
+        entries.append(((packed + half) & mask) - half)
+        packed = (packed - entries[-1]) >> bits
+    return entries
+
+
+def _union_tallies(c: Complex, unions, bits) -> dict:
+    """{vertex: packed numerators by union size} from (union vertices,
+    summed weight) items: each weight goes to each vertex of its union."""
+    tallies = dict.fromkeys(c.base, 0)
+    for union, w in unions:
+        if w:
+            packed = w << bits * len(union)
+            for v in union:
+                tallies[v] += packed
+    return tallies
+
+
+def _pair_tallies(c: Complex, weights, bits) -> dict:
+    """{vertex: packed numerators by union size} of the ordered intersecting
+    pairs, counted from faces by Moebius inversion (Rota 1964): no pair is
+    listed.
+
+    F(S, b) sums w(y) over the b-vertex simplices y containing the face S,
+    packed by b, in one pass over the faces of every simplex.  Since
+    1{v in x | y} = 1{v in x} + 1{v in y} - 1{v in x & y} and the pairs are
+    symmetric, K(v) = 2 sum_{x ni v} w(x) T(x) - sum_{S ni v} P(S), where
+    with a = |x|, s = |S| and the sums over r = 1..s:
+
+    - T(x) = sum_{S in x, b, r} (-1)^(s-r) C(s, r) F(S, b) / (a+b-r): the y
+      of b vertices meeting x in exactly r weigh the alternating sum over
+      s >= r of C(s, r) times F over the s-faces of x;
+    - P(S) = sum_{a, b, r} (-1)^(s-r) C(s-1, r-1) F(S, a) F(S, b) / (a+b-r),
+      which summed over the S with v in S in x & y counts each pair (x, y)
+      once, at its union size a + b - |x & y|.
+    """
+    width = c.dimension + 1
+    cofaces = dict.fromkeys(c, 0)  # F(S, .) packed by b
+    for y, w in zip(c, weights):
+        if w:
+            for s in range(1, len(y) + 1):
+                for face in itertools.combinations(y, s):
+                    cofaces[face] += w << bits * len(y)
+    # inverse[s][r] = (-1)^(s-r) C(s, r) turns sums over faces into exact meets
+    inverse = [[(-1) ** (s - r) * math.comb(s, r) for r in range(s + 1)]
+               for s in range(width + 1)]
+    tallies = dict.fromkeys(c.base, 0)
+    for x, w in zip(c, weights):
+        if w:
+            a = len(x)
+            sums = [sum(map(cofaces.__getitem__, itertools.combinations(x, s)))
+                    for s in range(1, a + 1)]  # F over the s-faces of x, by b
+            t = sum(sum(inverse[s][r] * sums[s - 1] for s in range(r, a + 1))
+                    << bits * (a - r) for r in range(1, a + 1))
+            for v in x:
+                tallies[v] += 2 * w * t
+    for face, f in cofaces.items():
+        if f:
+            s, square = len(face), f * f  # divisible by 2^(bits 2s)
+            p = sum(inverse[s - 1][r - 1] * (square >> bits * r)
+                    for r in range(1, s + 1))
+            for v in face:
+                tallies[v] -= p
+    return tallies
 
 
 def multilinear_curvature(c: Complex, k: int) -> dict[int, Fraction]:
@@ -186,14 +256,13 @@ def poincare_hopf(c: Complex, f: dict) -> dict[int, int]:
     return dict(zip(vertices, _index_field(c, np.argsort(order)[None])[0].tolist()))
 
 
-@dataclass
 class ExpectationResult:
     """Average Poincare-Hopf indices over injective functions."""
 
-    values: dict
-    stderr: dict | None
-    samples: int
-    exhaustive: bool
+    def __init__(self, values: dict, stderr: dict | None, samples: int,
+                 exhaustive: bool):
+        self.values, self.stderr = values, stderr
+        self.samples, self.exhaustive = samples, exhaustive
 
 
 def index_expectation(c: Complex, mode: str = "exhaustive", samples: int = 10000,
@@ -242,14 +311,13 @@ def index_expectation(c: Complex, mode: str = "exhaustive", samples: int = 10000
     return ExpectationResult(means, stderr, count, False)
 
 
-@dataclass
 class IndexTriple:
     """The three index computations and whether they coincide."""
 
-    analytic: int
-    cohomological: int
-    topological: Fraction
-    order: int
+    def __init__(self, analytic: int, cohomological: int, topological: Fraction,
+                 order: int):
+        self.analytic, self.cohomological = analytic, cohomological
+        self.topological, self.order = topological, order
 
     @property
     def equal(self) -> bool:

@@ -10,7 +10,6 @@ fixed-simplex indices; heat deformation interpolates between the two sides.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 
 from . import _np as np
 from .complexes import Complex, simplex_weight
@@ -25,11 +24,11 @@ from .spectral import _heat_trace, _super_trace, hodge_eigenvectors
 SNAP_TOL = 1e-7
 
 
-@dataclass(frozen=True)
 class Automorphism:
     """A verified simplex-preserving vertex bijection."""
 
-    mapping: tuple  # pairs (v, image), sorted by v
+    def __init__(self, mapping: tuple):
+        self.mapping = mapping  # pairs (v, image), sorted by v
 
     def as_dict(self) -> dict:
         return dict(self.mapping)
@@ -85,16 +84,16 @@ def snap_integer(x: float) -> int:
     return int(nearest)
 
 
-@dataclass
 class LefschetzReport:
     """Cohomological trace data next to the fixed-simplex index data."""
 
-    number: int
-    degree_traces: dict
-    fixed: list          # (simplex, integer index) pairs
-    vertex_indices: dict  # vertex -> Fraction
-    complex: Complex = field(repr=False)
-    pairs: list = field(repr=False, compare=False)  # per degree: λ, diag(W^T U W)
+    def __init__(self, number: int, degree_traces: dict, fixed: list,
+                 vertex_indices: dict, complex: Complex, pairs: list):
+        self.number, self.degree_traces = number, degree_traces
+        self.fixed = fixed  # (simplex, integer index) pairs
+        self.vertex_indices = vertex_indices  # vertex -> Fraction
+        self.complex = complex
+        self.pairs = pairs  # per degree: λ, diag(W^T U W)
 
     @property
     def fixed_index_sum(self) -> int:

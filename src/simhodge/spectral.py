@@ -25,7 +25,6 @@ the entries v of d whose row or column lies in degree k, to a relative
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 from . import budget
 from . import _np as np
@@ -233,14 +232,14 @@ def heat_supertrace(spectra, t: float) -> float:
     return _heat_trace(((w, 1.0) for w in spectra), t)
 
 
-@dataclass
 class SupersymmetryReport:
     """Comparison of the non-zero spectra on two declared halves of a basis."""
 
-    even_nonzero: np.ndarray
-    odd_nonzero: np.ndarray
-    max_mismatch: float
-    multiplicity_mismatch: int
+    def __init__(self, even_nonzero: np.ndarray, odd_nonzero: np.ndarray,
+                 max_mismatch: float, multiplicity_mismatch: int):
+        self.even_nonzero, self.odd_nonzero = even_nonzero, odd_nonzero
+        self.max_mismatch = max_mismatch
+        self.multiplicity_mismatch = multiplicity_mismatch
 
     @property
     def symmetric(self) -> bool:
@@ -298,16 +297,18 @@ def hodge_traces(d: GradedOperator) -> list[int]:
     return traces
 
 
-@dataclass
 class SpectrumReport:
     """Per-degree spectra with the exact/numeric cross-checks: kernel counts
     against the Betti numbers, spectral sums against the exact traces."""
 
-    betti_numbers: tuple
-    kernel_counts: tuple
-    eigenvalues: list = field(repr=False)  # per degree, ascending
-    supersymmetry: SupersymmetryReport
-    trace_residual: float  # largest relative |sum of eigenvalues - tr L_k|
+    def __init__(self, betti_numbers: tuple, kernel_counts: tuple,
+                 eigenvalues: list, supersymmetry: SupersymmetryReport,
+                 trace_residual: float):
+        self.betti_numbers, self.kernel_counts = betti_numbers, kernel_counts
+        self.eigenvalues = eigenvalues  # per degree, ascending
+        self.supersymmetry = supersymmetry
+        # the largest relative |sum of eigenvalues - tr L_k|
+        self.trace_residual = trace_residual
 
     @property
     def agreement(self) -> bool:

@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from hypothesis import settings
+from hypothesis import strategies as st
 from scipy import sparse
 
 from simhodge import (Complex, InvalidInputError, barycentric_refinement,
@@ -19,6 +20,15 @@ from simhodge.spectral import kernel_mask
 # deadline, so a slow example on a busy host is not a failure.
 settings.register_profile("simhodge", derandomize=True, deadline=None)
 settings.load_profile("simhodge")
+
+# Small complexes for property tests: up to four facets of at most three of
+# six vertices, or a random clique complex on at most five vertices.
+small_complexes = st.one_of(
+    st.lists(st.lists(st.integers(0, 5), min_size=1, max_size=3, unique=True),
+             min_size=1, max_size=4).map(downward_closure),
+    st.builds(lambda n, seed, p: generate("random", n, seed=seed, edge_prob=p),
+              st.integers(1, 5), st.integers(0, 10 ** 6),
+              st.floats(0.0, 1.0)))
 
 
 def as_scipy(matrix):

@@ -7,7 +7,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from conftest import (gauss_bonnet_curvature, random_subcomplex,
-                      sphere_curvature, unit_sphere)
+                      small_complexes, sphere_curvature, unit_sphere)
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from simhodge import (InvalidInputError, ResourceLimitError, analytic_index,
                       barycentric_refinement, betti, cohomological_index,
@@ -18,7 +20,7 @@ from simhodge import (InvalidInputError, ResourceLimitError, analytic_index,
                       valuation_evaluate, vertex_spread, wu_characteristic,
                       wu_intersection)
 from simhodge import indices
-from simhodge.complexes import intersection_masks, simplex_weight
+from simhodge.complexes import simplex_weight
 
 
 def brute_force_wu(c, k):
@@ -252,27 +254,34 @@ class TestMultilinearCurvature:
 
 
 class TestVertexSpread:
-    """The last slot of the spread runs in blocks of (prefix, last simplex)
-    pairs; every block size must give the enumerated shares exactly."""
+    """Order 1 spreads each simplex, order 2 counts pairs from faces and
+    higher orders enumerate the last slot; each must give the enumerated
+    shares exactly, for any integer weights."""
 
-    def test_several_blocks_against_brute_force(self):
-        c = generate("random", 30, seed=4, edge_prob=0.4)
-        pairs = sum(m.bit_count() for m in intersection_masks(c))
-        width = c.dimension + 1
-        assert 64 * width * pairs > 4 * indices.SPREAD_BLOCK_BYTES  # several blocks
-        for k in (1, 2):
-            assert multilinear_curvature(c, k) == brute_force_curvatures(c, k), k
+    @settings(max_examples=60)
+    @given(small_complexes, st.sampled_from([1, 2, 3]),
+           st.sampled_from([1, 2 ** 40]), st.data())
+    def test_random_integer_weights_against_brute_force(self, c, k, scale, data):
+        weights = data.draw(st.lists(st.integers(-7, 7), min_size=len(c),
+                                     max_size=len(c)))
+        weights = [scale * w for w in weights]
+        weight_of = dict(zip(c, weights))
+        assert vertex_spread(c, k, weights) == brute_force_curvatures(
+            c, k, weight_of.__getitem__)
 
-    @pytest.mark.parametrize("block_bytes", [1, 64 * 4 * 3, 10 ** 4])
-    def test_block_size_does_not_change_the_field(self, suite, monkeypatch,
-                                                  block_bytes):
-        c = suite["octahedron"]
-        expected = {k: brute_force_curvatures(c, k) for k in (1, 2, 3)}
-        monkeypatch.setattr(indices, "SPREAD_BLOCK_BYTES", block_bytes)
-        for k in (1, 2, 3):
-            assert multilinear_curvature(c, k) == expected[k], k
+    def test_order_two_on_many_isolated_vertices_is_linear(self):
+        """Unpacking a |c| + |V| bit row for each of the 20003 prefixes took
+        about 6 s on a 2-CPU host; counting from faces takes about 0.2 s."""
+        import time
 
-    @pytest.mark.parametrize("scale", [1, 2 ** 40])  # int64 tallies, then objects
+        c = downward_closure([(v,) for v in range(20000)] + [(20000, 20001, 20002)])
+        started = time.monotonic()
+        curvature = multilinear_curvature(c, 2)
+        assert time.monotonic() - started < 2
+        assert curvature[0] == 1 and curvature[20000] == Fraction(1, 3)
+        assert sum(curvature.values()) == wu_characteristic(c, 2) == 20001
+
+    @pytest.mark.parametrize("scale", [1, 2 ** 40])  # tallies past int64 at 2^40
     def test_integer_weights_against_weighted_brute_force(self, suite, scale):
         rng = random.Random(11)
         for name in ("wheel4", "octahedron", "random3"):

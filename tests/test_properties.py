@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from simhodge import (InvalidInputError, IndexTriple, ResourceLimitError,
-                      betti, connection_derivative, dirac, downward_closure,
+                      betti, connection_derivative, dirac,
                       exterior_derivative, f_vector, generate, integrate,
                       multilinear_curvature, spectrum_report,
                       wu_characteristic)
@@ -21,7 +21,7 @@ from simhodge.io import (parse_facets, parse_permutation,
                          parse_vertex_function, serialize_facets, sha256_hex)
 from simhodge.spectral import singular_frame
 
-from conftest import check_clearing, dense_gram_values
+from conftest import check_clearing, dense_gram_values, small_complexes
 
 # Numerically equal labels ("1", "01", "+1", "1" in Arabic-Indic digits) must
 # still intern to distinct, reproducible ids.
@@ -44,14 +44,6 @@ def test_parse_serialize_parse_round_trip(text):
     assert again == c
     assert again.labels == c.labels
     assert serialize_facets(again) == serialize_facets(c)
-
-
-small_complexes = st.one_of(
-    st.lists(st.lists(st.integers(0, 5), min_size=1, max_size=3, unique=True),
-             min_size=1, max_size=4).map(downward_closure),
-    st.builds(lambda n, seed, p: generate("random", n, seed=seed, edge_prob=p),
-              st.integers(1, 5), st.integers(0, 10 ** 6),
-              st.floats(0.0, 1.0)))
 
 
 @settings(max_examples=60)

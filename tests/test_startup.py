@@ -106,6 +106,10 @@ def inputs(tmp_path_factory):
      "resource limit: degree-0 block is 4100 wide for a dense eigensolve, "
      "limit is 4096"),
     (["refine", "--input", "octahedron.txt"], 0, ""),
+    # the vertex spread and the characteristic it is checked against are
+    # Python integers at both orders
+    (["curvature", "--input", "random40.txt"], 0, ""),
+    (["curvature", "--order", "2", "--input", "random40.txt"], 0, ""),
     (["report", "--input", "random40.txt"], 4,
      "resource limit: degree-2 block is 7463 wide for a dense eigensolve, "
      "limit is 4096"),
@@ -114,7 +118,8 @@ def inputs(tmp_path_factory):
     (["lefschetz", "--t", "0,x", "--perm", "octahedron.perm",
       "--input", "octahedron.txt"], 2, "error: unreadable time list '0,x'"),
 ], ids=["version", "skeleton", "malformed", "order3-guard", "lax-budget",
-        "lax-refined-pairs", "lax-path4100", "refine", "report-random40",
+        "lax-refined-pairs", "lax-path4100", "refine", "curvature-random40",
+        "curvature2-random40", "report-random40",
         "heat-bad-t", "lefschetz-bad-t"])
 def test_processes_that_compute_no_floats_load_no_numpy(inputs, argv, code,
                                                         message):
