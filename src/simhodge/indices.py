@@ -29,6 +29,10 @@ from .operators import (GradedOperator, alternating_sum, connection_degree_count
                         connection_derivative, exterior_derivative)
 from .spectral import betti
 
+# headroom of each packed numerator slot above the bound k * bitlen(sum |w|):
+# one bit holds the sign, since no entry reaches (sum |w|)^k
+SLOT_SPARE_BITS = 2
+
 
 def analytic_index(e_dims, f_dims) -> int:
     """dim(ker D) - dim(ker D*) for D mapping E to F, which is dim E - dim F."""
@@ -115,7 +119,7 @@ def vertex_spread(c: Complex, k: int, weights) -> dict[int, Fraction]:
     budget.require(pairs, budget.PRODUCT_PAIR_LIMIT, f"order {k} vertex spread "
                    f"needs {pairs} (prefix, last simplex) pairs")
     # an entry sums weight products of distinct tuples: |entry| <= (sum |w|)^k
-    bits = k * sum(map(abs, weights)).bit_length() + 2
+    bits = k * sum(map(abs, weights)).bit_length() + SLOT_SPARE_BITS
     if k == 1:
         tallies = _union_tallies(c, zip(c, weights), bits)
     elif k == 2:

@@ -269,6 +269,31 @@ class TestVertexSpread:
         assert vertex_spread(c, k, weights) == brute_force_curvatures(
             c, k, weight_of.__getitem__)
 
+    def test_several_blocks_against_brute_force(self):
+        """A complex with thousands of intersecting pairs: the face counts at
+        order 2 and the simplex spread at order 1 against enumeration."""
+        c = generate("random", 30, seed=4, edge_prob=0.4)
+        assert sum(m.bit_count() for m in indices.intersection_masks(c)) > 2000
+        for k in (1, 2):
+            assert multilinear_curvature(c, k) == brute_force_curvatures(c, k), k
+
+    @pytest.mark.parametrize("spare_bits", [1, 64 * 4 * 3, 10 ** 4])
+    def test_block_size_does_not_change_the_field(self, suite, monkeypatch,
+                                                  spare_bits):
+        """Each vertex packs its numerators in blocks of k * bitlen(sum |w|)
+        plus SLOT_SPARE_BITS bits; every spare width from one bit up must
+        read back the same numerators."""
+        c = suite["octahedron"]
+        expected = {k: brute_force_curvatures(c, k) for k in (1, 2, 3)}
+        monkeypatch.setattr(indices, "SLOT_SPARE_BITS", spare_bits)
+        for k in (1, 2, 3):
+            assert multilinear_curvature(c, k) == expected[k], k
+        weights = [(-7) ** len(s) for s in c]  # mixed signs and sizes
+        weight_of = dict(zip(c, weights))
+        for k in (1, 2):
+            assert vertex_spread(c, k, weights) == brute_force_curvatures(
+                c, k, weight_of.__getitem__), k
+
     def test_order_two_on_many_isolated_vertices_is_linear(self):
         """Unpacking a |c| + |V| bit row for each of the 20003 prefixes took
         about 6 s on a 2-CPU host; counting from faces takes about 0.2 s."""
