@@ -2,19 +2,19 @@
 
 Exact integer ranks give the Betti numbers that eigenvalue pipelines are
 checked against.  Spectra, singular vectors and Lefschetz weights come from
-one solve per block d_k of d, on its Gram matrix of the narrower side,
-min(dim_k, dim_{k+1}) wide.  An eigenvalue counts as zero under 1e-7 times
-the top eigenvalue of its solved block.
+one route per block d_k of d (``gram_pairs``): its Gram matrix on the
+narrower side, min(dim_k, dim_{k+1}) wide, solved one sector at a time.  An
+eigenvalue counts as zero under 1e-7 times the top eigenvalue of its block.
 
-A derivative that records a swap tau (a signed involution of its basis that
-commutes with d: the order-2 connection derivative) has its values solved
-one tau-sector at a time.  Each degree splits into the tau = +1 and
+With no swap, the one sector is the whole degree.  A derivative that
+records a swap tau (a signed involution of its basis that commutes with d:
+the order-2 connection derivative) splits each degree into the tau = +1 and
 tau = -1 eigenspaces, spanned by e_i + tau e_i for each pair {i, tau i} and
 by e_i for each fixed i; d maps each sector into the same sector, so each
 Gram matrix splits into two blocks, each built as an exact integer product
 and scaled by the basis norms (sqrt 2 for a pair) only as it becomes float.
 The sector eigenvalues of a block are joined before its kernel threshold is
-taken.  Vectors come from the whole Gram matrix and a QR (``gram_pairs``).
+taken; its sector eigenvectors, lifted, are tau-adapted (tau x = +-x).
 
 ``spectrum_report`` checks the non-zero spectrum against an exact number:
 tr(L_k), the sum of the eigenvalues of degree k, equals the sum of v^2 over
@@ -80,23 +80,23 @@ def require_frame(dims, vectors: bool = False) -> list:
     return sides
 
 
-def gram_values(grams) -> np.ndarray:
-    """The σ² of one block b of d from the float Gram matrices of its
-    sectors on the narrower side: one ``eigvalsh`` per sector, joined
-    ascending, above their ``kernel_mask``."""
-    w = np.sort(np.concatenate([np.linalg.eigvalsh(gram) for gram in grams]))
-    return w[~kernel_mask(w)]
-
-
-def gram_pairs(gram: np.ndarray, block: np.ndarray, on_source: bool):
-    """(σ², U, V) with the dense block b = U diag(σ) V^T: one ``eigh`` of
-    its Gram matrix on the narrower side (b^T b when ``on_source``, else
-    b b^T) gives one side above its ``kernel_mask``, and the other is the
-    orthonormal factor of a QR of b V (or b^T U), signed as b V / σ, so it
-    is orthonormal to rounding however widely σ spreads."""
-    w, vectors = np.linalg.eigh(gram)
-    keep = ~kernel_mask(w)
-    w, vectors = w[keep], vectors[:, keep]
+def gram_pairs(b: IntMatrix, sectors: list, block: np.ndarray | None,
+               on_source: bool):
+    """(σ², U, V) of a block d_k = U diag(σ) V^T from b, d_k or d_k^T with
+    the narrower side as source: a ``_sector_solve`` per sector, the σ²
+    joined by a stable ascending sort above one ``kernel_mask``; U, V None
+    unless ``block``, the dense d_k, is given.  The other side is the
+    orthonormal factor of a QR of d_k V (or d_k^T U), signed as d_k V / σ,
+    so it is orthonormal to rounding however widely σ spreads."""
+    solved = [_sector_solve(b, sector, block is not None) for sector in sectors]
+    w = np.concatenate([w for w, _ in solved])
+    order = np.argsort(w, kind="stable")
+    keep = order[~kernel_mask(w[order])]
+    w = w[keep]
+    if block is None:
+        return w, None, None
+    vectors = np.hstack([x for _, x in solved])[:, keep]
+    del solved  # frees the sector vectors before the QR allocates
     q, r = np.linalg.qr((block if on_source else block.T) @ vectors)
     other = q * np.copysign(1.0, np.diagonal(r))
     return (w, other, vectors) if on_source else (w, vectors, other)
@@ -134,18 +134,32 @@ def swap_sectors(d: GradedOperator) -> list:
 
 
 def _sector_gram(b, sector) -> np.ndarray:
-    """The float Gram matrix b^T b of block b on one source sector; for the
-    whole degree (None), b^T b itself.
-
-    The orthonormal sector basis is U N^-1, with N the square roots of the
-    norms, so the Gram matrix is N^-1 (bU)^T (bU) N^-1, exact integers until
-    the last scaling."""
+    """The float Gram matrix of b on one source sector: N^-1 (bU)^T (bU)
+    N^-1 over the orthonormal sector basis U N^-1, with N the square roots
+    of the norms, exact integers until the last scaling; b^T b for the
+    whole degree (None)."""
     if sector is None:
         return _dense(b.T @ b, 1.0)
     u, norms = sector
     part = b @ u
     gram = part.T @ part
     return _dense(gram, np.sqrt(norms[gram.row] * norms[gram.col]))
+
+
+def _sector_solve(b, sector, vectors: bool):
+    """The ascending eigenvalues of b's Gram matrix on one sector, freed on
+    return, and with ``vectors`` its eigenvectors y in the degree basis (else
+    None): U N^-1 y for a sector (U, norms), without U dense, as each column
+    of U has a 1 and, for a pair, a second entry +-1; y itself for None."""
+    if not vectors:
+        return np.linalg.eigvalsh(_sector_gram(b, sector)), None
+    w, y = np.linalg.eigh(_sector_gram(b, sector))
+    if sector is None:
+        return w, y
+    u, norms = sector
+    x = np.zeros((u.shape[0], y.shape[1]))
+    x[u.row] = y[u.col] * (u.data / np.sqrt(norms[u.col]))[:, None]
+    return w, x
 
 
 def _dense(m: IntMatrix, scale) -> np.ndarray:
@@ -156,25 +170,20 @@ def _dense(m: IntMatrix, scale) -> np.ndarray:
 
 
 def singular_frame(d: GradedOperator, vectors: bool = False) -> list:
-    """(σ², U, V) of each block d_k from its exact Gram matrix on the
-    narrower side, once ``require_frame`` charged it: ``gram_values`` one
-    ``swap_sectors`` sector at a time (U, V None), or with ``vectors`` the
-    ``gram_pairs`` of the whole matrix.  L_k has the σ² of d_(k-1) and d_k,
-    with the columns of U_(k-1) and V_k, and zero on what is orthogonal to
-    both (McKean-Singer)."""
+    """(σ², U, V) of each block d_k: the ``gram_pairs`` of its exact Gram
+    matrix on the narrower side, by ``swap_sectors``, once ``require_frame``
+    charged it; U, V None unless ``vectors``.  L_k has the σ² of d_(k-1)
+    and d_k, with the columns of U_(k-1) and V_k, and zero on what is
+    orthogonal to both (McKean-Singer)."""
     require_nilpotent(d)
     basis, dims = d.basis, d.basis.dims
     sides = require_frame(dims, vectors)
-    # vectors solve one sector, the whole degree (None), so ``*grams`` is one
-    sectors = [[None]] * len(dims) if vectors else swap_sectors(d)
+    sectors = swap_sectors(d)
     frame = []
     for k, side in enumerate(sides):
         block = d.matrix.block(basis.degree_slice(k + 1), basis.degree_slice(k))
-        b = block if side == k else block.T
-        # a generator: one sector's dense Gram matrix is alive at a time
-        grams = (_sector_gram(b, sector) for sector in sectors[side])
-        frame.append(gram_pairs(*grams, block.toarray(), side == k) if vectors
-                     else (gram_values(grams), None, None))
+        frame.append(gram_pairs(block if side == k else block.T, sectors[side],
+                                block.toarray() if vectors else None, side == k))
     return frame
 
 
@@ -255,20 +264,11 @@ class SupersymmetryReport:
         }
 
 
-def supersymmetry_check(spectra, even_degrees=None,
-                        odd_degrees=None) -> SupersymmetryReport:
-    """Pair the sorted non-zero spectra of L on the even and odd halves.
-
-    By default the halves are the even- and odd-degree parts of the basis.
-    Passing explicit degree sets probes other splits, e.g. a complex whose
-    declared odd half is empty.
-    """
-    def nonzero(degrees):
-        parts = [spectra[k][~kernel_mask(spectra[k])] for k in degrees]
-        return np.sort(np.concatenate(parts)) if parts else np.zeros(0)
-
-    even = nonzero(range(0, len(spectra), 2) if even_degrees is None else even_degrees)
-    odd = nonzero(range(1, len(spectra), 2) if odd_degrees is None else odd_degrees)
+def supersymmetry_check(spectra) -> SupersymmetryReport:
+    """Pair the sorted non-zero spectra of L on the even- and odd-degree
+    halves of the basis."""
+    even, odd = (np.sort(np.concatenate([np.zeros(0)] + [
+        w[~kernel_mask(w)] for w in spectra[start::2]])) for start in (0, 1))
     shared = min(len(even), len(odd))
     max_mismatch = float(np.max(np.abs(even[:shared] - odd[:shared]), initial=0.0))
     return SupersymmetryReport(even, odd, max_mismatch, abs(len(even) - len(odd)))

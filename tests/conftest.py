@@ -14,7 +14,7 @@ from simhodge import (Complex, InvalidInputError, barycentric_refinement,
 from simhodge.complexes import simplex_weight
 from simhodge.lax import _symmetric
 from simhodge.operators import alternating_sum
-from simhodge.spectral import kernel_mask
+from simhodge.spectral import kernel_mask, singular_frame
 
 # Property tests draw the same examples on every run and have no per-example
 # deadline, so a slow example on a busy host is not a failure.
@@ -94,6 +94,26 @@ def dense_gram_values(d) -> list:
         w = np.linalg.eigvalsh(b.T @ b if dims[k] <= dims[k + 1] else b @ b.T)
         values.append(w[~kernel_mask(w)])
     return values
+
+
+def check_tau_adapted(d):
+    """Oracle for the order-2 vectors frame: every column x of each U_k and
+    V_k of ``singular_frame(d, vectors=True)`` has tau x = x or tau x = -x
+    within 1e-12, and its σ² are those of the values frame, as many and
+    within 1e-12 of the block's top value."""
+    partner, sign = d.swap
+    frames = zip(singular_frame(d, vectors=True), singular_frame(d))
+    for k, ((w, u, v), (values, _, _)) in enumerate(frames):
+        assert len(w) == len(values), k
+        top = max(float(values[-1]) if len(values) else 0.0, 1.0)
+        assert np.max(np.abs(w - values), initial=0.0) <= 1e-12 * top, k
+        for degree, x in ((k + 1, u), (k, v)):
+            part = d.basis.degree_slice(degree)
+            tau_x = np.zeros_like(x)  # tau e_i = sign_i e_partner(i)
+            tau_x[partner[part] - part.start] = sign[part][:, None] * x
+            off = np.minimum(np.max(np.abs(tau_x - x), axis=0, initial=0.0),
+                             np.max(np.abs(tau_x + x), axis=0, initial=0.0))
+            assert np.max(off, initial=0.0) <= 1e-12, (k, degree)
 
 
 def check_clearing(d):

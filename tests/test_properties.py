@@ -21,7 +21,8 @@ from simhodge.io import (parse_facets, parse_permutation,
                          parse_vertex_function, serialize_facets, sha256_hex)
 from simhodge.spectral import singular_frame
 
-from conftest import check_clearing, dense_gram_values, small_complexes
+from conftest import (check_clearing, check_tau_adapted, dense_gram_values,
+                      small_complexes)
 
 # Numerically equal labels ("1", "01", "+1", "1" in Arabic-Indic digits) must
 # still intern to distinct, reproducible ids.
@@ -97,6 +98,14 @@ def test_vectors_frame_is_orthonormal_and_reproduces_d(c, order):
                           initial=0.0) <= 1e-12
         assert np.max(np.abs((u * np.sqrt(w)) @ v.T - block), initial=0.0) \
             <= 1e-12 * np.max(np.abs(block), initial=0.0)
+
+
+@settings(max_examples=60)
+@given(small_complexes)
+def test_order_two_vectors_are_tau_adapted(c):
+    """Order-2 singular vectors, solved one swap sector at a time, are tau
+    eigenvectors, with the σ² of the values frame (``check_tau_adapted``)."""
+    check_tau_adapted(connection_derivative(c, 2))
 
 
 @settings(max_examples=60)

@@ -18,8 +18,8 @@ from simhodge.operators import alternating_sum
 from simhodge.spectral import (TRACE_TOL, hodge_traces, singular_frame,
                                swap_sectors)
 
-from conftest import (as_scipy, check_clearing, dense_gram_values,
-                      full_hodge_spectra)
+from conftest import (as_scipy, check_clearing, check_tau_adapted,
+                      dense_gram_values, full_hodge_spectra)
 
 
 def de_rham_hodge(c):
@@ -177,11 +177,11 @@ class TestSupersymmetry:
             assert supersymmetry_check(spectra).max_mismatch < 1e-9
 
     def test_even_only_split_fails(self, k3):
-        # a split whose odd half is empty cannot pair its non-zero spectrum
+        # degree 1 emptied: a split whose odd half is empty cannot pair its
+        # non-zero spectrum
         d = exterior_derivative(k3)
         for spectra in (hodge_spectra(d), full_hodge_spectra(d)):
-            report = supersymmetry_check(spectra, even_degrees=[0, 2],
-                                         odd_degrees=[])
+            report = supersymmetry_check([spectra[0], np.zeros(0), spectra[2]])
             assert not report.symmetric
             assert report.multiplicity_mismatch > 0
 
@@ -195,7 +195,7 @@ class TestHarmonicProjector:
     def test_matches_the_dense_kernel_projector(self, suite):
         """I - W W^T from the frame equals K K^T over the kernel K of the
         formed L_k (the dense oracle), and its trace is b_k; order 2 solves
-        whole Gram matrices, as order 1 does."""
+        one swap sector at a time, order 1 the whole Gram matrix."""
         for name, c in suite.items():
             for d in (exterior_derivative(c), connection_derivative(c, 2)):
                 L, b = hodge(dirac(d)), betti(d)
@@ -207,14 +207,14 @@ class TestHarmonicProjector:
                                   initial=0.0) < 1e-9, (name, k)
                     assert round(np.trace(p)) == b[k], (name, k)
 
-    def test_order_two_solves_each_whole_gram_once(self, suite, solver_widths):
-        """One ``eigh`` per block of d at its whole narrower Gram width: the
-        octahedron's order-2 degrees are 6, 48, 132, 144 and 56 wide, and
-        its swap sectors 6/0, 24/24, 60/72, 72/72 and 32/24."""
+    def test_order_two_solves_each_sector_gram_once(self, suite, solver_widths):
+        """One ``eigh`` per swap sector of each block of d on its narrower
+        side: the octahedron's order-2 degrees are 6, 48, 132, 144 and 56
+        wide, and its swap sectors 6/0, 24/24, 60/72, 72/72 and 32/24."""
         d = connection_derivative(suite["octahedron"], 2)
         for k in range(len(d.basis.dims)):
             harmonic_projector(d, k)
-            assert solver_widths["eigh"] == [6, 48, 132, 56], k
+            assert solver_widths["eigh"] == [6, 0, 24, 24, 60, 72, 32, 24], k
             solver_widths["eigh"].clear()
         assert solver_widths["eigvalsh"] == []
 
@@ -522,6 +522,12 @@ class TestSwapSectors:
                 top = max(float(expected[-1]) if len(expected) else 0.0, 1.0)
                 assert _max_abs(w - expected) <= 1e-12 * top, (key, k)
 
+    def test_vectors_are_tau_adapted(self, derivatives):
+        # the refined octahedron's order-2 vectors are 26 to 1440 rows tall
+        for (name, order), d in derivatives.items():
+            if order == 2:
+                check_tau_adapted(d)
+
     def test_lefschetz_number_of_the_swap_is_chi(self, suite):
         # the fixed elements (x, x) have sign (-1)^dim x and even degree, so
         # sum_k (-1)^k tr(tau | degree k) = sum_x (-1)^dim x = chi
@@ -543,7 +549,8 @@ class TestSwapSectors:
         sign = sign.copy()
         sign[[i, partner[i]]] *= -1  # still an involution, no longer tau
         d.swap = (partner, sign)
-        for solve in (hodge_spectra, spectrum_report, singular_frame):
+        for solve in (hodge_spectra, spectrum_report, singular_frame,
+                      lambda d: singular_frame(d, vectors=True)):
             with pytest.raises(ContractViolationError, match=(
                     "^d's swap is not a commuting involution$")):
                 solve(d)
